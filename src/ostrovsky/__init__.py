@@ -11,10 +11,7 @@ from .spectral import (  # noqa: F401
     PhaseSymbol,
     apply_multiplier,
     dealias,
-    forward_transform,
     frequency_threshold,
-    inverse_transform,
-    phase_value,
     project_zero_mean,
 )
 from .norms import (  # noqa: F401

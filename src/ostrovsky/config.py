@@ -24,9 +24,6 @@ class Config:
             raise ConfigError(f"{self.source}: missing section [{name}]")
         return Section(name, self._sections[name], self.source)
 
-    def has_section(self, name: str) -> bool:
-        return name in self._sections
-
     def as_dict(self) -> dict:
         return {k: dict(v) for k, v in self._sections.items()}
 

@@ -22,6 +22,7 @@ worker count.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, LatticeSizeError
 from .norms import SpaceTimeField, mixed_norm, window_bump, xsb_norm
-from .spectral import Field, Grid, PhaseSymbol
+from .spectral import Field, Grid, MultiplierSpec, PhaseSymbol, multiplier_table
 
 DEFAULT_B = 0.5 + 1.0 / 48.0
 DEFAULT_EPSILON = 1e-3
@@ -174,14 +175,6 @@ def _apply_spatial_multiplier(stf: SpaceTimeField, table: np.ndarray) -> SpaceTi
     return SpaceTimeField(stf.grid, stf.t_window, np.fft.ifft(spec, axis=1).real)
 
 
-def _fractional_d_table(grid: Grid, alpha: float) -> np.ndarray:
-    xi = grid.wavenumbers
-    out = np.zeros(grid.n_points)
-    nz = xi != 0.0
-    out[nz] = np.abs(xi[nz]) ** alpha
-    return out
-
-
 def _strichartz_pair(ens: Ensemble, which: str, u0: Field):
     grid = ens.grid
     if which == "2.03":
@@ -189,15 +182,17 @@ def _strichartz_pair(ens: Ensemble, which: str, u0: Field):
         return mixed_norm(stf, 8.0, 8.0), u0.l2_norm()
     stf = propagator_orbit(ens, u0, windowed=True)
     rhs = xsb_norm(stf, 0.0, ens.b, ens.symbol)
+    high = multiplier_table(grid, MultiplierSpec.high_pass(ens.threshold))
     if which == "2.05":
-        table = _fractional_d_table(grid, 1.0 / 6.0) * (np.abs(grid.wavenumbers) >= ens.threshold)
+        table = multiplier_table(grid, MultiplierSpec.fractional_d(1.0 / 6.0)) * high
         return mixed_norm(_apply_spatial_multiplier(stf, table), 6.0, 6.0), rhs
     if which == "2.08":
-        table = _fractional_d_table(grid, 1.0) * (np.abs(grid.wavenumbers) >= ens.threshold)
+        table = multiplier_table(grid, MultiplierSpec.fractional_d(1.0)) * high
         return mixed_norm(_apply_spatial_multiplier(stf, table), math.inf, 2.0, "x_outer"), rhs
     if which == "2.09":
         s1 = 0.25 + ens.epsilon
-        table = _fractional_d_table(grid, s1) * (np.abs(grid.wavenumbers) < ens.law_param)
+        table = multiplier_table(grid, MultiplierSpec.fractional_d(s1))
+        table = table * multiplier_table(grid, MultiplierSpec.low_pass(ens.law_param))
         return mixed_norm(_apply_spatial_multiplier(stf, table), 2.0, math.inf, "x_outer"), rhs
     raise ConfigError(f"unknown tag {which!r}; expected one of {STRICHARTZ_TAGS}")
 
@@ -213,16 +208,15 @@ def _linfty_pair(ens: Ensemble, which: str, u0: Field):
     if which == "2.057":
         if ens.law != "low_frequency":
             raise ConfigError("tag 2.057 needs low_frequency data")
-        weighted = _apply_spatial_multiplier(stf, _fractional_d_table(grid, -0.25))
-        rhs = xsb_norm(weighted, 0.0, ens.b, ens.symbol)
+        table = multiplier_table(grid, MultiplierSpec.fractional_d(-0.25))
+        rhs = xsb_norm(_apply_spatial_multiplier(stf, table), 0.0, ens.b, ens.symbol)
         lhs = mixed_norm(stf, 2.0 / (1.0 - 2.0 * ens.epsilon), math.inf, "x_outer")
         return lhs, rhs
     if which == "2.060":
         if ens.law != "high_frequency":
             raise ConfigError("tag 2.060 needs high_frequency data")
-        table = _fractional_d_table(grid, -0.5 - 4.0 * ens.epsilon) * (
-            np.abs(grid.wavenumbers) >= ens.threshold
-        )
+        table = multiplier_table(grid, MultiplierSpec.fractional_d(-0.5 - 4.0 * ens.epsilon))
+        table = table * multiplier_table(grid, MultiplierSpec.high_pass(ens.threshold))
         lhs = float(np.max(np.abs(_apply_spatial_multiplier(stf, table).values)))
         return lhs, xsb_norm(stf, 0.0, ens.b, ens.symbol)
     raise ConfigError(f"unknown tag {which!r}; expected one of {LINFTY_TAGS}")
@@ -237,34 +231,40 @@ def _map_draws(fn, n_draws: int, jobs: int) -> list:
     return [fn(i) for i in range(n_draws)]
 
 
-def _collect(ens: Ensemble, tag: str, pair_fn, jobs: int = 1) -> tuple:
-    pairs = _map_draws(lambda i: pair_fn(ens, ens.draw(i)), ens.n_draws, jobs)
-    lhs, rhs, skipped = [], [], 0
-    for left, right in pairs:
-        if right == 0.0:
-            skipped += 1
-            continue
-        lhs.append(left)
-        rhs.append(right)
-    lhs, rhs = np.asarray(lhs), np.asarray(rhs)
-    ratios = lhs / rhs
-    if ratios.size and not np.all(np.isfinite(ratios)):
-        raise ConfigError(f"non-finite ratio in tag {tag}")
-    return lhs, rhs, ratios, skipped
+def _ratio_report(tag: str, n_draws: int, pair_for, refinements, jobs: int) -> RatioReport:
+    """Run an ensemble and each of its named refinements.
 
+    pair_for(name) gives pair(i) -> (lhs, rhs) for draw i, or None to skip
+    the draw; name None is the base ensemble.  Draws with rhs == 0 are
+    skipped too, and a non-finite ratio is an error.
+    """
 
-def _report_with_refinements(ens: Ensemble, tag: str, pair_fn, refinements,
-                             jobs: int = 1) -> RatioReport:
-    lhs, rhs, ratios, skipped = _collect(ens, tag, pair_fn, jobs)
-    refinement_max = {}
-    for name in refinements:
-        _, _, r_ratios, _ = _collect(ens.refined(name), tag, pair_fn, jobs)
-        refinement_max[name] = float(np.max(r_ratios))
+    def evaluate(pair):
+        lhs, rhs, skipped = [], [], 0
+        for result in _map_draws(pair, n_draws, jobs):
+            if result is None or result[1] == 0.0:
+                skipped += 1
+                continue
+            lhs.append(result[0])
+            rhs.append(result[1])
+        lhs, rhs = np.asarray(lhs), np.asarray(rhs)
+        ratios = lhs / rhs
+        if ratios.size and not np.all(np.isfinite(ratios)):
+            raise ConfigError(f"non-finite ratio in tag {tag}")
+        return lhs, rhs, ratios, skipped
+
+    lhs, rhs, ratios, skipped = evaluate(pair_for(None))
+    refinement_max = {name: float(np.max(evaluate(pair_for(name))[2])) for name in refinements}
     return RatioReport(
         tag=tag, lhs=lhs, rhs=rhs, ratios=ratios,
         max_ratio=float(np.max(ratios)), skipped=skipped,
         refinement_max=refinement_max,
     )
+
+
+def _ensemble_pairs(ens: Ensemble, pair):
+    """pair_for over ens and its Ensemble.refined variants, from pair(e, i)."""
+    return lambda name: functools.partial(pair, ens if name is None else ens.refined(name))
 
 
 def strichartz_ratio(ens: Ensemble, which: str,
@@ -280,8 +280,8 @@ def strichartz_ratio(ens: Ensemble, which: str,
     """
     if which not in STRICHARTZ_TAGS:
         raise ConfigError(f"unknown tag {which!r}; expected one of {STRICHARTZ_TAGS}")
-    return _report_with_refinements(ens, which, lambda e, u: _strichartz_pair(e, which, u),
-                                    refinements, jobs)
+    pairs = _ensemble_pairs(ens, lambda e, i: _strichartz_pair(e, which, e.draw(i)))
+    return _ratio_report(which, ens.n_draws, pairs, refinements, jobs)
 
 
 def linfty_bounds_ratio(ens: Ensemble, which: str,
@@ -292,8 +292,8 @@ def linfty_bounds_ratio(ens: Ensemble, which: str,
     Linf bound."""
     if which not in LINFTY_TAGS:
         raise ConfigError(f"unknown tag {which!r}; expected one of {LINFTY_TAGS}")
-    return _report_with_refinements(ens, which, lambda e, u: _linfty_pair(e, which, u),
-                                    refinements, jobs)
+    pairs = _ensemble_pairs(ens, lambda e, i: _linfty_pair(e, which, e.draw(i)))
+    return _ratio_report(which, ens.n_draws, pairs, refinements, jobs)
 
 
 def bilinear_weighted_product(f1: Field, f2: Field, s: float, symbol: PhaseSymbol) -> np.ndarray:
@@ -326,7 +326,7 @@ def bilinear_weighted_product(f1: Field, f2: Field, s: float, symbol: PhaseSymbo
 
 
 def bilinear_ratio(ens: Ensemble, s: float,
-                   refinements=("grid_x2", "grid_x4")) -> RatioReport:
+                   refinements=("grid_x2", "grid_x4"), jobs: int = 1) -> RatioReport:
     """Smoothing of the interaction of two free waves.
 
     LHS is the L2_{xt} norm of the weighted product of two evolved
@@ -337,45 +337,26 @@ def bilinear_ratio(ens: Ensemble, s: float,
     if not 0.0 <= s <= 0.5:
         raise ConfigError(f"s must lie in [0, 1/2], got {s}")
 
-    def collect(e: Ensemble):
-        lhs, rhs, skipped = [], [], 0
+    def pair(e: Ensemble, i: int):
         grid = e.grid
         phi = e.symbol.table(grid)
         t = np.arange(e.n_t) * (e.t_window / e.n_t)
         dt = e.t_window / e.n_t
-        for i in range(e.n_draws):
-            f1 = e.draw(2 * i)
-            f2 = e.draw(2 * i + 1)
-            if np.abs(f1.coeffs[0]) > 0 or np.abs(f2.coeffs[0]) > 0:
-                skipped += 1
-                continue
-            total = 0.0
-            for tl in t:
-                ph = np.exp(-1j * tl * phi)
-                spec = bilinear_weighted_product(
-                    Field(grid, f1.coeffs * ph), Field(grid, f2.coeffs * ph), s, e.symbol
-                )
-                total += grid.length * float(np.sum(np.abs(spec) ** 2)) * dt
-            left = math.sqrt(total)
-            right = f1.l2_norm() * f2.l2_norm()
-            if right == 0.0:
-                skipped += 1
-                continue
-            lhs.append(left)
-            rhs.append(right)
-        lhs, rhs = np.asarray(lhs), np.asarray(rhs)
-        return lhs, rhs, lhs / rhs, skipped
+        f1 = e.draw(2 * i)
+        f2 = e.draw(2 * i + 1)
+        if np.abs(f1.coeffs[0]) > 0 or np.abs(f2.coeffs[0]) > 0:
+            return None
+        total = 0.0
+        for tl in t:
+            ph = np.exp(-1j * tl * phi)
+            spec = bilinear_weighted_product(
+                Field(grid, f1.coeffs * ph), Field(grid, f2.coeffs * ph), s, e.symbol
+            )
+            total += grid.length * float(np.sum(np.abs(spec) ** 2)) * dt
+        return math.sqrt(total), f1.l2_norm() * f2.l2_norm()
 
-    lhs, rhs, ratios, skipped = collect(ens)
-    refinement_max = {}
-    for name in refinements:
-        _, _, rr, _ = collect(ens.refined(name))
-        refinement_max[name] = float(np.max(rr))
-    return RatioReport(
-        tag=f"2.027(s={s:g})" if s == 0.5 else f"bilinear(s={s:g})",
-        lhs=lhs, rhs=rhs, ratios=ratios, max_ratio=float(np.max(ratios)),
-        skipped=skipped, refinement_max=refinement_max,
-    )
+    tag = f"2.027(s={s:g})" if s == 0.5 else f"bilinear(s={s:g})"
+    return _ratio_report(tag, ens.n_draws, _ensemble_pairs(ens, pair), refinements, jobs)
 
 
 MULTILINEAR_CELL_GUARD = 256
@@ -387,10 +368,7 @@ def _multilinear_weights(n_cells: int, dxi: float, dtau: float,
     idx = np.arange(-half, half)
     xi = idx * dxi
     tau = idx * dtau
-    phi = np.zeros_like(xi)
-    nz = xi != 0.0
-    phi[nz] = symbol.beta * xi[nz] ** 3 + symbol.gamma / xi[nz]
-    sigma = 1.0 + np.abs(tau[None, :] + phi[:, None])  # (xi, tau)
+    sigma = 1.0 + np.abs(tau[None, :] + symbol(xi)[:, None])  # (xi, tau)
     xi_weight = (1.0 + np.abs(xi)) ** s
     outer = (np.abs(xi)[:, None] * xi_weight[:, None]) / sigma ** (0.5 - epsilon / 12.0)
     inner = 1.0 / (xi_weight[:, None] * sigma**b)
@@ -399,7 +377,8 @@ def _multilinear_weights(n_cells: int, dxi: float, dtau: float,
 
 def multilinear_ratio(ens: Ensemble, k: int = 5, s: float | None = None,
                       b: float | None = None, n_cells: int = 64,
-                      refine: bool = True, rng_offset: int = 0) -> RatioReport:
+                      refine: bool = True, rng_offset: int = 0,
+                      jobs: int = 1) -> RatioReport:
     """(k+2)-linear convolution inequality on a space-time mode lattice.
 
     All spectra are drawn nonnegative, so the integral is monotone and
@@ -416,16 +395,23 @@ def multilinear_ratio(ens: Ensemble, k: int = 5, s: float | None = None,
         s = 0.5 - 2.0 / k + 2.0 * ens.epsilon
     if b is None:
         b = ens.b
+    dxi = 2.0 * math.pi / ens.grid.length
+    dtau = 2.0 * math.pi / ens.t_window
+    lattices = {
+        None: (n_cells, dxi, dtau, rng_offset),
+        "lattice_x2": (2 * n_cells, dxi / 2.0, dtau / 2.0, rng_offset + 1),
+    }
 
-    def run(cells: int, dxi: float, dtau: float, rng_salt: int):
+    def pair_for(name):
+        cells, dxi, dtau, rng_salt = lattices[name]
         outer_w, inner_w = _multilinear_weights(cells, dxi, dtau, ens.symbol, s, b, ens.epsilon)
         half = cells // 2
         pad = 1
         while pad < (k + 1) * (cells - 1) + 1:
             pad *= 2
-        lhs, rhs = [], []
         measure = dxi * dtau
-        for i in range(ens.n_draws):
+
+        def pair(i: int):
             rng = np.random.default_rng(
                 np.random.SeedSequence(ens.seed, spawn_key=(rng_salt, i))
             )
@@ -448,23 +434,12 @@ def multilinear_ratio(ens: Ensemble, k: int = 5, s: float | None = None,
             right = math.sqrt(float(np.sum(outer_f**2)) * measure)
             for f in factors:
                 right *= math.sqrt(float(np.sum(f**2)) * measure)
-            lhs.append(left)
-            rhs.append(right)
-        lhs, rhs = np.asarray(lhs), np.asarray(rhs)
-        return lhs, rhs, lhs / rhs
+            return left, right
 
-    dxi = 2.0 * math.pi / ens.grid.length
-    dtau = 2.0 * math.pi / ens.t_window
-    lhs, rhs, ratios = run(n_cells, dxi, dtau, rng_offset)
-    refinement_max = {}
-    if refine:
-        _, _, rr = run(2 * n_cells, dxi / 2.0, dtau / 2.0, rng_offset + 1)
-        refinement_max["lattice_x2"] = float(np.max(rr))
-    return RatioReport(
-        tag=f"3.03(k={k})", lhs=lhs, rhs=rhs, ratios=ratios,
-        max_ratio=float(np.max(ratios)), skipped=0,
-        refinement_max=refinement_max,
-    )
+        return pair
+
+    refinements = ("lattice_x2",) if refine else ()
+    return _ratio_report(f"3.03(k={k})", ens.n_draws, pair_for, refinements, jobs)
 
 
 def ratio_pair_for_tag(ens: Ensemble, tag: str, u0: Field):
@@ -475,10 +450,6 @@ def ratio_pair_for_tag(ens: Ensemble, tag: str, u0: Field):
     if tag in LINFTY_TAGS:
         return _linfty_pair(ens, tag, u0)
     raise ConfigError(f"tag {tag!r} is not orbit-based")
-
-
-def _dxi_for(length: float) -> float:
-    return 2.0 * math.pi / length
 
 
 TAG_DEFAULTS = {
@@ -526,16 +497,11 @@ def default_ensemble(tag: str, seed: int, n_draws: int, beta: float = -1.0,
 
 def run_tag(tag: str, seed: int, n_draws: int, jobs: int = 1, **overrides) -> RatioReport:
     """Dispatch one acceptance tag with its default ensemble."""
+    ens = default_ensemble(tag, seed, n_draws, **overrides)
     if tag in STRICHARTZ_TAGS:
-        ens = default_ensemble(tag, seed, n_draws, **overrides)
         return strichartz_ratio(ens, tag, jobs=jobs)
     if tag in LINFTY_TAGS:
-        ens = default_ensemble(tag, seed, n_draws, **overrides)
         return linfty_bounds_ratio(ens, tag, jobs=jobs)
     if tag == "2.027":
-        ens = default_ensemble(tag, seed, n_draws, **overrides)
-        return bilinear_ratio(ens, 0.5)
-    if tag == "3.03":
-        ens = default_ensemble(tag, seed, n_draws, **overrides)
-        return multilinear_ratio(ens, k=5)
-    raise ConfigError(f"unknown tag {tag!r}; valid tags: {', '.join(ALL_TAGS)}")
+        return bilinear_ratio(ens, 0.5, jobs=jobs)
+    return multilinear_ratio(ens, k=5, jobs=jobs)

@@ -103,21 +103,15 @@ class RegionTag(enum.Enum):
         return cls.NON_STATIONARY if abs(x) >= boundary else cls.STATIONARY
 
 
-def _phase_and_slope(xi: np.ndarray, x: float, t: float, spec: KernelSpec):
-    phi = spec.beta * xi**3 + spec.gamma / xi
-    dphi = 3.0 * spec.beta * xi**2 - spec.gamma / xi**2
-    return x * xi - t * phi, x - t * dphi
-
-
-def _panel_edges(x: float, t: float, spec: KernelSpec, refine: float) -> np.ndarray:
+def _panel_edges(x: float, t: float, spec: KernelSpec, symbol: PhaseSymbol,
+                 refine: float) -> np.ndarray:
     """Panel edges over [N, 4N] with width <= local wavelength / 4."""
     n_block = spec.block_start
     lo, hi = n_block, 4.0 * n_block
     coarse = np.linspace(lo, hi, 49)
     edges = [lo]
     for a, b in zip(coarse[:-1], coarse[1:]):
-        probes = np.linspace(a, b, 5)
-        _, slope = _phase_and_slope(probes, x, t, spec)
+        slope = x - t * symbol.derivative(np.linspace(a, b, 5))
         worst = float(np.max(np.abs(slope))) * 1.5 + 1e-30
         width_cap = 2.0 * np.pi / (4.0 * worst)
         m = max(1, int(math.ceil((b - a) / width_cap * refine)))
@@ -125,16 +119,16 @@ def _panel_edges(x: float, t: float, spec: KernelSpec, refine: float) -> np.ndar
     return np.asarray(edges)
 
 
-def _block_integral(x: float, t: float, spec: KernelSpec, refine: float):
+def _block_integral(x: float, t: float, spec: KernelSpec, symbol: PhaseSymbol,
+                    refine: float):
     """Gauss-Kronrod value and error estimate of the positive block."""
-    edges = _panel_edges(x, t, spec, refine)
+    edges = _panel_edges(x, t, spec, symbol, refine)
     if (edges.size - 1) * 15 > MAX_NODES:
         raise QuadratureAccuracyError(math.inf, spec.tolerance)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]
-    phase, _ = _phase_and_slope(nodes.ravel(), x, t, spec)
-    vals = np.exp(1j * phase).reshape(nodes.shape)
+    nodes = (mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]).ravel()
+    vals = np.exp(1j * (x * nodes - t * symbol(nodes))).reshape(half.size, -1)
     k15 = (vals * _KRONROD_WEIGHTS[None, :]).sum(axis=1) * half
     g7 = (vals[:, _GAUSS_SLICE] * _GAUSS_WEIGHTS[None, :]).sum(axis=1) * half
     return complex(k15.sum()), float(np.abs(k15 - g7).sum())
@@ -148,22 +142,16 @@ def kernel_eval(x: float, t: float, spec: KernelSpec) -> float:
     """
     if t < 0:
         raise ConfigError(f"t must be >= 0, got {t}")
+    symbol = spec.symbol
     refine = 1.0
     achieved = math.inf
     for _ in range(3):
-        value, err = _block_integral(x, t, spec, refine)
+        value, err = _block_integral(x, t, spec, symbol, refine)
         achieved = 2.0 * err
         if achieved <= spec.tolerance:
             return 2.0 * value.real
         refine *= 4.0
     raise QuadratureAccuracyError(achieved, spec.tolerance)
-
-
-def kernel_eval_complex(x: float, t: float, spec: KernelSpec) -> complex:
-    """Both signed blocks summed; the negative block is the conjugate of
-    the positive one (odd phase), so the imaginary parts cancel."""
-    pos, _ = _block_integral(x, t, spec, 1.0)
-    return pos + np.conj(pos)
 
 
 @dataclass
@@ -288,11 +276,13 @@ def stationary_ray_exponent(spec: KernelSpec, offsets=RAY_OFFSETS,
     estimate is self-similar in N by construction.
     """
     n_block = spec.block_start
+    slope_lo = abs(spec.symbol.derivative(n_block))
+    slope_hi = abs(spec.symbol.derivative(4.0 * n_block))
     logs_t, logs_k = [], []
     for cx in offsets:
         x = -cx / n_block
-        t_hi = abs(x) / (3.0 * abs(spec.beta) * n_block**2 + spec.gamma / n_block**2)
-        t_lo = abs(x) / (48.0 * abs(spec.beta) * n_block**2 + spec.gamma / (16.0 * n_block**2))
+        t_hi = abs(x) / slope_lo
+        t_lo = abs(x) / slope_hi
         ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), points_per_ray))
         ks = np.array([abs(kernel_eval(x, float(t), spec)) for t in ts])
         lt, lk = np.log(ts), np.log(np.maximum(ks, 1e-300))

@@ -68,8 +68,6 @@ class RateReport:
     fit_residual: float
     self_error: float
     gronwall_constants: np.ndarray
-    xs_sup_rotation: np.ndarray
-    xs_sup_reference: float
     conservation_ok: np.ndarray
     failures: dict
 
@@ -103,13 +101,16 @@ def _l2_distance(a: Field, b: Field) -> float:
     return (a - b).l2_norm()
 
 
-def _conservation_ok(traj: Trajectory) -> bool:
-    span = max(traj.times[-1] - traj.times[0], 1e-300)
-    l2_drift = np.max(np.abs(traj.l2 - traj.l2[0])) / max(traj.l2[0], 1e-300)
+def conservation_drift(traj: Trajectory) -> tuple:
+    """(l2_drift, hamiltonian_drift, ok): the largest relative departures
+    from the first snapshot, and whether both sit under their gates scaled
+    by max(1, time span)."""
+    span = max(1.0, traj.times[-1] - traj.times[0])
+    l2_drift = float(np.max(np.abs(traj.l2 - traj.l2[0])) / max(traj.l2[0], 1e-300))
     h_scale = max(abs(traj.hamiltonian[0]), 1e-300)
-    h_drift = np.max(np.abs(traj.hamiltonian - traj.hamiltonian[0])) / h_scale
-    return bool(l2_drift < L2_DRIFT_GATE * max(1.0, span)
-                and h_drift < HAMILTONIAN_DRIFT_GATE * max(1.0, span))
+    h_drift = float(np.max(np.abs(traj.hamiltonian - traj.hamiltonian[0])) / h_scale)
+    ok = l2_drift < L2_DRIFT_GATE * span and h_drift < HAMILTONIAN_DRIFT_GATE * span
+    return l2_drift, h_drift, ok
 
 
 def _field_at_time(traj: Trajectory, t: float) -> Field:
@@ -165,7 +166,7 @@ def rotation_limit_sweep(cfg: SweepConfig, u0: Field) -> RateReport:
     errors = np.array([
         _l2_distance(_field_at_time(results[g], cfg.t_compare), v_t) for g in gammas_ok
     ])
-    conservation = np.array([_conservation_ok(results[g]) for g in gammas_ok])
+    conservation = np.array([conservation_drift(results[g])[2] for g in gammas_ok])
     floor_flags = errors <= cfg.floor_factor * max(self_error, 1e-300)
 
     usable = (~floor_flags) & conservation
@@ -182,7 +183,6 @@ def rotation_limit_sweep(cfg: SweepConfig, u0: Field) -> RateReport:
         gronwall_consistency_check(results[g], reference, g, cfg.s).c_star
         for g in gammas_ok
     ])
-    xs_sup = np.array([float(np.max(results[g].xs)) for g in gammas_ok])
 
     return RateReport(
         gammas=tuple(gammas_ok),
@@ -193,8 +193,6 @@ def rotation_limit_sweep(cfg: SweepConfig, u0: Field) -> RateReport:
         fit_residual=fit_residual,
         self_error=self_error,
         gronwall_constants=gron,
-        xs_sup_rotation=xs_sup,
-        xs_sup_reference=float(np.max(reference.xs)),
         conservation_ok=conservation,
         failures=failures,
     )

@@ -9,16 +9,21 @@ Bourgain norm.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MeanZeroViolation
-from .spectral import Field, Grid, PhaseSymbol
-
-MEAN_ZERO_RTOL = 1e-12
+from .errors import ConfigError
+from .spectral import (
+    Field,
+    Grid,
+    MultiplierSpec,
+    PhaseSymbol,
+    apply_multiplier,
+    multiplier_table,
+    require_mean_zero,
+)
 
 
 @dataclass(frozen=True)
@@ -69,9 +74,6 @@ class SpaceTimeField:
             raise ConfigError("2-D spectral table needs an even number of time samples")
         return np.fft.fft2(self.values) / (self.n_t * self.grid.n_points)
 
-    def slice_field(self, l: int) -> Field:
-        return Field.from_samples(self.grid, self.values[l])
-
 
 @dataclass(frozen=True)
 class ModulationWeight:
@@ -92,26 +94,14 @@ def h_s_norm(field: Field, s: float) -> float:
     return math.sqrt(field.grid.length * float(np.sum(w * np.abs(field.coeffs) ** 2)))
 
 
-def _antiderivative_coeffs(field: Field) -> np.ndarray:
-    xi = field.grid.wavenumbers
-    g = np.zeros_like(field.coeffs)
-    nz = xi != 0.0
-    g[nz] = field.coeffs[nz] / xi[nz]
-    return g
-
-
 def x_s_norm(field: Field, s: float) -> float:
-    """h_s_norm of the field plus h_s_norm of its spectrum divided by xi.
+    """h_s_norm of the field plus h_s_norm of its spectrum divided by |xi|.
 
     Defined on mean-zero fields only (the division is singular at the
     zero mode).
     """
-    c0 = field.coeffs[0]
-    scale = math.sqrt(float(np.sum(np.abs(field.coeffs) ** 2)))
-    if abs(c0) > MEAN_ZERO_RTOL * max(scale, 1e-300):
-        raise MeanZeroViolation(complex(c0), "x_s norm requires mean-zero input")
-    g = Field(field.grid, _antiderivative_coeffs(field))
-    return h_s_norm(field, s) + h_s_norm(g, s)
+    inverse = apply_multiplier(field, MultiplierSpec.fractional_d(-1.0))
+    return h_s_norm(field, s) + h_s_norm(inverse, s)
 
 
 def mixed_norm(stf: SpaceTimeField, p: float, q: float, order: str = "t_outer") -> float:
@@ -151,17 +141,9 @@ def xsb_norm(stf: SpaceTimeField, s: float, b: float, symbol: PhaseSymbol) -> fl
 
 def xtilde_sb_norm(stf: SpaceTimeField, s: float, b: float, symbol: PhaseSymbol) -> float:
     """xsb norm of u plus xsb norm of its spatial antiderivative."""
-    xi = stf.grid.wavenumbers
     slices = np.fft.fft(stf.values, axis=1) / stf.grid.n_points
-    scale = np.sqrt(np.sum(np.abs(slices) ** 2, axis=1)).max()
-    if np.abs(slices[:, 0]).max() > MEAN_ZERO_RTOL * max(scale, 1e-300):
-        raise MeanZeroViolation(
-            complex(slices[np.argmax(np.abs(slices[:, 0])), 0]),
-            "antiderivative norm requires mean-zero slices",
-        )
-    inv = np.zeros_like(slices)
-    nz = xi != 0.0
-    inv[:, nz] = slices[:, nz] / (1j * xi[nz])
+    require_mean_zero(slices, "antiderivative norm")
+    inv = slices * multiplier_table(stf.grid, MultiplierSpec.derivative(-1))
     anti = SpaceTimeField(stf.grid, stf.t_window, np.fft.ifft(inv * stf.grid.n_points, axis=1).real)
     return xsb_norm(stf, s, b, symbol) + xsb_norm(anti, s, b, symbol)
 

@@ -124,6 +124,7 @@ def nonlinear_term(u: Field, k: int) -> Field:
 
 
 def _nonlinear_coeffs(coeffs: np.ndarray, grid: Grid, k: int) -> np.ndarray:
+    """nonlinear_term on spectra along the last axis of coeffs."""
     n = grid.n_points
     u = np.fft.ifft(coeffs * n).real
     with np.errstate(over="ignore", invalid="ignore"):
@@ -132,11 +133,11 @@ def _nonlinear_coeffs(coeffs: np.ndarray, grid: Grid, k: int) -> np.ndarray:
         raise NonFiniteError(f"u^{k + 1} overflowed (max|u| = {np.max(np.abs(u)):g})")
     c = np.fft.fft(power) / n
     cutoff = dealias_cutoff(n, k + 1)
-    c[np.abs(grid.mode_numbers) > cutoff] = 0.0
+    c[..., np.abs(grid.mode_numbers) > cutoff] = 0.0
     xi = grid.wavenumbers
     out = (-1.0 / (k + 1)) * (1j * xi) * c
-    out[grid.nyquist_index] = 0.0
-    out[0] = 0.0  # the derivative kills the mean; keep it exactly zero
+    out[..., grid.nyquist_index] = 0.0
+    out[..., 0] = 0.0  # the derivative kills the mean; keep it exactly zero
     return out
 
 
@@ -202,8 +203,8 @@ def hamiltonian(u: Field, cfg: SolverConfig) -> float:
 def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
     """March from 0 to t_end recording snapshots and conserved traces.
 
-    Aborts with BlowupError on nonfinite values or L2 growth beyond
-    10x the initial norm.
+    Aborts with BlowupError on nonfinite values (overflow in the
+    nonlinearity included) or L2 growth beyond 10x the initial norm.
     """
     if snapshot_every <= 0:
         raise ConfigError(f"snapshot_every must be positive, got {snapshot_every}")
@@ -239,7 +240,10 @@ def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
     c = u0.coeffs.copy()
     for i in range(1, n_steps + 1):
         use = stepper if (i < n_steps or partial is None) else partial
-        c = use.step_coeffs(c)
+        try:
+            c = use.step_coeffs(c)
+        except NonFiniteError as err:
+            raise BlowupError(i, str(err)) from err
         if not np.all(np.isfinite(c)):
             raise BlowupError(i, "nonfinite spectral coefficients")
         t = i * cfg.dt if (i < n_steps or partial is None) else cfg.t_end
@@ -396,9 +400,7 @@ def picard_iterate(u0: Field, cfg: SolverConfig, delta: float, n_iters: int):
     v = forward * u0.coeffs[None, :]  # free evolution, iterate 0
 
     def gamma_map(v_cur: np.ndarray) -> np.ndarray:
-        f = np.empty_like(v_cur)
-        for l in range(n_lat + 1):
-            f[l] = _nonlinear_coeffs(v_cur[l], grid, cfg.k)
+        f = _nonlinear_coeffs(v_cur, grid, cfg.k)
         # I(t_l) = U(t_l) * trapezoid_j<=l [ U(-t_j) f_j ], exact factors
         g = backward * f
         prefix = np.zeros_like(g)

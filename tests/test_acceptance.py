@@ -121,6 +121,7 @@ class TestAcceptance:
                       f"{np.max(ratios) / np.min(ratios):.2f}x, C* spread "
                       f"{np.max(cs) / np.min(cs):.2f}x ({elapsed:.1f}s)")
 
+    @pytest.mark.slow
     def test_5_kernel_decay(self):
         t0 = time.time()
         exponents, ns_constants, mixed_ratios = [], [], []
@@ -140,6 +141,7 @@ class TestAcceptance:
                       f"mixed-norm spread {max(mixed_ratios) / min(mixed_ratios):.2f}x "
                       f"({elapsed:.1f}s)")
 
+    @pytest.mark.slow
     def test_6_estimate_ensembles(self):
         t0 = time.time()
         tags = ("2.03", "2.05", "2.08", "2.09", "2.027", "2.055", "2.057", "2.060", "3.03")

@@ -110,6 +110,17 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "`beta`" in capsys.readouterr().err
 
+    def test_overflow_exits_two_with_one_line(self, tmp_path, capsys):
+        text = SOLVE_CFG.replace("n = 128", "n = 256").replace("L = 20.0", "L = 40.0")
+        text = text.replace("dt = 0.01", "dt = 1e-300").replace("t_end = 0.1", "t_end = 1e-300")
+        text = text.replace("amplitude = 0.4", "amplitude = 3e51")
+        cfg = write_cfg(tmp_path, text)
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err and "overflowed" in err
+
     def test_config_file_not_mutated(self, tmp_path):
         cfg = write_cfg(tmp_path, SOLVE_CFG)
         before = open(cfg).read()

@@ -235,6 +235,15 @@ class TestDispatch:
             "2.03", "2.05", "2.08", "2.09", "2.027", "2.055", "2.057", "2.060", "3.03",
         }
 
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_worker_count_independent(self, tag):
+        serial = run_tag(tag, seed=11, n_draws=2, jobs=1)
+        pooled = run_tag(tag, seed=11, n_draws=2, jobs=2)
+        for name in ("lhs", "rhs", "ratios"):
+            assert np.array_equal(getattr(serial, name), getattr(pooled, name))
+        assert serial.refinement_max == pooled.refinement_max
+        assert serial.skipped == pooled.skipped
+
     def test_report_reproducible_from_seed(self):
         a = run_tag("2.057", seed=42, n_draws=3)
         b = run_tag("2.057", seed=42, n_draws=3)

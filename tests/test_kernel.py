@@ -8,7 +8,6 @@ from ostrovsky.kernel import (
     KernelSpec,
     RegionTag,
     kernel_eval,
-    kernel_eval_complex,
     kernel_mixed_norm,
     region_decay_check,
     stationary_ray_exponent,
@@ -38,11 +37,6 @@ class TestKernelEval:
         phase = x * xi - t * (-(xi**3) + 1.0 / xi)
         brute = 2.0 * np.trapezoid(np.exp(1j * phase), xi).real
         assert kernel_eval(x, t, spec8) == pytest.approx(brute, abs=1e-7)
-
-    def test_real_by_conjugate_blocks(self, spec8):
-        val = kernel_eval_complex(0.4, 3e-4, spec8)
-        assert abs(val.imag) < 1e-9
-        assert val.real == pytest.approx(kernel_eval(0.4, 3e-4, spec8), abs=1e-8)
 
     def test_negative_time_rejected(self, spec8):
         with pytest.raises(ConfigError):
@@ -122,6 +116,7 @@ class TestMixedNorm:
         assert np.isfinite(rep.value) and rep.value > 0
         assert rep.tail_fraction < 0.01
 
+    @pytest.mark.slow
     def test_box_doubling_changes_little(self):
         spec = KernelSpec(8.0, -1.0, 1.0)
         base = kernel_mixed_norm(spec, 8.0, c_t=1.0, n_x=60, n_t=24)

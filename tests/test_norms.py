@@ -181,6 +181,16 @@ class TestXsb:
         plain = xsb_norm(stf, 0.0, 0.25, sym)
         assert xtilde_sb_norm(stf, 0.0, 0.25, sym) > plain
 
+    def test_xtilde_rejects_one_slice_with_mean(self, rng):
+        g = Grid(64, 2 * np.pi)
+        sym = PhaseSymbol(-1.0, 1.0)
+        stf = propagator_window(g, random_mean_zero(g, rng).coeffs, sym, 0.5, 32)
+        values = stf.values.copy()
+        values[5] += 0.25
+        with pytest.raises(MeanZeroViolation) as exc:
+            xtilde_sb_norm(SpaceTimeField(g, 0.5, values), 0.0, 0.25, sym)
+        assert exc.value.mean == pytest.approx(0.25, rel=1e-12)
+
     def test_odd_sample_count_rejected_for_table(self, rng):
         g = Grid(64, 5.0)
         stf = SpaceTimeField(g, 2.0, rng.standard_normal((9, 64)))

@@ -103,6 +103,16 @@ class TestNonlinearTerm:
         out = nonlinear_term(random_mean_zero(g, rng), 5)
         assert out.coeffs[0] == 0.0
 
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_batched_rows_equal_single_rows(self, n, rng):
+        # picard_iterate evaluates a whole time lattice in one call
+        from ostrovsky.solver import _nonlinear_coeffs
+
+        g = Grid(n, 40.0)
+        rows = np.array([(0.3 * random_mean_zero(g, rng)).coeffs for _ in range(5)])
+        single = np.array([nonlinear_term(Field(g, r), 5).coeffs for r in rows])
+        assert np.array_equal(_nonlinear_coeffs(rows, g, 5), single)
+
 
 class TestStep:
     def test_linear_only_matches_propagator(self, rng):
@@ -206,6 +216,15 @@ class TestEvolve:
         u = Field.from_samples(g, 1e80 * np.sin(2 * np.pi * g.x / 10.0))
         with pytest.raises(NonFiniteError):
             nonlinear_term(u, 5)
+
+    def test_power_overflow_in_evolve_is_blowup(self):
+        # dt passes the advection guard, but u^6 overflows at the first step
+        g = Grid(256, 40.0)
+        u0 = gaussian_bump(g, amplitude=3e51)
+        cfg = small_config(g, dt=1e-300, t_end=1e-300)
+        with pytest.raises(BlowupError) as exc:
+            evolve(u0, cfg, snapshot_every=1)
+        assert exc.value.step_index == 1
 
     def test_blowup_aborts_with_step_index(self, rng, monkeypatch):
         # the advection guard prevents honestly reaching overflow at desk
