@@ -15,6 +15,7 @@ OSTROVSKY_LOG in {error, info, debug} controls stderr logging.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -197,7 +198,7 @@ def cmd_probe_kernel(args) -> int:
     out = ensure_dir(args.out)
 
     rows = {"region": [], "x": [], "t": [], "absK": [], "bound": [], "ratio": []}
-    summary = {"blocks": {}, "gamma_exp": gamma_exp}
+    summary = {"blocks": {}, "gamma_exp": gamma_exp, "quadrature": {}}
     region_codes = {"NEAR_FIELD": 1.0, "NON_STATIONARY": 2.0, "STATIONARY": 3.0}
     for n_block in blocks:
         spec = KernelSpec(n_block, beta, gamma, threshold=threshold)
@@ -217,6 +218,10 @@ def cmd_probe_kernel(args) -> int:
             "mixed_norm": mixed.value,
             "mixed_norm_scaled": mixed.scaled_ratio,
             "tail_fraction": mixed.tail_fraction,
+        }
+        summary["quadrature"][fmt(n_block)] = {
+            "decay": dataclasses.asdict(report.quadrature),
+            "mixed_norm": dataclasses.asdict(mixed.quadrature),
         }
     write_csv(os.path.join(out, "kernel_regions.csv"), rows)
     write_json(os.path.join(out, "kernel_summary.json"), summary)

@@ -10,6 +10,14 @@ only the positive block is integrated.  Quadrature is panel-wise
 Gauss-Kronrod (G7, K15) with panel widths tied to the local oscillation
 wavelength 2*pi/|d/dxi (x*xi - t*phi)|.
 
+The probes evaluate their points in batches: the panels of consecutive
+points are stacked up to a constant budget of BATCH_NODES nodes, the
+integrand is evaluated once per batch, and only the points whose
+embedded error estimate misses tolerance are re-run at 4x and then 16x
+finer panels.  Each point's sums are taken exactly as kernel_eval takes
+them, so the batched values equal the scalar ones bit for bit;
+kernel_eval stays the one-point reference.
+
 Sampling windows follow the kernel's self-similar scales x ~ 1/N,
 t ~ 1/N^3, so empirical constants are comparable across dyadic N.
 """
@@ -49,6 +57,8 @@ _GAUSS_SLICE = slice(1, 14, 2)  # Gauss-7 nodes sit at the odd Kronrod indices
 
 REGION_BOUNDARY_FACTOR = 4000.0
 MAX_NODES = 4_000_000
+BATCH_NODES = 1 << 16  # nodes per batched evaluation; a larger point runs alone
+_REFINES = (1.0, 4.0, 16.0)  # panel refinements tried in turn
 
 
 @dataclass(frozen=True)
@@ -105,26 +115,35 @@ class RegionTag(enum.Enum):
 
 def _panel_edges(x: float, t: float, spec: KernelSpec, symbol: PhaseSymbol,
                  refine: float) -> np.ndarray:
-    """Panel edges over [N, 4N] with width <= local wavelength / 4."""
+    """Panel edges over [N, 4N] with width <= local wavelength / 4.
+
+    Each of 48 coarse sub-intervals [a, b] gets m equal panels, its
+    edges built with the arithmetic of np.linspace(a, b, m + 1).  Raises
+    QuadratureAccuracyError (bound inf) before building more panels than
+    MAX_NODES nodes fill.
+    """
     n_block = spec.block_start
-    lo, hi = n_block, 4.0 * n_block
-    coarse = np.linspace(lo, hi, 49)
-    edges = [lo]
-    for a, b in zip(coarse[:-1], coarse[1:]):
-        slope = x - t * symbol.derivative(np.linspace(a, b, 5))
-        worst = float(np.max(np.abs(slope))) * 1.5 + 1e-30
-        width_cap = 2.0 * np.pi / (4.0 * worst)
-        m = max(1, int(math.ceil((b - a) / width_cap * refine)))
-        edges.extend(np.linspace(a, b, m + 1)[1:])
-    return np.asarray(edges)
+    coarse = np.linspace(n_block, 4.0 * n_block, 49)
+    a, b = coarse[:-1], coarse[1:]
+    slope = x - t * symbol.derivative(np.linspace(a, b, 5, axis=1))
+    worst = np.max(np.abs(slope), axis=1) * 1.5 + 1e-30
+    width_cap = 2.0 * np.pi / (4.0 * worst)
+    m = np.maximum(1, np.ceil((b - a) / width_cap * refine)).astype(np.intp)
+    last = np.cumsum(m)
+    if last[-1] * 15 > MAX_NODES:
+        raise QuadratureAccuracyError(math.inf, spec.tolerance)
+    j = np.arange(1, last[-1] + 1) - np.repeat(last - m, m)
+    edges = np.empty(last[-1] + 1)
+    edges[0] = n_block
+    edges[1:] = j * np.repeat((b - a) / m, m) + np.repeat(a, m)
+    edges[last] = b
+    return edges
 
 
 def _block_integral(x: float, t: float, spec: KernelSpec, symbol: PhaseSymbol,
                     refine: float):
     """Gauss-Kronrod value and error estimate of the positive block."""
     edges = _panel_edges(x, t, spec, symbol, refine)
-    if (edges.size - 1) * 15 > MAX_NODES:
-        raise QuadratureAccuracyError(math.inf, spec.tolerance)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]).ravel()
@@ -143,15 +162,119 @@ def kernel_eval(x: float, t: float, spec: KernelSpec) -> float:
     if t < 0:
         raise ConfigError(f"t must be >= 0, got {t}")
     symbol = spec.symbol
-    refine = 1.0
     achieved = math.inf
-    for _ in range(3):
+    for refine in _REFINES:
         value, err = _block_integral(x, t, spec, symbol, refine)
         achieved = 2.0 * err
         if achieved <= spec.tolerance:
             return 2.0 * value.real
-        refine *= 4.0
     raise QuadratureAccuracyError(achieved, spec.tolerance)
+
+
+@dataclass
+class QuadratureStats:
+    """What the quadrature did over one probe's points.
+
+    refined_x4 and refined_x16 count the points that were re-run at 4x
+    (and then 16x) finer panels; max_error is the largest finite achieved
+    error bound, over converged and failed points alike.
+    """
+
+    points: int = 0
+    refined_x4: int = 0
+    refined_x16: int = 0
+    over_cap: int = 0
+    max_error: float = 0.0
+
+
+def _batch_integrals(xs: np.ndarray, ts: np.ndarray, edge_sets: list,
+                     symbol: PhaseSymbol):
+    """_block_integral for each (xs[i], ts[i]) with panels edge_sets[i],
+    from one evaluation of the integrand over all their nodes."""
+    counts = [e.size - 1 for e in edge_sets]
+    mid = np.concatenate([0.5 * (e[:-1] + e[1:]) for e in edge_sets])
+    half = np.concatenate([0.5 * (e[1:] - e[:-1]) for e in edge_sets])
+    x = np.repeat(xs, counts)[:, None]
+    t = np.repeat(ts, counts)[:, None]
+    nodes = mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]
+    vals = np.exp(1j * (x * nodes - t * symbol(nodes)))
+    k15 = (vals * _KRONROD_WEIGHTS[None, :]).sum(axis=1) * half
+    g7 = (vals[:, _GAUSS_SLICE] * _GAUSS_WEIGHTS[None, :]).sum(axis=1) * half
+    gap = np.abs(k15 - g7)
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    values = np.array([k15[a:b].sum() for a, b in zip(starts, stops)])
+    errs = np.array([gap[a:b].sum() for a, b in zip(starts, stops)])
+    return values, errs
+
+
+def _batches(xs: np.ndarray, ts: np.ndarray, points: np.ndarray, spec: KernelSpec,
+             symbol: PhaseSymbol, refine: float):
+    """Consecutive points with their panel edges, grouped up to
+    BATCH_NODES nodes (a larger point comes alone); yields (indices,
+    edge sets).  A point over MAX_NODES comes alone with edge sets None."""
+    batch, edge_sets, nodes = [], [], 0
+    for i in points:
+        try:
+            edges = _panel_edges(xs[i], ts[i], spec, symbol, refine)
+        except QuadratureAccuracyError:
+            yield np.array([i]), None
+            continue
+        size = (edges.size - 1) * 15
+        if batch and nodes + size > BATCH_NODES:
+            yield np.array(batch), edge_sets
+            batch, edge_sets, nodes = [], [], 0
+        batch.append(i)
+        edge_sets.append(edges)
+        nodes += size
+    if batch:
+        yield np.array(batch), edge_sets
+
+
+def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats):
+    """K at the points (xs[i], ts[i]) and each point's achieved error bound.
+
+    Equal bit for bit to kernel_eval point by point for t >= 0.  A point
+    that misses spec.tolerance after the last refinement gets value nan
+    and keeps its bound; a point whose panels exceed MAX_NODES gets nan
+    and bound inf.  Adds what the quadrature did to stats.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    symbol = spec.symbol
+    values = np.full(xs.size, np.nan)
+    achieved = np.full(xs.size, np.inf)
+    todo = np.arange(xs.size)
+    reached = [0] * len(_REFINES)  # points evaluated at each refinement
+    for level, refine in enumerate(_REFINES):
+        if not todo.size:
+            break
+        reached[level] = todo.size
+        missed = []
+        for batch, edge_sets in _batches(xs, ts, todo, spec, symbol, refine):
+            if edge_sets is None:
+                achieved[batch] = math.inf
+                continue
+            value, err = _batch_integrals(xs[batch], ts[batch], edge_sets, symbol)
+            achieved[batch] = 2.0 * err
+            ok = achieved[batch] <= spec.tolerance
+            values[batch[ok]] = 2.0 * value.real[ok]
+            missed.extend(batch[~ok])
+        todo = np.array(missed, dtype=np.intp)
+    finite = achieved[np.isfinite(achieved)]
+    stats.points += xs.size
+    stats.refined_x4 += reached[1]
+    stats.refined_x16 += reached[2]
+    stats.over_cap += int(np.sum(np.isposinf(achieved)))
+    stats.max_error = max(stats.max_error, float(np.max(finite, initial=0.0)))
+    return values, achieved
+
+
+def _require_converged(achieved: np.ndarray, spec: KernelSpec):
+    """Raise, as kernel_eval would, for the first point that failed."""
+    failed = np.flatnonzero(~(achieved <= spec.tolerance))
+    if failed.size:
+        raise QuadratureAccuracyError(float(achieved[failed[0]]), spec.tolerance)
 
 
 @dataclass
@@ -174,6 +297,7 @@ class DecayReport:
     ray_x: float
     samples_per_region: int
     skipped_fraction: float
+    quadrature: QuadratureStats
 
 
 def _log_uniform(rng, lo, hi, size):
@@ -204,23 +328,19 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
     t_lo, t_hi = 0.2 / n_block**3, t_span / n_block**3
     regions = {}
     total, skipped_total = 0, 0
+    stats = QuadratureStats()
 
     def collect(tag, xs, ts):
         nonlocal total, skipped_total
-        vals, keep_x, keep_t, skipped = [], [], [], 0
-        for x, t in zip(xs, ts):
-            try:
-                vals.append(abs(kernel_eval(float(x), float(t), spec)))
-                keep_x.append(x)
-                keep_t.append(t)
-            except QuadratureAccuracyError:
-                skipped += 1
+        values, achieved = _kernel_values(xs, ts, spec, stats)
+        keep = achieved <= spec.tolerance
+        skipped = int(xs.size - np.count_nonzero(keep))
         total += len(xs)
         skipped_total += skipped
         if skipped > 0.1 * len(xs):
             raise QuadratureAccuracyError(math.inf, spec.tolerance)
-        keep_x, keep_t = np.asarray(keep_x), np.asarray(keep_t)
-        abs_k = np.asarray(vals)
+        keep_x, keep_t = xs[keep], ts[keep]
+        abs_k = np.abs(values[keep])
         bound = _region_bound(tag, keep_x, keep_t, spec)
         ratios = abs_k / bound
         regions[tag.name] = RegionSamples(
@@ -249,7 +369,7 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
     ])
     collect(RegionTag.STATIONARY, x3, t3)
 
-    exponent = stationary_ray_exponent(spec)
+    exponent = stationary_ray_exponent(spec, stats=stats)
 
     return DecayReport(
         spec=spec,
@@ -258,6 +378,7 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
         ray_x=-4.0 / n_block,
         samples_per_region=m,
         skipped_fraction=skipped_total / max(total, 1),
+        quadrature=stats,
     )
 
 
@@ -265,7 +386,8 @@ RAY_OFFSETS = (3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0)
 
 
 def stationary_ray_exponent(spec: KernelSpec, offsets=RAY_OFFSETS,
-                            points_per_ray: int = 33) -> float:
+                            points_per_ray: int = 33,
+                            stats: QuadratureStats | None = None) -> float:
     """Pooled time-decay exponent of |K| over rays x = -c/N.
 
     Each ray is sampled over the window where the stationary frequency
@@ -273,18 +395,20 @@ def stationary_ray_exponent(spec: KernelSpec, offsets=RAY_OFFSETS,
     like t^{-1/4}..t^{-1/3} (the stationary point slides toward the
     weak-curvature edge).  Per-ray log-log data are de-meaned and fitted
     jointly, which averages out block-edge interference wiggles; the
-    estimate is self-similar in N by construction.
+    estimate is self-similar in N by construction.  stats, when given,
+    accumulates what the quadrature did.
     """
     n_block = spec.block_start
     slope_lo = abs(spec.symbol.derivative(n_block))
     slope_hi = abs(spec.symbol.derivative(4.0 * n_block))
+    rays_x = [-cx / n_block for cx in offsets]
+    rays_t = [np.exp(np.linspace(math.log(abs(x) / slope_hi), math.log(abs(x) / slope_lo),
+                                 points_per_ray)) for x in rays_x]
+    values, achieved = _kernel_values(np.repeat(rays_x, points_per_ray),
+                                      np.concatenate(rays_t), spec, stats or QuadratureStats())
+    _require_converged(achieved, spec)
     logs_t, logs_k = [], []
-    for cx in offsets:
-        x = -cx / n_block
-        t_hi = abs(x) / slope_lo
-        t_lo = abs(x) / slope_hi
-        ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), points_per_ray))
-        ks = np.array([abs(kernel_eval(x, float(t), spec)) for t in ts])
+    for ts, ks in zip(rays_t, np.abs(values).reshape(len(rays_x), points_per_ray)):
         lt, lk = np.log(ts), np.log(np.maximum(ks, 1e-300))
         logs_t.append(lt - lt.mean())
         logs_k.append(lk - lk.mean())
@@ -302,6 +426,7 @@ class MixedNormReport:
     t_extent: float
     tail_fraction: float
     scaled_ratio: float
+    quadrature: QuadratureStats
 
 
 def kernel_mixed_norm(spec: KernelSpec, gamma_exp: float, c_t: float = 1.0,
@@ -324,12 +449,10 @@ def kernel_mixed_norm(spec: KernelSpec, gamma_exp: float, c_t: float = 1.0,
     half = np.exp(np.linspace(math.log(1e-3 / n_block), math.log(x_max), n_x))
     xs = np.concatenate([-half[::-1], half])
 
-    sup_k = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        best = 0.0
-        for t in ts:
-            best = max(best, abs(kernel_eval(float(x), float(t), spec)))
-        sup_k[i] = best
+    stats = QuadratureStats()
+    values, achieved = _kernel_values(np.repeat(xs, ts.size), np.tile(ts, xs.size), spec, stats)
+    _require_converged(achieved, spec)
+    sup_k = np.max(np.abs(values).reshape(xs.size, ts.size), axis=1, initial=0.0)
 
     p = gamma_exp / 2.0
     value_p = float(np.trapezoid(sup_k**p, xs))
@@ -351,5 +474,5 @@ def kernel_mixed_norm(spec: KernelSpec, gamma_exp: float, c_t: float = 1.0,
     return MixedNormReport(
         spec=spec, gamma_exp=gamma_exp, value=value, x_extent=x_max,
         t_extent=t_max, tail_fraction=tail_fraction,
-        scaled_ratio=value / scaling,
+        scaled_ratio=value / scaling, quadrature=stats,
     )

@@ -188,23 +188,29 @@ def hamiltonian(u: Field, cfg: SolverConfig) -> float:
               - u^{k+2}/((k+1)(k+2))] dx.
 
     Verified conserved along trajectories by a finite-difference
-    d/dt oracle in the test suite before being trusted here.
+    d/dt oracle in the test suite before being trusted here.  Raises
+    NonFiniteError when H overflows.
     """
     ux = apply_multiplier(u, MultiplierSpec.derivative(1)).samples()
     us = u.samples()
     k = cfg.k
-    density = -(cfg.beta / 2.0) * ux**2 - us ** (k + 2) / ((k + 1) * (k + 2))
-    if cfg.gamma != 0.0:
-        vi = apply_multiplier(u, MultiplierSpec.derivative(-1)).samples()
-        density = density - (cfg.gamma / 2.0) * vi**2
-    return float(np.sum(density) * u.grid.dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = -(cfg.beta / 2.0) * ux**2 - us ** (k + 2) / ((k + 1) * (k + 2))
+        if cfg.gamma != 0.0:
+            vi = apply_multiplier(u, MultiplierSpec.derivative(-1)).samples()
+            density = density - (cfg.gamma / 2.0) * vi**2
+        h = float(np.sum(density) * u.grid.dx)
+    if not math.isfinite(h):
+        raise NonFiniteError(f"Hamiltonian overflowed (max|u| = {np.max(np.abs(us)):g})")
+    return h
 
 
 def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
     """March from 0 to t_end recording snapshots and conserved traces.
 
     Aborts with BlowupError on nonfinite values (overflow in the
-    nonlinearity included) or L2 growth beyond 10x the initial norm.
+    nonlinearity or the Hamiltonian included) or L2 growth beyond 10x the
+    initial norm.
     """
     if snapshot_every <= 0:
         raise ConfigError(f"snapshot_every must be positive, got {snapshot_every}")
@@ -225,17 +231,20 @@ def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
 
     times, fields, l2s, hams, hss, xss = [], [], [], [], [], []
 
-    def record(t, field):
+    def record(i, t, field):
         times.append(t)
         fields.append(field)
         l2s.append(field.l2_norm())
-        hams.append(hamiltonian(field, cfg))
+        try:
+            hams.append(hamiltonian(field, cfg))
+        except NonFiniteError as err:
+            raise BlowupError(i, str(err)) from err
         hss.append(h_s_norm(field, cfg.trace_s))
         # the x_s trace is defined on the oscillatory part; projection is
         # a bitwise no-op for the mean-zero data used when gamma > 0
         xss.append(x_s_norm(project_zero_mean(field), cfg.trace_s))
 
-    record(0.0, u0)
+    record(0, 0.0, u0)
     l2_initial = max(l2s[0], 1e-300)
     c = u0.coeffs.copy()
     for i in range(1, n_steps + 1):
@@ -251,7 +260,7 @@ def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
             field = Field(cfg.grid, c.copy())
             if field.l2_norm() > BLOWUP_L2_FACTOR * l2_initial:
                 raise BlowupError(i, f"L2 norm grew beyond {BLOWUP_L2_FACTOR}x initial")
-            record(t, field)
+            record(i, t, field)
 
     return Trajectory(
         times=np.asarray(times),

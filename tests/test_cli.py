@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ostrovsky
+from ostrovsky import cli
 from ostrovsky.cli import main
 from ostrovsky.config import parse_config_text
 from ostrovsky.errors import ConfigError
@@ -121,6 +125,26 @@ class TestSolveCommand:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err and "overflowed" in err
 
+    def test_hamiltonian_overflow_exits_two_with_one_line(self, tmp_path):
+        # u^6 stays finite at amplitude 1e46 but u^7 in the Hamiltonian
+        # does not; a fresh process shows any numpy warning on stderr
+        text = SOLVE_CFG.replace("n = 128", "n = 256").replace("L = 20.0", "L = 40.0")
+        text = text.replace("dt = 0.01", "dt = 1e-300").replace("t_end = 0.1", "t_end = 1e-299")
+        text = text.replace("amplitude = 0.4", "amplitude = 1e46")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ostrovsky.__file__)))
+        env.pop("OSTROVSKY_LOG", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ostrovsky.cli", "solve", "--config", cfg, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("run aborted:"), proc.stderr
+        assert "Hamiltonian overflowed" in lines[0]
+        assert not (out / "traces.csv").exists()
+
     def test_config_file_not_mutated(self, tmp_path):
         cfg = write_cfg(tmp_path, SOLVE_CFG)
         before = open(cfg).read()
@@ -221,3 +245,24 @@ class TestManifest:
         assert manifest["command"] == "solve"
         assert manifest["config"]["solve"]["beta"] == "-1.0"
         assert manifest["counts"]["steps"] == 10
+
+
+class TestProbeKernelCommand:
+    def test_summary_reports_quadrature_per_block(self, tmp_path, monkeypatch):
+        small = cli.kernel_mixed_norm
+        monkeypatch.setattr(cli, "kernel_mixed_norm",
+                            lambda spec, gamma_exp: small(spec, gamma_exp, n_x=8, n_t=4))
+        cfg = write_cfg(tmp_path, "[probe-kernel]\nblocks = 8 16\nsamples_per_region = 3\n")
+        out = tmp_path / "out"
+        assert main(["probe-kernel", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "kernel_summary.json").read_text())
+        assert sorted(summary) == ["blocks", "gamma_exp", "quadrature"]
+        assert sorted(summary["quadrature"]) == sorted(summary["blocks"]) == ["16.0", "8.0"]
+        for block in summary["quadrature"].values():
+            decay, mixed = block["decay"], block["mixed_norm"]
+            assert decay["points"] == 3 * 3 + 10 * 33
+            assert mixed["points"] == 16 * 4
+            for stats in (decay, mixed):
+                assert sorted(stats) == ["max_error", "over_cap", "points",
+                                         "refined_x16", "refined_x4"]
+                assert 0.0 < stats["max_error"] <= 1e-9

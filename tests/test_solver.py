@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from ostrovsky.errors import (
     BlowupError,
     ConfigError,
     MeanZeroViolation,
+    NonFiniteError,
     SolitonResidualError,
 )
 from ostrovsky.norms import h_s_norm
@@ -217,14 +219,32 @@ class TestEvolve:
         with pytest.raises(NonFiniteError):
             nonlinear_term(u, 5)
 
-    def test_power_overflow_in_evolve_is_blowup(self):
-        # dt passes the advection guard, but u^6 overflows at the first step
+    def test_power_overflow_in_evolve_is_blowup(self, monkeypatch):
+        # dt passes the advection guard, but u^6 overflows at the first step;
+        # u^7 overflows first, in the t = 0 Hamiltonian, so stub that out
+        import ostrovsky.solver as solver_mod
+
+        monkeypatch.setattr(solver_mod, "hamiltonian", lambda u, cfg: 0.0)
         g = Grid(256, 40.0)
         u0 = gaussian_bump(g, amplitude=3e51)
         cfg = small_config(g, dt=1e-300, t_end=1e-300)
         with pytest.raises(BlowupError) as exc:
             evolve(u0, cfg, snapshot_every=1)
         assert exc.value.step_index == 1
+
+    def test_hamiltonian_overflow_is_blowup_at_step_zero(self):
+        # u^6 stays finite at amplitude 1e46, u^7 in the Hamiltonian does not
+        g = Grid(256, 40.0)
+        u0 = gaussian_bump(g, amplitude=1e46)
+        cfg = small_config(g, dt=1e-300, t_end=1e-299)
+        with pytest.raises(NonFiniteError):
+            hamiltonian(u0, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowupError) as exc:
+                evolve(u0, cfg, snapshot_every=5)
+        assert exc.value.step_index == 0
+        assert "Hamiltonian overflowed" in str(exc.value)
 
     def test_blowup_aborts_with_step_index(self, rng, monkeypatch):
         # the advection guard prevents honestly reaching overflow at desk
