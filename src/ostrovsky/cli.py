@@ -5,9 +5,9 @@ picard-check, invariants.  Every command reads a line-oriented config
 (plus a few flag overrides), writes its artifacts into --out, and drops
 a manifest.json sufficient to reproduce the run bit-exactly.
 
-Exit codes: 0 success, 1 configuration error, 2 run aborted (blowup,
-overflow in the nonlinearity, or Picard contraction failure),
-3 invariant violation (invariants command only).
+Exit codes, each with a one-line message: 0 success, 1 configuration or
+input error, 2 run aborted (numerical failure), 3 invariant violation
+(invariants command only); the README lists the cases.
 
 OSTROVSKY_LOG in {error, info, debug} controls stderr logging.
 """
@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .config import Config, RunManifest, load_config
-from .errors import BlowupError, ConfigError, ContractionFailureError, NonFiniteError
+from .errors import (BlowupError, BoxTooSmallError, ConfigError, ContractionFailureError,
+                     LatticeSizeError, MeanZeroViolation, NonFiniteError, QuadratureAccuracyError)
 from .estimates import ALL_TAGS, run_tag
 from .io import ensure_dir, fmt, read_snapshot, svg_loglog, write_csv, write_json, write_snapshot
 from .kernel import KernelSpec, kernel_mixed_norm, region_decay_check
@@ -262,6 +263,7 @@ def cmd_probe_estimates(args) -> int:
         "max_ratio": report.max_ratio,
         "refinement_factor": report.stability_factor,
         "refinements": report.refinement_max,
+        "refinement_skipped": report.refinement_skipped,
         "skipped": report.skipped,
         "seed": seed,
         "draws": draws,
@@ -402,13 +404,11 @@ def main(argv=None) -> int:
         _setup_logging()
         args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
-    except ConfigError as err:
+    except (ConfigError, FileNotFoundError, LatticeSizeError, MeanZeroViolation) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    except FileNotFoundError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
-    except (BlowupError, ContractionFailureError, NonFiniteError) as err:
+    except (BlowupError, BoxTooSmallError, ContractionFailureError, NonFiniteError,
+            QuadratureAccuracyError) as err:
         print(f"run aborted: {err}", file=sys.stderr)
         return 2
 

@@ -8,8 +8,11 @@ so error messages can name the offending key and file.
 from __future__ import annotations
 
 import json
+import platform
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -105,6 +108,8 @@ def parse_config_text(text: str, source: str = "<memory>") -> Config:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"{source}:{lineno}: empty key")
+        if key in sections[current]:
+            raise ConfigError(f"{source}:{lineno}: duplicate key `{key}` in [{current}]")
         sections[current][key] = value
     return Config(sections, source)
 
@@ -116,7 +121,8 @@ def load_config(path) -> Config:
 
 @dataclass
 class RunManifest:
-    """Everything needed to reproduce one command bit-exactly."""
+    """Everything needed to reproduce one command bit-exactly, including
+    the numpy version and platform the floating-point results depend on."""
 
     command: str
     config: dict
@@ -139,6 +145,8 @@ class RunManifest:
                     "wall_clock_s": self.wall_clock_s,
                     "counts": self.counts,
                     "started_unix": self.started_unix,
+                    "numpy": np.__version__,
+                    "platform": platform.platform(),
                 },
                 fh,
                 indent=2,

@@ -7,12 +7,14 @@ numerically: the testable form of "C < infinity, independent of the
 cutoff" is that the max ratio is finite and stable (within 4x) under
 grid refinement, window refinement, and dyadic cutoff doublings.
 
-Right-hand sides in the modulation norm are computed on windowed
+Right-hand sides in the modulation norm are those of windowed
 propagator orbits.  The time sampling must resolve the fastest phase on
 the data's support (n_t >= T * max|phi| / pi); otherwise the demodulated
 content aliases to spurious large modulations and the weight <sigma>^{2b}
 inflates the norm, polluting the cutoff scans.  Ensemble construction
-enforces this.
+enforces this.  Such norms are summed per mode in closed form from
+weights each Ensemble builds once, and orbits are synthesized from the
+law's support modes only.
 
 Estimate tags are opaque IDs (see TAG_DEFAULTS for the menu); draws are
 reproducible bit-exactly from (seed, draw index) and independent of
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LatticeSizeError
-from .norms import SpaceTimeField, mixed_norm, window_bump, xsb_norm
+from .norms import SpaceTimeField, mixed_norm, window_bump
 from .spectral import Field, Grid, MultiplierSpec, PhaseSymbol, multiplier_table
 
 DEFAULT_B = 0.5 + 1.0 / 48.0
@@ -124,6 +126,49 @@ class Ensemble:
         norm = f.l2_norm()
         return Field(self.grid, c / norm)
 
+    def times(self) -> np.ndarray:
+        return np.arange(self.n_t) * (self.t_window / self.n_t)
+
+    @functools.cached_property
+    def phase_table(self) -> np.ndarray:
+        """exp(-i t_l phi(xi_m)) for the window samples t_l and the positive
+        support modes m, shape (n_t, M)."""
+        phi = self.symbol.table(self.grid)[self.support_modes()]
+        return np.exp(-1j * self.times()[:, None] * phi[None, :])
+
+    @functools.cached_property
+    def window(self) -> np.ndarray:
+        return window_bump(self.times(), self.t_window)
+
+    @functools.cached_property
+    def modulation_weights(self) -> np.ndarray:
+        """W_m + W_{-m} for the positive support modes m, where
+        W_j = sum_l <tau_l + phi_j>^{2b} |DFT_t[psi e^{-i t phi_j}]_l / n_t|^2
+        (a mode -m sees the conjugate orbit, whose DFT is reversed in l)."""
+        phi = self.symbol.table(self.grid)[self.support_modes()]
+        d2 = np.abs(np.fft.fft(self.window[:, None] * self.phase_table, axis=0) / self.n_t) ** 2
+        ell = np.arange(self.n_t)
+        ell[ell > self.n_t // 2] -= self.n_t
+        tau = (2.0 * np.pi * ell / self.t_window)[:, None]
+        plus = (1.0 + np.abs(tau + phi)) ** (2.0 * self.b) * d2
+        minus = (1.0 + np.abs(tau - phi)) ** (2.0 * self.b) * d2[-ell % self.n_t]
+        return np.sum(plus, axis=0) + np.sum(minus, axis=0)
+
+    def _support_coeffs(self, u0: Field, multiplier: np.ndarray | None = None) -> np.ndarray:
+        """Coefficients of m(D) u0 on the positive support modes, m the real,
+        even multiplier table (default 1), taken from u0's real part if its
+        spectrum is not conjugate-symmetric.  ConfigError if u0 lives on
+        another grid or has a nonzero coefficient off the support, mode 0
+        and the Nyquist mode included."""
+        modes = self.support_modes()
+        off = np.ones(self.grid.n_points, dtype=bool)
+        off[modes] = off[-modes] = False
+        if u0.grid != self.grid or np.any(u0.coeffs[off] != 0):
+            raise ConfigError(f"data must live on the ensemble grid with spectrum on the "
+                              f"law's support, modes +-{modes[0]}..{modes[-1]}")
+        c = 0.5 * (u0.coeffs[modes] + np.conj(u0.coeffs[-modes]))
+        return c if multiplier is None else c * multiplier[modes]
+
     def replace(self, **kw) -> "Ensemble":
         return dataclasses.replace(self, **kw)
 
@@ -148,6 +193,7 @@ class RatioReport:
     max_ratio: float
     skipped: int
     refinement_max: dict
+    refinement_skipped: dict
 
     @property
     def stability_factor(self) -> float:
@@ -158,68 +204,60 @@ class RatioReport:
         return worst
 
 
-def propagator_orbit(ens: Ensemble, u0: Field, windowed: bool = True) -> SpaceTimeField:
-    """u(x, t_l) = psi(t_l) * (exp(-i t phi) c0)(x) on the ensemble window."""
-    grid = ens.grid
-    phi = ens.symbol.table(grid)
-    t = np.arange(ens.n_t) * (ens.t_window / ens.n_t)
-    coeffs = np.exp(-1j * t[:, None] * phi[None, :]) * u0.coeffs[None, :]
-    values = np.fft.ifft(coeffs * grid.n_points, axis=1).real
+def propagator_orbit(ens: Ensemble, u0: Field, windowed: bool = True,
+                     multiplier: np.ndarray | None = None) -> SpaceTimeField:
+    """u(x, t_l) = psi(t_l) * (m(D) exp(-i t phi) u0)(x) on the ensemble window,
+    with m the real, even multiplier table (default 1), synthesized from the
+    support modes by one real inverse FFT per time sample."""
+    modes = ens.support_modes()
+    half = ens.phase_table * (ens._support_coeffs(u0, multiplier) * ens.grid.n_points)
     if windowed:
-        values = values * window_bump(t, ens.t_window)[:, None]
-    return SpaceTimeField(grid, ens.t_window, values)
+        half *= ens.window[:, None]
+    spec = np.zeros((ens.n_t, ens.grid.n_points // 2 + 1), dtype=complex)
+    spec[:, modes] = half
+    return SpaceTimeField(ens.grid, ens.t_window, np.fft.irfft(spec, ens.grid.n_points, axis=1))
 
 
-def _apply_spatial_multiplier(stf: SpaceTimeField, table: np.ndarray) -> SpaceTimeField:
-    spec = np.fft.fft(stf.values, axis=1) * table[None, :]
-    return SpaceTimeField(stf.grid, stf.t_window, np.fft.ifft(spec, axis=1).real)
+def _modulation_rhs(ens: Ensemble, u0: Field, multiplier: np.ndarray | None = None) -> float:
+    """xsb_norm(propagator_orbit(ens, u0, True, multiplier), 0, ens.b, ens.symbol)
+    in closed form: (L*T * sum_m |m_m c_m|^2 (W_m + W_{-m}))^{1/2}."""
+    c = ens._support_coeffs(u0, multiplier)
+    total = float(np.sum(np.abs(c) ** 2 * ens.modulation_weights))
+    return math.sqrt(ens.grid.length * ens.t_window * total)
 
 
-def _strichartz_pair(ens: Ensemble, which: str, u0: Field):
-    grid = ens.grid
-    if which == "2.03":
-        stf = propagator_orbit(ens, u0, windowed=False)
-        return mixed_norm(stf, 8.0, 8.0), u0.l2_norm()
-    stf = propagator_orbit(ens, u0, windowed=True)
-    rhs = xsb_norm(stf, 0.0, ens.b, ens.symbol)
+def _orbit_pair(ens: Ensemble, which: str, u0: Field):
+    """(LHS, RHS) of one draw for an orbit tag."""
+    grid, eps = ens.grid, ens.epsilon
     high = multiplier_table(grid, MultiplierSpec.high_pass(ens.threshold))
+
+    def d(alpha):
+        return multiplier_table(grid, MultiplierSpec.fractional_d(alpha))
+
+    def orbit(table=None):
+        return propagator_orbit(ens, u0, multiplier=table)
+
+    if which == "2.03":
+        return mixed_norm(propagator_orbit(ens, u0, windowed=False), 8.0, 8.0), u0.l2_norm()
     if which == "2.05":
-        table = multiplier_table(grid, MultiplierSpec.fractional_d(1.0 / 6.0)) * high
-        return mixed_norm(_apply_spatial_multiplier(stf, table), 6.0, 6.0), rhs
+        return mixed_norm(orbit(d(1.0 / 6.0) * high), 6.0, 6.0), _modulation_rhs(ens, u0)
     if which == "2.08":
-        table = multiplier_table(grid, MultiplierSpec.fractional_d(1.0)) * high
-        return mixed_norm(_apply_spatial_multiplier(stf, table), math.inf, 2.0, "x_outer"), rhs
+        return mixed_norm(orbit(d(1.0) * high), math.inf, 2.0, "x_outer"), _modulation_rhs(ens, u0)
     if which == "2.09":
-        s1 = 0.25 + ens.epsilon
-        table = multiplier_table(grid, MultiplierSpec.fractional_d(s1))
-        table = table * multiplier_table(grid, MultiplierSpec.low_pass(ens.law_param))
-        return mixed_norm(_apply_spatial_multiplier(stf, table), 2.0, math.inf, "x_outer"), rhs
-    raise ConfigError(f"unknown tag {which!r}; expected one of {STRICHARTZ_TAGS}")
-
-
-def _linfty_pair(ens: Ensemble, which: str, u0: Field):
-    grid = ens.grid
-    stf = propagator_orbit(ens, u0, windowed=True)
+        low = multiplier_table(grid, MultiplierSpec.low_pass(ens.law_param))
+        lhs = mixed_norm(orbit(d(0.25 + eps) * low), 2.0, math.inf, "x_outer")
+        return lhs, _modulation_rhs(ens, u0)
+    law = {"2.055": "band_limited", "2.057": "low_frequency", "2.060": "high_frequency"}[which]
+    if ens.law != law:
+        raise ConfigError(f"tag {which} needs {law} data")
     if which == "2.055":
-        if ens.law != "band_limited":
-            raise ConfigError("tag 2.055 needs band_limited data")
-        rhs = ens.law_param ** (0.25 - ens.epsilon) * xsb_norm(stf, 0.0, ens.b, ens.symbol)
-        return float(np.max(np.abs(stf.values))), rhs
+        rhs = ens.law_param ** (0.25 - eps) * _modulation_rhs(ens, u0)
+        return float(np.max(np.abs(orbit().values))), rhs
     if which == "2.057":
-        if ens.law != "low_frequency":
-            raise ConfigError("tag 2.057 needs low_frequency data")
-        table = multiplier_table(grid, MultiplierSpec.fractional_d(-0.25))
-        rhs = xsb_norm(_apply_spatial_multiplier(stf, table), 0.0, ens.b, ens.symbol)
-        lhs = mixed_norm(stf, 2.0 / (1.0 - 2.0 * ens.epsilon), math.inf, "x_outer")
-        return lhs, rhs
-    if which == "2.060":
-        if ens.law != "high_frequency":
-            raise ConfigError("tag 2.060 needs high_frequency data")
-        table = multiplier_table(grid, MultiplierSpec.fractional_d(-0.5 - 4.0 * ens.epsilon))
-        table = table * multiplier_table(grid, MultiplierSpec.high_pass(ens.threshold))
-        lhs = float(np.max(np.abs(_apply_spatial_multiplier(stf, table).values)))
-        return lhs, xsb_norm(stf, 0.0, ens.b, ens.symbol)
-    raise ConfigError(f"unknown tag {which!r}; expected one of {LINFTY_TAGS}")
+        lhs = mixed_norm(orbit(), 2.0 / (1.0 - 2.0 * eps), math.inf, "x_outer")
+        return lhs, _modulation_rhs(ens, u0, d(-0.25))
+    lhs = float(np.max(np.abs(orbit(d(-0.5 - 4.0 * eps) * high).values)))
+    return lhs, _modulation_rhs(ens, u0)
 
 
 def _map_draws(fn, n_draws: int, jobs: int) -> list:
@@ -254,11 +292,12 @@ def _ratio_report(tag: str, n_draws: int, pair_for, refinements, jobs: int) -> R
         return lhs, rhs, ratios, skipped
 
     lhs, rhs, ratios, skipped = evaluate(pair_for(None))
-    refinement_max = {name: float(np.max(evaluate(pair_for(name))[2])) for name in refinements}
+    refined = {name: evaluate(pair_for(name)) for name in refinements}
     return RatioReport(
         tag=tag, lhs=lhs, rhs=rhs, ratios=ratios,
         max_ratio=float(np.max(ratios)), skipped=skipped,
-        refinement_max=refinement_max,
+        refinement_max={name: float(np.max(r[2])) for name, r in refined.items()},
+        refinement_skipped={name: r[3] for name, r in refined.items()},
     )
 
 
@@ -280,7 +319,7 @@ def strichartz_ratio(ens: Ensemble, which: str,
     """
     if which not in STRICHARTZ_TAGS:
         raise ConfigError(f"unknown tag {which!r}; expected one of {STRICHARTZ_TAGS}")
-    pairs = _ensemble_pairs(ens, lambda e, i: _strichartz_pair(e, which, e.draw(i)))
+    pairs = _ensemble_pairs(ens, lambda e, i: _orbit_pair(e, which, e.draw(i)))
     return _ratio_report(which, ens.n_draws, pairs, refinements, jobs)
 
 
@@ -292,7 +331,7 @@ def linfty_bounds_ratio(ens: Ensemble, which: str,
     Linf bound."""
     if which not in LINFTY_TAGS:
         raise ConfigError(f"unknown tag {which!r}; expected one of {LINFTY_TAGS}")
-    pairs = _ensemble_pairs(ens, lambda e, i: _linfty_pair(e, which, e.draw(i)))
+    pairs = _ensemble_pairs(ens, lambda e, i: _orbit_pair(e, which, e.draw(i)))
     return _ratio_report(which, ens.n_draws, pairs, refinements, jobs)
 
 
@@ -325,6 +364,30 @@ def bilinear_weighted_product(f1: Field, f2: Field, s: float, symbol: PhaseSymbo
     return out
 
 
+def _bilinear_spectra(ens: Ensemble, s: float):
+    """spectra(f1, f2) -> (n_t, n): row l is bilinear_weighted_product of
+    U(t_l) f1 and U(t_l) f2 for data on the law's support, all rows from one
+    scatter.  The mode pairs, their targets and weights are built here once."""
+    grid, n_t = ens.grid, ens.n_t
+    n, modes = grid.n_points, ens.support_modes()
+    idx = np.sort(np.concatenate([modes, n - modes]))
+    m = grid.mode_numbers[idx]
+    target = m[:, None] + m[None, :]
+    i, j = np.nonzero((target >= -(n // 2 - 1)) & (target <= n // 2))
+    dphi = ens.symbol.derivative_table(grid)[idx]
+    w = np.abs(dphi[i] - dphi[j]) ** s if s != 0 else np.ones(i.size)
+    ph = np.exp(-1j * ens.times()[:, None] * ens.symbol.table(grid)[idx][None, :])
+    slot = (np.arange(n_t)[:, None] * n + target[i, j] % n).ravel()
+
+    def spectra(f1: Field, f2: Field) -> np.ndarray:
+        a, b = f1.coeffs[idx] * ph, f2.coeffs[idx] * ph
+        contrib = ((w * a[:, i]) * b[:, j]).ravel()
+        re = np.bincount(slot, contrib.real, n_t * n)
+        return (re + 1j * np.bincount(slot, contrib.imag, n_t * n)).reshape(n_t, n)
+
+    return spectra
+
+
 def bilinear_ratio(ens: Ensemble, s: float,
                    refinements=("grid_x2", "grid_x4"), jobs: int = 1) -> RatioReport:
     """Smoothing of the interaction of two free waves.
@@ -337,26 +400,22 @@ def bilinear_ratio(ens: Ensemble, s: float,
     if not 0.0 <= s <= 0.5:
         raise ConfigError(f"s must lie in [0, 1/2], got {s}")
 
-    def pair(e: Ensemble, i: int):
-        grid = e.grid
-        phi = e.symbol.table(grid)
-        t = np.arange(e.n_t) * (e.t_window / e.n_t)
-        dt = e.t_window / e.n_t
-        f1 = e.draw(2 * i)
-        f2 = e.draw(2 * i + 1)
-        if np.abs(f1.coeffs[0]) > 0 or np.abs(f2.coeffs[0]) > 0:
-            return None
-        total = 0.0
-        for tl in t:
-            ph = np.exp(-1j * tl * phi)
-            spec = bilinear_weighted_product(
-                Field(grid, f1.coeffs * ph), Field(grid, f2.coeffs * ph), s, e.symbol
-            )
-            total += grid.length * float(np.sum(np.abs(spec) ** 2)) * dt
-        return math.sqrt(total), f1.l2_norm() * f2.l2_norm()
+    def pair_for(name):
+        e = ens if name is None else ens.refined(name)
+        spectra = _bilinear_spectra(e, s)
+
+        def pair(i: int):
+            f1, f2 = e.draw(2 * i), e.draw(2 * i + 1)
+            if np.abs(f1.coeffs[0]) > 0 or np.abs(f2.coeffs[0]) > 0:
+                return None
+            total = float(np.sum(np.abs(spectra(f1, f2)) ** 2))
+            lhs = math.sqrt(e.grid.length * total * (e.t_window / e.n_t))
+            return lhs, f1.l2_norm() * f2.l2_norm()
+
+        return pair
 
     tag = f"2.027(s={s:g})" if s == 0.5 else f"bilinear(s={s:g})"
-    return _ratio_report(tag, ens.n_draws, _ensemble_pairs(ens, pair), refinements, jobs)
+    return _ratio_report(tag, ens.n_draws, pair_for, refinements, jobs)
 
 
 MULTILINEAR_CELL_GUARD = 256
@@ -417,13 +476,10 @@ def multilinear_ratio(ens: Ensemble, k: int = 5, s: float | None = None,
             )
             outer_f = rng.random((cells, cells))
             factors = [rng.random((cells, cells)) for _ in range(k + 1)]
-            prod = np.ones((pad, pad), dtype=complex)
-            for f in factors:
-                padded = np.zeros((pad, pad))
-                padded[:cells, :cells] = inner_w * f
-                prod = prod * np.fft.fft2(padded)
-            conv = np.fft.ifft2(prod).real
-            conv = np.maximum(conv, 0.0)
+            prod = np.fft.rfft2(inner_w * factors[0], (pad, pad))
+            for f in factors[1:]:
+                prod *= np.fft.rfft2(inner_w * f, (pad, pad))
+            conv = np.maximum(np.fft.irfft2(prod, (pad, pad)), 0.0)
             # cell (i, l) of the outer variable pairs with the convolution
             # evaluated at mode sum i; offsets: sum of (k+1) indices each
             # shifted by +half lands at i + (k+1)*half in padded position
@@ -445,11 +501,9 @@ def multilinear_ratio(ens: Ensemble, k: int = 5, s: float | None = None,
 def ratio_pair_for_tag(ens: Ensemble, tag: str, u0: Field):
     """(LHS, RHS) of one draw for the orbit-based tags; test hook for the
     homogeneity invariant."""
-    if tag in STRICHARTZ_TAGS:
-        return _strichartz_pair(ens, tag, u0)
-    if tag in LINFTY_TAGS:
-        return _linfty_pair(ens, tag, u0)
-    raise ConfigError(f"tag {tag!r} is not orbit-based")
+    if tag not in STRICHARTZ_TAGS + LINFTY_TAGS:
+        raise ConfigError(f"tag {tag!r} is not orbit-based")
+    return _orbit_pair(ens, tag, u0)
 
 
 TAG_DEFAULTS = {

@@ -47,6 +47,8 @@ def read_snapshot(path):
         raise ConfigError(
             f"snapshot {path} holds {samples.size} samples, header says {grid.n_points}"
         )
+    if not np.all(np.isfinite(samples)):
+        raise ConfigError(f"snapshot {path} holds a non-finite sample")
     return Field.from_samples(grid, samples), header
 
 

@@ -219,7 +219,8 @@ def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
     # dynamically inert (phi(0) = 0, nonlinear flux is mean-free) and a
     # constant background is legal input.
     if cfg.gamma > 0 and abs(u0.mean()) > MEAN_ZERO_ATOL * max(1.0, u0.l2_norm()):
-        raise MeanZeroViolation(u0.mean(), "evolve requires mean-zero initial data")
+        raise MeanZeroViolation(u0.mean(), f"evolve requires mean-zero initial data when "
+                                f"gamma > 0 (mean = {u0.mean():.3g})")
     cfg.validate_timestep(u0)
 
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -10,7 +11,13 @@ import ostrovsky
 from ostrovsky import cli
 from ostrovsky.cli import main
 from ostrovsky.config import parse_config_text
-from ostrovsky.errors import ConfigError
+from ostrovsky.errors import (
+    BoxTooSmallError,
+    ConfigError,
+    LatticeSizeError,
+    MeanZeroViolation,
+    QuadratureAccuracyError,
+)
 from ostrovsky.io import read_snapshot, write_snapshot
 from ostrovsky.solver import gaussian_bump
 from ostrovsky.spectral import Field, Grid
@@ -72,6 +79,10 @@ class TestConfigFormat:
         cfg = parse_config_text("[s]\ngammas = 1e-1, 3e-2 1e-2\n")
         assert cfg.section("s").get_floats("gammas") == (0.1, 0.03, 0.01)
 
+    def test_duplicate_key_rejected_with_file_and_line(self):
+        with pytest.raises(ConfigError, match=r"run\.cfg:4: duplicate key `t_end`"):
+            parse_config_text("[solve]\nt_end = 0.1\nn = 64\nt_end = 0.2\n", source="run.cfg")
+
 
 class TestSnapshotFormat:
     def test_roundtrip_bit_exact(self, tmp_path, rng):
@@ -82,6 +93,15 @@ class TestSnapshotFormat:
         loaded, header = read_snapshot(path)
         assert np.array_equal(loaded.samples(), field.samples())
         assert header == {"n": 64, "L": 11.0, "beta": -1.0, "gamma": 0.5, "k": 5, "t": 0.25}
+
+    def test_non_finite_sample_rejected(self, tmp_path):
+        path = tmp_path / "snap.dat"
+        write_snapshot(path, Field.zero(Grid(8, 1.0)), -1.0, 1.0, 5, 0.0)
+        lines = path.read_text().splitlines()
+        lines[3] = "nan"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="snap.dat.*non-finite"):
+            read_snapshot(path)
 
     def test_header_is_json_line(self, tmp_path):
         grid = Grid(64, 11.0)
@@ -145,6 +165,34 @@ class TestSolveCommand:
         assert "Hamiltonian overflowed" in lines[0]
         assert not (out / "traces.csv").exists()
 
+    def test_nonzero_mean_snapshot_exits_one_with_one_line(self, tmp_path, capsys):
+        grid = Grid(128, 20.0)
+        snap = tmp_path / "snap.dat"
+        field = gaussian_bump(grid, amplitude=0.4, width=2.0)
+        write_snapshot(snap, Field.from_samples(grid, field.samples() + 0.1), -1.0, 1.0, 5, 0.0)
+        text = SOLVE_CFG.replace("initial = gaussian", f"initial = file:{snap}")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error:") and "mean-zero" in err
+
+    @pytest.mark.parametrize("error,code", [
+        (MeanZeroViolation(0.5), 1),
+        (LatticeSizeError("lattice too large"), 1),
+        (QuadratureAccuracyError(1e-6, 1e-9), 2),
+        (BoxTooSmallError("tail fraction 2% exceeds 1%"), 2),
+    ])
+    def test_numerical_errors_map_to_exit_codes(self, tmp_path, capsys, monkeypatch, error, code):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "region_decay_check", fail)
+        cfg = write_cfg(tmp_path, "[probe-kernel]\nblocks = 8\n")
+        assert main(["probe-kernel", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and str(error) in err
+
     def test_config_file_not_mutated(self, tmp_path):
         cfg = write_cfg(tmp_path, SOLVE_CFG)
         before = open(cfg).read()
@@ -187,6 +235,7 @@ class TestProbeEstimatesCommand:
         summary = json.loads((out / "summary_2.057.json").read_text())
         assert np.isfinite(summary["max_ratio"])
         assert summary["refinement_factor"] < 4.0
+        assert summary["refinement_skipped"] == {"grid_x2": 0, "window_x2": 0}
         assert (out / "ratios_2.057.csv").exists()
 
 
@@ -245,6 +294,8 @@ class TestManifest:
         assert manifest["command"] == "solve"
         assert manifest["config"]["solve"]["beta"] == "-1.0"
         assert manifest["counts"]["steps"] == 10
+        assert manifest["numpy"] == np.__version__
+        assert manifest["platform"] == platform.platform()
 
 
 class TestProbeKernelCommand:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,12 @@ import pytest
 from ostrovsky.errors import ConfigError, LatticeSizeError
 from ostrovsky.estimates import (
     ALL_TAGS,
+    LINFTY_TAGS,
+    STRICHARTZ_TAGS,
     Ensemble,
+    _bilinear_spectra,
+    _multilinear_weights,
+    _ratio_report,
     bilinear_ratio,
     bilinear_weighted_product,
     default_ensemble,
@@ -17,7 +23,8 @@ from ostrovsky.estimates import (
     run_tag,
     strichartz_ratio,
 )
-from ostrovsky.spectral import Field, Grid, PhaseSymbol
+from ostrovsky.norms import SpaceTimeField, mixed_norm, window_bump, xsb_norm
+from ostrovsky.spectral import Field, Grid, MultiplierSpec, PhaseSymbol, multiplier_table
 
 
 def tiny_ensemble(tag="2.03", seed=11, n_draws=4, **kw):
@@ -171,8 +178,6 @@ class TestMultilinear:
         k, n_cells = 5, 16
         dxi = 2 * math.pi / ens.grid.length
         dtau = 2 * math.pi / ens.t_window
-        from ostrovsky.estimates import _multilinear_weights
-
         outer_w, inner_w = _multilinear_weights(n_cells, dxi, dtau, ens.symbol,
                                                 0.102, ens.b, ens.epsilon)
         half = n_cells // 2
@@ -194,8 +199,6 @@ class TestMultilinear:
 def _one_cell_lhs(ens, k, n_cells, xi_idx, tau_idx, kill_one_factor=False):
     """LHS of the multilinear form with every spectrum an indicator of
     one cell, computed along the production FFT path."""
-    from ostrovsky.estimates import _multilinear_weights
-
     dxi = 2 * math.pi / ens.grid.length
     dtau = 2 * math.pi / ens.t_window
     outer_w, inner_w = _multilinear_weights(n_cells, dxi, dtau, ens.symbol,
@@ -244,8 +247,216 @@ class TestDispatch:
         assert serial.refinement_max == pooled.refinement_max
         assert serial.skipped == pooled.skipped
 
+    def test_more_workers_than_cores_match_serial(self):
+        # more threads than cores race to build a fresh ensemble's tables
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_tag("2.05", seed=11, n_draws=8, jobs=8)
+        finally:
+            sys.setswitchinterval(switch)
+        serial = run_tag("2.05", seed=11, n_draws=8, jobs=1)
+        assert np.array_equal(pooled.ratios, serial.ratios)
+        assert pooled.refinement_max == serial.refinement_max
+
     def test_report_reproducible_from_seed(self):
         a = run_tag("2.057", seed=42, n_draws=3)
         b = run_tag("2.057", seed=42, n_draws=3)
         assert np.array_equal(a.ratios, b.ratios)
         assert a.refinement_max == b.refinement_max
+
+
+# --------------------------------------------------------------------------
+# Reference path: the full-grid orbit (one complex exponential and a complex
+# inverse FFT over every mode), spatial multipliers applied by re-transforming
+# the orbit, and the modulation norm from xsb_norm's 2-D FFT.
+
+def _reference_orbit(ens, u0, windowed=True):
+    grid = ens.grid
+    phi = ens.symbol.table(grid)
+    t = np.arange(ens.n_t) * (ens.t_window / ens.n_t)
+    coeffs = np.exp(-1j * t[:, None] * phi[None, :]) * u0.coeffs[None, :]
+    values = np.fft.ifft(coeffs * grid.n_points, axis=1).real
+    if windowed:
+        values = values * window_bump(t, ens.t_window)[:, None]
+    return SpaceTimeField(grid, ens.t_window, values)
+
+
+def _reference_multiplied(stf, table):
+    spec = np.fft.fft(stf.values, axis=1) * table[None, :]
+    return SpaceTimeField(stf.grid, stf.t_window, np.fft.ifft(spec, axis=1).real)
+
+
+def _reference_pair(ens, tag, u0):
+    grid = ens.grid
+
+    def table(alpha, band=None):
+        out = multiplier_table(grid, MultiplierSpec.fractional_d(alpha))
+        return out if band is None else out * multiplier_table(grid, band)
+
+    high = MultiplierSpec.high_pass(ens.threshold)
+    if tag == "2.03":
+        return mixed_norm(_reference_orbit(ens, u0, windowed=False), 8.0, 8.0), u0.l2_norm()
+    stf = _reference_orbit(ens, u0)
+    rhs = xsb_norm(stf, 0.0, ens.b, ens.symbol)
+    if tag == "2.05":
+        return mixed_norm(_reference_multiplied(stf, table(1.0 / 6.0, high)), 6.0, 6.0), rhs
+    if tag == "2.08":
+        lhs = mixed_norm(_reference_multiplied(stf, table(1.0, high)), math.inf, 2.0, "x_outer")
+        return lhs, rhs
+    if tag == "2.09":
+        low = MultiplierSpec.low_pass(ens.law_param)
+        lhs = mixed_norm(_reference_multiplied(stf, table(0.25 + ens.epsilon, low)),
+                         2.0, math.inf, "x_outer")
+        return lhs, rhs
+    if tag == "2.055":
+        return float(np.max(np.abs(stf.values))), ens.law_param ** (0.25 - ens.epsilon) * rhs
+    if tag == "2.057":
+        rhs = xsb_norm(_reference_multiplied(stf, table(-0.25)), 0.0, ens.b, ens.symbol)
+        return mixed_norm(stf, 2.0 / (1.0 - 2.0 * ens.epsilon), math.inf, "x_outer"), rhs
+    lhs = np.max(np.abs(_reference_multiplied(stf, table(-0.5 - 4.0 * ens.epsilon, high)).values))
+    return float(lhs), rhs
+
+
+ORBIT_CASES = [(tag, name) for tag in STRICHARTZ_TAGS
+               for name in (None, "grid_x2", "grid_x4", "window_x2")] + \
+              [(tag, name) for tag in LINFTY_TAGS for name in (None, "grid_x2", "window_x2")]
+
+
+class TestOrbitFastPath:
+    @pytest.mark.parametrize("tag,refinement", ORBIT_CASES)
+    def test_pair_equals_full_grid_reference(self, tag, refinement):
+        ens = default_ensemble(tag, 5, 2)
+        ens = ens if refinement is None else ens.refined(refinement)
+        u0 = ens.draw(1)
+        lhs, rhs = ratio_pair_for_tag(ens, tag, u0)
+        ref_lhs, ref_rhs = _reference_pair(ens, tag, u0)
+        assert lhs == pytest.approx(ref_lhs, rel=1e-12, abs=0.0)
+        assert rhs == pytest.approx(ref_rhs, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("windowed", [True, False])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_orbit_equals_full_grid_reference(self, windowed, symmetric):
+        # a spectrum that is not conjugate-symmetric orbits as its real part
+        ens = default_ensemble("2.060", 5, 1)
+        u0 = ens.draw(0)
+        if not symmetric:
+            c = u0.coeffs.copy()
+            c[ens.support_modes()] *= 1.0 + 0.3j
+            u0 = Field(ens.grid, c)
+        fast = propagator_orbit(ens, u0, windowed).values
+        ref = _reference_orbit(ens, u0, windowed).values
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_tables_built_on_first_use(self):
+        ens = default_ensemble("2.05", 5, 1)
+        assert "phase_table" not in vars(ens) and "modulation_weights" not in vars(ens)
+        ratio_pair_for_tag(ens, "2.05", ens.draw(0))
+        assert ens.phase_table.shape == (ens.n_t, ens.support_modes().size)
+        assert "modulation_weights" in vars(ens)
+
+    @pytest.mark.parametrize("tag", STRICHARTZ_TAGS + LINFTY_TAGS)
+    @pytest.mark.parametrize("where", ["mode_zero", "off_support"])
+    def test_data_off_support_rejected(self, tag, where):
+        ens = default_ensemble(tag, 5, 1)
+        c = ens.draw(0).coeffs.copy()
+        m = 0 if where == "mode_zero" else ens.support_modes()[-1] + 1
+        c[m] += 1e-3
+        c[-m] += 1e-3
+        with pytest.raises(ConfigError, match="support"):
+            ratio_pair_for_tag(ens, tag, Field(ens.grid, c))
+        with pytest.raises(ConfigError, match="support"):
+            propagator_orbit(ens, Field(ens.grid, c))
+
+    def test_data_on_other_grid_rejected(self):
+        ens = default_ensemble("2.05", 5, 1)
+        other = ens.refined("grid_x2")
+        with pytest.raises(ConfigError):
+            ratio_pair_for_tag(ens, "2.05", other.draw(0))
+
+
+class TestBilinearVectorized:
+    @pytest.mark.parametrize("refinement", [None, "grid_x2"])
+    def test_spectra_equal_per_slice_product(self, refinement):
+        ens = default_ensemble("2.027", 9, 1)
+        ens = ens if refinement is None else ens.refined(refinement)
+        f1, f2 = ens.draw(0), ens.draw(1)
+        spectra = _bilinear_spectra(ens, 0.5)(f1, f2)
+        phi = ens.symbol.table(ens.grid)
+        for row, tl in zip(spectra, ens.times()):
+            ph = np.exp(-1j * tl * phi)
+            ref = bilinear_weighted_product(Field(ens.grid, f1.coeffs * ph),
+                                            Field(ens.grid, f2.coeffs * ph), 0.5, ens.symbol)
+            assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_lhs_equals_per_slice_loop(self):
+        ens = default_ensemble("2.027", 9, 3)
+        rep = bilinear_ratio(ens, 0.5, refinements=())
+        grid, phi, dt = ens.grid, ens.symbol.table(ens.grid), ens.t_window / ens.n_t
+        for i, lhs in enumerate(rep.lhs):
+            f1, f2 = ens.draw(2 * i), ens.draw(2 * i + 1)
+            total = 0.0
+            for tl in ens.times():
+                ph = np.exp(-1j * tl * phi)
+                spec = bilinear_weighted_product(Field(grid, f1.coeffs * ph),
+                                                 Field(grid, f2.coeffs * ph), 0.5, ens.symbol)
+                total += grid.length * float(np.sum(np.abs(spec) ** 2)) * dt
+            assert lhs == pytest.approx(math.sqrt(total), rel=1e-13, abs=0.0)
+
+
+def _reference_multilinear_pair(ens, k, cells, dxi, dtau, rng_salt, i, s, b):
+    """One multilinear draw with the padded (k+1)-fold product by complex
+    fft2/ifft2."""
+    outer_w, inner_w = _multilinear_weights(cells, dxi, dtau, ens.symbol, s, b, ens.epsilon)
+    pad = 1
+    while pad < (k + 1) * (cells - 1) + 1:
+        pad *= 2
+    rng = np.random.default_rng(np.random.SeedSequence(ens.seed, spawn_key=(rng_salt, i)))
+    outer_f = rng.random((cells, cells))
+    factors = [rng.random((cells, cells)) for _ in range(k + 1)]
+    prod = np.ones((pad, pad), dtype=complex)
+    for f in factors:
+        padded = np.zeros((pad, pad))
+        padded[:cells, :cells] = inner_w * f
+        prod = prod * np.fft.fft2(padded)
+    conv = np.maximum(np.fft.ifft2(prod).real, 0.0)
+    half = cells // 2
+    sl = slice((k + 1) * half - half, (k + 1) * half + half)
+    measure = dxi * dtau
+    left = float(np.sum(outer_w * outer_f * conv[sl, sl])) * measure ** (k + 1)
+    right = math.sqrt(float(np.sum(outer_f**2)) * measure)
+    for f in factors:
+        right *= math.sqrt(float(np.sum(f**2)) * measure)
+    return left, right
+
+
+class TestMultilinearRealTransforms:
+    def test_equal_to_complex_fft_loop(self):
+        ens = default_ensemble("3.03", 13, 2)
+        k, cells = 5, 16
+        s, b = 0.5 - 2.0 / k + 2.0 * ens.epsilon, ens.b
+        rep = multilinear_ratio(ens, k=k, n_cells=cells, rng_offset=3)
+        dxi, dtau = 2 * math.pi / ens.grid.length, 2 * math.pi / ens.t_window
+        for i in range(ens.n_draws):
+            left, right = _reference_multilinear_pair(ens, k, cells, dxi, dtau, 3, i, s, b)
+            assert rep.lhs[i] == pytest.approx(left, rel=1e-12, abs=0.0)
+            assert rep.rhs[i] == right
+        fine = [_reference_multilinear_pair(ens, k, 2 * cells, dxi / 2, dtau / 2, 4, i, s, b)
+                for i in range(ens.n_draws)]
+        assert rep.refinement_max["lattice_x2"] == pytest.approx(
+            max(left / right for left, right in fine), rel=1e-12, abs=0.0)
+
+
+class TestRefinementSkips:
+    def test_skipped_draws_counted_per_refinement(self):
+        def pair_for(name):
+            return lambda i: None if (name == "b" and i == 1) else (1.0 + i, 2.0)
+
+        rep = _ratio_report("t", 3, pair_for, ("a", "b"), jobs=1)
+        assert rep.skipped == 0
+        assert rep.refinement_skipped == {"a": 0, "b": 1}
+        assert rep.refinement_max == {"a": 1.5, "b": 1.5}
+
+    def test_run_tag_reports_every_refinement(self):
+        rep = run_tag("2.057", seed=3, n_draws=2)
+        assert rep.refinement_skipped == {"grid_x2": 0, "window_x2": 0}
