@@ -34,6 +34,7 @@ from .kernel import KernelSpec, kernel_mixed_norm, region_decay_check
 from .limits import SweepConfig, conservation_drift, rotation_limit_sweep
 from .norms import norm_record
 from .solver import (
+    MEAN_ZERO_ATOL,
     SolverConfig,
     evolve,
     gaussian_bump,
@@ -60,7 +61,17 @@ def _grid_from(section) -> Grid:
     return Grid(section.get_int("n"), section.get_float("L"))
 
 
+def _given(section, **readers) -> dict:
+    """Keyword arguments for the keys the section holds, each read by its
+    accessor; an absent key is not passed, so the callee's default applies."""
+    return {key: read(key) for key, read in readers.items() if key in section.keys()}
+
+
 def _solver_config(section, grid: Grid, gamma=None) -> SolverConfig:
+    options = _given(section, integrator=section.get_str, cfl_safety=section.get_float,
+                     trace_s=section.get_float)
+    if "nonlinearity" in section.keys():
+        options["include_nonlinearity"] = section.get_int("nonlinearity") != 0
     return SolverConfig(
         beta=section.get_float("beta"),
         gamma=section.get_float("gamma") if gamma is None else gamma,
@@ -68,21 +79,15 @@ def _solver_config(section, grid: Grid, gamma=None) -> SolverConfig:
         dt=section.get_float("dt"),
         t_end=section.get_float("t_end"),
         grid=grid,
-        integrator=section.get_str("integrator", "ifrk4"),
-        cfl_safety=section.get_float("cfl_safety", 0.5),
-        include_nonlinearity=section.get_int("nonlinearity", 1) != 0,
-        trace_s=section.get_float("trace_s", 2.0),
+        **options,
     )
 
 
 def _initial_field(section, grid: Grid, cfg: SolverConfig) -> Field:
     kind = section.get_str("initial", "gaussian")
     if kind == "gaussian":
-        u0 = gaussian_bump(
-            grid,
-            amplitude=section.get_float("amplitude", 0.5),
-            width=section.get_float("width", 2.0),
-        )
+        u0 = gaussian_bump(grid, **_given(section, amplitude=section.get_float,
+                                          width=section.get_float))
         target = section.get_float("h1_norm", 0.0)
         if target > 0:
             u0 = scaled_to_h1(u0, target)
@@ -151,11 +156,9 @@ def cmd_sweep_gamma(args) -> int:
     sweep = SweepConfig(
         template=template,
         t_compare=section.get_float("t_compare"),
-        gammas=section.get_floats("gammas", (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)),
-        s=section.get_float("s", 2.0),
-        snapshot_every=section.get_int("snapshot_every", 10),
-        floor_factor=section.get_float("floor_factor", 10.0),
         jobs=args.jobs,
+        **_given(section, gammas=section.get_floats, s=section.get_float,
+                 snapshot_every=section.get_int, floor_factor=section.get_float),
     )
     u0 = _initial_field(section, grid, template)
     out = ensure_dir(args.out)
@@ -192,18 +195,20 @@ def cmd_probe_kernel(args) -> int:
     section = config.section("probe-kernel")
     beta = section.get_float("beta", -1.0)
     gamma = section.get_float("gamma", 1.0)
-    threshold = section.get_float("a", 1.0)
+    spec_options = {"threshold": section.get_float("a")} if "a" in section.keys() else {}
     gamma_exp = section.get_float("gamma_exp", 8.0)
     blocks = section.get_floats("blocks", (16.0, 32.0, 64.0))
-    samples = section.get_int("samples_per_region", 60)
+    sampling = _given(section, samples_per_region=section.get_int)
     out = ensure_dir(args.out)
 
     rows = {"region": [], "x": [], "t": [], "absK": [], "bound": [], "ratio": []}
+    counts = {"blocks": len(blocks)}
     summary = {"blocks": {}, "gamma_exp": gamma_exp, "quadrature": {}}
     region_codes = {"NEAR_FIELD": 1.0, "NON_STATIONARY": 2.0, "STATIONARY": 3.0}
     for n_block in blocks:
-        spec = KernelSpec(n_block, beta, gamma, threshold=threshold)
-        report = region_decay_check(spec, samples_per_region=samples, seed=args.seed)
+        spec = KernelSpec(n_block, beta, gamma, **spec_options)
+        report = region_decay_check(spec, seed=args.seed, **sampling)
+        counts["samples_per_region"] = report.samples_per_region
         mixed = kernel_mixed_norm(spec, gamma_exp)
         for name, reg in report.regions.items():
             for x, t, a_k, bd, r in zip(reg.x, reg.t, reg.abs_k, reg.bound, reg.ratios):
@@ -226,8 +231,7 @@ def cmd_probe_kernel(args) -> int:
         }
     write_csv(os.path.join(out, "kernel_regions.csv"), rows)
     write_json(os.path.join(out, "kernel_summary.json"), summary)
-    _write_manifest(out, "probe-kernel", config, args.seed, t0,
-                    {"blocks": len(blocks), "samples_per_region": samples})
+    _write_manifest(out, "probe-kernel", config, args.seed, t0, counts)
     return 0
 
 
@@ -241,13 +245,9 @@ def cmd_probe_estimates(args) -> int:
         section = config.section("probe-estimates")
         seed = section.get_int("seed", seed)
         draws = section.get_int("draws", draws)
-        for key in ("beta", "gamma", "b", "epsilon", "threshold", "law_param",
-                    "t_window", "length"):
-            if key in section.keys():
-                overrides[key] = section.get_float(key)
-        for key in ("n", "n_t"):
-            if key in section.keys():
-                overrides[key] = section.get_int(key)
+        overrides = _given(section, n=section.get_int, n_t=section.get_int, **dict.fromkeys(
+            ("beta", "gamma", "b", "epsilon", "threshold", "law_param", "t_window", "length"),
+            section.get_float))
     tag = args.which
     if tag not in ALL_TAGS:
         print(f"unknown tag {tag!r}; valid tags: {', '.join(ALL_TAGS)}", file=sys.stderr)
@@ -314,9 +314,6 @@ def cmd_picard_check(args) -> int:
     return 0
 
 
-INVARIANT_MEAN = 1e-13
-
-
 def cmd_invariants(args) -> int:
     """Conservation suite on a stored snapshot: short re-evolution, then
     L2 / Hamiltonian / mean drift against their gates."""
@@ -326,21 +323,21 @@ def cmd_invariants(args) -> int:
     field, header = read_snapshot(section.get_str("snapshot"))
     grid = field.grid
     horizon = section.get_float("horizon", 0.1)
-    dt = section.get_float("dt", 0.0)
-    if dt <= 0:
-        umax = float(np.max(np.abs(field.samples())))
-        dt = 0.25 * grid.dx / max(1.0, umax) ** int(header["k"])
-        dt = horizon / max(1, int(math.ceil(horizon / dt)))
     cfg = SolverConfig(
         beta=float(header["beta"]), gamma=float(header["gamma"]), k=int(header["k"]),
-        dt=dt, t_end=horizon, grid=grid,
+        dt=horizon, t_end=horizon, grid=grid,
     )
+    dt = section.get_float("dt", 0.0)
+    if dt <= 0:
+        # half the step the CFL guard admits, shortened to divide the horizon
+        dt = horizon / max(1, int(math.ceil(horizon / (0.5 * cfg.timestep_bound(field)))))
+    cfg = cfg.replace(dt=dt)
     out = ensure_dir(args.out)
     traj = evolve(field, cfg, snapshot_every=max(1, int(round(horizon / dt / 16))))
     l2_drift, h_drift, drift_ok = conservation_drift(traj)
     mean_max = float(max(abs(f.mean()) for f in traj.fields))
-    mean_ok = (mean_max < INVARIANT_MEAN) if cfg.gamma > 0 else \
-        (abs(traj.fields[-1].mean() - field.mean()) < INVARIANT_MEAN)
+    mean_ok = (mean_max < MEAN_ZERO_ATOL) if cfg.gamma > 0 else \
+        (abs(traj.fields[-1].mean() - field.mean()) < MEAN_ZERO_ATOL)
     passed = bool(drift_ok and mean_ok)
     payload = {
         "l2_drift": l2_drift,
@@ -374,18 +371,20 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="run configuration file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker pool size")
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+        return p
 
     common(sub.add_parser("solve", help="time-evolve one initial datum"))
-    common(sub.add_parser("sweep-gamma", help="weak-rotation limit rate study"))
+    sweep = common(sub.add_parser("sweep-gamma", help="weak-rotation limit rate study"))
     common(sub.add_parser("probe-kernel", help="oscillatory kernel decay checks"))
-    pe = sub.add_parser("probe-estimates", help="estimate-zoo ratio ensembles")
-    common(pe, config_required=False)
+    pe = common(sub.add_parser("probe-estimates", help="estimate-zoo ratio ensembles"),
+                config_required=False)
     pe.add_argument("--which", required=True, help="estimate tag")
     pe.add_argument("--draws", type=int, default=100, help="ensemble size")
     common(sub.add_parser("picard-check", help="integral-equation fixed point oracle"))
     common(sub.add_parser("invariants", help="conservation suite on a snapshot"))
+    for pooled in (sweep, pe):  # the commands that run a thread pool
+        pooled.add_argument("--jobs", type=int, default=1, help="worker pool size")
     return parser
 
 

@@ -37,55 +37,40 @@ class Section:
         self._values = values
         self.source = source
 
-    def _fetch(self, key: str):
+    def _lookup(self, key: str, default, parse, kind: str):
+        """parse(value) of key; default when key is absent, ConfigError
+        naming key and file when it is absent without a default or when
+        parse rejects the value."""
         if key not in self._values:
-            raise ConfigError(
-                f"{self.source}: missing required key `{key}` in section [{self.name}]"
-            )
-        return self._values[key]
+            if default is None:
+                raise ConfigError(
+                    f"{self.source}: missing required key `{key}` in section [{self.name}]"
+                )
+            return default
+        raw = self._values[key]
+        try:
+            return parse(raw)
+        except ValueError as err:
+            raise ConfigError(f"{self.source}: key `{key}` = {raw!r} is not {kind}") from err
 
     def get_float(self, key: str, default=None) -> float:
-        if key not in self._values:
-            if default is None:
-                self._fetch(key)
-            return default
-        raw = self._values[key]
-        try:
-            return float(raw)
-        except ValueError as err:
-            raise ConfigError(f"{self.source}: key `{key}` = {raw!r} is not a number") from err
+        return self._lookup(key, default, float, "a number")
 
     def get_int(self, key: str, default=None) -> int:
-        if key not in self._values:
-            if default is None:
-                self._fetch(key)
-            return default
-        raw = self._values[key]
-        try:
-            return int(raw)
-        except ValueError as err:
-            raise ConfigError(f"{self.source}: key `{key}` = {raw!r} is not an integer") from err
+        return self._lookup(key, default, int, "an integer")
 
     def get_str(self, key: str, default=None) -> str:
-        if key in self._values:
-            return self._values[key]
-        if default is not None:
-            return default
-        return self._fetch(key)
+        return self._lookup(key, default, str, "a string")
 
-    def get_floats(self, key: str, default=None):
-        if key not in self._values:
-            if default is not None:
-                return tuple(default)
-            self._fetch(key)
-        raw = self._values[key]
-        try:
-            return tuple(float(tok) for tok in raw.replace(",", " ").split())
-        except ValueError as err:
-            raise ConfigError(f"{self.source}: key `{key}` = {raw!r} is not a number list") from err
+    def get_floats(self, key: str, default=None) -> tuple:
+        return self._lookup(key, default, _float_list, "a number list")
 
     def keys(self):
         return self._values.keys()
+
+
+def _float_list(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
 def parse_config_text(text: str, source: str = "<memory>") -> Config:

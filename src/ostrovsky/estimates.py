@@ -35,9 +35,6 @@ from .errors import ConfigError, LatticeSizeError
 from .norms import SpaceTimeField, mixed_norm, window_bump
 from .spectral import Field, Grid, MultiplierSpec, PhaseSymbol, multiplier_table
 
-DEFAULT_B = 0.5 + 1.0 / 48.0
-DEFAULT_EPSILON = 1e-3
-
 STRICHARTZ_TAGS = ("2.03", "2.05", "2.08", "2.09")
 LINFTY_TAGS = ("2.055", "2.057", "2.060")
 ALL_TAGS = STRICHARTZ_TAGS + ("2.027",) + LINFTY_TAGS + ("3.03",)
@@ -58,8 +55,8 @@ class Ensemble:
     n_t: int
     beta: float = -1.0
     gamma: float = 1.0
-    b: float = DEFAULT_B
-    epsilon: float = DEFAULT_EPSILON
+    b: float = 0.5 + 1.0 / 48.0
+    epsilon: float = 1e-3
     threshold: float = 1.0
 
     def __post_init__(self):
@@ -434,36 +431,35 @@ def _multilinear_weights(n_cells: int, dxi: float, dtau: float,
     return outer, inner
 
 
-def multilinear_ratio(ens: Ensemble, k: int = 5, s: float | None = None,
-                      b: float | None = None, n_cells: int = 64,
-                      refine: bool = True, rng_offset: int = 0,
+def multilinear_ratio(ens: Ensemble, k: int = 5, n_cells: int = 64,
                       jobs: int = 1) -> RatioReport:
     """(k+2)-linear convolution inequality on a space-time mode lattice.
 
     All spectra are drawn nonnegative, so the integral is monotone and
     the Monte-Carlo ratio is a one-sided-safe test.  The (k+1)-fold
     convolution is evaluated by padded 2-D FFTs (linear, not circular);
-    the lattice spacing comes from the ensemble's grid and window.
-    Refinement halves the spacing at a fixed box extent.
+    the lattice spacing comes from the ensemble's grid and window, the
+    regularity s = 1/2 - 2/k + 2 eps from k and the ensemble, and the
+    modulation exponent from ens.b.  The refinement lattice_x2 halves
+    the spacing at a fixed box extent; it and the base lattice draw with
+    RNG salts 1 and 0.
     """
     if n_cells > MULTILINEAR_CELL_GUARD:
         raise LatticeSizeError(
             f"{n_cells}^2 cells per factor exceeds the {MULTILINEAR_CELL_GUARD}^2 guard"
         )
-    if s is None:
-        s = 0.5 - 2.0 / k + 2.0 * ens.epsilon
-    if b is None:
-        b = ens.b
+    s = 0.5 - 2.0 / k + 2.0 * ens.epsilon
     dxi = 2.0 * math.pi / ens.grid.length
     dtau = 2.0 * math.pi / ens.t_window
     lattices = {
-        None: (n_cells, dxi, dtau, rng_offset),
-        "lattice_x2": (2 * n_cells, dxi / 2.0, dtau / 2.0, rng_offset + 1),
+        None: (n_cells, dxi, dtau, 0),
+        "lattice_x2": (2 * n_cells, dxi / 2.0, dtau / 2.0, 1),
     }
 
     def pair_for(name):
         cells, dxi, dtau, rng_salt = lattices[name]
-        outer_w, inner_w = _multilinear_weights(cells, dxi, dtau, ens.symbol, s, b, ens.epsilon)
+        outer_w, inner_w = _multilinear_weights(cells, dxi, dtau, ens.symbol, s, ens.b,
+                                                ens.epsilon)
         half = cells // 2
         pad = 1
         while pad < (k + 1) * (cells - 1) + 1:
@@ -494,8 +490,7 @@ def multilinear_ratio(ens: Ensemble, k: int = 5, s: float | None = None,
 
         return pair
 
-    refinements = ("lattice_x2",) if refine else ()
-    return _ratio_report(f"3.03(k={k})", ens.n_draws, pair_for, refinements, jobs)
+    return _ratio_report(f"3.03(k={k})", ens.n_draws, pair_for, ("lattice_x2",), jobs)
 
 
 def ratio_pair_for_tag(ens: Ensemble, tag: str, u0: Field):
@@ -534,19 +529,14 @@ TAG_DEFAULTS = {
 }
 
 
-def default_ensemble(tag: str, seed: int, n_draws: int, beta: float = -1.0,
-                     gamma: float = 1.0, **overrides) -> Ensemble:
+def default_ensemble(tag: str, seed: int, n_draws: int, **overrides) -> Ensemble:
+    """The tag's TAG_DEFAULTS ensemble; overrides replace its entries or
+    set any other Ensemble field, whose own default applies otherwise."""
     if tag not in TAG_DEFAULTS:
         raise ConfigError(f"unknown tag {tag!r}; valid tags: {', '.join(ALL_TAGS)}")
-    d = dict(TAG_DEFAULTS[tag])
-    d.update(overrides)
-    grid = Grid(d["n"], d["length"])
-    return Ensemble(
-        seed=seed, n_draws=n_draws, law=d["law"], law_param=d["law_param"],
-        grid=grid, t_window=d["t_window"], n_t=d["n_t"], beta=beta, gamma=gamma,
-        b=d.get("b", DEFAULT_B), epsilon=d.get("epsilon", DEFAULT_EPSILON),
-        threshold=d.get("threshold", 1.0),
-    )
+    d = dict(TAG_DEFAULTS[tag], **overrides)
+    grid = Grid(d.pop("n"), d.pop("length"))
+    return Ensemble(seed=seed, n_draws=n_draws, grid=grid, **d)
 
 
 def run_tag(tag: str, seed: int, n_draws: int, jobs: int = 1, **overrides) -> RatioReport:

@@ -37,11 +37,28 @@ def write_snapshot(path, field: Field, beta: float, gamma: float, k: int, t: flo
             fh.write(fmt(v) + "\n")
 
 
+SNAPSHOT_KEYS = ("n", "L", "beta", "gamma", "k")  # header keys a reader needs
+
+
 def read_snapshot(path):
-    """Returns (field, header_dict); inverse of write_snapshot bit-exactly."""
+    """Returns (field, header_dict); inverse of write_snapshot bit-exactly.
+    ConfigError naming the file when the header is not a JSON object
+    holding SNAPSHOT_KEYS, or a sample is not a finite number, or the
+    sample count differs from the header's n."""
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        samples = np.array([float(line) for line in fh if line.strip()])
+        try:
+            header = json.loads(fh.readline())
+        except ValueError:
+            header = None
+        if not isinstance(header, dict):
+            raise ConfigError(f"snapshot {path}: first line is not a JSON object header")
+        missing = [key for key in SNAPSHOT_KEYS if key not in header]
+        if missing:
+            raise ConfigError(f"snapshot {path}: header lacks {', '.join(missing)}")
+        try:
+            samples = np.array([float(line) for line in fh if line.strip()])
+        except ValueError as err:
+            raise ConfigError(f"snapshot {path} holds a non-numeric sample: {err}") from err
     grid = Grid(int(header["n"]), float(header["L"]))
     if samples.size != grid.n_points:
         raise ConfigError(
@@ -68,13 +85,16 @@ def write_json(path, payload: dict):
         fh.write("\n")
 
 
-def svg_loglog(points, path=None, fit=None, title="", xlabel="", ylabel="",
-               width=640, height=480):
+SVG_WIDTH, SVG_HEIGHT = 640, 480
+
+
+def svg_loglog(points, path=None, fit=None, title="", xlabel="", ylabel=""):
     """Minimal log-log scatter plus optional fitted power law, as SVG text.
 
     points: iterable of (x, y) with x, y > 0; fit: (slope, intercept) in
     log-space, drawn as a line across the x-range.
     """
+    width, height = SVG_WIDTH, SVG_HEIGHT
     pts = [(float(x), float(y)) for x, y in points if x > 0 and y > 0]
     if not pts:
         raise ConfigError("nothing to plot")

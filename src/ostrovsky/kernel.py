@@ -313,19 +313,22 @@ def _region_bound(tag: RegionTag, x, t, spec: KernelSpec):
     return np.asarray(t, dtype=float) ** (-1.0 / 3.0)
 
 
+SAMPLE_X_SPAN = 100.0
+SAMPLE_T_SPAN = 200.0
+
+
 def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
-                       seed: int = 0, x_span: float = 100.0,
-                       t_span: float = 200.0) -> DecayReport:
+                       seed: int = 0) -> DecayReport:
     """Empirical sup |K| / bound per region plus the stationary-region
     time-decay exponent fitted along a ray of fixed x.
 
-    Sample windows scale with the block: x in (1/N, x_span/N], t in
-    region-consistent slices of (0.2/N^3, t_span/N^3].  More than 10%
-    quadrature failures in a region fails the probe.
+    Sample windows scale with the block: x in (1/N, SAMPLE_X_SPAN/N], t in
+    region-consistent slices of (0.2/N^3, SAMPLE_T_SPAN/N^3].  More than
+    10% quadrature failures in a region fails the probe.
     """
     rng = np.random.default_rng(seed)
     n_block = spec.block_start
-    t_lo, t_hi = 0.2 / n_block**3, t_span / n_block**3
+    t_lo, t_hi = 0.2 / n_block**3, SAMPLE_T_SPAN / n_block**3
     regions = {}
     total, skipped_total = 0, 0
     stats = QuadratureStats()
@@ -355,14 +358,14 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
     x1 = signs * _log_uniform(rng, 1e-3 / n_block, 1.0 / n_block, m)
     collect(RegionTag.NEAR_FIELD, x1, _log_uniform(rng, t_lo, t_hi, m))
 
-    x2 = signs * _log_uniform(rng, 1.001 / n_block, x_span / n_block, m)
+    x2 = signs * _log_uniform(rng, 1.001 / n_block, SAMPLE_X_SPAN / n_block, m)
     t2 = np.minimum(
         _log_uniform(rng, t_lo, t_hi, m),
         np.array([spec.region_time_boundary(x) for x in x2]) * 0.999,
     )
     collect(RegionTag.NON_STATIONARY, x2, t2)
 
-    x3 = signs * _log_uniform(rng, 1.001 / n_block, x_span / n_block, m)
+    x3 = signs * _log_uniform(rng, 1.001 / n_block, SAMPLE_X_SPAN / n_block, m)
     t3 = np.array([
         _log_uniform(rng, max(spec.region_time_boundary(x) * 1.001, t_lo), t_hi * 10.0, 1)[0]
         for x in x3

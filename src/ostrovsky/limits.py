@@ -180,7 +180,7 @@ def rotation_limit_sweep(cfg: SweepConfig, u0: Field) -> RateReport:
         log.warning("fewer than two usable sweep points; rate fit skipped")
 
     gron = np.array([
-        gronwall_consistency_check(results[g], reference, g, cfg.s).c_star
+        gronwall_consistency_check(results[g], reference, g).c_star
         for g in gammas_ok
     ])
 
@@ -212,11 +212,12 @@ def _lattice_derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def gronwall_consistency_check(traj_u: Trajectory, traj_v: Trajectory,
-                               gamma: float, s: float) -> GronwallReport:
+                               gamma: float) -> GronwallReport:
     """Smallest C* with  d/dt||w|| <= C*(M^k ||w|| + |gamma| Mu)  pointwise
     on the common snapshot lattice, where w = u - v, M = sup(||u||_Xs +
     ||v||_Xs) and Mu = sup||u||_Xs.  Also checks the integrated envelope
     ||w(t)|| <= ||w(0)|| e^{C* M^k t} + (|gamma| Mu / M^k)(e^{C* M^k t} - 1).
+    The X^s norms are the traces evolve() recorded, at the runs' trace_s.
     """
     if traj_u.times.shape != traj_v.times.shape or np.max(
         np.abs(traj_u.times - traj_v.times)
@@ -256,12 +257,12 @@ def gronwall_consistency_check(traj_u: Trajectory, traj_v: Trajectory,
     )
 
 
-def xs_growth_monitor(traj: Trajectory, s: float | None = None) -> XsGrowthReport:
+def xs_growth_monitor(traj: Trajectory) -> XsGrowthReport:
     """Smallest C0 with  d/dt||u||_Xs <= C0 ||u||_Xs^{k+1}  on the lattice.
 
-    The trace recorded by evolve() already uses the configured s; pass s
-    only as a sanity label.  A linear (propagator-only) run is an exact
-    isometry and reports C0 = 0 up to rounding.
+    s is the trace_s of the run whose X^s trace evolve() recorded.  A
+    linear (propagator-only) run is an exact isometry and reports C0 = 0
+    up to rounding.
     """
     xs = traj.xs
     dxdt = _lattice_derivative(xs, traj.times)

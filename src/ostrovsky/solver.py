@@ -90,11 +90,17 @@ class SolverConfig:
     def replace(self, **kw) -> "SolverConfig":
         return dataclasses.replace(self, **kw)
 
+    def timestep_bound(self, u: Field) -> float:
+        """Largest dt the CFL-style guard admits for data u:
+        cfl_safety * dx / max(1, max|u|)^k."""
+        umax = float(np.max(np.abs(u.samples())))
+        return self.cfl_safety * self.grid.dx / max(1.0, umax) ** self.k
+
     def validate_timestep(self, u0: Field):
-        """CFL-style guard: dt <= cfl_safety * dx / max(1, max|u0|)^k."""
-        umax = float(np.max(np.abs(u0.samples())))
-        bound = self.cfl_safety * self.grid.dx / max(1.0, umax) ** self.k
+        """CFL-style guard: dt <= timestep_bound(u0)."""
+        bound = self.timestep_bound(u0)
         if self.dt > bound * (1.0 + 1e-12):
+            umax = float(np.max(np.abs(u0.samples())))
             raise ConfigError(
                 f"dt = {self.dt:g} exceeds the advection bound {bound:g} "
                 f"(dx = {self.grid.dx:g}, max|u0| = {umax:g}, k = {self.k})"
@@ -275,11 +281,10 @@ def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
     )
 
 
-def gaussian_bump(grid: Grid, amplitude: float = 0.5, width: float = 2.0,
-                  center: float | None = None) -> Field:
-    """Mean-projected Gaussian bump, the standard smooth test datum."""
-    x0 = 0.5 * grid.length if center is None else center
-    u = amplitude * np.exp(-(((grid.x - x0) / width) ** 2))
+def gaussian_bump(grid: Grid, amplitude: float = 0.5, width: float = 2.0) -> Field:
+    """Mean-projected Gaussian bump centred in the box, the standard smooth
+    test datum."""
+    u = amplitude * np.exp(-(((grid.x - 0.5 * grid.length) / width) ** 2))
     return project_zero_mean(Field.from_samples(grid, u))
 
 
@@ -292,6 +297,7 @@ def scaled_to_h1(field: Field, target: float) -> Field:
 
 
 SOLITON_RESIDUAL_GATE = 1e-8
+SOLITON_OVERSAMPLING = 4  # fine-grid factor of the soliton ansatz and its residual
 
 
 def soliton_traveling_profile(c: float, k: int, beta: float, grid: Grid) -> np.ndarray:
@@ -310,19 +316,19 @@ def soliton_traveling_profile(c: float, k: int, beta: float, grid: Grid) -> np.n
     return amp * (1.0 / np.cosh(b_scale * y)) ** (2.0 / k)
 
 
-def _band_limit(samples_fine: np.ndarray, grid: Grid, fine: int) -> np.ndarray:
+def _band_limit(samples_fine: np.ndarray, grid: Grid) -> np.ndarray:
     """Coarse-band truncation of a fine-grid sampling (alias-free
     coefficients; the coarse Nyquist mode is dropped)."""
     n = grid.n_points
-    cf = np.fft.fft(samples_fine) / (n * fine)
+    cf = np.fft.fft(samples_fine) / (n * SOLITON_OVERSAMPLING)
     cc = np.zeros(n, dtype=complex)
     cc[: n // 2] = cf[: n // 2]
     cc[n // 2 + 1 :] = cf[-(n // 2 - 1) :]
     return cc
 
 
-def _upsample(coeffs: np.ndarray, fine: int) -> np.ndarray:
-    n = coeffs.size
+def _upsample(coeffs: np.ndarray) -> np.ndarray:
+    n, fine = coeffs.size, SOLITON_OVERSAMPLING
     cf = np.zeros(n * fine, dtype=complex)
     cf[: n // 2] = coeffs[: n // 2]
     cf[-(n // 2 - 1) :] = coeffs[n // 2 + 1 :]
@@ -331,19 +337,18 @@ def _upsample(coeffs: np.ndarray, fine: int) -> np.ndarray:
     return np.fft.ifft(cf * n * fine).real
 
 
-def soliton_residual(field: Field, c: float, k: int, beta: float, fine: int = 4) -> float:
+def soliton_residual(field: Field, c: float, k: int, beta: float) -> float:
     """||beta Q''' - Q^k Q' + c Q'||_L2 / ||Q||_L2 for a band-limited field.
 
     Derivatives are exact on the band; the degree-(k+1) product is
     evaluated on a fine grid so its aliasing error stays at the level of
     the profile's spectral tail rather than being folded into the band.
     """
-    grid = field.grid
     d1 = apply_multiplier(field, MultiplierSpec.derivative(1))
     d3 = apply_multiplier(field, MultiplierSpec.derivative(3))
-    qf = _upsample(field.coeffs, fine)
-    q1 = _upsample(d1.coeffs, fine)
-    q3 = _upsample(d3.coeffs, fine)
+    qf = _upsample(field.coeffs)
+    q1 = _upsample(d1.coeffs)
+    q3 = _upsample(d3.coeffs)
     resid = beta * q3 - qf**k * q1 + c * q1
     denom = max(float(np.sqrt(np.sum(qf**2))), 1e-300)
     return float(np.sqrt(np.sum(resid**2)) / denom)
@@ -352,8 +357,8 @@ def soliton_residual(field: Field, c: float, k: int, beta: float, fine: int = 4)
 def soliton_initial_data(c: float, k: int, beta: float, grid: Grid):
     """Residual-verified traveling wave, mean-projected for the solver.
 
-    The profile is constructed as the coarse-band truncation of a
-    4x-oversampled ansatz, so its spectral coefficients are alias-free.
+    The profile is the coarse-band truncation of an ansatz oversampled
+    SOLITON_OVERSAMPLING times, so its spectral coefficients are alias-free.
     Returns (field, info): info records the residual of the unprojected
     ansatz and the mean the projection removed; callers running the
     gamma = 0 equation (where the mean is dynamically inert) can add the
@@ -361,11 +366,10 @@ def soliton_initial_data(c: float, k: int, beta: float, grid: Grid):
     Raises SolitonResidualError when the ansatz fails its defining
     check (wrong constants, or a grid too coarse for the profile).
     """
-    fine = 4
-    fine_grid = Grid(grid.n_points * fine, grid.length)
+    fine_grid = Grid(grid.n_points * SOLITON_OVERSAMPLING, grid.length)
     q_fine = soliton_traveling_profile(c, k, beta, fine_grid)
-    raw = Field(grid, _band_limit(q_fine, grid, fine))
-    residual = soliton_residual(raw, c, k, beta, fine)
+    raw = Field(grid, _band_limit(q_fine, grid))
+    residual = soliton_residual(raw, c, k, beta)
     if residual >= SOLITON_RESIDUAL_GATE:
         raise SolitonResidualError(residual, SOLITON_RESIDUAL_GATE)
     projected = project_zero_mean(raw)

@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +20,12 @@ from ostrovsky.errors import (
     QuadratureAccuracyError,
 )
 from ostrovsky.io import read_snapshot, write_snapshot
-from ostrovsky.solver import gaussian_bump
+from ostrovsky.kernel import KernelSpec
+from ostrovsky.limits import SweepConfig
+from ostrovsky.solver import SolverConfig, gaussian_bump
 from ostrovsky.spectral import Field, Grid
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 SOLVE_CFG = """
 [solve]
@@ -268,21 +273,38 @@ width = 2.0
         assert len(rows) == 4
 
 
+def write_invariants_cfg(tmp_path, edit):
+    """A conservative snapshot whose list of text lines is passed through
+    edit(), and an invariants config naming it."""
+    snap = tmp_path / "snap.dat"
+    write_snapshot(snap, gaussian_bump(Grid(128, 20.0), amplitude=0.4, width=2.0),
+                   beta=-1.0, gamma=1.0, k=5, t=0.0)
+    snap.write_text("\n".join(edit(snap.read_text().splitlines())) + "\n")
+    return write_cfg(tmp_path, f"[invariants]\nsnapshot = {snap}\nhorizon = 0.05\n")
+
+
 class TestInvariantsCommand:
     def test_pass_on_conservative_snapshot(self, tmp_path):
-        grid = Grid(128, 20.0)
-        field = gaussian_bump(grid, amplitude=0.4, width=2.0)
-        snap = tmp_path / "snap.dat"
-        write_snapshot(snap, field, beta=-1.0, gamma=1.0, k=5, t=0.0)
-        cfg = write_cfg(tmp_path, f"""
-[invariants]
-snapshot = {snap}
-horizon = 0.05
-""")
+        cfg = write_invariants_cfg(tmp_path, lambda lines: lines)
         out = tmp_path / "inv"
         assert main(["invariants", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((out / "invariants.json").read_text())
         assert payload["passed"]
+        # half the CFL bound 0.5 * dx = 0.078125 (max|u| < 1), shortened to
+        # divide the horizon
+        assert payload["dt"] == 0.025
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: lines[:5] + ["abc"] + lines[6:], "non-numeric sample"),
+        (lambda lines: [lines[0].replace(', "k": 5', "")] + lines[1:], "header lacks k"),
+        (lambda lines: ["[128, 20.0]"] + lines[1:], "not a JSON object"),
+    ], ids=["non_numeric_sample", "header_without_k", "header_not_object"])
+    def test_malformed_snapshot_exits_one_with_one_line(self, tmp_path, capsys, edit, message):
+        cfg = write_invariants_cfg(tmp_path, edit)
+        assert main(["invariants", "--config", cfg, "--out", str(tmp_path / "inv")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: snapshot ") and "snap.dat" in err and message in err
 
 
 class TestManifest:
@@ -317,3 +339,52 @@ class TestProbeKernelCommand:
                 assert sorted(stats) == ["max_error", "over_cap", "points",
                                          "refined_x16", "refined_x4"]
                 assert 0.0 < stats["max_error"] <= 1e-9
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--config", str(CONFIGS / "solve.cfg")],
+        ["solve", "--config", str(CONFIGS / "soliton.cfg")],
+        ["sweep-gamma", "--config", str(CONFIGS / "sweep_gamma.cfg")],
+        ["picard-check", "--config", str(CONFIGS / "picard.cfg")],
+        ["probe-estimates", "--config", str(CONFIGS / "probe_estimates.cfg"), "--which", "2.057"],
+        pytest.param(["probe-kernel", "--config", str(CONFIGS / "probe_kernel.cfg")],
+                     marks=pytest.mark.slow),
+    ], ids=lambda argv: Path(argv[2]).stem)
+    def test_runs(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+    def test_required_keys_only_give_library_defaults(self, tmp_path, monkeypatch):
+        """Keys absent from a config leave the library's defaults in force."""
+        seen = {}
+
+        class Captured(Exception):
+            pass
+
+        def capture(name):
+            def record(*args, **kwargs):
+                seen[name] = (args, kwargs)
+                raise Captured
+            return record
+
+        for name in ("evolve", "rotation_limit_sweep", "region_decay_check"):
+            monkeypatch.setattr(cli, name, capture(name))
+        required = "beta = -1.0\ngamma = 1.0\nk = 5\nn = 128\nL = 20.0\ndt = 0.01\nt_end = 0.1\n"
+        configs = {"solve": required, "sweep-gamma": required + "t_compare = 0.1\n",
+                   "probe-kernel": "blocks = 16\n"}
+        for command, keys in configs.items():
+            cfg = write_cfg(tmp_path, f"[{command}]\n{keys}", name=f"{command}.cfg")
+            with pytest.raises(Captured):
+                main([command, "--config", cfg, "--out", str(tmp_path / command)])
+
+        grid = Grid(128, 20.0)
+        solver = SolverConfig(beta=-1.0, gamma=1.0, k=5, dt=0.01, t_end=0.1, grid=grid)
+        u0, cfg, _ = seen["evolve"][0]
+        assert cfg == solver
+        assert np.array_equal(u0.samples(), gaussian_bump(grid).samples())
+        sweep, u0 = seen["rotation_limit_sweep"][0]
+        assert sweep == SweepConfig(template=solver, t_compare=0.1)
+        assert np.array_equal(u0.samples(), gaussian_bump(grid).samples())
+        (spec,), options = seen["region_decay_check"]
+        assert spec == KernelSpec(16.0, -1.0, 1.0)
+        assert options == {"seed": 0}

@@ -91,7 +91,7 @@ class TestGronwall:
         template = small_template(grid, gamma=0.0, t_end=0.1)
         a = evolve(u0, template, 2)
         b = evolve(u0, template, 2)
-        rep = gronwall_consistency_check(a, b, gamma=0.0, s=2.0)
+        rep = gronwall_consistency_check(a, b, gamma=0.0)
         assert rep.c_star == 0.0
         assert rep.envelope_ok
 
@@ -101,7 +101,7 @@ class TestGronwall:
         gamma = 0.05
         v = evolve(u0, small_template(grid, gamma=0.0, t_end=0.2), 4)
         u = evolve(u0, small_template(grid, gamma=gamma, t_end=0.2), 4)
-        rep = gronwall_consistency_check(u, v, gamma=gamma, s=2.0)
+        rep = gronwall_consistency_check(u, v, gamma=gamma)
         assert rep.envelope_ok
 
     def test_lattice_mismatch_rejected(self):
@@ -110,7 +110,7 @@ class TestGronwall:
         a = evolve(u0, small_template(grid, t_end=0.1), 2)
         b = evolve(u0, small_template(grid, t_end=0.1, dt=0.005), 2)
         with pytest.raises(ConfigError):
-            gronwall_consistency_check(a, b, gamma=1.0, s=2.0)
+            gronwall_consistency_check(a, b, gamma=1.0)
 
 
 class TestXsGrowth:
