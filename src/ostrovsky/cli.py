@@ -47,6 +47,9 @@ from .spectral import Field, Grid
 
 log = logging.getLogger("ostrovsky")
 
+DEFAULT_SEED = 0
+DEFAULT_DRAWS = 100  # probe-estimates ensemble size
+
 
 def _setup_logging():
     level_name = os.environ.get("OSTROVSKY_LOG", "info").lower()
@@ -65,6 +68,12 @@ def _given(section, **readers) -> dict:
     """Keyword arguments for the keys the section holds, each read by its
     accessor; an absent key is not passed, so the callee's default applies."""
     return {key: read(key) for key, read in readers.items() if key in section.keys()}
+
+
+def _jobs(args) -> dict:
+    """jobs as a keyword argument when --jobs was given; otherwise nothing,
+    so the callee's default applies."""
+    return {} if args.jobs is None else {"jobs": args.jobs}
 
 
 def _solver_config(section, grid: Grid, gamma=None) -> SolverConfig:
@@ -156,7 +165,7 @@ def cmd_sweep_gamma(args) -> int:
     sweep = SweepConfig(
         template=template,
         t_compare=section.get_float("t_compare"),
-        jobs=args.jobs,
+        **_jobs(args),
         **_given(section, gammas=section.get_floats, s=section.get_float,
                  snapshot_every=section.get_int, floor_factor=section.get_float),
     )
@@ -207,9 +216,9 @@ def cmd_probe_kernel(args) -> int:
     region_codes = {"NEAR_FIELD": 1.0, "NON_STATIONARY": 2.0, "STATIONARY": 3.0}
     for n_block in blocks:
         spec = KernelSpec(n_block, beta, gamma, **spec_options)
-        report = region_decay_check(spec, seed=args.seed, **sampling)
+        report = region_decay_check(spec, seed=args.seed, **sampling, **_jobs(args))
         counts["samples_per_region"] = report.samples_per_region
-        mixed = kernel_mixed_norm(spec, gamma_exp)
+        mixed = kernel_mixed_norm(spec, gamma_exp, **_jobs(args))
         for name, reg in report.regions.items():
             for x, t, a_k, bd, r in zip(reg.x, reg.t, reg.abs_k, reg.bound, reg.ratios):
                 rows["region"].append(region_codes[name])
@@ -238,22 +247,24 @@ def cmd_probe_kernel(args) -> int:
 def cmd_probe_estimates(args) -> int:
     t0 = time.time()
     overrides = {}
-    seed, draws = args.seed, args.draws
+    # a flag given on the command line wins over the config's key
+    picked = {key: getattr(args, key) for key in ("seed", "draws")
+              if getattr(args, key) is not None}
     config = None
     if args.config:
         config = load_config(args.config)
         section = config.section("probe-estimates")
-        seed = section.get_int("seed", seed)
-        draws = section.get_int("draws", draws)
+        picked = {**_given(section, seed=section.get_int, draws=section.get_int), **picked}
         overrides = _given(section, n=section.get_int, n_t=section.get_int, **dict.fromkeys(
             ("beta", "gamma", "b", "epsilon", "threshold", "law_param", "t_window", "length"),
             section.get_float))
+    seed, draws = picked.get("seed", DEFAULT_SEED), picked.get("draws", DEFAULT_DRAWS)
     tag = args.which
     if tag not in ALL_TAGS:
         print(f"unknown tag {tag!r}; valid tags: {', '.join(ALL_TAGS)}", file=sys.stderr)
         return 1
     out = ensure_dir(args.out)
-    report = run_tag(tag, seed=seed, n_draws=draws, jobs=args.jobs, **overrides)
+    report = run_tag(tag, seed=seed, n_draws=draws, **_jobs(args), **overrides)
     write_csv(os.path.join(out, f"ratios_{tag}.csv"), {
         "draw": np.arange(report.ratios.size, dtype=float),
         "lhs": report.lhs, "rhs": report.rhs, "ratio": report.ratios,
@@ -371,20 +382,24 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="run configuration file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base RNG seed")
         return p
 
     common(sub.add_parser("solve", help="time-evolve one initial datum"))
     sweep = common(sub.add_parser("sweep-gamma", help="weak-rotation limit rate study"))
-    common(sub.add_parser("probe-kernel", help="oscillatory kernel decay checks"))
+    kernel = common(sub.add_parser("probe-kernel", help="oscillatory kernel decay checks"))
     pe = common(sub.add_parser("probe-estimates", help="estimate-zoo ratio ensembles"),
                 config_required=False)
     pe.add_argument("--which", required=True, help="estimate tag")
-    pe.add_argument("--draws", type=int, default=100, help="ensemble size")
+    pe.add_argument("--draws", type=int, default=None,
+                    help=f"ensemble size (default: the config's draws, else {DEFAULT_DRAWS})")
+    # None tells an absent flag from one given, so an explicit flag beats the config
+    pe.set_defaults(seed=None)
     common(sub.add_parser("picard-check", help="integral-equation fixed point oracle"))
     common(sub.add_parser("invariants", help="conservation suite on a snapshot"))
-    for pooled in (sweep, pe):  # the commands that run a thread pool
-        pooled.add_argument("--jobs", type=int, default=1, help="worker pool size")
+    for pooled in (sweep, kernel, pe):  # the commands that run a thread pool
+        pooled.add_argument("--jobs", type=int, default=None,
+                            help="worker pool size (default: the command's own)")
     return parser
 
 

@@ -26,13 +26,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, LatticeSizeError
 from .norms import SpaceTimeField, mixed_norm, window_bump
+from .pool import pool_map
 from .spectral import Field, Grid, MultiplierSpec, PhaseSymbol, multiplier_table
 
 STRICHARTZ_TAGS = ("2.03", "2.05", "2.08", "2.09")
@@ -257,15 +257,6 @@ def _orbit_pair(ens: Ensemble, which: str, u0: Field):
     return lhs, _modulation_rhs(ens, u0)
 
 
-def _map_draws(fn, n_draws: int, jobs: int) -> list:
-    """Per-draw evaluation, order-preserving; results are independent of
-    the worker count because draws are seeded by index."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, range(n_draws)))
-    return [fn(i) for i in range(n_draws)]
-
-
 def _ratio_report(tag: str, n_draws: int, pair_for, refinements, jobs: int) -> RatioReport:
     """Run an ensemble and each of its named refinements.
 
@@ -276,7 +267,8 @@ def _ratio_report(tag: str, n_draws: int, pair_for, refinements, jobs: int) -> R
 
     def evaluate(pair):
         lhs, rhs, skipped = [], [], 0
-        for result in _map_draws(pair, n_draws, jobs):
+        # draws are seeded by index, so results do not depend on jobs
+        for result in pool_map(pair, range(n_draws), jobs):
             if result is None or result[1] == 0.0:
                 skipped += 1
                 continue

@@ -38,13 +38,15 @@ def write_snapshot(path, field: Field, beta: float, gamma: float, k: int, t: flo
 
 
 SNAPSHOT_KEYS = ("n", "L", "beta", "gamma", "k")  # header keys a reader needs
+INTEGER_KEYS = ("n", "k")  # the rest are finite numbers
 
 
 def read_snapshot(path):
     """Returns (field, header_dict); inverse of write_snapshot bit-exactly.
     ConfigError naming the file when the header is not a JSON object
-    holding SNAPSHOT_KEYS, or a sample is not a finite number, or the
-    sample count differs from the header's n."""
+    holding SNAPSHOT_KEYS with integer n and k and finite L, beta and
+    gamma, or a sample is not a finite number, or the sample count differs
+    from the header's n."""
     with open(path) as fh:
         try:
             header = json.loads(fh.readline())
@@ -55,6 +57,15 @@ def read_snapshot(path):
         missing = [key for key in SNAPSHOT_KEYS if key not in header]
         if missing:
             raise ConfigError(f"snapshot {path}: header lacks {', '.join(missing)}")
+        for key in SNAPSHOT_KEYS:
+            value = header[key]
+            if key in INTEGER_KEYS:
+                valid, kind = type(value) is int, "an integer"
+            else:
+                valid = type(value) in (int, float) and math.isfinite(value)
+                kind = "a finite number"
+            if not valid:
+                raise ConfigError(f"snapshot {path}: header {key} = {value!r} is not {kind}")
         try:
             samples = np.array([float(line) for line in fh if line.strip()])
         except ValueError as err:

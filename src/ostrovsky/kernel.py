@@ -10,13 +10,18 @@ only the positive block is integrated.  Quadrature is panel-wise
 Gauss-Kronrod (G7, K15) with panel widths tied to the local oscillation
 wavelength 2*pi/|d/dxi (x*xi - t*phi)|.
 
-The probes evaluate their points in batches: the panels of consecutive
-points are stacked up to a constant budget of BATCH_NODES nodes, the
-integrand is evaluated once per batch, and only the points whose
-embedded error estimate misses tolerance are re-run at 4x and then 16x
-finer panels.  Each point's sums are taken exactly as kernel_eval takes
-them, so the batched values equal the scalar ones bit for bit;
-kernel_eval stays the one-point reference.
+The probes evaluate their points in batches.  Panel counts come from
+phi' on a coarse grid, sampled once per call and broadcast over up to
+_COUNT_POINTS points at a time.  Consecutive points form batches of up
+to BATCH_NODES nodes (a larger point is a batch alone); the batches run
+on a thread pool of jobs workers, and each evaluates its integrand
+CHUNK_PANELS panels at a time, so a worker's memory is bounded for
+every point: one chunk's integrand plus 24 bytes per panel of its
+batch.  Only the points whose embedded error estimate misses tolerance
+are re-run at 4x and then 16x finer panels.  Each point's
+sums are taken exactly as kernel_eval takes them, so the batched values
+equal the scalar ones bit for bit, for every chunk, batch and pool
+size; kernel_eval stays the one-point reference.
 
 Sampling windows follow the kernel's self-similar scales x ~ 1/N,
 t ~ 1/N^3, so empirical constants are comparable across dyadic N.
@@ -31,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoxTooSmallError, ConfigError, QuadratureAccuracyError
+from .pool import pool_map
 from .spectral import PhaseSymbol
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]
@@ -57,7 +63,10 @@ _GAUSS_SLICE = slice(1, 14, 2)  # Gauss-7 nodes sit at the odd Kronrod indices
 
 REGION_BOUNDARY_FACTOR = 4000.0
 MAX_NODES = 4_000_000
-BATCH_NODES = 1 << 16  # nodes per batched evaluation; a larger point runs alone
+BATCH_NODES = 1 << 16  # nodes per batch of points; a larger point is a batch alone
+CHUNK_PANELS = BATCH_NODES // 15  # panels per evaluation of the integrand
+_COARSE = 48  # coarse sub-intervals of [N, 4N], each with its own panel width
+_COUNT_POINTS = 1024  # points whose panel counts one broadcast takes
 _REFINES = (1.0, 4.0, 16.0)  # panel refinements tried in turn
 
 
@@ -113,39 +122,66 @@ class RegionTag(enum.Enum):
         return cls.NON_STATIONARY if abs(x) >= boundary else cls.STATIONARY
 
 
-def _panel_edges(x: float, t: float, spec: KernelSpec, symbol: PhaseSymbol,
-                 refine: float) -> np.ndarray:
-    """Panel edges over [N, 4N] with width <= local wavelength / 4.
-
-    Each of 48 coarse sub-intervals [a, b] gets m equal panels, its
-    edges built with the arithmetic of np.linspace(a, b, m + 1).  Raises
-    QuadratureAccuracyError (bound inf) before building more panels than
-    MAX_NODES nodes fill.
-    """
+def _coarse_samples(spec: KernelSpec):
+    """Ends a, b of the coarse sub-intervals of [N, 4N] and phi' at five
+    equispaced samples of each, shape (_COARSE, 5); the same for every
+    point, so taken once per call."""
     n_block = spec.block_start
-    coarse = np.linspace(n_block, 4.0 * n_block, 49)
+    coarse = np.linspace(n_block, 4.0 * n_block, _COARSE + 1)
     a, b = coarse[:-1], coarse[1:]
-    slope = x - t * symbol.derivative(np.linspace(a, b, 5, axis=1))
-    worst = np.max(np.abs(slope), axis=1) * 1.5 + 1e-30
+    return a, b, spec.symbol.derivative(np.linspace(a, b, 5, axis=1))
+
+
+def _panel_counts(xs: np.ndarray, ts: np.ndarray, coarse, refine: float) -> np.ndarray:
+    """Panels per coarse sub-interval for each point (xs[i], ts[i]), shape
+    (points, _COARSE): equal panels no wider than a quarter of the local
+    wavelength 2*pi/|x - t*phi'|, taken at the sub-interval's samples."""
+    a, b, dphi = coarse
+    slope = xs[:, None, None] - ts[:, None, None] * dphi
+    worst = np.max(np.abs(slope), axis=2) * 1.5 + 1e-30
     width_cap = 2.0 * np.pi / (4.0 * worst)
-    m = np.maximum(1, np.ceil((b - a) / width_cap * refine)).astype(np.intp)
-    last = np.cumsum(m)
-    if last[-1] * 15 > MAX_NODES:
-        raise QuadratureAccuracyError(math.inf, spec.tolerance)
-    j = np.arange(1, last[-1] + 1) - np.repeat(last - m, m)
-    edges = np.empty(last[-1] + 1)
-    edges[0] = n_block
-    edges[1:] = j * np.repeat((b - a) / m, m) + np.repeat(a, m)
-    edges[last] = b
-    return edges
+    return np.maximum(1, np.ceil((b - a) / width_cap * refine)).astype(np.intp)
+
+
+class _Panels:
+    """The panels of consecutive points (xs[i], ts[i]) with panel counts m,
+    point by point and coarse sub-interval by sub-interval; entry k of the
+    flattened (points, _COARSE) layout holds m.flat[k] equal panels."""
+
+    def __init__(self, xs: np.ndarray, ts: np.ndarray, m: np.ndarray, coarse):
+        self.xs, self.ts = xs, ts
+        self.a, self.b, _ = coarse
+        self.m = m.ravel()
+        self.width = ((self.b - self.a) / m).ravel()
+        self.stops = np.cumsum(self.m)
+        self.point_stops = self.stops[_COARSE - 1::_COARSE]
+        self.size = int(self.stops[-1])
+
+    def edges(self, lo: int, hi: int):
+        """Point index and left and right edges of panels lo..hi-1, with the
+        arithmetic of np.linspace(a, b, m + 1) per coarse sub-interval."""
+        p = np.arange(lo, hi)
+        k = np.searchsorted(self.stops, p, side="right")
+        j = p + 1 - (self.stops[k] - self.m[k])  # 1..m within entry k
+        a, width = self.a[k % _COARSE], self.width[k]
+        left = (j - 1) * width + a
+        right = np.where(j == self.m[k], self.b[k % _COARSE], j * width + a)
+        return k // _COARSE, left, right
 
 
 def _block_integral(x: float, t: float, spec: KernelSpec, symbol: PhaseSymbol,
                     refine: float):
-    """Gauss-Kronrod value and error estimate of the positive block."""
-    edges = _panel_edges(x, t, spec, symbol, refine)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
+    """Gauss-Kronrod value and error estimate of the positive block.
+    Raises QuadratureAccuracyError (bound inf) before building more
+    panels than MAX_NODES nodes fill."""
+    xs, ts = np.array([x], dtype=float), np.array([t], dtype=float)
+    coarse = _coarse_samples(spec)
+    panels = _Panels(xs, ts, _panel_counts(xs, ts, coarse, refine), coarse)
+    if panels.size * 15 > MAX_NODES:
+        raise QuadratureAccuracyError(math.inf, spec.tolerance)
+    _, left, right = panels.edges(0, panels.size)
+    mid = 0.5 * (left + right)
+    half = 0.5 * (right - left)
     nodes = (mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]).ravel()
     vals = np.exp(1j * (x * nodes - t * symbol(nodes))).reshape(half.size, -1)
     k15 = (vals * _KRONROD_WEIGHTS[None, :]).sum(axis=1) * half
@@ -187,61 +223,61 @@ class QuadratureStats:
     max_error: float = 0.0
 
 
-def _batch_integrals(xs: np.ndarray, ts: np.ndarray, edge_sets: list,
-                     symbol: PhaseSymbol):
-    """_block_integral for each (xs[i], ts[i]) with panels edge_sets[i],
-    from one evaluation of the integrand over all their nodes."""
-    counts = [e.size - 1 for e in edge_sets]
-    mid = np.concatenate([0.5 * (e[:-1] + e[1:]) for e in edge_sets])
-    half = np.concatenate([0.5 * (e[1:] - e[:-1]) for e in edge_sets])
-    x = np.repeat(xs, counts)[:, None]
-    t = np.repeat(ts, counts)[:, None]
-    nodes = mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]
-    vals = np.exp(1j * (x * nodes - t * symbol(nodes)))
-    k15 = (vals * _KRONROD_WEIGHTS[None, :]).sum(axis=1) * half
-    g7 = (vals[:, _GAUSS_SLICE] * _GAUSS_WEIGHTS[None, :]).sum(axis=1) * half
-    gap = np.abs(k15 - g7)
-    stops = np.cumsum(counts)
-    starts = stops - counts
-    values = np.array([k15[a:b].sum() for a, b in zip(starts, stops)])
-    errs = np.array([gap[a:b].sum() for a, b in zip(starts, stops)])
+def _batch_integrals(panels: _Panels, symbol: PhaseSymbol):
+    """_block_integral for each point of panels, the integrand evaluated
+    CHUNK_PANELS panels at a time.  The nodes lie in [N, 4N], so phi needs
+    no masking of xi = 0, and cos and sin of the real phase fill the
+    complex values that exp(1j*phase) would."""
+    k15 = np.empty(panels.size, dtype=complex)
+    gap = np.empty(panels.size)
+    vals = np.empty((min(CHUNK_PANELS, panels.size), 15), dtype=complex)
+    for lo in range(0, panels.size, CHUNK_PANELS):
+        hi = min(lo + CHUNK_PANELS, panels.size)
+        point, left, right = panels.edges(lo, hi)
+        mid = 0.5 * (left + right)
+        half = 0.5 * (right - left)
+        nodes = mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]
+        x, t = panels.xs[point][:, None], panels.ts[point][:, None]
+        phase = x * nodes - t * symbol.at_nonzero(nodes)
+        chunk = vals[:hi - lo]
+        np.cos(phase, out=chunk.real)
+        np.sin(phase, out=chunk.imag)
+        k15[lo:hi] = (chunk * _KRONROD_WEIGHTS[None, :]).sum(axis=1) * half
+        g7 = (chunk[:, _GAUSS_SLICE] * _GAUSS_WEIGHTS[None, :]).sum(axis=1) * half
+        gap[lo:hi] = np.abs(k15[lo:hi] - g7)
+    bounds = list(zip(np.concatenate(([0], panels.point_stops[:-1])), panels.point_stops))
+    values = np.array([k15[a:b].sum() for a, b in bounds])
+    errs = np.array([gap[a:b].sum() for a, b in bounds])
     return values, errs
 
 
-def _batches(xs: np.ndarray, ts: np.ndarray, points: np.ndarray, spec: KernelSpec,
-             symbol: PhaseSymbol, refine: float):
-    """Consecutive points with their panel edges, grouped up to
-    BATCH_NODES nodes (a larger point comes alone); yields (indices,
-    edge sets).  A point over MAX_NODES comes alone with edge sets None."""
-    batch, edge_sets, nodes = [], [], 0
-    for i in points:
-        try:
-            edges = _panel_edges(xs[i], ts[i], spec, symbol, refine)
-        except QuadratureAccuracyError:
-            yield np.array([i]), None
-            continue
-        size = (edges.size - 1) * 15
-        if batch and nodes + size > BATCH_NODES:
-            yield np.array(batch), edge_sets
-            batch, edge_sets, nodes = [], [], 0
-        batch.append(i)
-        edge_sets.append(edges)
-        nodes += size
-    if batch:
-        yield np.array(batch), edge_sets
+def _batches(rows: np.ndarray, nodes: np.ndarray) -> list:
+    """rows split into consecutive runs of up to BATCH_NODES nodes, a point
+    with more nodes forming a run alone."""
+    batches, start, total = [], 0, 0
+    for i, size in enumerate(nodes[rows].tolist()):
+        if i > start and total + size > BATCH_NODES:
+            batches.append(rows[start:i])
+            start, total = i, 0
+        total += size
+    if rows.size:
+        batches.append(rows[start:])
+    return batches
 
 
-def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats):
+def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int | None = None):
     """K at the points (xs[i], ts[i]) and each point's achieved error bound.
 
-    Equal bit for bit to kernel_eval point by point for t >= 0.  A point
-    that misses spec.tolerance after the last refinement gets value nan
-    and keeps its bound; a point whose panels exceed MAX_NODES gets nan
-    and bound inf.  Adds what the quadrature did to stats.
+    Equal bit for bit to kernel_eval point by point for t >= 0, for every
+    jobs.  A point that misses spec.tolerance after the last refinement
+    gets value nan and keeps its bound; a point whose panels exceed
+    MAX_NODES gets nan and bound inf.  Adds what the quadrature did to
+    stats.
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     symbol = spec.symbol
+    coarse = _coarse_samples(spec)
     values = np.full(xs.size, np.nan)
     achieved = np.full(xs.size, np.inf)
     todo = np.arange(xs.size)
@@ -250,17 +286,22 @@ def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats):
         if not todo.size:
             break
         reached[level] = todo.size
+        blocks = np.split(todo, np.arange(_COUNT_POINTS, todo.size, _COUNT_POINTS))
+        m = np.concatenate([_panel_counts(xs[b], ts[b], coarse, refine) for b in blocks])
+        nodes = 15 * m.sum(axis=1)
+        achieved[todo[nodes > MAX_NODES]] = math.inf
+        batches = [(todo[rows], m[rows])
+                   for rows in _batches(np.flatnonzero(nodes <= MAX_NODES), nodes)]
+        batches.sort(key=lambda batch: -int(batch[1].sum()))  # largest first, to balance
+        integrals = pool_map(lambda batch: _batch_integrals(
+            _Panels(xs[batch[0]], ts[batch[0]], batch[1], coarse), symbol), batches, jobs)
         missed = []
-        for batch, edge_sets in _batches(xs, ts, todo, spec, symbol, refine):
-            if edge_sets is None:
-                achieved[batch] = math.inf
-                continue
-            value, err = _batch_integrals(xs[batch], ts[batch], edge_sets, symbol)
+        for (batch, _), (value, err) in zip(batches, integrals):
             achieved[batch] = 2.0 * err
             ok = achieved[batch] <= spec.tolerance
             values[batch[ok]] = 2.0 * value.real[ok]
             missed.extend(batch[~ok])
-        todo = np.array(missed, dtype=np.intp)
+        todo = np.sort(np.array(missed, dtype=np.intp))
     finite = achieved[np.isfinite(achieved)]
     stats.points += xs.size
     stats.refined_x4 += reached[1]
@@ -318,13 +359,15 @@ SAMPLE_T_SPAN = 200.0
 
 
 def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
-                       seed: int = 0) -> DecayReport:
+                       seed: int = 0, jobs: int | None = None) -> DecayReport:
     """Empirical sup |K| / bound per region plus the stationary-region
     time-decay exponent fitted along a ray of fixed x.
 
     Sample windows scale with the block: x in (1/N, SAMPLE_X_SPAN/N], t in
     region-consistent slices of (0.2/N^3, SAMPLE_T_SPAN/N^3].  More than
-    10% quadrature failures in a region fails the probe.
+    10% quadrature failures in a region fails the probe.  jobs is the
+    number of quadrature threads, None for every available core; the
+    report does not depend on it.
     """
     rng = np.random.default_rng(seed)
     n_block = spec.block_start
@@ -335,7 +378,7 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
 
     def collect(tag, xs, ts):
         nonlocal total, skipped_total
-        values, achieved = _kernel_values(xs, ts, spec, stats)
+        values, achieved = _kernel_values(xs, ts, spec, stats, jobs)
         keep = achieved <= spec.tolerance
         skipped = int(xs.size - np.count_nonzero(keep))
         total += len(xs)
@@ -372,7 +415,7 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
     ])
     collect(RegionTag.STATIONARY, x3, t3)
 
-    exponent = stationary_ray_exponent(spec, stats=stats)
+    exponent = stationary_ray_exponent(spec, stats=stats, jobs=jobs)
 
     return DecayReport(
         spec=spec,
@@ -390,7 +433,8 @@ RAY_OFFSETS = (3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0)
 
 def stationary_ray_exponent(spec: KernelSpec, offsets=RAY_OFFSETS,
                             points_per_ray: int = 33,
-                            stats: QuadratureStats | None = None) -> float:
+                            stats: QuadratureStats | None = None,
+                            jobs: int | None = None) -> float:
     """Pooled time-decay exponent of |K| over rays x = -c/N.
 
     Each ray is sampled over the window where the stationary frequency
@@ -399,7 +443,7 @@ def stationary_ray_exponent(spec: KernelSpec, offsets=RAY_OFFSETS,
     weak-curvature edge).  Per-ray log-log data are de-meaned and fitted
     jointly, which averages out block-edge interference wiggles; the
     estimate is self-similar in N by construction.  stats, when given,
-    accumulates what the quadrature did.
+    accumulates what the quadrature did; jobs is as in region_decay_check.
     """
     n_block = spec.block_start
     slope_lo = abs(spec.symbol.derivative(n_block))
@@ -408,7 +452,8 @@ def stationary_ray_exponent(spec: KernelSpec, offsets=RAY_OFFSETS,
     rays_t = [np.exp(np.linspace(math.log(abs(x) / slope_hi), math.log(abs(x) / slope_lo),
                                  points_per_ray)) for x in rays_x]
     values, achieved = _kernel_values(np.repeat(rays_x, points_per_ray),
-                                      np.concatenate(rays_t), spec, stats or QuadratureStats())
+                                      np.concatenate(rays_t), spec, stats or QuadratureStats(),
+                                      jobs)
     _require_converged(achieved, spec)
     logs_t, logs_k = [], []
     for ts, ks in zip(rays_t, np.abs(values).reshape(len(rays_x), points_per_ray)):
@@ -433,13 +478,15 @@ class MixedNormReport:
 
 
 def kernel_mixed_norm(spec: KernelSpec, gamma_exp: float, c_t: float = 1.0,
-                      n_x: int = 120, n_t: int = 48) -> MixedNormReport:
+                      n_x: int = 120, n_t: int = 48,
+                      jobs: int | None = None) -> MixedNormReport:
     """|| sup_t |K| ||_{L_x^{g/2}} on the box [-X, X] x (0, T].
 
     T = c_t / N^3 (the kernel's self-similar time scale) and X is at
     least twice the region boundary 4000*a*N^2*T, so every |x| > X sits
     in the non-stationary region for all t <= T; the omitted tail is
-    then bounded by the x^{-2} envelope and must stay below 1%.
+    then bounded by the x^{-2} envelope and must stay below 1%.  jobs is
+    as in region_decay_check.
     """
     if gamma_exp < 7:
         raise ConfigError(f"gamma_exp must be >= 7, got {gamma_exp}")
@@ -453,7 +500,8 @@ def kernel_mixed_norm(spec: KernelSpec, gamma_exp: float, c_t: float = 1.0,
     xs = np.concatenate([-half[::-1], half])
 
     stats = QuadratureStats()
-    values, achieved = _kernel_values(np.repeat(xs, ts.size), np.tile(ts, xs.size), spec, stats)
+    values, achieved = _kernel_values(np.repeat(xs, ts.size), np.tile(ts, xs.size), spec, stats,
+                                      jobs)
     _require_converged(achieved, spec)
     sup_k = np.max(np.abs(values).reshape(xs.size, ts.size), axis=1, initial=0.0)
 

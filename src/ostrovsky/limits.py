@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowupError, ConfigError
+from .pool import pool_map
 from .solver import SolverConfig, Trajectory, evolve
 from .spectral import Field
 
@@ -149,12 +149,7 @@ def rotation_limit_sweep(cfg: SweepConfig, u0: Field) -> RateReport:
         except BlowupError as err:
             return gamma, err
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(point, cfg.gammas))
-    else:
-        outcomes = [point(g) for g in cfg.gammas]
-    for gamma, outcome in outcomes:
+    for gamma, outcome in pool_map(point, cfg.gammas, cfg.jobs):
         if isinstance(outcome, BlowupError):
             failures[gamma] = str(outcome)
             log.warning("gamma = %g blew up: %s", gamma, outcome)

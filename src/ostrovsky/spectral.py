@@ -160,7 +160,11 @@ class PhaseSymbol:
 
     def __call__(self, xi):
         """phi(xi), elementwise, with phi(0) = 0."""
-        return _off_zero(xi, lambda x: self.beta * x**3 + self.gamma / x)
+        return _off_zero(xi, self.at_nonzero)
+
+    def at_nonzero(self, xi):
+        """phi(xi) for an array xi with no zero entry, without the masking."""
+        return self.beta * xi**3 + self.gamma / xi
 
     def derivative(self, xi):
         """phi'(xi) = 3*beta*xi**2 - gamma/xi**2, elementwise, 0 at xi = 0."""

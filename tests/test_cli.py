@@ -243,6 +243,19 @@ class TestProbeEstimatesCommand:
         assert summary["refinement_skipped"] == {"grid_x2": 0, "window_x2": 0}
         assert (out / "ratios_2.057.csv").exists()
 
+    @pytest.mark.parametrize("flags,expected", [
+        ([], (5, 2)), (["--seed", "7"], (7, 2)), (["--draws", "3"], (5, 3)),
+        (["--seed", "7", "--draws", "3"], (7, 3)),
+    ])
+    def test_flag_beats_config(self, tmp_path, flags, expected):
+        cfg = write_cfg(tmp_path, "[probe-estimates]\nseed = 5\ndraws = 2\n")
+        out = tmp_path / "pe"
+        assert main(["probe-estimates", "--config", cfg, "--which", "2.057",
+                     "--out", str(out)] + flags) == 0
+        summary = json.loads((out / "summary_2.057.json").read_text())
+        assert (summary["seed"], summary["draws"]) == expected
+        assert json.loads((out / "manifest.json").read_text())["seed"] == expected[0]
+
 
 class TestSweepCommand:
     def test_rate_json_has_finite_slope(self, tmp_path):
@@ -298,7 +311,16 @@ class TestInvariantsCommand:
         (lambda lines: lines[:5] + ["abc"] + lines[6:], "non-numeric sample"),
         (lambda lines: [lines[0].replace(', "k": 5', "")] + lines[1:], "header lacks k"),
         (lambda lines: ["[128, 20.0]"] + lines[1:], "not a JSON object"),
-    ], ids=["non_numeric_sample", "header_without_k", "header_not_object"])
+        (lambda lines: [lines[0].replace('"n": 128', '"n": "abc"')] + lines[1:],
+         "header n = 'abc' is not an integer"),
+        (lambda lines: [lines[0].replace('"k": 5', '"k": 5.7')] + lines[1:],
+         "header k = 5.7 is not an integer"),
+        (lambda lines: [lines[0].replace('"L": 20.0', '"L": Infinity')] + lines[1:],
+         "header L = inf is not a finite number"),
+        (lambda lines: [lines[0].replace('"beta": -1.0', '"beta": "-1"')] + lines[1:],
+         "header beta = '-1' is not a finite number"),
+    ], ids=["non_numeric_sample", "header_without_k", "header_not_object", "string_n",
+            "fractional_k", "infinite_L", "string_beta"])
     def test_malformed_snapshot_exits_one_with_one_line(self, tmp_path, capsys, edit, message):
         cfg = write_invariants_cfg(tmp_path, edit)
         assert main(["invariants", "--config", cfg, "--out", str(tmp_path / "inv")]) == 1
@@ -323,11 +345,15 @@ class TestManifest:
 class TestProbeKernelCommand:
     def test_summary_reports_quadrature_per_block(self, tmp_path, monkeypatch):
         small = cli.kernel_mixed_norm
-        monkeypatch.setattr(cli, "kernel_mixed_norm",
-                            lambda spec, gamma_exp: small(spec, gamma_exp, n_x=8, n_t=4))
+        monkeypatch.setattr(cli, "kernel_mixed_norm", lambda spec, gamma_exp, **jobs:
+                            small(spec, gamma_exp, n_x=8, n_t=4, **jobs))
         cfg = write_cfg(tmp_path, "[probe-kernel]\nblocks = 8 16\nsamples_per_region = 3\n")
         out = tmp_path / "out"
         assert main(["probe-kernel", "--config", cfg, "--out", str(out)]) == 0
+        serial = tmp_path / "serial"
+        assert main(["probe-kernel", "--config", cfg, "--out", str(serial), "--jobs", "1"]) == 0
+        for name in ("kernel_regions.csv", "kernel_summary.json"):
+            assert (out / name).read_bytes() == (serial / name).read_bytes()
         summary = json.loads((out / "kernel_summary.json").read_text())
         assert sorted(summary) == ["blocks", "gamma_exp", "quadrature"]
         assert sorted(summary["quadrature"]) == sorted(summary["blocks"]) == ["16.0", "8.0"]

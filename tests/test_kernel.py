@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +14,10 @@ from ostrovsky.kernel import (
     QuadratureStats,
     RegionTag,
     _block_integral,
+    _coarse_samples,
     _kernel_values,
-    _panel_edges,
+    _panel_counts,
+    _Panels,
     kernel_eval,
     kernel_mixed_norm,
     region_decay_check,
@@ -162,7 +167,7 @@ def refinement_spec(n_block, level):
     return KernelSpec(n_block, -1.0, 1.0, tolerance=0.5 * (bounds[level - 1] + bounds[level]))
 
 
-def scalar_values(xs, ts, spec, stats):
+def scalar_values(xs, ts, spec, stats, jobs=None):
     """_kernel_values by one kernel_eval per point; kernel_eval does not
     return the bound of a converged point, so it reads 0 there."""
     values, achieved = np.full(len(xs), np.nan), np.full(len(xs), np.inf)
@@ -238,6 +243,7 @@ class TestPanelEdges:
     @pytest.mark.parametrize("refine", [1.0, 4.0, 16.0])
     @pytest.mark.parametrize("n_block", [8.0, 16.0, 32.0])
     def test_equal_to_per_interval_linspace(self, n_block, refine):
+        # all points' panels built at once, then again in uneven pieces
         spec = KernelSpec(n_block, -1.0, 1.0)
         rng = np.random.default_rng(int(n_block * refine))
         points = region_points(n_block)[:-1]
@@ -246,9 +252,20 @@ class TestPanelEdges:
             points.append((x, 10 ** rng.uniform(-4.0, 2.0) / n_block**3))
         tags = {RegionTag.classify(x, t, spec) for x, t in points}
         assert tags == set(RegionTag)
-        for x, t in points:
-            assert np.array_equal(_panel_edges(x, t, spec, spec.symbol, refine),
-                                  reference_panel_edges(x, t, spec, refine))
+        xs, ts = np.array(points).T
+        coarse = _coarse_samples(spec)
+        panels = _Panels(xs, ts, _panel_counts(xs, ts, coarse, refine), coarse)
+        point, left, right = panels.edges(0, panels.size)
+        pieces = [panels.edges(lo, min(lo + 997, panels.size))
+                  for lo in range(0, panels.size, 997)]
+        assert np.array_equal(np.concatenate([p[1] for p in pieces]), left)
+        assert np.array_equal(np.concatenate([p[2] for p in pieces]), right)
+        starts = np.concatenate(([0], panels.point_stops[:-1]))
+        for i, (a, b) in enumerate(zip(starts, panels.point_stops)):
+            ref = reference_panel_edges(xs[i], ts[i], spec, refine)
+            assert np.array_equal(left[a:b], ref[:-1])
+            assert np.array_equal(right[a:b], ref[1:])
+            assert np.array_equal(point[a:b], np.full(b - a, i))
 
 
 class TestBatchedQuadrature:
@@ -270,14 +287,43 @@ class TestBatchedQuadrature:
         assert stats.refined_x4 >= 1 and (stats.refined_x16 >= 1) == (level == 2)
         assert stats.max_error == np.max(achieved[np.isfinite(achieved)])
 
-    @pytest.mark.parametrize("budget", [1, 3000, 1 << 40])
-    def test_independent_of_batch_budget(self, monkeypatch, budget):
+    @staticmethod
+    def assert_unchanged_with(monkeypatch, name, size):
+        """_kernel_values equal bit for bit after setting kernel.<name> = size."""
         spec = refinement_spec(16.0, 1)
         xs, ts = np.array(region_points(16.0)[:-1]).T
         base = _kernel_values(xs, ts, spec, QuadratureStats())
-        monkeypatch.setattr(kernel, "BATCH_NODES", budget)
+        monkeypatch.setattr(kernel, name, size)
         for a, b in zip(base, _kernel_values(xs, ts, spec, QuadratureStats())):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("budget", [1, 3000, 1 << 40])
+    def test_independent_of_batch_budget(self, monkeypatch, budget):
+        self.assert_unchanged_with(monkeypatch, "BATCH_NODES", budget)
+
+    @pytest.mark.parametrize("name,size", [
+        ("CHUNK_PANELS", 1), ("CHUNK_PANELS", 7), ("CHUNK_PANELS", 1 << 40),
+        ("_COUNT_POINTS", 2),
+    ])
+    def test_independent_of_chunk_and_count_block(self, monkeypatch, name, size):
+        self.assert_unchanged_with(monkeypatch, name, size)
+
+    def test_points_over_budget_in_bounded_memory(self):
+        # two points of about 680,000 nodes each, side by side on two
+        # threads; evaluated whole, one point alone took about 29 MiB
+        spec = KernelSpec(16.0, -1.0, 1.0)
+        xs, ts = np.full(2, -0.0630), np.full(2, 0.180)
+        nodes = 15 * _panel_counts(xs, ts, _coarse_samples(spec), 1.0).sum(axis=1)
+        assert np.all(nodes > 10 * kernel.BATCH_NODES)
+        tracemalloc.start()
+        try:
+            values, achieved = _kernel_values(xs, ts, spec, QuadratureStats(), jobs=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert values[0] == values[1] == kernel_eval(-0.0630, 0.180, spec)
+        assert np.all(achieved <= spec.tolerance)
 
     def test_tolerance_miss_keeps_bound(self):
         spec = KernelSpec(8.0, -1.0, 1.0, tolerance=1e-16)
@@ -285,6 +331,38 @@ class TestBatchedQuadrature:
         values, achieved = _kernel_values(xs, ts, spec, QuadratureStats())
         assert np.all(np.isnan(values))
         assert np.array_equal(achieved, scalar_values(xs, ts, spec, None)[1])
+
+
+def assert_identical(a, b):
+    """Reports equal field by field, arrays bit for bit."""
+    if dataclasses.is_dataclass(a):
+        for field in dataclasses.fields(a):
+            assert_identical(getattr(a, field.name), getattr(b, field.name))
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_identical(a[key], b[key])
+    else:
+        assert np.array_equal(a, b)
+
+
+class TestWorkerCount:
+    def test_reports_independent_of_jobs(self, monkeypatch):
+        # a small batch budget gives each probe many batches to share out,
+        # and a short switch interval interleaves the threads finely
+        monkeypatch.setattr(kernel, "BATCH_NODES", 2000)
+        spec = KernelSpec(8.0, -1.0, 1.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = [(region_decay_check(spec, samples_per_region=6, seed=4, jobs=jobs),
+                        kernel_mixed_norm(spec, 8.0, n_x=10, n_t=6, jobs=jobs))
+                       for jobs in (1, 2, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        for decay, mixed in reports[1:]:
+            assert_identical(decay, reports[0][0])
+            assert_identical(mixed, reports[0][1])
 
 
 class TestProbesEqualScalarLoops:
@@ -314,7 +392,7 @@ class TestProbesEqualScalarLoops:
         spec = KernelSpec(8.0, -1.0, 1.0)
         base = region_decay_check(spec, samples_per_region=20, seed=2)
         stat = base.regions["STATIONARY"]
-        nodes = sorted((_panel_edges(x, t, spec, spec.symbol, 1.0).size - 1) * 15
+        nodes = sorted((reference_panel_edges(x, t, spec, 1.0).size - 1) * 15
                        for x, t in zip(stat.x, stat.t))
         monkeypatch.setattr(kernel, "MAX_NODES", nodes[-2])
         capped = region_decay_check(spec, samples_per_region=20, seed=2)
