@@ -99,6 +99,20 @@ class TestSnapshotFormat:
         assert np.array_equal(loaded.samples(), field.samples())
         assert header == {"n": 64, "L": 11.0, "beta": -1.0, "gamma": 0.5, "k": 5, "t": 0.25}
 
+    def test_text_matches_per_sample_reference(self, tmp_path, rng):
+        # one shortest-round-trip repr per line, as a per-sample loop writes it
+        grid = Grid(64, 11.0)
+        samples = rng.standard_normal(64) * 10.0 ** rng.integers(-300, 100, 64)
+        samples[:4] = [-0.0, 5e-324, 0.1, -1e100 / 3]
+        field = Field.from_samples(grid, samples)
+        path = tmp_path / "snap.dat"
+        write_snapshot(path, field, beta=-1.0, gamma=0.5, k=5, t=0.25)
+        header = {"n": 64, "L": 11.0, "beta": -1.0, "gamma": 0.5, "k": 5, "t": 0.25}
+        expected = json.dumps(header) + "\n" + "".join(repr(float(v)) + "\n" for v in samples)
+        assert path.read_text() == expected
+        loaded, _ = read_snapshot(path)
+        assert loaded.samples().tobytes() == samples.tobytes()
+
     def test_non_finite_sample_rejected(self, tmp_path):
         path = tmp_path / "snap.dat"
         write_snapshot(path, Field.zero(Grid(8, 1.0)), -1.0, 1.0, 5, 0.0)

@@ -14,6 +14,9 @@ from ostrovsky.errors import (
 from ostrovsky.norms import h_s_norm
 from ostrovsky.solver import (
     SolverConfig,
+    _flux_table,
+    _int_power,
+    _nonlinear_coeffs,
     evolve,
     gaussian_bump,
     hamiltonian,
@@ -108,12 +111,69 @@ class TestNonlinearTerm:
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_batched_rows_equal_single_rows(self, n, rng):
         # picard_iterate evaluates a whole time lattice in one call
-        from ostrovsky.solver import _nonlinear_coeffs
-
         g = Grid(n, 40.0)
         rows = np.array([(0.3 * random_mean_zero(g, rng)).coeffs for _ in range(5)])
         single = np.array([nonlinear_term(Field(g, r), 5).coeffs for r in rows])
         assert np.array_equal(_nonlinear_coeffs(rows, g, 5), single)
+
+
+def pow_and_mask_flux(coeffs, grid, k):
+    """The flux as computed before the cached table: np.power, then a mask
+    of the modes past the dealias cutoff, then the derivative factors."""
+    n = grid.n_points
+    u = np.fft.ifft(coeffs * n).real
+    c = np.fft.fft(u ** (k + 1)) / n
+    c[..., np.abs(grid.mode_numbers) > dealias_cutoff(n, k + 1)] = 0.0
+    out = (-1.0 / (k + 1)) * (1j * grid.wavenumbers) * c
+    out[..., grid.nyquist_index] = 0.0
+    out[..., 0] = 0.0
+    return out
+
+
+class TestFastFlux:
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_pow_and_mask_reference(self, n, k, rng):
+        g = Grid(n, 40.0)
+        single = (0.8 * random_mean_zero(g, rng, band_fraction=1.0)).coeffs
+        rows = np.array([(0.8 * random_mean_zero(g, rng)).coeffs for _ in range(3)])
+        for coeffs in (single, rows):
+            ref = pow_and_mask_flux(coeffs, g, k)
+            fast = _nonlinear_coeffs(coeffs, g, k)
+            assert fast.shape == ref.shape
+            assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_int_power_matches_np_power(self, p, rng):
+        # every bit pattern of p up to 9, since the in-place updates differ per bit
+        u = rng.standard_normal(257) * 3.0
+        kept = u.copy()
+        out = _int_power(u, p)
+        assert np.array_equal(u, kept) and not np.shares_memory(out, u)
+        ref = u**p
+        assert np.all(np.abs(out - ref) <= p * 2.2e-16 * np.abs(ref))
+        strided = _int_power(np.fft.ifft(u).real, p)  # the view _nonlinear_coeffs powers
+        ref = np.fft.ifft(u).real ** p
+        assert np.all(np.abs(strided - ref) <= p * 2.2e-16 * np.abs(ref))
+
+    def test_int_power_overflow_gives_inf(self):
+        with np.errstate(over="ignore"):
+            assert np.all(np.isinf(_int_power(np.array([3e51, -3e51]), 6)))
+
+    def test_nan_sample_raises_nonfinite(self):
+        g = Grid(64, 10.0)
+        samples = np.sin(2 * np.pi * g.x / 10.0)
+        samples[7] = np.nan
+        with pytest.raises(NonFiniteError):
+            _nonlinear_coeffs(np.fft.fft(samples) / 64, g, 5)
+
+    def test_equal_grids_share_one_read_only_table(self):
+        a = _flux_table(Grid(256, 40.0), 5)
+        assert _flux_table(Grid(256, 40.0), 5) is a
+        assert not a.flags.writeable
+        other = _flux_table(Grid(256, 41.0), 5)
+        assert other is not a and not np.array_equal(other, a)
+        assert _flux_table(Grid(256, 40.0), 4) is not a
 
 
 class TestStep:
@@ -269,6 +329,26 @@ class TestEvolve:
         with pytest.raises(BlowupError) as exc:
             evolve(u0, cfg, snapshot_every=1)
         assert exc.value.step_index == 3
+
+    def test_cfl_guard_at_snapshots(self):
+        # data that refocuses under linear dispersion: max|u| grows past its
+        # t = 0 value, so dt at the t = 0 bound breaches the bound later
+        g = Grid(128, 20.0)
+        cfg = small_config(g, gamma=0.0, t_end=0.5, include_nonlinearity=False)
+        bump = gaussian_bump(g, amplitude=1.0, width=1.0)
+        u0 = apply_multiplier(bump, MultiplierSpec.propagator(-0.5, cfg.symbol))
+        u0 = u0 * (1.2 / np.max(np.abs(u0.samples())))
+        at_bound = cfg.replace(dt=cfg.timestep_bound(u0))
+        at_bound.validate_timestep(u0)
+        with pytest.raises(BlowupError, match=r"exceeds the advection bound .*max\|u\|") as exc:
+            evolve(u0, at_bound, snapshot_every=2)
+        assert exc.value.step_index > 0 and exc.value.step_index % 2 == 0
+        # a dt inside the bound of the refocused peak passes every snapshot
+        fine = evolve(u0, cfg.replace(dt=1e-3), snapshot_every=1)
+        peak = max(np.max(np.abs(f.samples())) for f in fine.fields)
+        assert peak > 1.5
+        safe = cfg.replace(dt=0.9 * cfg.cfl_safety * g.dx / peak**cfg.k)
+        assert evolve(u0, safe, snapshot_every=2).times[-1] == 0.5
 
     def test_snapshot_cadence_validated(self, rng):
         g = Grid(64, 10.0)
