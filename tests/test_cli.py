@@ -23,7 +23,7 @@ from ostrovsky.io import read_snapshot, write_snapshot
 from ostrovsky.kernel import KernelSpec
 from ostrovsky.limits import SweepConfig
 from ostrovsky.solver import SolverConfig, gaussian_bump
-from ostrovsky.spectral import Field, Grid
+from ostrovsky.spectral import Field, Grid, MultiplierSpec, apply_multiplier
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -183,6 +183,24 @@ class TestSolveCommand:
         assert len(lines) == 1 and lines[0].startswith("run aborted:"), proc.stderr
         assert "Hamiltonian overflowed" in lines[0]
         assert not (out / "traces.csv").exists()
+
+    def test_cfl_breach_after_t0_exits_two_with_one_line(self, tmp_path, capsys):
+        # data that refocuses under dispersion, with dt at its t = 0 bound
+        grid = Grid(128, 20.0)
+        cfg = SolverConfig(beta=-1.0, gamma=1.0, k=5, dt=0.01, t_end=0.5, grid=grid)
+        bump = gaussian_bump(grid, amplitude=1.0, width=1.0)
+        field = apply_multiplier(bump, MultiplierSpec.propagator(-0.5, cfg.symbol))
+        field = Field.from_samples(grid, field.samples() * (1.2 / np.max(np.abs(field.samples()))))
+        snap = tmp_path / "snap.dat"
+        write_snapshot(snap, field, -1.0, 1.0, 5, 0.0)
+        text = SOLVE_CFG.replace("initial = gaussian", f"initial = file:{snap}")
+        text = text.replace("dt = 0.01", f"dt = {cfg.timestep_bound(field)!r}")
+        text = text.replace("t_end = 0.1", "t_end = 0.5").replace("snapshot_every = 5", "snapshot_every = 2")
+        cfg_path = write_cfg(tmp_path, text)
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "blowup detected at step" in err and "exceeds the advection bound" in err
 
     def test_nonzero_mean_snapshot_exits_one_with_one_line(self, tmp_path, capsys):
         grid = Grid(128, 20.0)
