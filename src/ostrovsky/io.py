@@ -31,9 +31,9 @@ def write_snapshot(path, field: Field, beta: float, gamma: float, k: int, t: flo
         "k": k,
         "t": t,
     }
-    lines = "".join(f"{v!r}\n" for v in field.samples().tolist())
+    samples = "\n".join(map(repr, field.samples().tolist()))
     with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n" + lines)
+        fh.write(json.dumps(header) + "\n" + samples + "\n")
 
 
 SNAPSHOT_KEYS = ("n", "L", "beta", "gamma", "k")  # header keys a reader needs
