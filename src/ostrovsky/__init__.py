@@ -10,8 +10,6 @@ from .spectral import (  # noqa: F401
     MultiplierSpec,
     PhaseSymbol,
     apply_multiplier,
-    dealias,
-    frequency_threshold,
     project_zero_mean,
 )
 from .norms import (  # noqa: F401
@@ -19,10 +17,8 @@ from .norms import (  # noqa: F401
     SpaceTimeField,
     h_s_norm,
     mixed_norm,
-    time_bump,
     x_s_norm,
     xsb_norm,
-    xtilde_sb_norm,
 )
 from .solver import (  # noqa: F401
     SolverConfig,
@@ -39,7 +35,6 @@ from .limits import (  # noqa: F401
     SweepConfig,
     gronwall_consistency_check,
     rotation_limit_sweep,
-    xs_growth_monitor,
 )
 from .kernel import (  # noqa: F401
     KernelSpec,

@@ -2,8 +2,9 @@
 
 Subcommands: solve, sweep-gamma, probe-kernel, probe-estimates,
 picard-check, invariants.  Every command reads a line-oriented config
-(plus a few flag overrides), writes its artifacts into --out, and drops
-a manifest.json sufficient to reproduce the run bit-exactly.
+(plus a few flag overrides), rejects any key of its section that it did
+not read, writes its artifacts into --out, and drops a manifest.json
+sufficient to reproduce the run bit-exactly.
 
 Exit codes, each with a one-line message: 0 success, 1 configuration or
 input error, 2 run aborted (numerical failure), 3 invariant violation
@@ -107,7 +108,8 @@ def _initial_field(section, grid: Grid, cfg: SolverConfig) -> Field:
         )
         log.info("soliton residual %.3e, projection defect %.3e",
                  info["residual"], info["projection_defect"])
-        if cfg.gamma == 0.0 and section.get_int("keep_background", 1):
+        keep_background = section.get_int("keep_background", 1)  # used at gamma = 0 only
+        if cfg.gamma == 0.0 and keep_background:
             c = field.coeffs.copy()
             c[0] = info["projection_defect"]
             return Field(grid, c)
@@ -141,6 +143,7 @@ def cmd_solve(args) -> int:
     cfg = _solver_config(section, grid)
     u0 = _initial_field(section, grid, cfg)
     snapshot_every = section.get_int("snapshot_every", 10)
+    section.reject_unread()
     out = ensure_dir(args.out)
     traj = evolve(u0, cfg, snapshot_every)
     for i, (t, field) in enumerate(zip(traj.times, traj.fields)):
@@ -161,6 +164,7 @@ def cmd_sweep_gamma(args) -> int:
     config = load_config(args.config)
     section = config.section("sweep-gamma")
     grid = _grid_from(section)
+    section.get_float("gamma", 1.0)  # accepted but unused: each sweep point sets gamma
     template = _solver_config(section, grid, gamma=1.0)
     sweep = SweepConfig(
         template=template,
@@ -170,6 +174,7 @@ def cmd_sweep_gamma(args) -> int:
                  snapshot_every=section.get_int, floor_factor=section.get_float),
     )
     u0 = _initial_field(section, grid, template)
+    section.reject_unread()
     out = ensure_dir(args.out)
     report = rotation_limit_sweep(sweep, u0)
     write_csv(os.path.join(out, "rate.csv"), {
@@ -208,6 +213,7 @@ def cmd_probe_kernel(args) -> int:
     gamma_exp = section.get_float("gamma_exp", 8.0)
     blocks = section.get_floats("blocks", (16.0, 32.0, 64.0))
     sampling = _given(section, samples_per_region=section.get_int)
+    section.reject_unread()
     out = ensure_dir(args.out)
 
     rows = {"region": [], "x": [], "t": [], "absK": [], "bound": [], "ratio": []}
@@ -258,6 +264,7 @@ def cmd_probe_estimates(args) -> int:
         overrides = _given(section, n=section.get_int, n_t=section.get_int, **dict.fromkeys(
             ("beta", "gamma", "b", "epsilon", "threshold", "law_param", "t_window", "length"),
             section.get_float))
+        section.reject_unread()
     seed, draws = picked.get("seed", DEFAULT_SEED), picked.get("draws", DEFAULT_DRAWS)
     tag = args.which
     if tag not in ALL_TAGS:
@@ -297,11 +304,13 @@ def cmd_picard_check(args) -> int:
     u0 = _initial_field(section, grid, cfg)
     delta = section.get_float("delta")
     n_iters = section.get_int("iterations", 12)
+    cross_check = section.get_int("cross_check", 1)
+    section.reject_unread()
     out = ensure_dir(args.out)
     stf, diffs = picard_iterate(u0, cfg, delta, n_iters)
     final = Field.from_samples(grid, stf.values[-1])
     cross = None
-    if section.get_int("cross_check", 1):
+    if cross_check:
         traj = evolve(u0, cfg.replace(t_end=delta), snapshot_every=10**9)
         cross = (traj.final() - final).l2_norm()
     u0_l2 = max(u0.l2_norm(), 1e-300)
@@ -343,6 +352,7 @@ def cmd_invariants(args) -> int:
         # half the step the CFL guard admits, shortened to divide the horizon
         dt = horizon / max(1, int(math.ceil(horizon / (0.5 * cfg.timestep_bound(field)))))
     cfg = cfg.replace(dt=dt)
+    section.reject_unread()
     out = ensure_dir(args.out)
     traj = evolve(field, cfg, snapshot_every=max(1, int(round(horizon / dt / 16))))
     l2_drift, h_drift, drift_ok = conservation_drift(traj)

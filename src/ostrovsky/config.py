@@ -2,7 +2,9 @@
 
 Config files are plain text: `[section]` headers, `key = value` lines,
 `#` comments.  Values stay strings until a typed accessor asks for them,
-so error messages can name the offending key and file.
+so error messages can name the offending key and file.  A section
+remembers which keys were asked for, so a command can reject the keys
+it never read (a misspelt key would otherwise be silently ignored).
 """
 
 from __future__ import annotations
@@ -18,29 +20,33 @@ from .errors import ConfigError
 
 
 class Config:
-    def __init__(self, sections: dict, source: str = "<memory>"):
+    def __init__(self, sections: dict, source: str = "<memory>", lines: dict | None = None):
         self._sections = sections
         self.source = source
+        self._lines = lines or {}  # section -> key -> line number in source
 
     def section(self, name: str) -> "Section":
         if name not in self._sections:
             raise ConfigError(f"{self.source}: missing section [{name}]")
-        return Section(name, self._sections[name], self.source)
+        return Section(name, self._sections[name], self.source, self._lines.get(name))
 
     def as_dict(self) -> dict:
         return {k: dict(v) for k, v in self._sections.items()}
 
 
 class Section:
-    def __init__(self, name: str, values: dict, source: str):
+    def __init__(self, name: str, values: dict, source: str, lines: dict):
         self.name = name
         self._values = values
         self.source = source
+        self._lines = lines  # key -> line number in source
+        self._read = set()
 
     def _lookup(self, key: str, default, parse, kind: str):
         """parse(value) of key; default when key is absent, ConfigError
         naming key and file when it is absent without a default or when
         parse rejects the value."""
+        self._read.add(key)
         if key not in self._values:
             if default is None:
                 raise ConfigError(
@@ -68,6 +74,14 @@ class Section:
     def keys(self):
         return self._values.keys()
 
+    def reject_unread(self):
+        """ConfigError naming file, line and key for the first key, in file
+        order, that no accessor has asked for."""
+        for key in self._values:
+            if key not in self._read:
+                raise ConfigError(
+                    f"{self.source}:{self._lines[key]}: unknown key `{key}` in [{self.name}]")
+
 
 def _float_list(raw: str) -> tuple:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
@@ -75,6 +89,7 @@ def _float_list(raw: str) -> tuple:
 
 def parse_config_text(text: str, source: str = "<memory>") -> Config:
     sections: dict = {}
+    lines: dict = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -85,6 +100,7 @@ def parse_config_text(text: str, source: str = "<memory>") -> Config:
             if not current:
                 raise ConfigError(f"{source}:{lineno}: empty section name")
             sections.setdefault(current, {})
+            lines.setdefault(current, {})
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected `key = value`, got {raw!r}")
@@ -96,7 +112,8 @@ def parse_config_text(text: str, source: str = "<memory>") -> Config:
         if key in sections[current]:
             raise ConfigError(f"{source}:{lineno}: duplicate key `{key}` in [{current}]")
         sections[current][key] = value
-    return Config(sections, source)
+        lines[current][key] = lineno
+    return Config(sections, source, lines)
 
 
 def load_config(path) -> Config:

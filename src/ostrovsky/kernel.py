@@ -68,16 +68,17 @@ CHUNK_PANELS = BATCH_NODES // 15  # panels per evaluation of the integrand
 _COARSE = 48  # coarse sub-intervals of [N, 4N], each with its own panel width
 _COUNT_POINTS = 1024  # points whose panel counts one broadcast takes
 _REFINES = (1.0, 4.0, 16.0)  # panel refinements tried in turn
+RELATIVE_TOLERANCE = 1e-12  # error bound relative to the |K| <= 6N envelope
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """Frequency block [N, 4N] in |xi| plus the phase coefficients.
 
-    threshold is the desk-scale stand-in for the dyadic frequency
-    cutoff entering the region boundary |x| = 4000*a*N^2*t; the
-    formula-derived value is available from spectral.frequency_threshold
-    but is far too large for O(1) coefficients.
+    threshold is the desk-scale stand-in a for the dyadic frequency
+    cutoff entering the region boundary |x| = 4000*a*N^2*t; the paper's
+    cutoff 2^[A] is far too large for O(1) coefficients (2^99 at
+    beta = -1, gamma = 1).
     """
 
     block_start: float
@@ -99,6 +100,14 @@ class KernelSpec:
     @property
     def symbol(self) -> PhaseSymbol:
         return PhaseSymbol(self.beta, self.gamma)
+
+    @property
+    def accepted_error(self) -> float:
+        """Largest achieved error bound a point may have, QUADPACK's
+        max(epsabs, epsrel*|I|) with the |K| <= 6N envelope for |I|: the
+        bound's rounding floor grows with N.  At the default tolerance it
+        is 1e-9 up to N = 166."""
+        return max(self.tolerance, RELATIVE_TOLERANCE * 6.0 * self.block_start)
 
     def region_time_boundary(self, x: float) -> float:
         """t above which (x, t) leaves the non-stationary region."""
@@ -178,7 +187,7 @@ def _block_integral(x: float, t: float, spec: KernelSpec, symbol: PhaseSymbol,
     coarse = _coarse_samples(spec)
     panels = _Panels(xs, ts, _panel_counts(xs, ts, coarse, refine), coarse)
     if panels.size * 15 > MAX_NODES:
-        raise QuadratureAccuracyError(math.inf, spec.tolerance)
+        raise QuadratureAccuracyError(math.inf, spec.accepted_error)
     _, left, right = panels.edges(0, panels.size)
     mid = 0.5 * (left + right)
     half = 0.5 * (right - left)
@@ -193,18 +202,18 @@ def kernel_eval(x: float, t: float, spec: KernelSpec) -> float:
     """K(x, t), real by the conjugate symmetry of the two blocks.
 
     Raises QuadratureAccuracyError with the achieved bound when the
-    embedded error estimate cannot be brought under spec.tolerance.
+    embedded error estimate cannot be brought under spec.accepted_error.
     """
     if t < 0:
         raise ConfigError(f"t must be >= 0, got {t}")
-    symbol = spec.symbol
+    symbol, accepted = spec.symbol, spec.accepted_error
     achieved = math.inf
     for refine in _REFINES:
         value, err = _block_integral(x, t, spec, symbol, refine)
         achieved = 2.0 * err
-        if achieved <= spec.tolerance:
+        if achieved <= accepted:
             return 2.0 * value.real
-    raise QuadratureAccuracyError(achieved, spec.tolerance)
+    raise QuadratureAccuracyError(achieved, accepted)
 
 
 @dataclass
@@ -269,14 +278,14 @@ def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int |
     """K at the points (xs[i], ts[i]) and each point's achieved error bound.
 
     Equal bit for bit to kernel_eval point by point for t >= 0, for every
-    jobs.  A point that misses spec.tolerance after the last refinement
+    jobs.  A point that misses spec.accepted_error after the last refinement
     gets value nan and keeps its bound; a point whose panels exceed
     MAX_NODES gets nan and bound inf.  Adds what the quadrature did to
     stats.
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
-    symbol = spec.symbol
+    symbol, accepted = spec.symbol, spec.accepted_error
     coarse = _coarse_samples(spec)
     values = np.full(xs.size, np.nan)
     achieved = np.full(xs.size, np.inf)
@@ -298,7 +307,7 @@ def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int |
         missed = []
         for (batch, _), (value, err) in zip(batches, integrals):
             achieved[batch] = 2.0 * err
-            ok = achieved[batch] <= spec.tolerance
+            ok = achieved[batch] <= accepted
             values[batch[ok]] = 2.0 * value.real[ok]
             missed.extend(batch[~ok])
         todo = np.sort(np.array(missed, dtype=np.intp))
@@ -313,9 +322,9 @@ def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int |
 
 def _require_converged(achieved: np.ndarray, spec: KernelSpec):
     """Raise, as kernel_eval would, for the first point that failed."""
-    failed = np.flatnonzero(~(achieved <= spec.tolerance))
+    failed = np.flatnonzero(~(achieved <= spec.accepted_error))
     if failed.size:
-        raise QuadratureAccuracyError(float(achieved[failed[0]]), spec.tolerance)
+        raise QuadratureAccuracyError(float(achieved[failed[0]]), spec.accepted_error)
 
 
 @dataclass
@@ -379,12 +388,12 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
     def collect(tag, xs, ts):
         nonlocal total, skipped_total
         values, achieved = _kernel_values(xs, ts, spec, stats, jobs)
-        keep = achieved <= spec.tolerance
+        keep = achieved <= spec.accepted_error
         skipped = int(xs.size - np.count_nonzero(keep))
         total += len(xs)
         skipped_total += skipped
         if skipped > 0.1 * len(xs):
-            raise QuadratureAccuracyError(math.inf, spec.tolerance)
+            raise QuadratureAccuracyError(math.inf, spec.accepted_error)
         keep_x, keep_t = xs[keep], ts[keep]
         abs_k = np.abs(values[keep])
         bound = _region_bound(tag, keep_x, keep_t, spec)

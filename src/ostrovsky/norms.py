@@ -58,9 +58,6 @@ class SpaceTimeField:
     def dt(self) -> float:
         return self.t_window / self.n_t
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_t) * self.dt
-
     def tau(self) -> np.ndarray:
         """Temporal DFT frequencies with the Nyquist housed positive."""
         n_t = self.n_t
@@ -157,7 +154,7 @@ def norm_record(name: str, value: float, **params) -> dict:
     return record
 
 
-def time_bump(t):
+def _time_bump(t):
     """Smooth cutoff: 1 on |t| <= 1, 0 for |t| >= 2, C^2 shoulders.
 
     The shoulder is a quintic smoothstep; only the support and the
@@ -174,6 +171,6 @@ def time_bump(t):
 
 
 def window_bump(times: np.ndarray, t_window: float) -> np.ndarray:
-    """time_bump rescaled so it is 1 on the middle half of [0, T) and
+    """_time_bump rescaled so it is 1 on the middle half of [0, T) and
     vanishes smoothly at both window edges."""
-    return time_bump(4.0 * (times - 0.5 * t_window) / t_window)
+    return _time_bump(4.0 * (times - 0.5 * t_window) / t_window)

@@ -101,24 +101,12 @@ class Field:
             return self.cached_samples
         return np.fft.ifft(self.coeffs * self.grid.n_points).real
 
-    def realness_defect(self) -> float:
-        """Max imaginary part of the inverse transform, relative to scale."""
-        z = np.fft.ifft(self.coeffs * self.grid.n_points)
-        scale = max(np.max(np.abs(z.real)), 1e-300)
-        return float(np.max(np.abs(z.imag)) / scale)
-
     def mean(self) -> float:
         return float(self.coeffs[0].real)
 
     def l2_norm(self) -> float:
         # Parseval: sum_m |u|^2 dx = L * sum_j |c_j|^2
         return math.sqrt(self.grid.length * float(np.sum(np.abs(self.coeffs) ** 2)))
-
-    def conjugate_symmetry_defect(self) -> float:
-        c = self.coeffs
-        flipped = np.conj(c[(-np.arange(c.size)) % c.size])
-        scale = max(float(np.max(np.abs(c))), 1e-300)
-        return float(np.max(np.abs(c - flipped)) / scale)
 
     def __add__(self, other: "Field") -> "Field":
         self._check_same_grid(other)
@@ -177,37 +165,12 @@ class PhaseSymbol:
         return self.derivative(grid.wavenumbers)
 
 
-def frequency_threshold(beta: float, gamma: float) -> float:
-    """Dyadic frequency threshold 2**[A] with
-    A = max(1, |6g/7b|^(1/4), |g/3b|^(1/2), |g/b|, 100|b|, 100|g|)
-    and [A] the largest integer strictly smaller than A.
-
-    For O(1) coefficients this is astronomically large (the 100|b| term);
-    probes therefore accept an explicit desk-scale cutoff and use this
-    formula only when asked.
-    """
-    if beta == 0.0:
-        raise ConfigError("beta must be nonzero")
-    big_a = max(
-        1.0,
-        abs(6.0 * gamma / (7.0 * beta)) ** 0.25,
-        abs(gamma / (3.0 * beta)) ** 0.5,
-        abs(gamma / beta),
-        100.0 * abs(beta),
-        100.0 * abs(gamma),
-    )
-    floor_a = math.floor(big_a)
-    if floor_a == big_a:
-        floor_a -= 1
-    return 2.0**floor_a
-
-
 @dataclass(frozen=True)
 class MultiplierSpec:
     """One Fourier-multiplier operator: which kind plus its parameter.
 
-    kinds: derivative(order m), fractional_d(alpha), fractional_j(alpha),
-    low_pass(N), high_pass(N), propagator(t, symbol).
+    kinds: derivative(order m), fractional_d(alpha), low_pass(N),
+    high_pass(N), propagator(t, symbol).
     """
 
     kind: str
@@ -217,7 +180,7 @@ class MultiplierSpec:
     t: float = 0.0
     symbol: PhaseSymbol | None = None
 
-    KINDS = ("derivative", "fractional_d", "fractional_j", "low_pass", "high_pass", "propagator")
+    KINDS = ("derivative", "fractional_d", "low_pass", "high_pass", "propagator")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -234,10 +197,6 @@ class MultiplierSpec:
     @classmethod
     def fractional_d(cls, alpha: float) -> "MultiplierSpec":
         return cls("fractional_d", alpha=float(alpha))
-
-    @classmethod
-    def fractional_j(cls, alpha: float) -> "MultiplierSpec":
-        return cls("fractional_j", alpha=float(alpha))
 
     @classmethod
     def low_pass(cls, cutoff: float) -> "MultiplierSpec":
@@ -280,8 +239,6 @@ def multiplier_table(grid: Grid, spec: MultiplierSpec) -> np.ndarray:
         if spec.alpha > 0:
             m[~nz] = 0.0
         return m
-    if spec.kind == "fractional_j":
-        return (1.0 + np.abs(xi)) ** spec.alpha
     if spec.kind == "low_pass":
         return (np.abs(xi) < spec.cutoff).astype(float)
     if spec.kind == "high_pass":

@@ -65,6 +65,12 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def file_initial(text, snap):
+    """text with initial data read from snap, without the Gaussian's keys."""
+    text = text.replace("initial = gaussian", f"initial = file:{snap}")
+    return text.replace("amplitude = 0.4\n", "").replace("width = 2.0\n", "")
+
+
 class TestConfigFormat:
     def test_sections_and_comments(self):
         cfg = parse_config_text("[a]\nx = 1  # trailing\n# full line\n[b]\ny = two words\n")
@@ -87,6 +93,67 @@ class TestConfigFormat:
     def test_duplicate_key_rejected_with_file_and_line(self):
         with pytest.raises(ConfigError, match=r"run\.cfg:4: duplicate key `t_end`"):
             parse_config_text("[solve]\nt_end = 0.1\nn = 64\nt_end = 0.2\n", source="run.cfg")
+
+    def test_unread_key_rejected_with_file_and_line(self):
+        text = "[other]\nx = 1\n[solve]\nn = 64\namplitde = 0.3\nt_end = 0.1\nnonlinarity = 0\n"
+        section = parse_config_text(text, source="run.cfg").section("solve")
+        section.get_int("n")
+        assert "t_end" in section.keys()  # a membership test is not a read
+        with pytest.raises(ConfigError, match=r"^run\.cfg:5: unknown key `amplitde` in \[solve\]$"):
+            section.reject_unread()
+        section.get_float("amplitde", 0.0)
+        section.get_float("t_end")
+        with pytest.raises(ConfigError, match=r"^run\.cfg:7: unknown key `nonlinarity`"):
+            section.reject_unread()
+        section.get_int("nonlinarity")
+        section.reject_unread()
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("stem,command", [
+        ("solve", "solve"), ("soliton", "solve"), ("sweep_gamma", "sweep-gamma"),
+        ("picard", "picard-check"), ("probe_estimates", "probe-estimates"),
+        ("probe_kernel", "probe-kernel"),
+    ], ids=lambda value: value)
+    def test_shipped_config_with_a_misspelt_key_exits_one(self, tmp_path, capsys, stem, command):
+        text = (CONFIGS / f"{stem}.cfg").read_text().rstrip("\n") + "\nnonlinarity = 0\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        extra = ["--which", "2.057"] if command == "probe-estimates" else []
+        assert main([command, "--config", cfg, "--out", str(out)] + extra) == 1
+        line = len(text.splitlines())
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:{line}: unknown key `nonlinarity` in [{command}]\n")
+        assert not out.exists()
+
+    def test_invariants_with_a_misspelt_key_exits_one(self, tmp_path, capsys):
+        cfg = write_invariants_cfg(tmp_path, lambda lines: lines)
+        Path(cfg).write_text(Path(cfg).read_text() + "horizn = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["invariants", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:4: unknown key `horizn` in [invariants]\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,stage,text", [
+        ("solve", "evolve",
+         (CONFIGS / "soliton.cfg").read_text().replace("gamma = 0.0", "gamma = 0.5")),
+        ("picard-check", "picard_iterate",
+         PICARD_CFG.format(initial="gaussian") + "cross_check = 0\n"),
+        ("sweep-gamma", "rotation_limit_sweep", (CONFIGS / "sweep_gamma.cfg").read_text()),
+    ], ids=["keep_background_at_positive_gamma", "cross_check", "sweep_gamma"])
+    def test_keys_used_in_some_cases_only_are_accepted(self, tmp_path, monkeypatch,
+                                                       command, stage, text):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, stage, reached)
+        cfg = write_cfg(tmp_path, text)
+        with pytest.raises(Reached):
+            main([command, "--config", cfg, "--out", str(tmp_path / "out")])
 
 
 class TestSnapshotFormat:
@@ -193,7 +260,7 @@ class TestSolveCommand:
         field = Field.from_samples(grid, field.samples() * (1.2 / np.max(np.abs(field.samples()))))
         snap = tmp_path / "snap.dat"
         write_snapshot(snap, field, -1.0, 1.0, 5, 0.0)
-        text = SOLVE_CFG.replace("initial = gaussian", f"initial = file:{snap}")
+        text = file_initial(SOLVE_CFG, snap)
         text = text.replace("dt = 0.01", f"dt = {cfg.timestep_bound(field)!r}")
         text = text.replace("t_end = 0.1", "t_end = 0.5").replace("snapshot_every = 5", "snapshot_every = 2")
         cfg_path = write_cfg(tmp_path, text)
@@ -207,7 +274,7 @@ class TestSolveCommand:
         snap = tmp_path / "snap.dat"
         field = gaussian_bump(grid, amplitude=0.4, width=2.0)
         write_snapshot(snap, Field.from_samples(grid, field.samples() + 0.1), -1.0, 1.0, 5, 0.0)
-        text = SOLVE_CFG.replace("initial = gaussian", f"initial = file:{snap}")
+        text = file_initial(SOLVE_CFG, snap)
         cfg = write_cfg(tmp_path, text)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err

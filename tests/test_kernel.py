@@ -31,6 +31,13 @@ def spec8():
     return KernelSpec(8.0, -1.0, 1.0)
 
 
+@pytest.fixture
+def absolute_tolerance(monkeypatch):
+    """Accept on spec.tolerance alone, so that a tolerance under the
+    relative floor RELATIVE_TOLERANCE * 6N forces refinements and misses."""
+    monkeypatch.setattr(kernel, "RELATIVE_TOLERANCE", 0.0)
+
+
 class TestKernelEval:
     def test_block_measure_at_origin(self, spec8):
         # indicator integral: both blocks together have length 6N
@@ -239,6 +246,33 @@ def reference_mixed_norm_value(spec, gamma_exp, c_t, n_x, n_t):
     return (value_p + tail_p) ** (1.0 / p)
 
 
+class TestAcceptedError:
+    def test_default_tolerance_up_to_n166(self):
+        for n_block in (8.0, 16.0, 32.0, 64.0, 166.0):
+            assert KernelSpec(n_block, -1.0, 1.0).accepted_error == 1e-9
+        assert KernelSpec(167.0, -1.0, 1.0).accepted_error > 1e-9
+        assert KernelSpec(1024.0, -1.0, 1.0).accepted_error == 1e-12 * 6.0 * 1024.0
+        assert KernelSpec(1024.0, -1.0, 1.0, tolerance=1e-6).accepted_error == 1e-6
+
+    def test_large_block_at_first_refinement(self):
+        # two stationary samples have rounding-floor bounds near 1.9e-9 and
+        # 1.4e-9 that finer panels do not lower, so the absolute 1e-9 alone
+        # would skip them and fail the region
+        spec = KernelSpec(1024.0, -1.0, 1.0)
+        report = region_decay_check(spec, samples_per_region=8, seed=3)
+        assert report.skipped_fraction == 0.0
+        assert report.quadrature.refined_x4 == 0
+        assert 1e-9 < report.quadrature.max_error <= spec.accepted_error
+        stationary = report.regions["STATIONARY"]
+        assert np.array_equal(stationary.abs_k, [abs(kernel_eval(x, t, spec))
+                                                 for x, t in zip(stationary.x, stationary.t)])
+        small = region_decay_check(KernelSpec(16.0, -1.0, 1.0), samples_per_region=8, seed=3)
+        assert report.ray_exponent == pytest.approx(small.ray_exponent, abs=1e-3)
+        for name, reg in report.regions.items():
+            assert reg.empirical_constant == pytest.approx(
+                small.regions[name].empirical_constant, rel=1e-4)
+
+
 class TestPanelEdges:
     @pytest.mark.parametrize("refine", [1.0, 4.0, 16.0])
     @pytest.mark.parametrize("n_block", [8.0, 16.0, 32.0])
@@ -268,6 +302,7 @@ class TestPanelEdges:
             assert np.array_equal(point[a:b], np.full(b - a, i))
 
 
+@pytest.mark.usefixtures("absolute_tolerance")
 class TestBatchedQuadrature:
     @pytest.mark.parametrize("level", [1, 2])
     @pytest.mark.parametrize("n_block", [8.0, 16.0, 32.0])
@@ -414,7 +449,7 @@ class TestProbesEqualScalarLoops:
             kernel_mixed_norm(spec, 8.0, n_x=4, n_t=3)
         assert err.value.achieved == math.inf
 
-    def test_first_failure_in_scalar_order(self):
+    def test_first_failure_in_scalar_order(self, absolute_tolerance):
         # the outermost x points miss this tolerance at every refinement,
         # each with its own finite bound; the rest converge
         spec = KernelSpec(8.0, -1.0, 1.0, tolerance=2e-13)

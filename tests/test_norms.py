@@ -11,7 +11,7 @@ from ostrovsky.norms import (
     SpaceTimeField,
     h_s_norm,
     mixed_norm,
-    time_bump,
+    _time_bump,
     window_bump,
     x_s_norm,
     xsb_norm,
@@ -211,18 +211,18 @@ class TestXsb:
 
 class TestBump:
     def test_plateau_and_support(self):
-        assert time_bump(0.0) == 1.0
-        assert time_bump(0.999) == 1.0
-        assert time_bump(2.0) == 0.0
-        assert time_bump(-2.5) == 0.0
-        assert 0.0 < time_bump(1.5) < 1.0
+        assert _time_bump(0.0) == 1.0
+        assert _time_bump(0.999) == 1.0
+        assert _time_bump(2.0) == 0.0
+        assert _time_bump(-2.5) == 0.0
+        assert 0.0 < _time_bump(1.5) < 1.0
 
     def test_c2_shoulders(self):
         # second difference stays bounded through the joints
         h = 1e-4
         for edge in (1.0, 2.0):
             t = np.array([edge - h, edge, edge + h])
-            second = (time_bump(t[2]) - 2 * time_bump(t[1]) + time_bump(t[0])) / h**2
+            second = (_time_bump(t[2]) - 2 * _time_bump(t[1]) + _time_bump(t[0])) / h**2
             assert abs(second) < 10.0
 
     def test_window_scaling(self):

@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 
@@ -50,10 +51,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SolverConfig(beta=-1.0, gamma=-0.1, k=5, dt=0.01, t_end=1.0, grid=g)
 
-    def test_small_k_flagged_not_rejected(self):
+    def test_small_k_flagged_not_rejected(self, caplog):
         g = Grid(64, 10.0)
-        cfg = SolverConfig(beta=-1.0, gamma=0.0, k=2, dt=0.01, t_end=1.0, grid=g)
-        assert cfg.outside_wellposed_range
+        with caplog.at_level(logging.WARNING, logger="ostrovsky"):
+            cfg = SolverConfig(beta=-1.0, gamma=0.0, k=2, dt=0.01, t_end=1.0, grid=g)
+        assert cfg.k == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "k = 2 is below the k >= 5 well-posedness range"]
 
     def test_timestep_guard(self):
         g = Grid(64, 10.0)
@@ -235,6 +239,15 @@ class TestEvolve:
         traj = evolve(u0, small_config(g, dt=0.005), snapshot_every=5)
         assert np.array_equal(traj.fields[0].coeffs, u0.coeffs)
         assert np.all(np.diff(traj.times) > 0)
+
+    def test_snapshot_samples_synthesized_once_and_equal(self):
+        g = Grid(128, 20.0)
+        u0 = gaussian_bump(g, amplitude=0.5, width=2.0)
+        traj = evolve(u0, small_config(g, dt=0.01, t_end=0.115), snapshot_every=4)
+        assert len(traj.fields) == 4  # steps 0, 4, 8 and the final, partial step 12
+        for field in traj.fields[1:]:
+            assert field.cached_samples is not None
+            assert np.array_equal(field.samples(), Field(g, field.coeffs).samples())
 
     def test_l2_conservation(self, rng):
         g = Grid(256, 40.0)

@@ -14,7 +14,6 @@ from ostrovsky.spectral import (
     apply_multiplier,
     dealias,
     dealias_cutoff,
-    frequency_threshold,
     project_zero_mean,
 )
 
@@ -76,8 +75,9 @@ class TestTransforms:
 
     def test_conjugate_symmetry(self, rng):
         g = Grid(128, 7.0)
-        f = Field.from_samples(g, rng.standard_normal(128))
-        assert f.conjugate_symmetry_defect() < 1e-13
+        c = Field.from_samples(g, rng.standard_normal(128)).coeffs
+        flipped = np.conj(c[(-np.arange(c.size)) % c.size])
+        assert np.max(np.abs(c - flipped)) < 1e-13 * np.max(np.abs(c))
 
 
 class TestPhaseSymbol:
@@ -142,13 +142,6 @@ class TestMultipliers:
             out = apply_multiplier(f, MultiplierSpec.propagator(t, PhaseSymbol(-1.0, 1.0)))
             assert np.max(np.abs(out.samples() - np.cos(g.x))) < 1e-12
 
-    def test_bessel_weight_single_mode(self):
-        # <2> = 1 + 2 = 3
-        g = Grid(64, 2 * np.pi)
-        f = Field.from_samples(g, np.cos(2 * g.x))
-        out = apply_multiplier(f, MultiplierSpec.fractional_j(1.0))
-        assert np.max(np.abs(out.samples() - 3.0 * np.cos(2 * g.x))) < 1e-12
-
     def test_antiderivative_requires_mean_zero(self):
         g = Grid(64, 2 * np.pi)
         f = Field.from_samples(g, 1.0 + np.cos(g.x))
@@ -165,13 +158,14 @@ class TestMultipliers:
             MultiplierSpec.derivative(3),
             MultiplierSpec.derivative(-1),
             MultiplierSpec.fractional_d(0.5),
-            MultiplierSpec.fractional_j(-1.25),
             MultiplierSpec.low_pass(3.0),
             MultiplierSpec.high_pass(3.0),
             MultiplierSpec.propagator(2.7, sym),
         ]
         for spec in specs:
-            assert apply_multiplier(f, spec).realness_defect() < 1e-12
+            # the inverse transform's imaginary part, relative to its real part
+            z = np.fft.ifft(apply_multiplier(f, spec).coeffs * g.n_points)
+            assert np.max(np.abs(z.imag)) < 1e-12 * max(np.max(np.abs(z.real)), 1e-300)
 
     def test_derivative_inversion(self, rng):
         g = Grid(256, 9.0)
@@ -242,16 +236,3 @@ class TestProjectionAndDealias:
         with pytest.raises(ConfigError):
             dealias(random_mean_zero(g, rng), 1)
 
-
-class TestFrequencyThreshold:
-    def test_small_coefficients_floor_to_one(self):
-        # A = 1 exactly: largest integer strictly below is 0, so 2^0
-        assert frequency_threshold(-0.01, 0.0) == 1.0
-
-    def test_order_one_coefficients_are_astronomical(self):
-        # the 100|beta| term dominates: A = 100, threshold 2^99
-        assert frequency_threshold(-1.0, 1.0) == 2.0**99
-
-    def test_beta_zero_rejected(self):
-        with pytest.raises(ConfigError):
-            frequency_threshold(0.0, 1.0)
