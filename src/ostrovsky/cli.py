@@ -243,6 +243,7 @@ def cmd_probe_kernel(args) -> int:
         summary["quadrature"][fmt(n_block)] = {
             "decay": dataclasses.asdict(report.quadrature),
             "mixed_norm": dataclasses.asdict(mixed.quadrature),
+            "accepted_error": spec.accepted_error,
         }
     write_csv(os.path.join(out, "kernel_regions.csv"), rows)
     write_json(os.path.join(out, "kernel_summary.json"), summary)

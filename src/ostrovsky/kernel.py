@@ -381,21 +381,37 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
     rng = np.random.default_rng(seed)
     n_block = spec.block_start
     t_lo, t_hi = 0.2 / n_block**3, SAMPLE_T_SPAN / n_block**3
-    regions = {}
-    total, skipped_total = 0, 0
-    stats = QuadratureStats()
+    m = samples_per_region
+    signs = rng.choice([-1.0, 1.0], size=m)
 
-    def collect(tag, xs, ts):
-        nonlocal total, skipped_total
-        values, achieved = _kernel_values(xs, ts, spec, stats, jobs)
-        keep = achieved <= spec.accepted_error
-        skipped = int(xs.size - np.count_nonzero(keep))
-        total += len(xs)
-        skipped_total += skipped
-        if skipped > 0.1 * len(xs):
+    x1 = signs * _log_uniform(rng, 1e-3 / n_block, 1.0 / n_block, m)
+    t1 = _log_uniform(rng, t_lo, t_hi, m)
+
+    x2 = signs * _log_uniform(rng, 1.001 / n_block, SAMPLE_X_SPAN / n_block, m)
+    t2 = np.minimum(
+        _log_uniform(rng, t_lo, t_hi, m),
+        np.array([spec.region_time_boundary(x) for x in x2]) * 0.999,
+    )
+
+    x3 = signs * _log_uniform(rng, 1.001 / n_block, SAMPLE_X_SPAN / n_block, m)
+    t3 = np.array([
+        _log_uniform(rng, max(spec.region_time_boundary(x) * 1.001, t_lo), t_hi * 10.0, 1)[0]
+        for x in x3
+    ])
+
+    # one quadrature call over the regions, in RegionTag order, balances the pool
+    stats = QuadratureStats()
+    xs, ts = np.concatenate([x1, x2, x3]), np.concatenate([t1, t2, t3])
+    values, achieved = _kernel_values(xs, ts, spec, stats, jobs)
+    regions = {}
+    for j, tag in enumerate(RegionTag):
+        part = slice(j * m, (j + 1) * m)
+        keep = achieved[part] <= spec.accepted_error
+        skipped = int(m - np.count_nonzero(keep))
+        if skipped > 0.1 * m:
             raise QuadratureAccuracyError(math.inf, spec.accepted_error)
-        keep_x, keep_t = xs[keep], ts[keep]
-        abs_k = np.abs(values[keep])
+        keep_x, keep_t = xs[part][keep], ts[part][keep]
+        abs_k = np.abs(values[part][keep])
         bound = _region_bound(tag, keep_x, keep_t, spec)
         ratios = abs_k / bound
         regions[tag.name] = RegionSamples(
@@ -403,26 +419,6 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
             ratios=ratios, empirical_constant=float(np.max(ratios)),
             skipped=skipped,
         )
-
-    m = samples_per_region
-    signs = rng.choice([-1.0, 1.0], size=m)
-
-    x1 = signs * _log_uniform(rng, 1e-3 / n_block, 1.0 / n_block, m)
-    collect(RegionTag.NEAR_FIELD, x1, _log_uniform(rng, t_lo, t_hi, m))
-
-    x2 = signs * _log_uniform(rng, 1.001 / n_block, SAMPLE_X_SPAN / n_block, m)
-    t2 = np.minimum(
-        _log_uniform(rng, t_lo, t_hi, m),
-        np.array([spec.region_time_boundary(x) for x in x2]) * 0.999,
-    )
-    collect(RegionTag.NON_STATIONARY, x2, t2)
-
-    x3 = signs * _log_uniform(rng, 1.001 / n_block, SAMPLE_X_SPAN / n_block, m)
-    t3 = np.array([
-        _log_uniform(rng, max(spec.region_time_boundary(x) * 1.001, t_lo), t_hi * 10.0, 1)[0]
-        for x in x3
-    ])
-    collect(RegionTag.STATIONARY, x3, t3)
 
     exponent = stationary_ray_exponent(spec, stats=stats, jobs=jobs)
 
@@ -432,7 +428,7 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
         ray_exponent=exponent,
         ray_x=-4.0 / n_block,
         samples_per_region=m,
-        skipped_fraction=skipped_total / max(total, 1),
+        skipped_fraction=sum(r.skipped for r in regions.values()) / max(3 * m, 1),
         quadrature=stats,
     )
 

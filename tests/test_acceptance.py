@@ -154,7 +154,9 @@ class TestAcceptance:
             finite = np.isfinite(rep.max_ratio)
             stable = rep.stability_factor < 4.0
             ok = ok and reproducible and finite and stable
-            summary.append(f"{tag}:{rep.max_ratio:.3g}/{rep.stability_factor:.2f}x")
+            # a tag with no refinement measured no stability: say so
+            factor = f"{rep.stability_factor:.2f}x" if rep.refinement_max else "none"
+            summary.append(f"{tag}:{rep.max_ratio:.3g}/{factor}")
         elapsed = time.time() - t0
         ok = ok and elapsed < 1200.0
         report(6, ok, "max-ratio/stability " + ", ".join(summary) + f" ({elapsed:.1f}s)")

@@ -458,12 +458,14 @@ class TestProbeKernelCommand:
         assert sorted(summary["quadrature"]) == sorted(summary["blocks"]) == ["16.0", "8.0"]
         for block in summary["quadrature"].values():
             decay, mixed = block["decay"], block["mixed_norm"]
+            assert sorted(block) == ["accepted_error", "decay", "mixed_norm"]
+            assert block["accepted_error"] == 1e-9  # the tolerance, for N <= 166
             assert decay["points"] == 3 * 3 + 10 * 33
             assert mixed["points"] == 16 * 4
             for stats in (decay, mixed):
                 assert sorted(stats) == ["max_error", "over_cap", "points",
                                          "refined_x16", "refined_x4"]
-                assert 0.0 < stats["max_error"] <= 1e-9
+                assert 0.0 < stats["max_error"] <= block["accepted_error"]
 
 
 class TestShippedConfigs:

@@ -8,6 +8,7 @@ from ostrovsky.errors import ConfigError, LatticeSizeError
 from ostrovsky.estimates import (
     ALL_TAGS,
     LINFTY_TAGS,
+    REFINEMENTS,
     STRICHARTZ_TAGS,
     Ensemble,
     _bilinear_spectra,
@@ -69,8 +70,7 @@ class TestEnsemble:
 class TestStrichartz:
     @pytest.mark.parametrize("tag", ["2.03", "2.05", "2.08", "2.09"])
     def test_finite_and_stable(self, tag):
-        report = strichartz_ratio(default_ensemble(tag, 7, 6), tag,
-                                  refinements=("grid_x2",))
+        report = strichartz_ratio(default_ensemble(tag, 7, 6), tag)
         assert np.isfinite(report.max_ratio)
         assert report.stability_factor < 4.0
 
@@ -96,7 +96,7 @@ class TestStrichartz:
         maxima = []
         for m_cut in (0.125, 0.25, 0.5, 1.0):
             ens = default_ensemble("2.09", 3, 5, law_param=m_cut)
-            rep = strichartz_ratio(ens, "2.09", refinements=())
+            rep = strichartz_ratio(ens, "2.09")
             maxima.append(rep.max_ratio)
         assert max(maxima) <= 4.0 * min(maxima)
 
@@ -112,8 +112,7 @@ class TestStrichartz:
 class TestLinfty:
     @pytest.mark.parametrize("tag", ["2.055", "2.057", "2.060"])
     def test_finite_and_stable(self, tag):
-        report = linfty_bounds_ratio(default_ensemble(tag, 7, 6), tag,
-                                     refinements=("grid_x2",))
+        report = linfty_bounds_ratio(default_ensemble(tag, 7, 6), tag)
         assert np.isfinite(report.max_ratio)
         assert report.stability_factor < 4.0
 
@@ -124,14 +123,14 @@ class TestLinfty:
                 "2.055", 5, 5, law_param=n_block,
                 t_window=20.0 / (4.0 * n_block) ** 3,
             )
-            rep = linfty_bounds_ratio(ens, "2.055", refinements=())
+            rep = linfty_bounds_ratio(ens, "2.055")
             maxima.append(rep.max_ratio)
         assert max(maxima) <= 4.0 * min(maxima)
 
     def test_law_mismatch_rejected(self):
         ens = default_ensemble("2.055", 1, 2)
         with pytest.raises(ConfigError):
-            linfty_bounds_ratio(ens, "2.057", refinements=())
+            linfty_bounds_ratio(ens, "2.057")
 
 
 class TestBilinear:
@@ -153,10 +152,9 @@ class TestBilinear:
         assert np.max(np.abs(out - product_spec)) < 1e-10 * np.max(np.abs(product_spec))
 
     def test_ratio_report(self):
-        rep = bilinear_ratio(default_ensemble("2.027", 9, 4), 0.5,
-                             refinements=("grid_x2",))
+        rep = bilinear_ratio(default_ensemble("2.027", 9, 4), 0.5)
         assert np.isfinite(rep.max_ratio)
-        assert rep.stability_factor < 4.0
+        assert rep.refinement_max == {} and rep.stability_factor == 1.0
 
     def test_s_range_validated(self):
         with pytest.raises(ConfigError):
@@ -391,7 +389,7 @@ class TestBilinearVectorized:
 
     def test_lhs_equals_per_slice_loop(self):
         ens = default_ensemble("2.027", 9, 3)
-        rep = bilinear_ratio(ens, 0.5, refinements=())
+        rep = bilinear_ratio(ens, 0.5)
         grid, phi, dt = ens.grid, ens.symbol.table(ens.grid), ens.t_window / ens.n_t
         for i, lhs in enumerate(rep.lhs):
             f1, f2 = ens.draw(2 * i), ens.draw(2 * i + 1)
@@ -460,3 +458,39 @@ class TestRefinementSkips:
     def test_run_tag_reports_every_refinement(self):
         rep = run_tag("2.057", seed=3, n_draws=2)
         assert rep.refinement_skipped == {"grid_x2": 0, "window_x2": 0}
+
+
+ORBIT_REFINEMENTS = [(tag, name) for tag in STRICHARTZ_TAGS + LINFTY_TAGS
+                     for name in REFINEMENTS[tag]]
+
+
+def _orbit_lhs(ens, tag, n_draws):
+    return np.array([ratio_pair_for_tag(ens, tag, ens.draw(i))[0] for i in range(n_draws)])
+
+
+class TestRefinementTable:
+    """Each refinement a tag runs measures something the base does not."""
+
+    @pytest.mark.parametrize("tag,refinement", ORBIT_REFINEMENTS)
+    def test_orbit_refinement_moves_lhs(self, tag, refinement):
+        ens = default_ensemble(tag, 2024, 3)
+        base = _orbit_lhs(ens, tag, 3)
+        moved = np.abs(_orbit_lhs(ens.refined(refinement), tag, 3) - base) / base
+        assert np.max(moved) > 1e-12  # beyond rounding
+
+    def test_lattice_refinement_moves_max(self):
+        rep = run_tag("3.03", seed=2024, n_draws=2)
+        assert rep.refinement_max["lattice_x2"] != rep.max_ratio
+
+    @pytest.mark.parametrize("tag", ["2.03", "2.05", "2.027"])
+    def test_dropped_grid_refinement_reproduces_lhs(self, tag):
+        # grid_x2 redraws the same modes at fixed L, and these integral
+        # norms are exact on the base grid: the reason the table omits it
+        ens = default_ensemble(tag, 2024, 3)
+        fine = ens.refined("grid_x2")
+        if tag == "2.027":
+            base, refined = bilinear_ratio(ens, 0.5).lhs, bilinear_ratio(fine, 0.5).lhs
+        else:
+            base, refined = _orbit_lhs(ens, tag, 3), _orbit_lhs(fine, tag, 3)
+        assert "grid_x2" not in REFINEMENTS[tag]
+        np.testing.assert_allclose(refined, base, rtol=1e-15, atol=0.0)
