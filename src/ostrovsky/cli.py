@@ -1,10 +1,15 @@
 """Operator-facing command line.
 
 Subcommands: solve, sweep-gamma, probe-kernel, probe-estimates,
-picard-check, invariants.  Every command reads a line-oriented config
-(plus a few flag overrides), rejects any key of its section that it did
-not read, writes its artifacts into --out, and drops a manifest.json
-sufficient to reproduce the run bit-exactly.
+picard-check, invariants.  main() runs one lifecycle for all of them.
+It loads the line-oriented --config; probe-estimates without one gets an
+empty section, which its manifest records as {"probe-estimates": {}}.
+The command reads and checks its whole section, and any snapshot the
+section names, then main rejects every key left unread, all before
+--out exists.  Then the command writes its artifacts into --out and main
+drops a manifest.json (argv, config, seed, version, wall clock)
+sufficient to reproduce the run bit-exactly.  [sweep-gamma] sets the
+X^s trace exponent with its `s` key only.
 
 Exit codes, each with a one-line message: 0 success, 1 configuration or
 input error, 2 run aborted (numerical failure), 3 invariant violation
@@ -77,9 +82,11 @@ def _jobs(args) -> dict:
     return {} if args.jobs is None else {"jobs": args.jobs}
 
 
-def _solver_config(section, grid: Grid, gamma=None) -> SolverConfig:
-    options = _given(section, integrator=section.get_str, cfl_safety=section.get_float,
-                     trace_s=section.get_float)
+def _solver_config(section, grid: Grid, gamma=None, trace_key="trace_s") -> SolverConfig:
+    """SolverConfig from the section; trace_key is the key read into trace_s."""
+    options = _given(section, integrator=section.get_str, cfl_safety=section.get_float)
+    if trace_key in section.keys():
+        options["trace_s"] = section.get_float(trace_key)
     if "nonlinearity" in section.keys():
         options["include_nonlinearity"] = section.get_int("nonlinearity") != 0
     return SolverConfig(
@@ -122,225 +129,179 @@ def _initial_field(section, grid: Grid, cfg: SolverConfig) -> Field:
     raise ConfigError(f"unknown initial data kind {kind!r}")
 
 
-def _write_manifest(out_dir, command, config: Config, seed, t0, counts):
-    manifest = RunManifest(
-        command=command,
-        config=config.as_dict(),
-        seed=seed,
-        out_dir=str(out_dir),
-        version=__version__,
-        wall_clock_s=time.time() - t0,
-        counts=counts,
-    )
-    manifest.write(os.path.join(out_dir, "manifest.json"))
-
-
-def cmd_solve(args) -> int:
-    t0 = time.time()
-    config = load_config(args.config)
-    section = config.section("solve")
+def cmd_solve(section, args):
     grid = _grid_from(section)
     cfg = _solver_config(section, grid)
     u0 = _initial_field(section, grid, cfg)
     snapshot_every = section.get_int("snapshot_every", 10)
-    section.reject_unread()
-    out = ensure_dir(args.out)
-    traj = evolve(u0, cfg, snapshot_every)
-    for i, (t, field) in enumerate(zip(traj.times, traj.fields)):
-        write_snapshot(os.path.join(out, f"snapshot_{i:06d}.dat"),
-                       field, cfg.beta, cfg.gamma, cfg.k, float(t))
-    write_csv(os.path.join(out, "traces.csv"), {
-        "t": traj.times, "l2": traj.l2, "hamiltonian": traj.hamiltonian,
-        "hs": traj.hs, "xs": traj.xs,
-    })
-    _write_manifest(out, "solve", config, args.seed, t0,
-                    {"steps": traj.n_steps, "snapshots": len(traj.fields)})
-    log.info("solve finished: %d steps, %d snapshots", traj.n_steps, len(traj.fields))
-    return 0
+
+    def run(out):
+        traj = evolve(u0, cfg, snapshot_every)
+        for i, (t, field) in enumerate(zip(traj.times, traj.fields)):
+            write_snapshot(os.path.join(out, f"snapshot_{i:06d}.dat"),
+                           field, cfg.beta, cfg.gamma, cfg.k, float(t))
+        write_csv(os.path.join(out, "traces.csv"), {
+            "t": traj.times, "l2": traj.l2, "hamiltonian": traj.hamiltonian,
+            "hs": traj.hs, "xs": traj.xs,
+        })
+        log.info("solve finished: %d steps, %d snapshots", traj.n_steps, len(traj.fields))
+        return 0, {"steps": traj.n_steps, "snapshots": len(traj.fields)}
+    return run
 
 
-def cmd_sweep_gamma(args) -> int:
-    t0 = time.time()
-    config = load_config(args.config)
-    section = config.section("sweep-gamma")
+def cmd_sweep_gamma(section, args):
     grid = _grid_from(section)
     section.get_float("gamma", 1.0)  # accepted but unused: each sweep point sets gamma
-    template = _solver_config(section, grid, gamma=1.0)
+    template = _solver_config(section, grid, gamma=1.0, trace_key="s")
     sweep = SweepConfig(
         template=template,
         t_compare=section.get_float("t_compare"),
         **_jobs(args),
-        **_given(section, gammas=section.get_floats, s=section.get_float,
-                 snapshot_every=section.get_int, floor_factor=section.get_float),
+        **_given(section, gammas=section.get_floats, snapshot_every=section.get_int,
+                 floor_factor=section.get_float),
     )
     u0 = _initial_field(section, grid, template)
-    section.reject_unread()
-    out = ensure_dir(args.out)
-    report = rotation_limit_sweep(sweep, u0)
-    write_csv(os.path.join(out, "rate.csv"), {
-        "gamma": np.asarray(report.gammas),
-        "error": report.errors,
-        "floor_flag": report.floor_flags.astype(float),
-    })
-    write_json(os.path.join(out, "rate.json"), {
-        "slope": report.slope,
-        "intercept": report.intercept,
-        "fit_residual": report.fit_residual,
-        "self_error": report.self_error,
-        "floor_limited": report.floor_limited,
-        "gronwall_constants": list(map(float, report.gronwall_constants)),
-        "failures": {fmt(k): v for k, v in report.failures.items()},
-    })
-    svg_loglog(
-        zip(report.gammas, report.errors),
-        path=os.path.join(out, "rate.svg"),
-        fit=(report.slope, report.intercept) if math.isfinite(report.slope) else None,
-        title="weak-rotation limit", xlabel="gamma", ylabel="L2 error",
-    )
-    _write_manifest(out, "sweep-gamma", config, args.seed, t0,
-                    {"points": len(report.gammas)})
-    log.info("sweep finished: slope %.3f over %d points", report.slope, len(report.gammas))
-    return 0
+
+    def run(out):
+        report = rotation_limit_sweep(sweep, u0)
+        write_csv(os.path.join(out, "rate.csv"), {
+            "gamma": np.asarray(report.gammas),
+            "error": report.errors,
+            "floor_flag": report.floor_flags.astype(float),
+        })
+        write_json(os.path.join(out, "rate.json"), {
+            "slope": report.slope,
+            "intercept": report.intercept,
+            "fit_residual": report.fit_residual,
+            "self_error": report.self_error,
+            "floor_limited": report.floor_limited,
+            "gronwall_constants": list(map(float, report.gronwall_constants)),
+            "failures": {fmt(k): v for k, v in report.failures.items()},
+        })
+        svg_loglog(
+            zip(report.gammas, report.errors),
+            path=os.path.join(out, "rate.svg"),
+            fit=(report.slope, report.intercept) if math.isfinite(report.slope) else None,
+            title="weak-rotation limit", xlabel="gamma", ylabel="L2 error",
+        )
+        log.info("sweep finished: slope %.3f over %d points", report.slope, len(report.gammas))
+        return 0, {"points": len(report.gammas)}
+    return run
 
 
-def cmd_probe_kernel(args) -> int:
-    t0 = time.time()
-    config = load_config(args.config)
-    section = config.section("probe-kernel")
+def cmd_probe_kernel(section, args):
     beta = section.get_float("beta", -1.0)
     gamma = section.get_float("gamma", 1.0)
     spec_options = {"threshold": section.get_float("a")} if "a" in section.keys() else {}
     gamma_exp = section.get_float("gamma_exp", 8.0)
     blocks = section.get_floats("blocks", (16.0, 32.0, 64.0))
     sampling = _given(section, samples_per_region=section.get_int)
-    section.reject_unread()
-    out = ensure_dir(args.out)
 
-    rows = {"region": [], "x": [], "t": [], "absK": [], "bound": [], "ratio": []}
-    counts = {"blocks": len(blocks)}
-    summary = {"blocks": {}, "gamma_exp": gamma_exp, "quadrature": {}}
-    region_codes = {"NEAR_FIELD": 1.0, "NON_STATIONARY": 2.0, "STATIONARY": 3.0}
-    for n_block in blocks:
-        spec = KernelSpec(n_block, beta, gamma, **spec_options)
-        report = region_decay_check(spec, seed=args.seed, **sampling, **_jobs(args))
-        counts["samples_per_region"] = report.samples_per_region
-        mixed = kernel_mixed_norm(spec, gamma_exp, **_jobs(args))
-        for name, reg in report.regions.items():
-            for x, t, a_k, bd, r in zip(reg.x, reg.t, reg.abs_k, reg.bound, reg.ratios):
-                rows["region"].append(region_codes[name])
-                rows["x"].append(x)
-                rows["t"].append(t)
-                rows["absK"].append(a_k)
-                rows["bound"].append(bd)
-                rows["ratio"].append(r)
-        summary["blocks"][fmt(n_block)] = {
-            "ray_exponent": report.ray_exponent,
-            "constants": {k: v.empirical_constant for k, v in report.regions.items()},
-            "mixed_norm": mixed.value,
-            "mixed_norm_scaled": mixed.scaled_ratio,
-            "tail_fraction": mixed.tail_fraction,
-        }
-        summary["quadrature"][fmt(n_block)] = {
-            "decay": dataclasses.asdict(report.quadrature),
-            "mixed_norm": dataclasses.asdict(mixed.quadrature),
-            "accepted_error": spec.accepted_error,
-        }
-    write_csv(os.path.join(out, "kernel_regions.csv"), rows)
-    write_json(os.path.join(out, "kernel_summary.json"), summary)
-    _write_manifest(out, "probe-kernel", config, args.seed, t0, counts)
-    return 0
+    def run(out):
+        rows = {"region": [], "x": [], "t": [], "absK": [], "bound": [], "ratio": []}
+        counts = {"blocks": len(blocks)}
+        summary = {"blocks": {}, "gamma_exp": gamma_exp, "quadrature": {}}
+        for n_block in blocks:
+            spec = KernelSpec(n_block, beta, gamma, **spec_options)
+            report = region_decay_check(spec, seed=args.seed, **sampling, **_jobs(args))
+            counts["samples_per_region"] = report.samples_per_region
+            mixed = kernel_mixed_norm(spec, gamma_exp, **_jobs(args))
+            for reg in report.regions.values():  # region column: the RegionTag value
+                columns = ([float(reg.tag.value)] * reg.x.size, reg.x, reg.t, reg.abs_k,
+                           reg.bound, reg.ratios)
+                for name, values in zip(rows, columns):
+                    rows[name].extend(values)
+            summary["blocks"][fmt(n_block)] = {
+                "ray_exponent": report.ray_exponent,
+                "constants": {k: v.empirical_constant for k, v in report.regions.items()},
+                "mixed_norm": mixed.value,
+                "mixed_norm_scaled": mixed.scaled_ratio,
+                "tail_fraction": mixed.tail_fraction,
+            }
+            summary["quadrature"][fmt(n_block)] = {
+                "decay": dataclasses.asdict(report.quadrature),
+                "mixed_norm": dataclasses.asdict(mixed.quadrature),
+                "accepted_error": spec.accepted_error,
+            }
+        write_csv(os.path.join(out, "kernel_regions.csv"), rows)
+        write_json(os.path.join(out, "kernel_summary.json"), summary)
+        return 0, counts
+    return run
 
 
-def cmd_probe_estimates(args) -> int:
-    t0 = time.time()
-    overrides = {}
-    # a flag given on the command line wins over the config's key
-    picked = {key: getattr(args, key) for key in ("seed", "draws")
-              if getattr(args, key) is not None}
-    config = None
-    if args.config:
-        config = load_config(args.config)
-        section = config.section("probe-estimates")
-        picked = {**_given(section, seed=section.get_int, draws=section.get_int), **picked}
-        overrides = _given(section, n=section.get_int, n_t=section.get_int, **dict.fromkeys(
-            ("beta", "gamma", "b", "epsilon", "threshold", "law_param", "t_window", "length"),
-            section.get_float))
-        section.reject_unread()
-    seed, draws = picked.get("seed", DEFAULT_SEED), picked.get("draws", DEFAULT_DRAWS)
+def cmd_probe_estimates(section, args):
+    # a flag given on the command line wins over the config's key; the
+    # seed resolved here is the one the manifest records
+    seed, draws = section.get_int("seed", DEFAULT_SEED), section.get_int("draws", DEFAULT_DRAWS)
+    args.seed = seed if args.seed is None else args.seed
+    draws = draws if args.draws is None else args.draws
+    overrides = _given(section, n=section.get_int, n_t=section.get_int, **dict.fromkeys(
+        ("beta", "gamma", "b", "epsilon", "threshold", "law_param", "t_window", "length"),
+        section.get_float))
     tag = args.which
     if tag not in ALL_TAGS:
-        print(f"unknown tag {tag!r}; valid tags: {', '.join(ALL_TAGS)}", file=sys.stderr)
-        return 1
-    out = ensure_dir(args.out)
-    report = run_tag(tag, seed=seed, n_draws=draws, **_jobs(args), **overrides)
-    write_csv(os.path.join(out, f"ratios_{tag}.csv"), {
-        "draw": np.arange(report.ratios.size, dtype=float),
-        "lhs": report.lhs, "rhs": report.rhs, "ratio": report.ratios,
-    })
-    write_json(os.path.join(out, f"summary_{tag}.json"), {
-        "tag": report.tag,
-        "max_ratio": report.max_ratio,
-        "refinement_factor": report.stability_factor,
-        "refinements": report.refinement_max,
-        "refinement_skipped": report.refinement_skipped,
-        "skipped": report.skipped,
-        "seed": seed,
-        "draws": draws,
-    })
-    cfg_dict = config.as_dict() if config else {"probe-estimates": {"which": tag}}
-    manifest_cfg = Config(cfg_dict, source=args.config or "<flags>")
-    _write_manifest(out, "probe-estimates", manifest_cfg, seed, t0,
-                    {"draws": draws, "skipped": report.skipped})
-    log.info("tag %s: max ratio %.4g, stability %.3f", tag, report.max_ratio,
-             report.stability_factor)
-    return 0
+        raise ConfigError(f"unknown tag {tag!r}; valid tags: {', '.join(ALL_TAGS)}")
+
+    def run(out):
+        report = run_tag(tag, seed=args.seed, n_draws=draws, **_jobs(args), **overrides)
+        write_csv(os.path.join(out, f"ratios_{tag}.csv"), {
+            "draw": np.arange(report.ratios.size, dtype=float),
+            "lhs": report.lhs, "rhs": report.rhs, "ratio": report.ratios,
+        })
+        write_json(os.path.join(out, f"summary_{tag}.json"), {
+            "tag": report.tag,
+            "max_ratio": report.max_ratio,
+            "refinement_factor": report.stability_factor,
+            "refinements": report.refinement_max,
+            "refinement_skipped": report.refinement_skipped,
+            "skipped": report.skipped,
+            "seed": args.seed,
+            "draws": draws,
+        })
+        log.info("tag %s: max ratio %.4g, stability %.3f", tag, report.max_ratio,
+                 report.stability_factor)
+        return 0, {"draws": draws, "skipped": report.skipped}
+    return run
 
 
-def cmd_picard_check(args) -> int:
-    t0 = time.time()
-    config = load_config(args.config)
-    section = config.section("picard-check")
+def cmd_picard_check(section, args):
     grid = _grid_from(section)
     cfg = _solver_config(section, grid)
     u0 = _initial_field(section, grid, cfg)
     delta = section.get_float("delta")
     n_iters = section.get_int("iterations", 12)
     cross_check = section.get_int("cross_check", 1)
-    section.reject_unread()
-    out = ensure_dir(args.out)
-    stf, diffs = picard_iterate(u0, cfg, delta, n_iters)
-    final = Field.from_samples(grid, stf.values[-1])
-    cross = None
-    if cross_check:
-        traj = evolve(u0, cfg.replace(t_end=delta), snapshot_every=10**9)
-        cross = (traj.final() - final).l2_norm()
-    u0_l2 = max(u0.l2_norm(), 1e-300)
-    converged = bool(diffs and diffs[-1] < 1e-10 * u0_l2)
-    factors = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
-    write_csv(os.path.join(out, "picard_diffs.csv"), {
-        "iteration": np.arange(1.0, len(diffs) + 1.0),
-        "sup_l2_difference": np.asarray(diffs),
-    })
-    write_json(os.path.join(out, "picard.json"), {
-        "converged": converged,
-        "iterations": len(diffs),
-        "differences": list(map(float, diffs)),
-        "contraction_factors": list(map(float, factors)),
-        "evolve_cross_check_l2": cross,
-        "delta": delta,
-    })
-    _write_manifest(out, "picard-check", config, args.seed, t0,
-                    {"iterations": len(diffs)})
-    log.info("picard: converged=%s after %d iterations", converged, len(diffs))
-    return 0
+
+    def run(out):
+        stf, diffs = picard_iterate(u0, cfg, delta, n_iters)
+        final = Field.from_samples(grid, stf.values[-1])
+        cross = None
+        if cross_check:
+            traj = evolve(u0, cfg.replace(t_end=delta), snapshot_every=10**9)
+            cross = (traj.final() - final).l2_norm()
+        u0_l2 = max(u0.l2_norm(), 1e-300)
+        converged = bool(diffs and diffs[-1] < 1e-10 * u0_l2)
+        factors = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
+        write_csv(os.path.join(out, "picard_diffs.csv"), {
+            "iteration": np.arange(1.0, len(diffs) + 1.0),
+            "sup_l2_difference": np.asarray(diffs),
+        })
+        write_json(os.path.join(out, "picard.json"), {
+            "converged": converged,
+            "iterations": len(diffs),
+            "differences": list(map(float, diffs)),
+            "contraction_factors": list(map(float, factors)),
+            "evolve_cross_check_l2": cross,
+            "delta": delta,
+        })
+        log.info("picard: converged=%s after %d iterations", converged, len(diffs))
+        return 0, {"iterations": len(diffs)}
+    return run
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(section, args):
     """Conservation suite on a stored snapshot: short re-evolution, then
     L2 / Hamiltonian / mean drift against their gates."""
-    t0 = time.time()
-    config = load_config(args.config)
-    section = config.section("invariants")
     field, header = read_snapshot(section.get_str("snapshot"))
     grid = field.grid
     horizon = section.get_float("horizon", 0.1)
@@ -353,33 +314,33 @@ def cmd_invariants(args) -> int:
         # half the step the CFL guard admits, shortened to divide the horizon
         dt = horizon / max(1, int(math.ceil(horizon / (0.5 * cfg.timestep_bound(field)))))
     cfg = cfg.replace(dt=dt)
-    section.reject_unread()
-    out = ensure_dir(args.out)
-    traj = evolve(field, cfg, snapshot_every=max(1, int(round(horizon / dt / 16))))
-    l2_drift, h_drift, drift_ok = conservation_drift(traj)
-    mean_max = float(max(abs(f.mean()) for f in traj.fields))
-    mean_ok = (mean_max < MEAN_ZERO_ATOL) if cfg.gamma > 0 else \
-        (abs(traj.fields[-1].mean() - field.mean()) < MEAN_ZERO_ATOL)
-    passed = bool(drift_ok and mean_ok)
-    payload = {
-        "l2_drift": l2_drift,
-        "hamiltonian_drift": h_drift,
-        "max_abs_mean": mean_max,
-        "horizon": horizon,
-        "dt": dt,
-        "hamiltonian_initial": hamiltonian(field, cfg),
-        "norms": [
-            norm_record("L2", traj.l2[0]),
-            norm_record("Hs", traj.hs[0], s=cfg.trace_s),
-            norm_record("Xs", traj.xs[0], s=cfg.trace_s),
-        ],
-        "passed": passed,
-    }
-    write_json(os.path.join(out, "invariants.json"), payload)
-    _write_manifest(out, "invariants", config, args.seed, t0, {"steps": traj.n_steps})
-    print(f"invariants: {'pass' if passed else 'FAIL'} "
-          f"(l2 drift {l2_drift:.3e}, H drift {h_drift:.3e})")
-    return 0 if passed else 3
+
+    def run(out):
+        traj = evolve(field, cfg, snapshot_every=max(1, int(round(horizon / dt / 16))))
+        l2_drift, h_drift, drift_ok = conservation_drift(traj)
+        mean_max = float(max(abs(f.mean()) for f in traj.fields))
+        mean_ok = (mean_max < MEAN_ZERO_ATOL) if cfg.gamma > 0 else \
+            (abs(traj.fields[-1].mean() - field.mean()) < MEAN_ZERO_ATOL)
+        passed = bool(drift_ok and mean_ok)
+        payload = {
+            "l2_drift": l2_drift,
+            "hamiltonian_drift": h_drift,
+            "max_abs_mean": mean_max,
+            "horizon": horizon,
+            "dt": dt,
+            "hamiltonian_initial": hamiltonian(field, cfg),
+            "norms": [
+                norm_record("L2", traj.l2[0]),
+                norm_record("Hs", traj.hs[0], s=cfg.trace_s),
+                norm_record("Xs", traj.xs[0], s=cfg.trace_s),
+            ],
+            "passed": passed,
+        }
+        write_json(os.path.join(out, "invariants.json"), payload)
+        print(f"invariants: {'pass' if passed else 'FAIL'} "
+              f"(l2 drift {l2_drift:.3e}, H drift {h_drift:.3e})")
+        return (0 if passed else 3), {"steps": traj.n_steps}
+    return run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,10 +386,22 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         _setup_logging()
         args = build_parser().parse_args(argv)
-        return COMMANDS[args.command](args)
+        t0 = time.time()
+        config = load_config(args.config) if args.config else \
+            Config({args.command: {}}, source="<flags>")
+        section = config.section(args.command)
+        run = COMMANDS[args.command](section, args)
+        section.reject_unread()
+        out = ensure_dir(args.out)
+        code, counts = run(out)
+        RunManifest(command=args.command, argv=argv, config=config.as_dict(), seed=args.seed,
+                    out_dir=str(out), version=__version__, wall_clock_s=time.time() - t0,
+                    counts=counts, started_unix=t0).write(os.path.join(out, "manifest.json"))
+        return code
     except (ConfigError, FileNotFoundError, LatticeSizeError, MeanZeroViolation) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

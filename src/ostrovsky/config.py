@@ -123,10 +123,11 @@ def load_config(path) -> Config:
 
 @dataclass
 class RunManifest:
-    """Everything needed to reproduce one command bit-exactly, including
-    the numpy version and platform the floating-point results depend on."""
+    """Everything needed to reproduce one command bit-exactly, including its
+    argument list and the numpy version and platform the results depend on."""
 
     command: str
+    argv: list
     config: dict
     seed: int
     out_dir: str
@@ -140,6 +141,7 @@ class RunManifest:
             json.dump(
                 {
                     "command": self.command,
+                    "argv": self.argv,
                     "config": self.config,
                     "seed": self.seed,
                     "out_dir": self.out_dir,

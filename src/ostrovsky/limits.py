@@ -35,12 +35,11 @@ HAMILTONIAN_DRIFT_GATE = 1e-6
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One gamma sweep: shared solver template, gamma overridden per point."""
+    """One gamma sweep: shared solver template, trace_s included; gamma set per point."""
 
     template: SolverConfig
     t_compare: float
     gammas: tuple = DEFAULT_GAMMAS
-    s: float = 2.0
     snapshot_every: int = 10
     floor_factor: float = 10.0
     jobs: int = 1
@@ -128,7 +127,7 @@ def rotation_limit_sweep(cfg: SweepConfig, u0: Field) -> RateReport:
     self-error are flagged floor-limited and excluded from the fit.
     Runs that blow up are recorded as failures and skipped.
     """
-    template = cfg.template.replace(trace_s=cfg.s)
+    template = cfg.template
 
     def run(gamma: float) -> Trajectory:
         return evolve(u0, template.replace(gamma=gamma), cfg.snapshot_every)

@@ -135,6 +135,17 @@ class TestUnknownKeys:
             f"config error: {cfg}:4: unknown key `horizn` in [invariants]\n")
         assert not out.exists()
 
+    def test_sweep_trace_s_is_unknown(self, tmp_path, capsys):
+        # [sweep-gamma] sets the X^s exponent with `s` alone
+        text = (CONFIGS / "sweep_gamma.cfg").read_text() + "trace_s = 1.0\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["sweep-gamma", "--config", cfg, "--out", str(out)]) == 1
+        line = len(text.splitlines())
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:{line}: unknown key `trace_s` in [sweep-gamma]\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,stage,text", [
         ("solve", "evolve",
          (CONFIGS / "soliton.cfg").read_text().replace("gamma = 0.0", "gamma = 0.5")),
@@ -326,10 +337,13 @@ class TestPicardCommand:
 
 class TestProbeEstimatesCommand:
     def test_unknown_tag_lists_valid(self, tmp_path, capsys):
-        code = main(["probe-estimates", "--which", "nope", "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        code = main(["probe-estimates", "--which", "nope", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: unknown tag")
         assert "2.03" in err and "3.03" in err
+        assert not out.exists()
 
     def test_summary_written(self, tmp_path):
         out = tmp_path / "pe"
@@ -341,6 +355,9 @@ class TestProbeEstimatesCommand:
         assert summary["refinement_factor"] < 4.0
         assert summary["refinement_skipped"] == {"grid_x2": 0, "window_x2": 0}
         assert (out / "ratios_2.057.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {"probe-estimates": {}}
+        assert manifest["argv"][:3] == ["probe-estimates", "--which", "2.057"]
 
     @pytest.mark.parametrize("flags,expected", [
         ([], (5, 2)), (["--seed", "7"], (7, 2)), (["--draws", "3"], (5, 3)),
@@ -439,6 +456,17 @@ class TestManifest:
         assert manifest["counts"]["steps"] == 10
         assert manifest["numpy"] == np.__version__
         assert manifest["platform"] == platform.platform()
+
+    def test_manifest_records_argv(self, tmp_path):
+        # the tag and the flags that beat the config are in no config key
+        out = tmp_path / "out"
+        argv = ["probe-estimates", "--config", str(CONFIGS / "probe_estimates.cfg"),
+                "--which", "2.057", "--draws", "3", "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["argv"] == argv
+        assert manifest["config"]["probe-estimates"]["draws"] == "100"
+        assert manifest["counts"]["draws"] == 3
 
 
 class TestProbeKernelCommand:
