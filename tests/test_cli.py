@@ -25,6 +25,8 @@ from ostrovsky.limits import SweepConfig
 from ostrovsky.solver import SolverConfig, gaussian_bump
 from ostrovsky.spectral import Field, Grid, MultiplierSpec, apply_multiplier
 
+import golden
+
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 SOLVE_CFG = """
@@ -508,6 +510,10 @@ class TestShippedConfigs:
     ], ids=lambda argv: Path(argv[2]).stem)
     def test_runs(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        if argv[0] in golden.SHIPPED:
+            hashes_skipped = golden.check(argv[0], tmp_path / "out")
+            if hashes_skipped:
+                pytest.skip(hashes_skipped)
 
     def test_required_keys_only_give_library_defaults(self, tmp_path, monkeypatch):
         """Keys absent from a config leave the library's defaults in force."""
