@@ -42,6 +42,7 @@ from .norms import norm_record
 from .solver import (
     MEAN_ZERO_ATOL,
     SolverConfig,
+    check_initial_mean,
     evolve,
     gaussian_bump,
     hamiltonian,
@@ -133,6 +134,7 @@ def cmd_solve(section, args):
     grid = _grid_from(section)
     cfg = _solver_config(section, grid)
     u0 = _initial_field(section, grid, cfg)
+    check_initial_mean(u0, cfg)
     snapshot_every = section.get_int("snapshot_every", 10)
 
     def run(out):
@@ -161,6 +163,7 @@ def cmd_sweep_gamma(section, args):
                  floor_factor=section.get_float),
     )
     u0 = _initial_field(section, grid, template)
+    check_initial_mean(u0, template)  # every sweep gamma is positive, as the template's
 
     def run(out):
         report = rotation_limit_sweep(sweep, u0)

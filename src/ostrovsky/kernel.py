@@ -6,22 +6,24 @@ and verification of its three-region decay bounds and the mixed
 L_x^{g/2} L_t^inf norm scaling N^{(g-2)/g}.
 
 The two signed frequency blocks are complex conjugates, so K is real and
-only the positive block is integrated.  Quadrature is panel-wise
-Gauss-Kronrod (G7, K15) with panel widths tied to the local oscillation
-wavelength 2*pi/|d/dxi (x*xi - t*phi)|.
+only the positive block is integrated.  kernel_eval, the one-point
+reference, is panel-wise Gauss-Kronrod (G7, K15) with panels tied to the
+local wavelength 2*pi/|g'| of the phase g = x*xi - t*phi.
 
-The probes evaluate their points in batches.  Panel counts come from
-phi' on a coarse grid, sampled once per call and broadcast over up to
-_COUNT_POINTS points at a time.  Consecutive points form batches of up
-to BATCH_NODES nodes (a larger point is a batch alone); the batches run
-on a thread pool of jobs workers, and each evaluates its integrand
-CHUNK_PANELS panels at a time, so a worker's memory is bounded for
-every point: one chunk's integrand plus 24 bytes per panel of its
-batch.  Only the points whose embedded error estimate misses tolerance
-are re-run at 4x and then 16x finer panels.  Each point's
-sums are taken exactly as kernel_eval takes them, so the batched values
-equal the scalar ones bit for bit, for every chunk, batch and pool
-size; kernel_eval stays the one-point reference.
+The probes evaluate their points in batches, from phi' sampled on a
+coarse grid once per call.  A point whose g' keeps one sign, with
+min|g'| times a Levin piece width at least LEVIN_MIN_TURN, goes first to
+Levin collocation, whose cost does not grow with |g'|; it is accepted
+when its two orders agree within spec.accepted_error.  The other points
+take Gauss-Kronrod: consecutive points form batches of up to BATCH_NODES
+nodes (a larger point is a batch alone) on a thread pool of jobs
+workers, each evaluating its integrand CHUNK_PANELS panels at a time, so
+a worker holds one chunk's integrand plus 24 bytes per panel of its
+batch.  Only the points whose error estimate misses tolerance are re-run
+at 4x and then 16x finer panels.  Gauss-Kronrod sums are taken exactly
+as kernel_eval takes them, so those values equal kernel_eval bit for
+bit; the tests hold Levin's to kernel_eval within accepted_error.  No
+value depends on the chunk, batch or pool size.
 
 Sampling windows follow the kernel's self-similar scales x ~ 1/N,
 t ~ 1/N^3, so empirical constants are comparable across dyadic N.
@@ -30,6 +32,8 @@ t ~ 1/N^3, so empirical constants are comparable across dyadic N.
 from __future__ import annotations
 
 import enum
+import functools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -38,6 +42,8 @@ import numpy as np
 from .errors import BoxTooSmallError, ConfigError, QuadratureAccuracyError
 from .pool import pool_map
 from .spectral import PhaseSymbol
+
+log = logging.getLogger("ostrovsky")
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]
 _KRONROD_NODES = np.array([
@@ -69,6 +75,10 @@ _COARSE = 48  # coarse sub-intervals of [N, 4N], each with its own panel width
 _COUNT_POINTS = 1024  # points whose panel counts one broadcast takes
 _REFINES = (1.0, 4.0, 16.0)  # panel refinements tried in turn
 RELATIVE_TOLERANCE = 1e-12  # error bound relative to the |K| <= 6N envelope
+_LEVIN_PIECES = 6  # equal pieces of [N, 4N], each collocated on its own
+_LEVIN_ORDERS = (12, 16)  # Chebyshev-Lobatto orders; their gap bounds the error
+LEVIN_MIN_TURN = 4.0  # least min|g'| * piece width that sends a point to Levin
+LEVIN_POINTS = 32  # points per batched collocation solve
 
 
 @dataclass(frozen=True)
@@ -152,6 +162,57 @@ def _panel_counts(xs: np.ndarray, ts: np.ndarray, coarse, refine: float) -> np.n
     return np.maximum(1, np.ceil((b - a) / width_cap * refine)).astype(np.intp)
 
 
+def _levin_eligible(xs: np.ndarray, ts: np.ndarray, coarse, n_block: float) -> np.ndarray:
+    """Points whose g' = x - t*phi' keeps one sign at the coarse samples
+    with min|g'| * piece width >= LEVIN_MIN_TURN: no stationary point, and
+    collocation systems far from the singular g' = 0."""
+    dphi = coarse[2].ravel()
+    width = 3.0 * n_block / _LEVIN_PIECES
+    eligible = np.empty(xs.size, dtype=bool)
+    for lo in range(0, xs.size, _COUNT_POINTS):
+        part = slice(lo, lo + _COUNT_POINTS)
+        slope = xs[part, None] - ts[part, None] * dphi
+        # max(min g', -max g') is min|g'| when g' keeps one sign, else <= 0
+        least = np.maximum(slope.min(axis=1), -slope.max(axis=1))
+        eligible[part] = least * width >= LEVIN_MIN_TURN
+    return eligible
+
+
+@functools.cache
+def _collocation(order: int):
+    """Chebyshev-Lobatto nodes cos(pi*j/order), j = 0..order (the right end
+    first), and their differentiation matrix on [-1, 1]."""
+    j = np.arange(order + 1)
+    nodes = np.cos(np.pi * j / order)
+    c = np.where((j == 0) | (j == order), 2.0, 1.0) * (-1.0) ** j
+    diff = np.outer(c, 1.0 / c) / (nodes[:, None] - nodes[None, :] + np.eye(order + 1))
+    return nodes, diff - np.diag(diff.sum(axis=1))
+
+
+def _levin_values(xs: np.ndarray, ts: np.ndarray, spec: KernelSpec, symbol: PhaseSymbol):
+    """K at each point by Levin collocation (D. Levin, Math. Comp. 38
+    (1982) 531-538) and its achieved bound, twice the gap between the two
+    orders as the GK bound is twice K15 - G7.  On each piece, p' + i g' p = 1
+    at the nodes makes (p e^{ig})' the integrand, so the piece contributes
+    p e^{ig} at its right end minus at its left; p does not oscillate when
+    g' has no zero, so the cost is the same at every frequency."""
+    edges = np.linspace(spec.block_start, 4.0 * spec.block_start, _LEVIN_PIECES + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    integrals = []
+    for order in _LEVIN_ORDERS:
+        nodes, diff = _collocation(order)
+        xi = mid[:, None] + half[:, None] * nodes  # (pieces, order + 1)
+        slope = xs[:, None, None] - ts[:, None, None] * symbol.derivative(xi)
+        system = diff / half[:, None, None] + 1j * slope[..., None] * np.eye(order + 1)
+        p = np.linalg.solve(system, np.ones(slope.shape + (1,), dtype=complex))[..., 0]
+        ends = xi[:, [0, -1]]
+        phase = xs[:, None, None] * ends - ts[:, None, None] * symbol.at_nonzero(ends)
+        wave = np.exp(1j * phase)
+        integrals.append((p[..., 0] * wave[..., 0] - p[..., -1] * wave[..., 1]).sum(axis=1))
+    low, high = integrals
+    return 2.0 * high.real, 2.0 * np.abs(high - low)
+
+
 class _Panels:
     """The panels of consecutive points (xs[i], ts[i]) with panel counts m,
     point by point and coarse sub-interval by sub-interval; entry k of the
@@ -220,12 +281,14 @@ def kernel_eval(x: float, t: float, spec: KernelSpec) -> float:
 class QuadratureStats:
     """What the quadrature did over one probe's points.
 
-    refined_x4 and refined_x16 count the points that were re-run at 4x
-    (and then 16x) finer panels; max_error is the largest finite achieved
-    error bound, over converged and failed points alike.
+    levin counts the points Levin accepted; refined_x4 and refined_x16
+    count the points that were re-run at 4x (and then 16x) finer panels;
+    max_error is the largest finite achieved error bound, over converged
+    and failed points alike.
     """
 
     points: int = 0
+    levin: int = 0
     refined_x4: int = 0
     refined_x16: int = 0
     over_cap: int = 0
@@ -277,11 +340,11 @@ def _batches(rows: np.ndarray, nodes: np.ndarray) -> list:
 def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int | None = None):
     """K at the points (xs[i], ts[i]) and each point's achieved error bound.
 
-    Equal bit for bit to kernel_eval point by point for t >= 0, for every
-    jobs.  A point that misses spec.accepted_error after the last refinement
-    gets value nan and keeps its bound; a point whose panels exceed
-    MAX_NODES gets nan and bound inf.  Adds what the quadrature did to
-    stats.
+    Points that Levin does not accept take Gauss-Kronrod and equal
+    kernel_eval bit for bit for t >= 0; no value depends on jobs.  A point
+    that misses spec.accepted_error after the last refinement gets value
+    nan and keeps its bound; a point whose panels exceed MAX_NODES gets nan
+    and bound inf.  Adds what the quadrature did to stats.
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -289,7 +352,13 @@ def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int |
     coarse = _coarse_samples(spec)
     values = np.full(xs.size, np.nan)
     achieved = np.full(xs.size, np.inf)
-    todo = np.arange(xs.size)
+    eligible = np.flatnonzero(_levin_eligible(xs, ts, coarse, spec.block_start))
+    chunks = [eligible[lo:lo + LEVIN_POINTS] for lo in range(0, eligible.size, LEVIN_POINTS)]
+    levin = pool_map(lambda rows: _levin_values(xs[rows], ts[rows], spec, symbol), chunks, jobs)
+    for rows, (value, bound) in zip(chunks, levin):
+        achieved[rows] = bound
+        values[rows] = np.where(bound <= accepted, value, np.nan)
+    todo = np.flatnonzero(~(achieved <= accepted))  # the rest take Gauss-Kronrod
     reached = [0] * len(_REFINES)  # points evaluated at each refinement
     for level, refine in enumerate(_REFINES):
         if not todo.size:
@@ -312,7 +381,11 @@ def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int |
             missed.extend(batch[~ok])
         todo = np.sort(np.array(missed, dtype=np.intp))
     finite = achieved[np.isfinite(achieved)]
+    levin_ok = xs.size - reached[0]  # the points Levin accepted skip Gauss-Kronrod
+    log.debug("kernel values: %d points; Levin %d accepted, %d missed; Gauss-Kronrod %d at x1, "
+              "%d at x4, %d at x16", xs.size, levin_ok, eligible.size - levin_ok, *reached)
     stats.points += xs.size
+    stats.levin += levin_ok
     stats.refined_x4 += reached[1]
     stats.refined_x16 += reached[2]
     stats.over_cap += int(np.sum(np.isposinf(achieved)))

@@ -246,6 +246,16 @@ def hamiltonian(u: Field, cfg: SolverConfig) -> float:
     return h
 
 
+def check_initial_mean(u0: Field, cfg: SolverConfig):
+    """Raise MeanZeroViolation for initial data with a nonzero mean when
+    cfg.gamma > 0: the dispersion symbol is singular at xi = 0 there.  At
+    gamma = 0 the mean is dynamically inert (phi(0) = 0, nonlinear flux is
+    mean-free) and a constant background is legal input."""
+    if cfg.gamma > 0 and abs(u0.mean()) > MEAN_ZERO_ATOL * max(1.0, u0.l2_norm()):
+        raise MeanZeroViolation(u0.mean(), f"evolve requires mean-zero initial data when "
+                                f"gamma > 0 (mean = {u0.mean():.3g})")
+
+
 def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
     """March from 0 to t_end recording snapshots and conserved traces.
 
@@ -256,13 +266,7 @@ def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
     """
     if snapshot_every <= 0:
         raise ConfigError(f"snapshot_every must be positive, got {snapshot_every}")
-    # The dispersion symbol is singular at xi = 0 for gamma > 0, so the
-    # rotation equation needs mean-zero data.  At gamma = 0 the mean is
-    # dynamically inert (phi(0) = 0, nonlinear flux is mean-free) and a
-    # constant background is legal input.
-    if cfg.gamma > 0 and abs(u0.mean()) > MEAN_ZERO_ATOL * max(1.0, u0.l2_norm()):
-        raise MeanZeroViolation(u0.mean(), f"evolve requires mean-zero initial data when "
-                                f"gamma > 0 (mean = {u0.mean():.3g})")
+    check_initial_mean(u0, cfg)
     cfg.validate_timestep(u0)
 
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))

@@ -179,15 +179,12 @@ def main_record(argv=None):
     parser.add_argument("--hashes-only", action="store_true",
                         help="re-record the hashes and environment, keep numbers and tolerances")
     args = parser.parse_args(argv)
-    existing = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    golden = {}
-    for command in SHIPPED:
-        with tempfile.TemporaryDirectory() as tmp:
-            fresh = record_probe_kernel(Path(tmp) / "out")
-        if args.hashes_only:
-            fresh = {**existing[command], "sha256": fresh["sha256"], **environment()}
-        golden[command] = fresh
-    GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = record_probe_kernel(Path(tmp) / "out")
+    if args.hashes_only:
+        recorded = json.loads(GOLDEN.read_text())["probe-kernel"]
+        fresh = {**recorded, "sha256": fresh["sha256"], **environment()}
+    GOLDEN.write_text(json.dumps({"probe-kernel": fresh}, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

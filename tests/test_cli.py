@@ -293,6 +293,7 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("config error:") and "mean-zero" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("error,code", [
         (MeanZeroViolation(0.5), 1),
@@ -375,9 +376,7 @@ class TestProbeEstimatesCommand:
         assert json.loads((out / "manifest.json").read_text())["seed"] == expected[0]
 
 
-class TestSweepCommand:
-    def test_rate_json_has_finite_slope(self, tmp_path):
-        cfg = write_cfg(tmp_path, """
+SWEEP_CFG = """
 [sweep-gamma]
 beta = -1.0
 gamma = 1.0
@@ -392,7 +391,12 @@ snapshot_every = 2
 initial = gaussian
 amplitude = 0.4
 width = 2.0
-""")
+"""
+
+
+class TestSweepCommand:
+    def test_rate_json_has_finite_slope(self, tmp_path):
+        cfg = write_cfg(tmp_path, SWEEP_CFG)
         out = tmp_path / "sweep"
         assert main(["sweep-gamma", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 0
         rate = json.loads((out / "rate.json").read_text())
@@ -402,6 +406,20 @@ width = 2.0
         rows = (out / "rate.csv").read_text().splitlines()
         assert rows[0] == "gamma,error,floor_flag"
         assert len(rows) == 4
+
+    def test_nonzero_mean_snapshot_exits_one_before_out(self, tmp_path, capsys):
+        # every sweep gamma is positive, so the datum is rejected in the
+        # read phase, before the gamma = 0 reference run
+        grid = Grid(128, 20.0)
+        snap = tmp_path / "snap.dat"
+        field = gaussian_bump(grid, amplitude=0.4, width=2.0)
+        write_snapshot(snap, Field.from_samples(grid, field.samples() + 0.1), -1.0, 1.0, 5, 0.0)
+        cfg = write_cfg(tmp_path, file_initial(SWEEP_CFG, snap))
+        assert main(["sweep-gamma", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error:") and "mean-zero" in err
+        assert not (tmp_path / "o").exists()
 
 
 def write_invariants_cfg(tmp_path, edit):
@@ -492,8 +510,9 @@ class TestProbeKernelCommand:
             assert block["accepted_error"] == 1e-9  # the tolerance, for N <= 166
             assert decay["points"] == 3 * 3 + 10 * 33
             assert mixed["points"] == 16 * 4
+            assert mixed["levin"] > 0  # the grid's far field
             for stats in (decay, mixed):
-                assert sorted(stats) == ["max_error", "over_cap", "points",
+                assert sorted(stats) == ["levin", "max_error", "over_cap", "points",
                                          "refined_x16", "refined_x4"]
                 assert 0.0 < stats["max_error"] <= block["accepted_error"]
 

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ from ostrovsky.kernel import (
     _block_integral,
     _coarse_samples,
     _kernel_values,
+    _levin_eligible,
     _panel_counts,
     _Panels,
     kernel_eval,
@@ -29,6 +31,12 @@ from ostrovsky.spectral import Field, Grid, MultiplierSpec, PhaseSymbol, apply_m
 @pytest.fixture(scope="module")
 def spec8():
     return KernelSpec(8.0, -1.0, 1.0)
+
+
+@pytest.fixture
+def gauss_kronrod_only(monkeypatch):
+    """No point is eligible for Levin collocation."""
+    monkeypatch.setattr(kernel, "LEVIN_MIN_TURN", math.inf)
 
 
 @pytest.fixture
@@ -154,18 +162,32 @@ class TestRayExponent:
 
 
 def region_points(n_block):
-    """Two points per decay region on the self-similar scales, then one
-    stationary point whose error bound falls with each refinement and one
-    whose panels exceed MAX_NODES."""
+    """Two points per decay region on the self-similar scales, then two
+    with a stationary point in the block, which only Gauss-Kronrod takes:
+    one whose error bound falls with each refinement and one whose panels
+    exceed MAX_NODES.  Levin takes one point of each region tag among
+    the first six, and both stationary ones there."""
     n = n_block
     return [(0.5 / n, 1.0 / n**3), (-0.3 / n, 20.0 / n**3),
             (5.0 / n, 1e-4 / n**3), (-20.0 / n, 0.004 / n**3),
             (10.0 / n, 3.0 / n**3), (-3.0 / n, 25.0 / n**3),
-            (-6.0 / n, 60.0 / n**3), (-3.0 / n, 6e3 / n**3)]
+            (-400.0 / n, 120.0 / n**3), (-4e4 / n, 4e4 / (6.0 * n**3))]
+
+
+LEVIN_ROUTED = [1, 3, 4, 5]  # the region_points that Levin takes
+
+
+def assert_values_match(values, xs, ts, spec, ref_values):
+    """Points Levin may take agree with ref_values within accepted_error,
+    the rest bit for bit; at least one point is Levin's."""
+    levin = _levin_eligible(xs, ts, _coarse_samples(spec), spec.block_start)
+    assert np.any(levin)
+    assert np.array_equal(values[~levin], ref_values[~levin])
+    assert np.all(np.abs(values[levin] - ref_values[levin]) <= spec.accepted_error)
 
 
 def refinement_spec(n_block, level):
-    """Spec whose tolerance the point (-6/N, 60/N^3) meets first at
+    """Spec whose tolerance the point (-400/N, 120/N^3) meets first at
     refine 4 (level 1) or 16 (level 2)."""
     spec = KernelSpec(n_block, -1.0, 1.0)
     x, t = region_points(n_block)[6]
@@ -218,15 +240,26 @@ def reference_ray_exponent(spec, offsets=RAY_OFFSETS, points_per_ray=33):
     return float(np.polyfit(np.concatenate(logs_t), np.concatenate(logs_k), 1)[0])
 
 
-def reference_mixed_norm_sup(spec, c_t, n_x, n_t):
-    """sup_t |K| per x on kernel_mixed_norm's grid, x outer and t inner."""
+def mixed_norm_axes(spec, c_t, n_x, n_t):
+    """The x and t samples of kernel_mixed_norm's grid."""
     n_block = spec.block_start
     t_max = c_t / n_block**3
     x_max = max(2.0 * kernel.REGION_BOUNDARY_FACTOR * spec.threshold * n_block**2 * t_max,
                 200.0 / n_block)
     ts = np.exp(np.linspace(math.log(t_max * 1e-3), math.log(t_max), n_t))
     half = np.exp(np.linspace(math.log(1e-3 / n_block), math.log(x_max), n_x))
-    xs = np.concatenate([-half[::-1], half])
+    return np.concatenate([-half[::-1], half]), ts
+
+
+def mixed_norm_points(spec, c_t, n_x, n_t):
+    """kernel_mixed_norm's grid as a list of points, x outer."""
+    xs, ts = mixed_norm_axes(spec, c_t, n_x, n_t)
+    return np.repeat(xs, ts.size), np.tile(ts, xs.size)
+
+
+def reference_mixed_norm_sup(spec, c_t, n_x, n_t):
+    """sup_t |K| per x on kernel_mixed_norm's grid, x outer and t inner."""
+    xs, ts = mixed_norm_axes(spec, c_t, n_x, n_t)
     sup_k = np.empty(xs.size)
     for i, x in enumerate(xs):
         best = 0.0
@@ -255,17 +288,20 @@ class TestAcceptedError:
         assert KernelSpec(1024.0, -1.0, 1.0, tolerance=1e-6).accepted_error == 1e-6
 
     def test_large_block_at_first_refinement(self):
-        # two stationary samples have rounding-floor bounds near 1.9e-9 and
-        # 1.4e-9 that finer panels do not lower, so the absolute 1e-9 alone
-        # would skip them and fail the region
+        # Gauss-Kronrod bounds at N = 1024 sit on a rounding floor that finer
+        # panels do not lower: near 1.9e-9 and 1.4e-9 at two stationary
+        # samples, which Levin now takes, and up to 2.4e-9 on the ray, which
+        # has a stationary point and stays with Gauss-Kronrod; the absolute
+        # 1e-9 alone would fail the ray fit
         spec = KernelSpec(1024.0, -1.0, 1.0)
         report = region_decay_check(spec, samples_per_region=8, seed=3)
         assert report.skipped_fraction == 0.0
         assert report.quadrature.refined_x4 == 0
         assert 1e-9 < report.quadrature.max_error <= spec.accepted_error
         stationary = report.regions["STATIONARY"]
-        assert np.array_equal(stationary.abs_k, [abs(kernel_eval(x, t, spec))
-                                                 for x, t in zip(stationary.x, stationary.t)])
+        reference = np.array([abs(kernel_eval(x, t, spec))
+                              for x, t in zip(stationary.x, stationary.t)])
+        assert_values_match(stationary.abs_k, stationary.x, stationary.t, spec, reference)
         small = region_decay_check(KernelSpec(16.0, -1.0, 1.0), samples_per_region=8, seed=3)
         assert report.ray_exponent == pytest.approx(small.ray_exponent, abs=1e-3)
         for name, reg in report.regions.items():
@@ -313,12 +349,15 @@ class TestBatchedQuadrature:
         values, achieved = _kernel_values(xs, ts, spec, stats)
         ref_values, ref_achieved = scalar_values(xs, ts, spec, None)
         ok = ref_achieved <= spec.tolerance
-        assert np.array_equal(values[ok], ref_values[ok])
+        assert np.all(ok[LEVIN_ROUTED])
+        assert_values_match(values[ok], xs[ok], ts[ok], spec, ref_values[ok])
         assert np.all(achieved[ok] <= spec.tolerance)
         assert np.array_equal(achieved[~ok], ref_achieved[~ok])
         assert np.all(np.isnan(values[~ok]))
         assert ok[6] and np.isposinf(achieved[-1])
         assert stats.points == xs.size and stats.over_cap == 1
+        # some Levin points miss these tight tolerances and fall back
+        assert 1 <= stats.levin <= len(LEVIN_ROUTED)
         assert stats.refined_x4 >= 1 and (stats.refined_x16 >= 1) == (level == 2)
         assert stats.max_error == np.max(achieved[np.isfinite(achieved)])
 
@@ -345,9 +384,10 @@ class TestBatchedQuadrature:
 
     def test_points_over_budget_in_bounded_memory(self):
         # two points of about 680,000 nodes each, side by side on two
-        # threads; evaluated whole, one point alone took about 29 MiB
+        # threads; evaluated whole, one point alone took about 29 MiB.  The
+        # stationary point xi = sqrt(2) N keeps them from Levin.
         spec = KernelSpec(16.0, -1.0, 1.0)
-        xs, ts = np.full(2, -0.0630), np.full(2, 0.180)
+        xs, ts = np.full(2, -375.0), np.full(2, 0.244140625)
         nodes = 15 * _panel_counts(xs, ts, _coarse_samples(spec), 1.0).sum(axis=1)
         assert np.all(nodes > 10 * kernel.BATCH_NODES)
         tracemalloc.start()
@@ -357,7 +397,7 @@ class TestBatchedQuadrature:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
-        assert values[0] == values[1] == kernel_eval(-0.0630, 0.180, spec)
+        assert values[0] == values[1] == kernel_eval(-375.0, 0.244140625, spec)
         assert np.all(achieved <= spec.tolerance)
 
     def test_tolerance_miss_keeps_bound(self):
@@ -407,23 +447,40 @@ class TestProbesEqualScalarLoops:
             reference_ray_exponent(spec, RAY_OFFSETS[:4], 9)
 
     def test_mixed_norm(self):
+        # each sup_t |K| may move by accepted_error where Levin takes points:
+        # by Minkowski the norm moves by at most accepted_error * (2X)^(1/p)
+        # plus the move of the tail term's p-th root, linear in its
+        # constant c2 = max(sup_k * N * x^2)
         spec = KernelSpec(8.0, -1.0, 1.0)
         report = kernel_mixed_norm(spec, 8.0, n_x=10, n_t=6)
-        assert report.value == reference_mixed_norm_value(spec, 8.0, 1.0, 10, 6)
+        p, x_max = 4.0, report.x_extent
+        tolerance = spec.accepted_error * ((2.0 * x_max) ** (1.0 / p)
+                                           + (2.0 / 7.0) ** (1.0 / p) * x_max ** (-7.0 / p + 2.0))
+        assert report.value == pytest.approx(reference_mixed_norm_value(spec, 8.0, 1.0, 10, 6),
+                                             rel=0, abs=tolerance)
         assert report.quadrature.points == 20 * 6
+        assert report.quadrature.levin > 0
 
     def test_region_decay_check(self, monkeypatch):
         spec = KernelSpec(8.0, -1.0, 1.0)
         batched = region_decay_check(spec, samples_per_region=6, seed=4)
         monkeypatch.setattr(kernel, "_kernel_values", scalar_values)
         scalar = region_decay_check(spec, samples_per_region=6, seed=4)
+        # every ray point has a stationary point in the block: Gauss-Kronrod's
         assert batched.ray_exponent == scalar.ray_exponent
         for name, reg in batched.regions.items():
-            for field in ("x", "t", "abs_k", "bound", "ratios"):
-                assert np.array_equal(getattr(reg, field), getattr(scalar.regions[name], field))
+            ref = scalar.regions[name]
+            for field in ("x", "t", "bound"):
+                assert np.array_equal(getattr(reg, field), getattr(ref, field))
+            assert_values_match(reg.abs_k, reg.x, reg.t, spec, ref.abs_k)
+            assert np.all(np.abs(reg.ratios - ref.ratios) <= spec.accepted_error / reg.bound)
         assert batched.quadrature.points == 3 * 6 + len(RAY_OFFSETS) * 33
+        assert batched.quadrature.levin > 0
 
+    @pytest.mark.usefixtures("gauss_kronrod_only")
     def test_region_check_skips_point_over_cap(self, monkeypatch):
+        # the cap binds on Gauss-Kronrod panels only, and every stationary
+        # sample with more panels than the ray goes to Levin
         spec = KernelSpec(8.0, -1.0, 1.0)
         base = region_decay_check(spec, samples_per_region=20, seed=2)
         stat = base.regions["STATIONARY"]
@@ -449,9 +506,11 @@ class TestProbesEqualScalarLoops:
             kernel_mixed_norm(spec, 8.0, n_x=4, n_t=3)
         assert err.value.achieved == math.inf
 
+    @pytest.mark.usefixtures("gauss_kronrod_only")
     def test_first_failure_in_scalar_order(self, absolute_tolerance):
         # the outermost x points miss this tolerance at every refinement,
-        # each with its own finite bound; the rest converge
+        # each with its own finite bound; the rest converge.  Levin would
+        # meet it at those points, so Gauss-Kronrod takes every point here
         spec = KernelSpec(8.0, -1.0, 1.0, tolerance=2e-13)
         with pytest.raises(QuadratureAccuracyError) as scalar:
             reference_mixed_norm_sup(spec, 0.02, 8, 5)
@@ -459,3 +518,109 @@ class TestProbesEqualScalarLoops:
             kernel_mixed_norm(spec, 8.0, c_t=0.02, n_x=8, n_t=5)
         assert math.isfinite(scalar.value.achieved)
         assert batched.value.achieved == scalar.value.achieved
+
+
+class TestLevin:
+    @pytest.mark.parametrize("n_block", [16.0, 32.0, 64.0])
+    def test_agrees_with_kernel_eval(self, n_block):
+        # four eligible points of each region tag, drawn over the decay
+        # windows, and every 40th eligible point of the benchmark-size grid
+        spec = KernelSpec(n_block, -1.0, 1.0)
+        coarse = _coarse_samples(spec)
+        rng = np.random.default_rng(7)
+        xs = rng.choice([-1.0, 1.0], 400) * 10 ** rng.uniform(-3.0, 2.0, 400) / n_block
+        ts = 10 ** rng.uniform(-4.0, 2.5, 400) / n_block**3
+        tags = np.array([RegionTag.classify(x, t, spec) for x, t in zip(xs, ts)])
+        eligible = _levin_eligible(xs, ts, coarse, n_block)
+        picks = [np.flatnonzero(eligible & (tags == tag))[:4] for tag in RegionTag]
+        assert all(pick.size == 4 for pick in picks)
+        grid_x, grid_t = mixed_norm_points(spec, 1.0, 30, 12)
+        on_grid = np.flatnonzero(_levin_eligible(grid_x, grid_t, coarse, n_block))[::40]
+        px = np.concatenate([xs[pick] for pick in picks] + [grid_x[on_grid]])
+        pt = np.concatenate([ts[pick] for pick in picks] + [grid_t[on_grid]])
+        stats = QuadratureStats()
+        values, achieved = _kernel_values(px, pt, spec, stats)
+        assert stats.levin == px.size and stats.refined_x4 == 0
+        assert np.all(achieved <= spec.accepted_error)
+        assert np.all(np.abs(values - scalar_values(px, pt, spec, None)[0]) <= spec.accepted_error)
+
+    def test_threshold_keeps_points_from_levin(self):
+        spec = KernelSpec(16.0, -1.0, 1.0)
+        coarse = _coarse_samples(spec)
+        # at t = 0 the phase slope is x, so min|g'| * width is |x| N / 2
+        edge = kernel.LEVIN_MIN_TURN * 2.0 / spec.block_start
+        xs = np.array([0.99, -0.99, 1.01, -1.01]) * edge
+        assert _levin_eligible(xs, np.zeros(4), coarse, 16.0).tolist() == [False, False,
+                                                                           True, True]
+        # the near field as t -> 0, and the stationary ray
+        near_x = np.repeat([0.5 / 16.0, -1.0 / 16.0], 3)
+        near_t = np.tile([0.0, 1e-6, 1e-3], 2) / 16.0**3
+        slope_lo = abs(spec.symbol.derivative(16.0))
+        slope_hi = abs(spec.symbol.derivative(64.0))
+        ray_x = np.repeat([-c / 16.0 for c in RAY_OFFSETS], 9)
+        ray_t = np.concatenate([np.exp(np.linspace(math.log(abs(x) / slope_hi),
+                                                   math.log(abs(x) / slope_lo), 9))
+                                for x in ray_x[::9]])
+        xs, ts = np.concatenate([near_x, ray_x]), np.concatenate([near_t, ray_t])
+        assert not np.any(_levin_eligible(xs, ts, coarse, 16.0))
+        stats = QuadratureStats()
+        values, _ = _kernel_values(xs, ts, spec, stats)
+        assert stats.levin == 0
+        assert np.array_equal(values, scalar_values(xs, ts, spec, None)[0])
+
+    def test_missed_bound_falls_back_to_gauss_kronrod(self, monkeypatch, caplog):
+        # orders 4 and 6 differ by far more than 1e-9 where the phase is
+        # not nearly linear, as it is at region_points' (-20/N, 0.004/N^3)
+        monkeypatch.setattr(kernel, "_LEVIN_ORDERS", (4, 6))
+        spec = KernelSpec(16.0, -1.0, 1.0)
+        xs, ts = np.array(region_points(16.0))[[1, 4, 5]].T
+        assert np.all(_levin_eligible(xs, ts, _coarse_samples(spec), 16.0))
+        stats = QuadratureStats()
+        with caplog.at_level(logging.DEBUG, logger="ostrovsky"):
+            values, achieved = _kernel_values(xs, ts, spec, stats)
+        assert stats.levin == 0
+        assert np.array_equal(values, scalar_values(xs, ts, spec, None)[0])
+        assert np.array_equal(achieved, [2.0 * _block_integral(x, t, spec, spec.symbol, 1.0)[1]
+                                         for x, t in zip(xs, ts)])
+        assert caplog.messages == ["kernel values: 3 points; Levin 0 accepted, 3 missed; "
+                                   "Gauss-Kronrod 3 at x1, 0 at x4, 0 at x16"]
+
+    def test_debug_line_per_call(self, caplog):
+        spec = KernelSpec(16.0, -1.0, 1.0)
+        xs, ts = np.array(region_points(16.0)).T
+        stats = QuadratureStats()
+        with caplog.at_level(logging.DEBUG, logger="ostrovsky"):
+            _kernel_values(xs, ts, spec, stats)
+        assert caplog.messages == ["kernel values: 8 points; Levin 4 accepted, 0 missed; "
+                                   "Gauss-Kronrod 4 at x1, 0 at x4, 0 at x16"]
+        assert (stats.levin, stats.over_cap) == (4, 1)
+
+    def test_most_non_stationary_grid_points_go_to_levin(self):
+        spec = KernelSpec(16.0, -1.0, 1.0)
+        xs, ts = mixed_norm_points(spec, 1.0, 30, 12)
+        tags = np.array([RegionTag.classify(x, t, spec) for x, t in zip(xs, ts)])
+        far = tags == RegionTag.NON_STATIONARY
+        eligible = _levin_eligible(xs, ts, _coarse_samples(spec), 16.0)
+        stats = QuadratureStats()
+        _kernel_values(xs, ts, spec, stats)
+        assert stats.levin == np.count_nonzero(eligible)  # every eligible point met the bound
+        assert np.count_nonzero(far) == 192 and np.count_nonzero(eligible & far) >= 190
+
+    @pytest.mark.parametrize("size", [1, 7, 1 << 40])
+    def test_independent_of_solve_chunk(self, monkeypatch, size):
+        spec = KernelSpec(16.0, -1.0, 1.0)
+        xs, ts = mixed_norm_points(spec, 1.0, 30, 12)
+        base = _kernel_values(xs, ts, spec, QuadratureStats())
+        monkeypatch.setattr(kernel, "LEVIN_POINTS", size)
+        for a, b in zip(base, _kernel_values(xs, ts, spec, QuadratureStats())):
+            assert np.array_equal(a, b)
+
+    def test_node_cap_binds_gauss_kronrod_only(self, monkeypatch):
+        spec = KernelSpec(16.0, -1.0, 1.0)
+        xs, ts = np.array(region_points(16.0))[LEVIN_ROUTED].T
+        base = _kernel_values(xs, ts, spec, QuadratureStats())
+        monkeypatch.setattr(kernel, "MAX_NODES", 15)
+        stats = QuadratureStats()
+        for a, b in zip(base, _kernel_values(xs, ts, spec, stats)):
+            assert np.array_equal(a, b)
+        assert stats.over_cap == 0 and stats.levin == xs.size
