@@ -555,6 +555,20 @@ class MixedNormReport:
     quadrature: QuadratureStats
 
 
+def _mixed_norm_terms(sup_k, xs, n_block: float, gamma_exp: float, x_max: float):
+    """The box's p-th power of the norm and the tail's, p = gamma_exp/2, from
+    sup_t |K| at xs; each is nondecreasing in every sup_k."""
+    p = gamma_exp / 2.0
+    value_p = float(np.trapezoid(sup_k**p, xs))
+    # near-field gap [-x_min, x_min] around the origin: |K| <= 6N there
+    value_p += (6.0 * n_block) ** p * 2.0 * (1e-3 / n_block)
+
+    # beyond X the whole t-range is non-stationary: |K| <= C2 / (N x^2)
+    far = np.abs(xs) > 0.5 * x_max
+    c2 = float(np.max(sup_k[far] * n_block * xs[far] ** 2)) if np.any(far) else 1.0
+    return value_p, 2.0 * (c2 / n_block) ** p * x_max ** (1.0 - gamma_exp) / (gamma_exp - 1.0)
+
+
 def kernel_mixed_norm(spec: KernelSpec, gamma_exp: float, c_t: float = 1.0,
                       n_x: int = 120, n_t: int = 48,
                       jobs: int | None = None) -> MixedNormReport:
@@ -582,23 +596,14 @@ def kernel_mixed_norm(spec: KernelSpec, gamma_exp: float, c_t: float = 1.0,
                                       jobs)
     _require_converged(achieved, spec)
     sup_k = np.max(np.abs(values).reshape(xs.size, ts.size), axis=1, initial=0.0)
-
-    p = gamma_exp / 2.0
-    value_p = float(np.trapezoid(sup_k**p, xs))
-    # near-field gap [-x_min, x_min] around the origin: |K| <= 6N there
-    value_p += (6.0 * n_block) ** p * 2.0 * (1e-3 / n_block)
-
-    # beyond X the whole t-range is non-stationary: |K| <= C2 / (N x^2)
-    far = np.abs(xs) > 0.5 * x_max
-    c2 = float(np.max(sup_k[far] * n_block * xs[far] ** 2)) if np.any(far) else 1.0
-    tail_p = 2.0 * (c2 / n_block) ** p * x_max ** (1.0 - gamma_exp) / (gamma_exp - 1.0)
+    value_p, tail_p = _mixed_norm_terms(sup_k, xs, n_block, gamma_exp, x_max)
     tail_fraction = tail_p / max(value_p, 1e-300)
     if tail_fraction > 0.01:
         raise BoxTooSmallError(
             f"tail fraction {tail_fraction:.2%} exceeds 1% with X = {x_max:g}"
         )
 
-    value = (value_p + tail_p) ** (1.0 / p)
+    value = (value_p + tail_p) ** (2.0 / gamma_exp)
     scaling = n_block ** ((gamma_exp - 2.0) / gamma_exp)
     return MixedNormReport(
         spec=spec, gamma_exp=gamma_exp, value=value, x_extent=x_max,

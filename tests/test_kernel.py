@@ -18,6 +18,7 @@ from ostrovsky.kernel import (
     _coarse_samples,
     _kernel_values,
     _levin_eligible,
+    _levin_values,
     _panel_counts,
     _Panels,
     kernel_eval,
@@ -26,6 +27,8 @@ from ostrovsky.kernel import (
     stationary_ray_exponent,
 )
 from ostrovsky.spectral import Field, Grid, MultiplierSpec, PhaseSymbol, apply_multiplier
+
+import golden
 
 
 @pytest.fixture(scope="module")
@@ -269,8 +272,7 @@ def reference_mixed_norm_sup(spec, c_t, n_x, n_t):
     return xs, sup_k
 
 
-def reference_mixed_norm_value(spec, gamma_exp, c_t, n_x, n_t):
-    xs, sup_k = reference_mixed_norm_sup(spec, c_t, n_x, n_t)
+def reference_mixed_norm_value(spec, gamma_exp, xs, sup_k):
     n_block, x_max, p = spec.block_start, xs[-1], gamma_exp / 2.0
     value_p = float(np.trapezoid(sup_k**p, xs)) + (6.0 * n_block) ** p * 2.0 * (1e-3 / n_block)
     far = np.abs(xs) > 0.5 * x_max
@@ -447,16 +449,13 @@ class TestProbesEqualScalarLoops:
             reference_ray_exponent(spec, RAY_OFFSETS[:4], 9)
 
     def test_mixed_norm(self):
-        # each sup_t |K| may move by accepted_error where Levin takes points:
-        # by Minkowski the norm moves by at most accepted_error * (2X)^(1/p)
-        # plus the move of the tail term's p-th root, linear in its
-        # constant c2 = max(sup_k * N * x^2)
+        # each sup_t |K| may move by accepted_error where Levin takes points
         spec = KernelSpec(8.0, -1.0, 1.0)
         report = kernel_mixed_norm(spec, 8.0, n_x=10, n_t=6)
-        p, x_max = 4.0, report.x_extent
-        tolerance = spec.accepted_error * ((2.0 * x_max) ** (1.0 / p)
-                                           + (2.0 / 7.0) ** (1.0 / p) * x_max ** (-7.0 / p + 2.0))
-        assert report.value == pytest.approx(reference_mixed_norm_value(spec, 8.0, 1.0, 10, 6),
+        xs, sup_k = reference_mixed_norm_sup(spec, 1.0, 10, 6)
+        tolerance, _ = golden.mixed_norm_tolerances(sup_k, xs, 8.0, 8.0, report.x_extent,
+                                                    spec.accepted_error)
+        assert report.value == pytest.approx(reference_mixed_norm_value(spec, 8.0, xs, sup_k),
                                              rel=0, abs=tolerance)
         assert report.quadrature.points == 20 * 6
         assert report.quadrature.levin > 0
@@ -496,6 +495,33 @@ class TestProbesEqualScalarLoops:
             assert np.array_equal(getattr(capped.regions["STATIONARY"], field),
                                   getattr(scalar.regions["STATIONARY"], field))
 
+    def test_region_check_skips_point_over_cap_with_levin(self, monkeypatch):
+        # orders 4 and 6 miss most eligible points, so Levin takes a few
+        # samples and the largest stationary one goes over the cap on
+        # Gauss-Kronrod
+        monkeypatch.setattr(kernel, "_LEVIN_ORDERS", (4, 6))
+        spec = KernelSpec(8.0, -1.0, 1.0)
+        base = region_decay_check(spec, samples_per_region=20, seed=2)
+        stat = base.regions["STATIONARY"]
+        _, levin_bound = _levin_values(stat.x, stat.t, spec, spec.symbol)
+        gauss_kronrod = ~(_levin_eligible(stat.x, stat.t, _coarse_samples(spec), 8.0)
+                          & (levin_bound <= spec.accepted_error))
+        nodes = sorted((reference_panel_edges(x, t, spec, 1.0).size - 1) * 15
+                       for x, t in zip(stat.x[gauss_kronrod], stat.t[gauss_kronrod]))
+        monkeypatch.setattr(kernel, "MAX_NODES", nodes[-2])
+        capped = region_decay_check(spec, samples_per_region=20, seed=2)
+        assert capped.regions["STATIONARY"].skipped == 1
+        assert capped.quadrature.over_cap == 1
+        assert capped.quadrature.levin == base.quadrature.levin > 0
+        monkeypatch.setattr(kernel, "_kernel_values", scalar_values)
+        scalar = region_decay_check(spec, samples_per_region=20, seed=2)
+        for name, reg in capped.regions.items():
+            ref = scalar.regions[name]
+            assert reg.skipped == ref.skipped
+            for field in ("x", "t"):
+                assert np.array_equal(getattr(reg, field), getattr(ref, field))
+            assert_values_match(reg.abs_k, reg.x, reg.t, spec, ref.abs_k)
+
     def test_over_cap_raises_inf_in_ray_and_mixed_norm(self, monkeypatch):
         spec = KernelSpec(8.0, -1.0, 1.0)
         monkeypatch.setattr(kernel, "MAX_NODES", 15 * 60)
@@ -518,6 +544,28 @@ class TestProbesEqualScalarLoops:
             kernel_mixed_norm(spec, 8.0, c_t=0.02, n_x=8, n_t=5)
         assert math.isfinite(scalar.value.achieved)
         assert batched.value.achieved == scalar.value.achieved
+
+    def test_first_failure_in_scalar_order_with_levin(self, absolute_tolerance, monkeypatch):
+        # orders 4 and 6 meet this tolerance where the phase is nearly
+        # linear, at the outermost x, whose Gauss-Kronrod panels exceed
+        # MAX_NODES; later eligible points that Levin misses fail on
+        # Gauss-Kronrod, each with its own bound
+        monkeypatch.setattr(kernel, "_LEVIN_ORDERS", (4, 6))
+        spec = KernelSpec(8.0, -1.0, 1.0, tolerance=2e-13)
+        xs, ts = mixed_norm_points(spec, 1.0, 8, 5)
+        stats = QuadratureStats()
+        _, achieved = _kernel_values(xs, ts, spec, stats)
+        failed = np.flatnonzero(~(achieved <= spec.accepted_error))
+        assert stats.levin > 0 and achieved[0] <= spec.accepted_error < achieved[failed[0]]
+        assert achieved[failed[1]] != achieved[failed[0]]
+        with pytest.raises(QuadratureAccuracyError) as outermost:
+            kernel_eval(float(xs[0]), float(ts[0]), spec)
+        assert outermost.value.achieved == math.inf
+        with pytest.raises(QuadratureAccuracyError) as first:
+            kernel_eval(float(xs[failed[0]]), float(ts[failed[0]]), spec)
+        with pytest.raises(QuadratureAccuracyError) as batched:
+            kernel_mixed_norm(spec, 8.0, c_t=1.0, n_x=8, n_t=5)
+        assert batched.value.achieved == first.value.achieved == achieved[failed[0]]
 
 
 class TestLevin:
