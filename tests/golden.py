@@ -1,29 +1,38 @@
 """Golden numbers of the shipped configs: recording and checking.
 
-tests/golden.json holds, per recorded command, the numbers its artifacts
-carry on the shipped config, each with an absolute tolerance, and the
-SHA-256 of its CSV.  TestShippedConfigs::test_runs checks the numbers on
-the run it already makes, and TestShippedConfigs::test_csv_hashes the
-hashes of that same run.  Record the file again with
+tests/golden.json holds, per shipped config (keyed by its file stem), the
+numbers its artifacts carry, each with an absolute tolerance, and the
+SHA-256 of its CSV and final snapshot.  TestShippedConfigs::test_runs
+checks the numbers on the run it already makes, and
+TestShippedConfigs::test_csv_hashes the hashes of that same run.  Record
+the file again with
 
     PYTHONPATH=src python tests/golden.py
 
 from the repository root.  Tolerances and hashes always come from the
-fresh run.  When every fresh number lies within its tolerance of the
-recorded one (a last-digit change of the quadrature), the recorded
-numbers are kept; otherwise every number is recorded again, and the old
-and new values belong in CHANGES.md.
+fresh run.  When every fresh number of a config lies within its tolerance
+of the recorded one (a last-digit change), that config's recorded numbers
+are kept; otherwise all of them are recorded again, and the old and new
+values belong in CHANGES.md.
 
-Tolerances follow from the kernel's acceptance rule, not from observed
-moves: two runs that each meet spec.accepted_error may differ by
-2 * accepted_error in any |K| value, and each field's tolerance is the
-largest move that change can make in the field (see _kernel_tolerances).
+Tolerances follow from a stated basis, not from observed moves; each
+entry's tolerance_basis names it:
+  * probe_kernel: two runs that each meet spec.accepted_error may differ
+    by 2 * accepted_error in any |K| value, and each field's tolerance is
+    the largest move that change can make in the field (_kernel_tolerances);
+  * solve, soliton: each traces.csv column may move by TRACE_ULPS ulps of
+    the largest magnitude in that column;
+  * sweep_gamma, picard: every L2 difference of two solutions (the sweep
+    errors, self_error, the Picard differences, the evolve cross-check)
+    may move by DIFFERENCE_SCALE * ||u0||_L2; the slope and the Gronwall
+    constants get the largest move that makes in them.
 Hashes are compared only on the numpy version and platform they were
 recorded with.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import platform
@@ -33,16 +42,27 @@ from pathlib import Path
 
 import numpy as np
 
-from ostrovsky import kernel
+from ostrovsky import cli, kernel, limits
 from ostrovsky.cli import main
+from ostrovsky.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
-SHIPPED = {"probe-kernel": ("scripts/configs/probe_kernel.cfg", ("kernel_regions.csv",))}
+# config stem: (command, config, artifacts whose SHA-256 is recorded)
+SHIPPED = {
+    "solve": ("solve", "scripts/configs/solve.cfg", ("traces.csv", "snapshot_000010.dat")),
+    "soliton": ("solve", "scripts/configs/soliton.cfg", ("traces.csv", "snapshot_000016.dat")),
+    "sweep_gamma": ("sweep-gamma", "scripts/configs/sweep_gamma.cfg", ("rate.csv",)),
+    "picard": ("picard-check", "scripts/configs/picard.cfg", ("picard_diffs.csv",)),
+    "probe_kernel": ("probe-kernel", "scripts/configs/probe_kernel.cfg",
+                     ("kernel_regions.csv",)),
+}
+TRACE_ULPS = 256
+DIFFERENCE_SCALE = 1e-13
 
 
 def environment() -> dict:
-    """What the CSV bytes depend on besides the code."""
+    """What the artifact bytes depend on besides the code."""
     return {"numpy": np.__version__,
             "platform": f"{platform.system()}-{platform.machine()}"}
 
@@ -51,29 +71,131 @@ def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _run_capturing_kernel(argv):
-    """main(argv), the block, points and values of each _kernel_values
-    call in call order (per block the decay samples, the ray and the
-    mixed-norm grid), and the arguments of each kernel._mixed_norm_terms
-    call (one per block)."""
-    calls, terms = [], []
-    values_fn, terms_fn = kernel._kernel_values, kernel._mixed_norm_terms
+@contextlib.contextmanager
+def capturing(module, name):
+    """Within the block, module.name records (args, result) of each call
+    in the list it yields."""
+    calls, original = [], getattr(module, name)
 
-    def capture_values(xs, ts, spec, stats, jobs=None):
-        values, achieved = values_fn(xs, ts, spec, stats, jobs)
-        calls.append((spec, np.asarray(xs, dtype=float), np.asarray(ts, dtype=float), values))
-        return values, achieved
+    def capture(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
 
-    def capture_terms(*args):
-        terms.append(args)
-        return terms_fn(*args)
-
-    kernel._kernel_values, kernel._mixed_norm_terms = capture_values, capture_terms
+    setattr(module, name, capture)
     try:
-        assert main(argv) == 0
+        yield calls
     finally:
-        kernel._kernel_values, kernel._mixed_norm_terms = values_fn, terms_fn
-    return calls, terms
+        setattr(module, name, original)
+
+
+def read_csv(path) -> dict:
+    """Columns of a write_csv file, keyed by name."""
+    header, *rows = Path(path).read_text().splitlines()
+    values = np.array([[float(v) for v in row.split(",")] for row in rows])
+    return {name: values[:, i] for i, name in enumerate(header.split(","))}
+
+
+def _load(out, name):
+    return json.loads((Path(out) / name).read_text())
+
+
+def solve_numbers(out) -> dict:
+    """Every traces.csv entry, named by column and row."""
+    return {f"{column} {row}": float(value)
+            for column, values in read_csv(Path(out) / "traces.csv").items()
+            for row, value in enumerate(values)}
+
+
+def sweep_numbers(out) -> dict:
+    rate = _load(out, "rate.json")
+    errors = read_csv(Path(out) / "rate.csv")["error"]
+    return {"slope": rate["slope"], "self_error": rate["self_error"],
+            **{f"error {i}": float(e) for i, e in enumerate(errors)},
+            **{f"gronwall_constant {i}": c for i, c in enumerate(rate["gronwall_constants"])}}
+
+
+def picard_numbers(out) -> dict:
+    report = _load(out, "picard.json")
+    return {"evolve_cross_check_l2": report["evolve_cross_check_l2"],
+            **{f"difference {i}": d for i, d in enumerate(report["differences"])}}
+
+
+def kernel_numbers(out) -> dict:
+    numbers = {}
+    for name, fields in _load(out, "kernel_summary.json")["blocks"].items():
+        for field, value in fields.items():
+            if field == "constants":
+                numbers.update({f"{name} constants {tag}": v for tag, v in value.items()})
+            else:
+                numbers[f"{name} {field}"] = value
+    return numbers
+
+
+NUMBERS = {"solve": solve_numbers, "sweep-gamma": sweep_numbers,
+           "picard-check": picard_numbers, "probe-kernel": kernel_numbers}
+
+
+def datum_l2(stem: str) -> float:
+    """||u0||_L2 of the initial datum the shipped config builds."""
+    command, config, _ = SHIPPED[stem]
+    section = load_config(ROOT / config).section(command)
+    grid = cli._grid_from(section)
+    return cli._initial_field(section, grid, cli._solver_config(section, grid)).l2_norm()
+
+
+def trace_tolerances(out) -> dict:
+    """TRACE_ULPS ulps of the largest magnitude in each traces.csv column."""
+    return {f"{column} {row}": TRACE_ULPS * np.finfo(float).eps * float(np.max(np.abs(values)))
+            for column, values in read_csv(Path(out) / "traces.csv").items()
+            for row in range(values.size)}
+
+
+def slope_tolerance(gammas, errors, d: float) -> float:
+    """The largest move of the least-squares slope of log error against
+    log gamma when every error moves by at most d.  With lg de-meaned the
+    slope is sum(lg * log e) / sum(lg^2), and log e_i moves by at most
+    -log(1 - d / e_i)."""
+    lg = np.log(gammas)
+    lg = lg - lg.mean()
+    d_log = -np.log1p(-d / np.asarray(errors))
+    return float(np.sum(np.abs(lg) * d_log) / np.sum(lg**2))
+
+
+def gronwall_tolerance(traj_u, traj_v, gamma: float, d: float) -> float:
+    """The largest move of limits.gronwall_consistency_check's c_star when
+    every snapshot distance w moves by at most d.
+
+    c_star is the max over the lattice of w' / (M w + |gamma| Mu), with w'
+    a linear stencil of w whose absolute weights sum to at most 4/h at
+    the ends and 2/(t_{i+1} - t_{i-1}) inside.  M and Mu come from the
+    X^s traces, which move at rounding level, and are held fixed.
+    """
+    report = limits.gronwall_consistency_check(traj_u, traj_v, gamma)
+    times = traj_u.times
+    w = np.array([(fu - fv).l2_norm() for fu, fv in zip(traj_u.fields, traj_v.fields)])
+    weights = np.empty_like(w)
+    weights[1:-1] = 2.0 / (times[2:] - times[:-2])
+    weights[0], weights[-1] = 4.0 / (times[1] - times[0]), 4.0 / (times[-1] - times[-2])
+    m = report.rate_scale
+    denom = m * w + abs(gamma) * report.forcing_scale
+    ratio = limits._lattice_derivative(w, times) / denom
+    return float(np.max((weights * d + np.abs(ratio) * m * d) / (denom - m * d)))
+
+
+def sweep_tolerances(out, runs, d: float) -> dict:
+    """runs: the (traj_u, traj_v, gamma) of each Gronwall check, in sweep
+    order.  The slope is fitted on the points neither floor-limited nor
+    failing conservation, as limits.rotation_limit_sweep fits it."""
+    rate = read_csv(Path(out) / "rate.csv")
+    usable = (rate["floor_flag"] == 0.0) & np.array(
+        [limits.conservation_drift(traj_u)[2] for traj_u, _, _ in runs])
+    tolerances = {"slope": slope_tolerance(rate["gamma"][usable], rate["error"][usable], d),
+                  "self_error": d}
+    for i, (traj_u, traj_v, gamma) in enumerate(runs):
+        tolerances[f"error {i}"] = d
+        tolerances[f"gronwall_constant {i}"] = gronwall_tolerance(traj_u, traj_v, gamma, d)
+    return tolerances
 
 
 def mixed_norm_tolerances(sup_k, xs, n_block, gamma_exp, x_max, eps):
@@ -92,9 +214,11 @@ def mixed_norm_tolerances(sup_k, xs, n_block, gamma_exp, x_max, eps):
             max(t_hi / v_lo - t / v, t / v - t_lo / v_hi))
 
 
-def _kernel_tolerances(decay, ray, terms) -> dict:
-    """Absolute tolerance of each summary field of one block when every |K|
-    may move by eps = 2 * accepted_error.
+def _kernel_tolerances(name, decay, ray, terms) -> dict:
+    """Absolute tolerance of each summary field of block name when every
+    |K| may move by eps = 2 * accepted_error.  decay and ray are the
+    (args, result) of the block's first two _kernel_values calls, terms
+    the arguments of its _mixed_norm_terms call.
 
     constants: the max of |K|/bound moves by at most eps / min(bound).
     ray_exponent: the pooled slope is sum(lt*lk)/sum(lt^2) with lt and lk
@@ -103,108 +227,119 @@ def _kernel_tolerances(decay, ray, terms) -> dict:
     mixed_norm, mixed_norm_scaled, tail_fraction: mixed_norm_tolerances
     on the block's sup_t |K|, which moves by at most eps.
     """
-    spec, xs, ts, values = decay
+    (xs, ts, spec, *_), _ = decay
+    xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
     eps = 2.0 * spec.accepted_error
     m = xs.size // 3
-    constants = {}
+    tolerances = {}
     for j, tag in enumerate(kernel.RegionTag):
         part = slice(j * m, (j + 1) * m)
         bound = kernel._region_bound(tag, xs[part], ts[part], spec)
-        constants[tag.name] = eps / float(np.min(bound))
+        tolerances[f"{name} constants {tag.name}"] = eps / float(np.min(bound))
 
-    _, _, ray_t, ray_values = ray
-    lt = np.log(ray_t).reshape(len(kernel.RAY_OFFSETS), -1)
+    (_, ray_t, *_), (ray_values, _) = ray
+    lt = np.log(np.asarray(ray_t, dtype=float)).reshape(len(kernel.RAY_OFFSETS), -1)
     lt = lt - lt.mean(axis=1, keepdims=True)
     d_log = eps / np.abs(ray_values).reshape(lt.shape)
-    ray_tol = float(np.sum(np.abs(lt) * d_log) / np.sum(lt**2))
+    tolerances[f"{name} ray_exponent"] = float(np.sum(np.abs(lt) * d_log) / np.sum(lt**2))
 
     _, _, n_block, gamma_exp, _ = terms
     mixed_tol, fraction_tol = mixed_norm_tolerances(*terms, eps)
-    return {
-        "ray_exponent": ray_tol,
-        "constants": constants,
-        "mixed_norm": mixed_tol,
-        "mixed_norm_scaled": mixed_tol / n_block ** ((gamma_exp - 2.0) / gamma_exp),
-        "tail_fraction": fraction_tol,
-    }
+    tolerances[f"{name} mixed_norm"] = mixed_tol
+    tolerances[f"{name} mixed_norm_scaled"] = mixed_tol / n_block ** ((gamma_exp - 2.0) / gamma_exp)
+    tolerances[f"{name} tail_fraction"] = fraction_tol
+    return tolerances
 
 
-def record_probe_kernel(out: Path) -> dict:
-    config, csvs = SHIPPED["probe-kernel"]
-    calls, terms = _run_capturing_kernel(["probe-kernel", "--config", str(ROOT / config),
-                                          "--out", str(out)])
-    summary = json.loads((out / "kernel_summary.json").read_text())
-    blocks = {}
-    for i, (name, numbers) in enumerate(summary["blocks"].items()):
-        tolerances = _kernel_tolerances(*calls[3 * i:3 * i + 2], terms[i])
-        blocks[name] = {
-            field: ({tag: {"value": value, "tolerance": tolerances[field][tag]}
-                     for tag, value in numbers[field].items()}
-                    if field == "constants" else
-                    {"value": numbers[field], "tolerance": tolerances[field]})
-            for field in tolerances
-        }
+def record(stem: str, out: Path) -> dict:
+    """The golden entry of one shipped config, from a fresh run into out."""
+    command, config, artifacts = SHIPPED[stem]
+    argv = [command, "--config", str(ROOT / config), "--out", str(out)]
+    if command in ("sweep-gamma", "picard-check"):
+        d = DIFFERENCE_SCALE * datum_l2(stem)
+    if command == "probe-kernel":
+        with capturing(kernel, "_kernel_values") as values, \
+                capturing(kernel, "_mixed_norm_terms") as terms:
+            assert main(argv) == 0
+        tolerances = {}
+        for i, name in enumerate(_load(out, "kernel_summary.json")["blocks"]):
+            tolerances.update(_kernel_tolerances(name, *values[3 * i:3 * i + 2], terms[i][0]))
+        basis = ("each |K| may move by 2 * accepted_error; tolerances are the largest move "
+                 "that makes in each field")
+    elif command == "sweep-gamma":
+        with capturing(limits, "gronwall_consistency_check") as checks:
+            assert main(argv) == 0
+        tolerances = sweep_tolerances(out, [args for args, _ in checks], d)
+        basis = (f"every L2 difference of two solutions may move by {DIFFERENCE_SCALE:g} * "
+                 "||u0||_L2; slope and Gronwall constants: the largest move that makes")
+    elif command == "picard-check":
+        assert main(argv) == 0
+        tolerances = dict.fromkeys(picard_numbers(out), d)
+        basis = f"every L2 difference of two solutions may move by {DIFFERENCE_SCALE:g} * ||u0||_L2"
+    else:
+        assert main(argv) == 0
+        tolerances = trace_tolerances(out)
+        basis = f"each traces.csv column may move by {TRACE_ULPS} ulps of its largest magnitude"
+    numbers = NUMBERS[command](out)
+    assert sorted(numbers) == sorted(tolerances)
     return {
         "config": config,
-        "tolerance_basis": "each |K| may move by 2 * accepted_error; tolerances are the "
-                           "largest move that makes in each field (tests/golden.py)",
-        "blocks": blocks,
-        "sha256": {name: sha256(out / name) for name in csvs},
+        "tolerance_basis": f"{basis} (tests/golden.py)",
+        "numbers": {name: {"value": value, "tolerance": tolerances[name]}
+                    for name, value in numbers.items()},
+        "sha256": {name: sha256(out / name) for name in artifacts},
         **environment(),
     }
 
 
-def _leaves(blocks: dict):
-    """((block, field, tag or None), {"value", "tolerance"}) per recorded number."""
-    for name, fields in blocks.items():
-        for field, entry in fields.items():
-            if field == "constants":
-                for tag, leaf in entry.items():
-                    yield (name, field, tag), leaf
-            else:
-                yield (name, field, None), entry
-
-
-def check_numbers(command: str, out) -> None:
-    """Assert that the numbers of a run of command's shipped config, with
-    artifacts in out, lie within their recorded tolerances."""
-    golden = json.loads(GOLDEN.read_text())[command]
-    summary = json.loads((Path(out) / "kernel_summary.json").read_text())["blocks"]
-    moves = []
-    for (name, field, tag), recorded in _leaves(golden["blocks"]):
-        value = summary[name][field] if tag is None else summary[name][field][tag]
-        if not abs(value - recorded["value"]) <= recorded["tolerance"]:
-            moves.append(f"block {name} {field} {tag or ''}: {value!r} against recorded "
-                         f"{recorded['value']!r} +- {recorded['tolerance']:.3g}")
+def check_numbers(stem: str, out) -> None:
+    """Assert that the numbers of a run of the shipped config stem, with
+    artifacts in out, are the recorded ones within their tolerances."""
+    recorded = json.loads(GOLDEN.read_text())[stem]["numbers"]
+    fresh = NUMBERS[SHIPPED[stem][0]](out)
+    assert sorted(fresh) == sorted(recorded), "the run reports other numbers than recorded"
+    moves = [f"{name}: {fresh[name]!r} against recorded {leaf['value']!r} "
+             f"+- {leaf['tolerance']:.3g}"
+             for name, leaf in recorded.items()
+             if not abs(fresh[name] - leaf["value"]) <= leaf["tolerance"]]
     assert not moves, "\n".join(moves)
 
 
-def hash_mismatch(command: str) -> str | None:
-    """Why command's recorded hashes cannot be compared here, or None."""
-    golden = json.loads(GOLDEN.read_text())[command]
+def hash_mismatch(stem: str) -> str | None:
+    """Why the recorded hashes of stem cannot be compared here, or None."""
+    golden = json.loads(GOLDEN.read_text())[stem]
     here = environment()
     recorded = {key: golden[key] for key in here}
     return None if here == recorded else f"hashes recorded with {recorded}, this run has {here}"
 
 
-def check_hashes(command: str, out) -> None:
-    for name, digest in json.loads(GOLDEN.read_text())[command]["sha256"].items():
+def check_hashes(stem: str, out) -> None:
+    for name, digest in json.loads(GOLDEN.read_text())[stem]["sha256"].items():
         assert sha256(Path(out) / name) == digest, f"{name} differs from the recorded bytes"
 
 
+def within_tolerance(fresh: dict, recorded: dict) -> bool:
+    """Whether every fresh number lies within its fresh tolerance of the
+    recorded entry's number of the same name."""
+    numbers = recorded.get("numbers", {})
+    return sorted(numbers) == sorted(fresh["numbers"]) and all(
+        abs(leaf["value"] - numbers[name]["value"]) <= leaf["tolerance"]
+        for name, leaf in fresh["numbers"].items())
+
+
 def main_record() -> None:
-    """Write tests/golden.json from a fresh run, keeping the recorded numbers
-    when every fresh one lies within its tolerance of them."""
+    """Write tests/golden.json from fresh runs, keeping a config's recorded
+    numbers when every fresh one lies within its tolerance of them."""
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    golden = {}
     with tempfile.TemporaryDirectory() as tmp:
-        fresh = record_probe_kernel(Path(tmp) / "out")
-    if GOLDEN.exists():
-        recorded = dict(_leaves(json.loads(GOLDEN.read_text())["probe-kernel"]["blocks"]))
-        leaves = list(_leaves(fresh["blocks"]))
-        if all(key in recorded and abs(leaf["value"] - recorded[key]["value"]) <= leaf["tolerance"]
-               for key, leaf in leaves):
-            for key, leaf in leaves:
-                leaf["value"] = recorded[key]["value"]
-    GOLDEN.write_text(json.dumps({"probe-kernel": fresh}, indent=2, sort_keys=True) + "\n")
+        for stem in SHIPPED:
+            fresh = record(stem, Path(tmp) / stem)
+            if stem in old and within_tolerance(fresh, old[stem]):
+                for name, leaf in fresh["numbers"].items():
+                    leaf["value"] = old[stem]["numbers"][name]["value"]
+            golden[stem] = fresh
+    GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

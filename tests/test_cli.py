@@ -27,7 +27,8 @@ from ostrovsky.spectral import Field, Grid, MultiplierSpec, apply_multiplier
 
 import golden
 
-CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "scripts" / "configs"
 
 SOLVE_CFG = """
 [solve]
@@ -532,9 +533,6 @@ def shipped_run(tmp_path_factory):
     return run
 
 
-PROBE_KERNEL = ["probe-kernel", "--config", str(CONFIGS / "probe_kernel.cfg")]
-
-
 class TestShippedConfigs:
     @pytest.mark.parametrize("argv", [
         ["solve", "--config", str(CONFIGS / "solve.cfg")],
@@ -542,20 +540,24 @@ class TestShippedConfigs:
         ["sweep-gamma", "--config", str(CONFIGS / "sweep_gamma.cfg")],
         ["picard-check", "--config", str(CONFIGS / "picard.cfg")],
         ["probe-estimates", "--config", str(CONFIGS / "probe_estimates.cfg"), "--which", "2.057"],
-        pytest.param(PROBE_KERNEL, marks=pytest.mark.slow),
+        pytest.param(["probe-kernel", "--config", str(CONFIGS / "probe_kernel.cfg")],
+                     marks=pytest.mark.slow),
     ], ids=lambda argv: Path(argv[2]).stem)
     def test_runs(self, shipped_run, argv):
         out = shipped_run(argv)
-        if argv[0] in golden.SHIPPED:
-            golden.check_numbers(argv[0], out)
+        stem = Path(argv[2]).stem
+        if stem in golden.SHIPPED:
+            golden.check_numbers(stem, out)
 
     @pytest.mark.slow
     def test_csv_hashes(self, shipped_run):
-        """The CSV bytes equal the recording's where numpy and the platform do."""
-        mismatch = golden.hash_mismatch(PROBE_KERNEL[0])
-        if mismatch:
-            pytest.skip(mismatch)
-        golden.check_hashes(PROBE_KERNEL[0], shipped_run(PROBE_KERNEL))
+        """The CSV and final-snapshot bytes of every recorded config equal
+        the recording's where numpy and the platform do."""
+        mismatches = list(filter(None, map(golden.hash_mismatch, golden.SHIPPED)))
+        if mismatches:
+            pytest.skip("; ".join(mismatches))
+        for stem, (command, config, _) in golden.SHIPPED.items():
+            golden.check_hashes(stem, shipped_run([command, "--config", str(ROOT / config)]))
 
     def test_required_keys_only_give_library_defaults(self, tmp_path, monkeypatch):
         """Keys absent from a config leave the library's defaults in force."""
