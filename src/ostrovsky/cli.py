@@ -147,7 +147,8 @@ def cmd_solve(section, args):
             "hs": traj.hs, "xs": traj.xs,
         })
         log.info("solve finished: %d steps, %d snapshots", traj.n_steps, len(traj.fields))
-        return 0, {"steps": traj.n_steps, "snapshots": len(traj.fields)}
+        return 0, {"steps": traj.n_steps, "snapshots": len(traj.fields),
+                   "nonlinear_evaluations": traj.nonlinear_evaluations}
     return run
 
 
@@ -271,6 +272,7 @@ def cmd_picard_check(section, args):
     grid = _grid_from(section)
     cfg = _solver_config(section, grid)
     u0 = _initial_field(section, grid, cfg)
+    check_initial_mean(u0, cfg)  # the dx^{-1}u term at gamma > 0, cross-check or not
     delta = section.get_float("delta")
     n_iters = section.get_int("iterations", 12)
     cross_check = section.get_int("cross_check", 1)

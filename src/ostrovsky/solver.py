@@ -10,6 +10,14 @@ antiderivative multiplier is then never evaluated.
 Also provides the short-time fixed-point iteration of the integral
 (Duhamel) form of the equation, used as an independent oracle for the
 time stepper.
+
+The stepper and the fixed-point lattice hold half spectra: the modes
+0..n/2 of a real field (see spectral), what rfft returns, so every
+transform is a real one at about half the complex cost.  The Nyquist
+mode is kept at +n/2 and propagated with the phase at +xi_{n/2}; the
+nonlinear flux is zero there (past the dealias cutoff) and at the DC
+mode.  Public functions take and return Fields with full spectra;
+evolve's snapshots are the exact Hermitian extensions of the state.
 """
 
 from __future__ import annotations
@@ -38,7 +46,10 @@ from .spectral import (
     PhaseSymbol,
     apply_multiplier,
     dealias_cutoff,
+    half_spectrum,
+    hermitian_extension,
     project_zero_mean,
+    synthesize,
 )
 
 log = logging.getLogger("ostrovsky")
@@ -122,6 +133,7 @@ class Trajectory:
     xs: np.ndarray
     config: SolverConfig
     n_steps: int = 0
+    nonlinear_evaluations: int = 0
 
     def final(self) -> Field:
         return self.fields[-1]
@@ -129,7 +141,9 @@ class Trajectory:
 
 def nonlinear_term(u: Field, k: int) -> Field:
     """-(1/(k+1)) d/dx [dealiased u^{k+1}], mean-zero by construction."""
-    return Field(u.grid, _nonlinear_coeffs(u.coeffs, u.grid, int(k)))
+    k = int(k)
+    half = _nonlinear_coeffs(half_spectrum(u.coeffs), k, _flux_table(u.grid, k))
+    return Field(u.grid, hermitian_extension(half))
 
 
 def _int_power(u: np.ndarray, p: int) -> np.ndarray:
@@ -157,46 +171,48 @@ def _int_power(u: np.ndarray, p: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _flux_table(grid: Grid, k: int) -> np.ndarray:
-    """-(1/(k+1)) i*xi, zero past the dealias cutoff of the degree-(k+1)
-    product (which lies below the Nyquist mode) and at mode 0 (the
-    derivative kills the mean; keep it exactly zero).  Read-only: one
-    table serves every call on equal grids."""
-    table = (-1.0 / (k + 1)) * (1j * grid.wavenumbers)
-    table[np.abs(grid.mode_numbers) > dealias_cutoff(grid.n_points, k + 1)] = 0.0
+    """-(1/(k+1)) i*xi on the modes 0..n/2, zero past the dealias cutoff
+    of the degree-(k+1) product (which lies below the Nyquist mode) and at
+    mode 0 (the derivative kills the mean; keep it exactly zero).
+    Read-only: one table serves every call on equal grids."""
+    table = half_spectrum((-1.0 / (k + 1)) * (1j * grid.wavenumbers)).copy()
+    table[half_spectrum(grid.mode_numbers) > dealias_cutoff(grid.n_points, k + 1)] = 0.0
     table[0] = 0.0
     table.flags.writeable = False
     return table
 
 
-def _nonlinear_coeffs(coeffs: np.ndarray, grid: Grid, k: int) -> np.ndarray:
-    """nonlinear_term on spectra along the last axis of coeffs."""
-    n = grid.n_points
-    u = np.fft.ifft(coeffs * n).real
+def _nonlinear_coeffs(half: np.ndarray, k: int, flux: np.ndarray) -> np.ndarray:
+    """nonlinear_term on half spectra along the last axis, with flux the
+    grid's _flux_table for k."""
+    u = synthesize(half)
     with np.errstate(over="ignore", invalid="ignore"):
         power = _int_power(u, k + 1)
     if not np.all(np.isfinite(power)):
         raise NonFiniteError(f"u^{k + 1} overflowed (max|u| = {np.max(np.abs(u)):g})")
-    out = np.fft.fft(power)
-    out /= n
-    out *= _flux_table(grid, k)
+    out = np.fft.rfft(power, norm="forward")
+    out *= flux
     return out
 
 
 class _Stepper:
-    """Precomputed exponential factors for repeated steps at fixed dt."""
+    """Precomputed exponential factors and flux table for repeated steps
+    of half spectra at fixed dt; evaluations counts nonlinear terms."""
 
     def __init__(self, cfg: SolverConfig, dt: float | None = None):
         self.cfg = cfg
         self.dt = cfg.dt if dt is None else dt
-        self.grid = cfg.grid
-        phi = cfg.symbol.table(cfg.grid)
+        phi = half_spectrum(cfg.symbol.table(cfg.grid))
         self.e_half = np.exp(-1j * phi * (self.dt / 2.0))
         self.e_full = self.e_half**2
+        self.flux = _flux_table(cfg.grid, cfg.k) if cfg.include_nonlinearity else None
+        self.evaluations = 0
 
     def _n(self, c: np.ndarray) -> np.ndarray:
-        if not self.cfg.include_nonlinearity:
+        if self.flux is None:
             return np.zeros_like(c)
-        return _nonlinear_coeffs(c, self.grid, self.cfg.k)
+        self.evaluations += 1
+        return _nonlinear_coeffs(c, self.cfg.k, self.flux)
 
     def step_coeffs(self, c: np.ndarray) -> np.ndarray:
         if self.cfg.integrator == "split_step":
@@ -218,10 +234,10 @@ class _Stepper:
 def step(u: Field, cfg: SolverConfig) -> Field:
     """One dt advance; exact linear propagation, O(dt^5) local error in
     the nonlinearity."""
-    out = _Stepper(cfg).step_coeffs(u.coeffs)
+    out = _Stepper(cfg).step_coeffs(half_spectrum(u.coeffs))
     if not np.all(np.isfinite(out)):
         raise BlowupError(0, "nonfinite coefficients after a single step")
-    return Field(u.grid, out)
+    return Field(u.grid, hermitian_extension(out))
 
 
 def hamiltonian(u: Field, cfg: SolverConfig) -> float:
@@ -293,7 +309,7 @@ def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
 
     record(0, 0.0, u0)
     l2_initial = max(l2s[0], 1e-300)
-    c = u0.coeffs.copy()
+    c = half_spectrum(u0.coeffs)
     for i in range(1, n_steps + 1):
         use = stepper if (i < n_steps or partial is None) else partial
         try:
@@ -304,9 +320,9 @@ def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
             raise BlowupError(i, "nonfinite spectral coefficients")
         t = i * cfg.dt if (i < n_steps or partial is None) else cfg.t_end
         if i % snapshot_every == 0 or i == n_steps:
-            # samples synthesized once, as samples() would, for the CFL
-            # check, the Hamiltonian and the snapshot writer alike
-            field = Field(cfg.grid, c.copy(), np.fft.ifft(c * cfg.grid.n_points).real)
+            # samples synthesized once for the CFL check, the Hamiltonian
+            # and the snapshot writer alike
+            field = Field.from_half_spectrum(cfg.grid, c)
             if field.l2_norm() > BLOWUP_L2_FACTOR * l2_initial:
                 raise BlowupError(i, f"L2 norm grew beyond {BLOWUP_L2_FACTOR}x initial")
             breach = cfg._timestep_breach(field, "u")
@@ -323,6 +339,7 @@ def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
         xs=np.asarray(xss),
         config=cfg,
         n_steps=n_steps,
+        nonlinear_evaluations=stepper.evaluations + (partial.evaluations if partial else 0),
     )
 
 
@@ -448,18 +465,23 @@ def picard_iterate(u0: Field, cfg: SolverConfig, delta: float, n_iters: int):
             f"dt = {cfg.dt:g} does not evenly divide delta = {delta:g}"
         )
     grid = cfg.grid
-    n = grid.n_points
-    phi = cfg.symbol.table(grid)
+    phi = half_spectrum(cfg.symbol.table(grid))
     t_lat = np.arange(n_lat + 1) * cfg.dt
-    # forward[l] = e^{-i t_l phi} (propagator), backward[l] its inverse
+    # forward[l] = e^{-i t_l phi} (propagator), backward[l] its inverse,
+    # on the half spectrum as the whole lattice is
     forward = np.exp(-1j * t_lat[:, None] * phi[None, :])
     backward = np.conj(forward)
+    flux = _flux_table(grid, cfg.k)
+    c0 = half_spectrum(u0.coeffs)
+    # Parseval on half spectra: modes 1..n/2-1 stand for their conjugates too
+    weights = np.full(phi.size, 2.0)
+    weights[0] = weights[-1] = 1.0
 
     u0_l2 = max(u0.l2_norm(), 1e-300)
-    v = forward * u0.coeffs[None, :]  # free evolution, iterate 0
+    v = forward * c0[None, :]  # free evolution, iterate 0
 
     def gamma_map(v_cur: np.ndarray) -> np.ndarray:
-        f = _nonlinear_coeffs(v_cur, grid, cfg.k)
+        f = _nonlinear_coeffs(v_cur, cfg.k, flux)
         # I(t_l) = U(t_l) * trapezoid_j<=l [ U(-t_j) f_j ], exact factors
         g = backward * f
         prefix = np.zeros_like(g)
@@ -468,13 +490,13 @@ def picard_iterate(u0: Field, cfg: SolverConfig, delta: float, n_iters: int):
             prefix[1:] = np.cumsum(increments, axis=0)
         integral = forward * prefix
         # nonlinear_term already carries the -(1/(k+1)) d/dx factors
-        return forward * u0.coeffs[None, :] + integral
+        return forward * c0[None, :] + integral
 
     diffs, ratios, bad_run = [], [], 0
     for _ in range(n_iters):
         v_next = gamma_map(v)
         diff = float(
-            np.max(np.sqrt(grid.length * np.sum(np.abs(v_next - v) ** 2, axis=1)))
+            np.max(np.sqrt(grid.length * np.sum(weights * np.abs(v_next - v) ** 2, axis=1)))
         )
         diffs.append(diff)
         v = v_next
@@ -487,6 +509,6 @@ def picard_iterate(u0: Field, cfg: SolverConfig, delta: float, n_iters: int):
         if diff < 1e-10 * u0_l2:
             break
 
-    values = np.fft.ifft(v * n, axis=1).real
+    values = synthesize(v)
     stf = SpaceTimeField(grid, (n_lat + 1) * cfg.dt, values)
     return stf, diffs

@@ -10,6 +10,16 @@ with mode numbers j = -n/2+1, ..., n/2.  The Nyquist mode is housed at
 derivatives) so that no unpaired phantom mode survives; the propagator
 keeps it, using the phase evaluated at +xi_{n/2}.
 
+Fields are real, so c_{-j} = conj(c_j) and the non-negative modes
+0, ..., n/2 (the half spectrum, what rfft returns) determine a field.
+A Field carries the full spectrum; the solver's internal state is the
+half spectrum, and hermitian_extension rebuilds the full one from it.
+Samples are synthesized from the half spectrum alone (synthesize, which
+Field.samples calls): irfft reads only the real part of the DC and
+Nyquist bins, as the real part of the complex inverse FFT does, so a
+propagated Nyquist coefficient, complex after e^{-i phi t}, contributes
+Re(c_{n/2}) (-1)^m to sample m.
+
 The dispersion symbol phi(xi) = beta*xi**3 + gamma/xi is singular at
 xi = 0.  All evolved fields are kept mean-zero, and phi(0) := 0 by
 convention so the zero mode never participates.
@@ -96,10 +106,18 @@ class Field:
     def zero(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.n_points, dtype=complex))
 
+    @classmethod
+    def from_half_spectrum(cls, grid: Grid, half: np.ndarray) -> "Field":
+        """The field whose modes 0..n/2 are half: the Hermitian extension
+        as its spectrum, its samples synthesized once and cached."""
+        field = cls(grid, hermitian_extension(half))
+        return cls(grid, field.coeffs, field.samples())
+
     def samples(self) -> np.ndarray:
+        """Real samples, synthesized from the non-negative modes."""
         if self.cached_samples is not None:
             return self.cached_samples
-        return np.fft.ifft(self.coeffs * self.grid.n_points).real
+        return synthesize(half_spectrum(self.coeffs))
 
     def mean(self) -> float:
         return float(self.coeffs[0].real)
@@ -124,6 +142,23 @@ class Field:
     def _check_same_grid(self, other: "Field"):
         if self.grid != other.grid:
             raise ConfigError("fields live on different grids")
+
+
+def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """Modes 0..n/2 of the spectra along the last axis (a view)."""
+    return coeffs[..., : coeffs.shape[-1] // 2 + 1]
+
+
+def hermitian_extension(half: np.ndarray) -> np.ndarray:
+    """Full spectra along the last axis from their modes 0..n/2: mode -j
+    is the conjugate of mode j for 0 < j < n/2, exactly."""
+    return np.concatenate([half, np.conj(half[..., -2:0:-1])], axis=-1)
+
+
+def synthesize(half: np.ndarray) -> np.ndarray:
+    """Real samples u(x_m) = sum_j c_j e^{i xi_j x_m} of the spectra whose
+    modes 0..n/2 are half, along the last axis (n even)."""
+    return np.fft.irfft(half, axis=-1, norm="forward")
 
 
 def _off_zero(xi, fn):

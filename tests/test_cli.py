@@ -338,6 +338,21 @@ class TestPicardCommand:
         assert all(r < 0.5 for r in report["contraction_factors"])
         assert report["evolve_cross_check_l2"] < 1e-6
 
+    @pytest.mark.parametrize("cross_check", [1, 0])
+    def test_nonzero_mean_snapshot_exits_one_before_out(self, tmp_path, capsys, cross_check):
+        grid = Grid(128, 20.0)
+        snap = tmp_path / "snap.dat"
+        field = gaussian_bump(grid, amplitude=0.3, width=2.0)
+        write_snapshot(snap, Field.from_samples(grid, field.samples() + 0.1), -1.0, 1.0, 5, 0.0)
+        text = PICARD_CFG.format(initial=f"file:{snap}").replace("amplitude = 0.3\n", "")
+        text = text.replace("width = 2.0\nh1_norm = 0.1\n", f"cross_check = {cross_check}\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["picard-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error:") and "mean-zero" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestProbeEstimatesCommand:
     def test_unknown_tag_lists_valid(self, tmp_path, capsys):
@@ -475,6 +490,7 @@ class TestManifest:
         assert manifest["command"] == "solve"
         assert manifest["config"]["solve"]["beta"] == "-1.0"
         assert manifest["counts"]["steps"] == 10
+        assert manifest["counts"]["nonlinear_evaluations"] == 4 * 10  # four per IFRK4 step
         assert manifest["numpy"] == np.__version__
         assert manifest["platform"] == platform.platform()
 

@@ -34,9 +34,17 @@ from ostrovsky.spectral import (
     PhaseSymbol,
     apply_multiplier,
     dealias_cutoff,
+    half_spectrum,
+    hermitian_extension,
 )
 
+from _reference import complex_flux, reference_evolve, reference_picard
 from _util import random_mean_zero
+
+# the bound on the L2 distance between the half-spectrum solver and its
+# full-spectrum reference, relative to ||u0||: rounding only (the golden
+# files' DIFFERENCE_SCALE)
+REFERENCE_RTOL = 1e-13
 
 
 def small_config(grid, gamma=1.0, dt=0.01, t_end=0.2, **kw):
@@ -114,11 +122,12 @@ class TestNonlinearTerm:
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_batched_rows_equal_single_rows(self, n, rng):
-        # picard_iterate evaluates a whole time lattice in one call
+        # picard_iterate evaluates a whole time lattice of half spectra in one call
         g = Grid(n, 40.0)
         rows = np.array([(0.3 * random_mean_zero(g, rng)).coeffs for _ in range(5)])
-        single = np.array([nonlinear_term(Field(g, r), 5).coeffs for r in rows])
-        assert np.array_equal(_nonlinear_coeffs(rows, g, 5), single)
+        single = np.array([half_spectrum(nonlinear_term(Field(g, r), 5).coeffs) for r in rows])
+        assert np.array_equal(_nonlinear_coeffs(half_spectrum(rows), 5, _flux_table(g, 5)),
+                              single)
 
 
 def pow_and_mask_flux(coeffs, grid, k):
@@ -138,14 +147,17 @@ class TestFastFlux:
     @pytest.mark.parametrize("n", [64, 256, 1024])
     @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_pow_and_mask_reference(self, n, k, rng):
+        # the Hermitian extension of the half-spectrum flux against both
+        # full-spectrum references
         g = Grid(n, 40.0)
         single = (0.8 * random_mean_zero(g, rng, band_fraction=1.0)).coeffs
         rows = np.array([(0.8 * random_mean_zero(g, rng)).coeffs for _ in range(3)])
         for coeffs in (single, rows):
-            ref = pow_and_mask_flux(coeffs, g, k)
-            fast = _nonlinear_coeffs(coeffs, g, k)
-            assert fast.shape == ref.shape
-            assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
+            fast = hermitian_extension(_nonlinear_coeffs(half_spectrum(coeffs), k,
+                                                         _flux_table(g, k)))
+            for ref in (pow_and_mask_flux(coeffs, g, k), complex_flux(coeffs, g, k)):
+                assert fast.shape == ref.shape
+                assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("p", range(1, 10))
     def test_int_power_matches_np_power(self, p, rng):
@@ -156,7 +168,7 @@ class TestFastFlux:
         assert np.array_equal(u, kept) and not np.shares_memory(out, u)
         ref = u**p
         assert np.all(np.abs(out - ref) <= p * 2.2e-16 * np.abs(ref))
-        strided = _int_power(np.fft.ifft(u).real, p)  # the view _nonlinear_coeffs powers
+        strided = _int_power(np.fft.ifft(u).real, p)  # a strided view
         ref = np.fft.ifft(u).real ** p
         assert np.all(np.abs(strided - ref) <= p * 2.2e-16 * np.abs(ref))
 
@@ -169,7 +181,7 @@ class TestFastFlux:
         samples = np.sin(2 * np.pi * g.x / 10.0)
         samples[7] = np.nan
         with pytest.raises(NonFiniteError):
-            _nonlinear_coeffs(np.fft.fft(samples) / 64, g, 5)
+            _nonlinear_coeffs(np.fft.rfft(samples, norm="forward"), 5, _flux_table(g, 5))
 
     def test_equal_grids_share_one_read_only_table(self):
         a = _flux_table(Grid(256, 40.0), 5)
@@ -363,6 +375,17 @@ class TestEvolve:
         safe = cfg.replace(dt=0.9 * cfg.cfl_safety * g.dx / peak**cfg.k)
         assert evolve(u0, safe, snapshot_every=2).times[-1] == 0.5
 
+    @pytest.mark.parametrize("integrator,nonlinearity,per_step", [
+        ("ifrk4", True, 4), ("split_step", True, 2), ("ifrk4", False, 0)])
+    def test_counts_nonlinear_evaluations(self, integrator, nonlinearity, per_step):
+        g = Grid(64, 10.0)
+        u0 = gaussian_bump(g, amplitude=0.3, width=1.5)
+        cfg = small_config(g, dt=0.01, t_end=0.115, integrator=integrator,
+                           include_nonlinearity=nonlinearity)
+        traj = evolve(u0, cfg, snapshot_every=5)
+        assert traj.n_steps == 12  # the last one shortened
+        assert traj.nonlinear_evaluations == per_step * traj.n_steps
+
     def test_snapshot_cadence_validated(self, rng):
         g = Grid(64, 10.0)
         with pytest.raises(ConfigError):
@@ -451,6 +474,67 @@ class TestPicard:
         cfg = small_config(g, dt=0.007)
         with pytest.raises(ConfigError):
             picard_iterate(Field.zero(g), cfg, delta=0.05, n_iters=3)
+
+
+def nyquist_datum(grid):
+    """A mean-zero bump plus a real Nyquist coefficient of 1e-3."""
+    c = gaussian_bump(grid, amplitude=0.3, width=1.5).coeffs.copy()
+    c[grid.nyquist_index] = 1e-3
+    return Field(grid, c)
+
+
+class TestHalfSpectrumOracle:
+    """The half-spectrum solver against the full-spectrum reference: equal
+    to within REFERENCE_RTOL * ||u0|| in L2, on grids where norm="forward"
+    scales exactly (n a power of two) and where it does not (n = 250)."""
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 250])
+    @pytest.mark.parametrize("integrator", ["ifrk4", "split_step"])
+    def test_evolve_matches_full_spectrum(self, n, integrator):
+        g = Grid(n, 40.0)
+        u0 = gaussian_bump(g, amplitude=0.5, width=2.0)
+        cfg = small_config(g, dt=0.005, t_end=0.0725, integrator=integrator)
+        traj = evolve(u0, cfg, snapshot_every=4)
+        ref = reference_evolve(u0, cfg, 4)
+        assert len(traj.fields) == len(ref) == 5
+        for field, coeffs in zip(traj.fields, ref):
+            assert (field - Field(g, coeffs)).l2_norm() <= REFERENCE_RTOL * u0.l2_norm()
+
+    def test_nonzero_nyquist_datum_matches_full_spectrum(self):
+        g = Grid(256, 40.0)
+        u0 = nyquist_datum(g)
+        cfg = small_config(g, dt=0.005, t_end=0.1)
+        traj = evolve(u0, cfg, snapshot_every=5)
+        ref = reference_evolve(u0, cfg, 5)
+        for field, coeffs in zip(traj.fields, ref):
+            assert (field - Field(g, coeffs)).l2_norm() <= REFERENCE_RTOL * u0.l2_norm()
+            # the reference's sample synthesis: the real part of the complex ifft
+            samples = np.fft.ifft(coeffs * g.n_points).real
+            assert np.max(np.abs(field.samples() - samples)) <= 1e-13 * np.max(np.abs(samples))
+        nyquist = traj.final().coeffs[g.nyquist_index]
+        assert abs(nyquist) == pytest.approx(1e-3) and abs(nyquist.imag) > 1e-5
+
+    def test_snapshot_spectra_exactly_conjugate_symmetric(self):
+        g = Grid(128, 20.0)
+        traj = evolve(nyquist_datum(g), small_config(g, dt=0.01, t_end=0.1), snapshot_every=3)
+        for field in traj.fields[1:]:
+            c = field.coeffs
+            assert np.array_equal(c[:0:-1][:63], np.conj(c[1:64]))
+            assert np.array_equal(half_spectrum(c), half_spectrum(hermitian_extension(
+                half_spectrum(c))))
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 250])
+    def test_picard_matches_full_spectrum(self, n):
+        g = Grid(n, 32.0)
+        u0 = scaled_to_h1(gaussian_bump(g, amplitude=0.3, width=2.0), 0.1)
+        cfg = small_config(g, dt=1e-3, t_end=0.02)
+        stf, diffs = picard_iterate(u0, cfg, delta=0.02, n_iters=12)
+        values, ref_diffs = reference_picard(u0, cfg, 0.02, 12)
+        bound = REFERENCE_RTOL * u0.l2_norm()
+        assert len(diffs) == len(ref_diffs) >= 2
+        assert np.all(np.abs(np.asarray(diffs) - ref_diffs) <= bound)
+        l2 = np.sqrt(g.dx * np.sum((stf.values - values) ** 2, axis=1))
+        assert np.max(l2) <= bound
 
 
 class TestHamiltonianFormula:
