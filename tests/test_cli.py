@@ -571,7 +571,7 @@ class TestShippedConfigs:
         the recording's where numpy and the platform do."""
         mismatches = list(filter(None, map(golden.hash_mismatch, golden.SHIPPED)))
         if mismatches:
-            pytest.skip("; ".join(mismatches))
+            pytest.skip("; ".join(dict.fromkeys(mismatches)))
         for stem, (command, config, _) in golden.SHIPPED.items():
             golden.check_hashes(stem, shipped_run([command, "--config", str(ROOT / config)]))
 
