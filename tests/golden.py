@@ -15,6 +15,10 @@ of the recorded one (a last-digit change), that config's recorded numbers
 are kept; otherwise all of them are recorded again, and the old and new
 values belong in CHANGES.md.
 
+It also holds, under estimate_zoo, max_ratio and refinement_max of every
+estimate tag at seed 2024 with acceptance 6's draw counts (ZOO_DRAWS),
+which acceptance 6 checks on the runs it already makes.
+
 Tolerances follow from a stated basis, not from observed moves; each
 entry's tolerance_basis names it:
   * probe_kernel: two runs that each meet spec.accepted_error may differ
@@ -25,7 +29,10 @@ entry's tolerance_basis names it:
   * sweep_gamma, picard: every L2 difference of two solutions (the sweep
     errors, self_error, the Picard differences, the evolve cross-check)
     may move by DIFFERENCE_SCALE * ||u0||_L2; the slope and the Gronwall
-    constants get the largest move that makes in them.
+    constants get the largest move that makes in them;
+  * probe_estimates, estimate_zoo: each ratio may move by RATIO_ULPS ulps
+    of its value, a change of evaluation order in the orbit synthesis and
+    the norms' sums; the draws are fixed, so skipped counts are exact.
 Hashes are compared only on the numpy version and platform they were
 recorded with.
 """
@@ -45,6 +52,7 @@ import numpy as np
 from ostrovsky import cli, kernel, limits
 from ostrovsky.cli import main
 from ostrovsky.config import load_config
+from ostrovsky.estimates import run_tag
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
@@ -56,8 +64,18 @@ SHIPPED = {
     "picard": ("picard-check", "scripts/configs/picard.cfg", ("picard_diffs.csv",)),
     "probe_kernel": ("probe-kernel", "scripts/configs/probe_kernel.cfg",
                      ("kernel_regions.csv",)),
+    "probe_estimates": ("probe-estimates", "scripts/configs/probe_estimates.cfg",
+                        ("ratios_2.057.csv",)),
 }
+# arguments a shipped config's run takes besides --config and --out
+EXTRA_ARGS = {"probe_estimates": ("--which", "2.057")}
+# acceptance 6's estimate zoo: every tag at seed 2024, draws per tag
+ZOO = "estimate_zoo"
+ZOO_SEED = 2024
+ZOO_DRAWS = {"2.03": 100, "2.05": 100, "2.08": 100, "2.09": 100, "2.027": 100,
+             "2.055": 100, "2.057": 100, "2.060": 100, "3.03": 20}
 TRACE_ULPS = 256
+RATIO_ULPS = 256
 DIFFERENCE_SCALE = 1e-13
 
 
@@ -65,6 +83,12 @@ def environment() -> dict:
     """What the artifact bytes depend on besides the code."""
     return {"numpy": np.__version__,
             "platform": f"{platform.system()}-{platform.machine()}"}
+
+
+def argv(stem: str) -> list:
+    """The command line of a shipped config's run, without --out."""
+    command, config, _ = SHIPPED[stem]
+    return [command, "--config", str(ROOT / config), *EXTRA_ARGS.get(stem, ())]
 
 
 def sha256(path) -> str:
@@ -132,8 +156,38 @@ def kernel_numbers(out) -> dict:
     return numbers
 
 
+def ratio_numbers(max_ratio: float, refinement_max: dict) -> dict:
+    return {"max_ratio": max_ratio,
+            **{f"refinement_max {name}": value for name, value in refinement_max.items()}}
+
+
+def estimates_numbers(out) -> dict:
+    (summary,) = (_load(out, path.name) for path in Path(out).glob("summary_*.json"))
+    return {**ratio_numbers(summary["max_ratio"], summary["refinements"]),
+            "skipped": summary["skipped"],
+            **{f"refinement_skipped {name}": count
+               for name, count in summary["refinement_skipped"].items()}}
+
+
+def zoo_numbers(reports: dict) -> dict:
+    """max_ratio and refinement_max of each tag's RatioReport, named with
+    the tag."""
+    return {f"{tag} {name}": value for tag, report in reports.items()
+            for name, value in ratio_numbers(report.max_ratio, report.refinement_max).items()}
+
+
+def ratio_tolerances(numbers) -> dict:
+    """RATIO_ULPS ulps of each ratio; counts are exact."""
+    return {name: 0.0 if "skipped" in name else RATIO_ULPS * float(np.spacing(value))
+            for name, value in numbers.items()}
+
+
+RATIO_BASIS = (f"each ratio may move by {RATIO_ULPS} ulps of its value (another evaluation "
+               "order of the orbit synthesis and of the norms' sums); skipped counts are exact")
+
 NUMBERS = {"solve": solve_numbers, "sweep-gamma": sweep_numbers,
-           "picard-check": picard_numbers, "probe-kernel": kernel_numbers}
+           "picard-check": picard_numbers, "probe-kernel": kernel_numbers,
+           "probe-estimates": estimates_numbers}
 
 
 def datum_l2(stem: str) -> float:
@@ -254,13 +308,13 @@ def _kernel_tolerances(name, decay, ray, terms) -> dict:
 def record(stem: str, out: Path) -> dict:
     """The golden entry of one shipped config, from a fresh run into out."""
     command, config, artifacts = SHIPPED[stem]
-    argv = [command, "--config", str(ROOT / config), "--out", str(out)]
+    args = argv(stem) + ["--out", str(out)]
     if command in ("sweep-gamma", "picard-check"):
         d = DIFFERENCE_SCALE * datum_l2(stem)
     if command == "probe-kernel":
         with capturing(kernel, "_kernel_values") as values, \
                 capturing(kernel, "_mixed_norm_terms") as terms:
-            assert main(argv) == 0
+            assert main(args) == 0
         tolerances = {}
         for i, name in enumerate(_load(out, "kernel_summary.json")["blocks"]):
             tolerances.update(_kernel_tolerances(name, *values[3 * i:3 * i + 2], terms[i][0]))
@@ -268,16 +322,20 @@ def record(stem: str, out: Path) -> dict:
                  "that makes in each field")
     elif command == "sweep-gamma":
         with capturing(limits, "gronwall_consistency_check") as checks:
-            assert main(argv) == 0
+            assert main(args) == 0
         tolerances = sweep_tolerances(out, [args for args, _ in checks], d)
         basis = (f"every L2 difference of two solutions may move by {DIFFERENCE_SCALE:g} * "
                  "||u0||_L2; slope and Gronwall constants: the largest move that makes")
     elif command == "picard-check":
-        assert main(argv) == 0
+        assert main(args) == 0
         tolerances = dict.fromkeys(picard_numbers(out), d)
         basis = f"every L2 difference of two solutions may move by {DIFFERENCE_SCALE:g} * ||u0||_L2"
+    elif command == "probe-estimates":
+        assert main(args) == 0
+        tolerances = ratio_tolerances(estimates_numbers(out))
+        basis = RATIO_BASIS
     else:
-        assert main(argv) == 0
+        assert main(args) == 0
         tolerances = trace_tolerances(out)
         basis = f"each traces.csv column may move by {TRACE_ULPS} ulps of its largest magnitude"
     numbers = NUMBERS[command](out)
@@ -292,11 +350,33 @@ def record(stem: str, out: Path) -> dict:
     }
 
 
+def record_zoo() -> dict:
+    """The golden entry of acceptance 6's estimate zoo, from fresh runs."""
+    reports = {tag: run_tag(tag, seed=ZOO_SEED, n_draws=draws) for tag, draws in ZOO_DRAWS.items()}
+    numbers = zoo_numbers(reports)
+    tolerances = ratio_tolerances(numbers)
+    return {
+        "runs": f"run_tag(tag, seed={ZOO_SEED}, n_draws=ZOO_DRAWS[tag]) (tests/golden.py)",
+        "tolerance_basis": f"{RATIO_BASIS} (tests/golden.py)",
+        "numbers": {name: {"value": value, "tolerance": tolerances[name]}
+                    for name, value in numbers.items()},
+    }
+
+
 def check_numbers(stem: str, out) -> None:
     """Assert that the numbers of a run of the shipped config stem, with
     artifacts in out, are the recorded ones within their tolerances."""
-    recorded = json.loads(GOLDEN.read_text())[stem]["numbers"]
-    fresh = NUMBERS[SHIPPED[stem][0]](out)
+    compare(stem, NUMBERS[SHIPPED[stem][0]](out))
+
+
+def check_zoo(reports) -> None:
+    """Assert that max_ratio and refinement_max of the RatioReport of each
+    tag in reports are the recorded ones within their tolerances."""
+    compare(ZOO, zoo_numbers(reports))
+
+
+def compare(key: str, fresh: dict) -> None:
+    recorded = json.loads(GOLDEN.read_text())[key]["numbers"]
     assert sorted(fresh) == sorted(recorded), "the run reports other numbers than recorded"
     moves = [f"{name}: {fresh[name]!r} against recorded {leaf['value']!r} "
              f"+- {leaf['tolerance']:.3g}"
@@ -328,17 +408,16 @@ def within_tolerance(fresh: dict, recorded: dict) -> bool:
 
 
 def main_record() -> None:
-    """Write tests/golden.json from fresh runs, keeping a config's recorded
+    """Write tests/golden.json from fresh runs, keeping an entry's recorded
     numbers when every fresh one lies within its tolerance of them."""
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    golden = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for stem in SHIPPED:
-            fresh = record(stem, Path(tmp) / stem)
-            if stem in old and within_tolerance(fresh, old[stem]):
-                for name, leaf in fresh["numbers"].items():
-                    leaf["value"] = old[stem]["numbers"][name]["value"]
-            golden[stem] = fresh
+        golden = {stem: record(stem, Path(tmp) / stem) for stem in SHIPPED}
+    golden[ZOO] = record_zoo()
+    for key, fresh in golden.items():
+        if key in old and within_tolerance(fresh, old[key]):
+            for name, leaf in fresh["numbers"].items():
+                leaf["value"] = old[key]["numbers"][name]["value"]
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
 
 

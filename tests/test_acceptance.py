@@ -26,6 +26,7 @@ from ostrovsky.spectral import (
     apply_multiplier,
 )
 
+import golden
 from _util import random_mean_zero
 
 
@@ -144,12 +145,11 @@ class TestAcceptance:
     @pytest.mark.slow
     def test_6_estimate_ensembles(self):
         t0 = time.time()
-        tags = ("2.03", "2.05", "2.08", "2.09", "2.027", "2.055", "2.057", "2.060", "3.03")
-        summary, ok = [], True
-        for tag in tags:
-            draws = 20 if tag == "3.03" else 100
-            rep = run_tag(tag, seed=2024, n_draws=draws)
-            again = run_tag(tag, seed=2024, n_draws=draws)
+        summary, ok, reports = [], True, {}
+        for tag, draws in golden.ZOO_DRAWS.items():
+            rep = run_tag(tag, seed=golden.ZOO_SEED, n_draws=draws)
+            again = run_tag(tag, seed=golden.ZOO_SEED, n_draws=draws)
+            reports[tag] = rep
             reproducible = np.array_equal(rep.ratios, again.ratios)
             finite = np.isfinite(rep.max_ratio)
             stable = rep.stability_factor < 4.0
@@ -160,6 +160,7 @@ class TestAcceptance:
         elapsed = time.time() - t0
         ok = ok and elapsed < 1200.0
         report(6, ok, "max-ratio/stability " + ", ".join(summary) + f" ({elapsed:.1f}s)")
+        golden.check_zoo(reports)
 
     def test_7_soliton_regression(self):
         t0 = time.time()

@@ -572,8 +572,8 @@ class TestShippedConfigs:
         mismatches = list(filter(None, map(golden.hash_mismatch, golden.SHIPPED)))
         if mismatches:
             pytest.skip("; ".join(dict.fromkeys(mismatches)))
-        for stem, (command, config, _) in golden.SHIPPED.items():
-            golden.check_hashes(stem, shipped_run([command, "--config", str(ROOT / config)]))
+        for stem in golden.SHIPPED:
+            golden.check_hashes(stem, shipped_run(golden.argv(stem)))
 
     def test_required_keys_only_give_library_defaults(self, tmp_path, monkeypatch):
         """Keys absent from a config leave the library's defaults in force."""
