@@ -37,7 +37,8 @@ import numpy as np
 from .errors import ConfigError, LatticeSizeError
 from .norms import SpaceTimeField, mixed_norm, window_bump
 from .pool import pool_map
-from .spectral import Field, Grid, MultiplierSpec, PhaseSymbol, multiplier_table
+from .spectral import (Field, Grid, MultiplierSpec, PhaseSymbol, fft_mode_numbers,
+                       hermitian_extension, multiplier_table, synthesize)
 
 STRICHARTZ_TAGS = ("2.03", "2.05", "2.08", "2.09")
 LINFTY_TAGS = ("2.055", "2.057", "2.060")
@@ -120,9 +121,9 @@ class Ensemble:
         z = rng.standard_normal(modes.size) + 1j * rng.standard_normal(modes.size)
         if self.law == "gaussian_spectrum":
             z = z * np.exp(-((modes * dxi / self.law_param) ** 2))
-        c = np.zeros(self.grid.n_points, dtype=complex)
-        c[modes] = z
-        c[-modes] = np.conj(z)
+        half = np.zeros(self.grid.nyquist_index + 1, dtype=complex)
+        half[modes] = z
+        c = hermitian_extension(half)
         f = Field(self.grid, c)
         norm = f.l2_norm()
         return Field(self.grid, c / norm)
@@ -148,8 +149,7 @@ class Ensemble:
         (a mode -m sees the conjugate orbit, whose DFT is reversed in l)."""
         phi = self.symbol.table(self.grid)[self.support_modes()]
         d2 = np.abs(np.fft.fft(self.window[:, None] * self.phase_table, axis=0) / self.n_t) ** 2
-        ell = np.arange(self.n_t)
-        ell[ell > self.n_t // 2] -= self.n_t
+        ell = fft_mode_numbers(self.n_t)
         tau = (2.0 * np.pi * ell / self.t_window)[:, None]
         plus = (1.0 + np.abs(tau + phi)) ** (2.0 * self.b) * d2
         minus = (1.0 + np.abs(tau - phi)) ** (2.0 * self.b) * d2[-ell % self.n_t]
@@ -162,8 +162,7 @@ class Ensemble:
         another grid or has a nonzero coefficient off the support, mode 0
         and the Nyquist mode included."""
         modes = self.support_modes()
-        off = np.ones(self.grid.n_points, dtype=bool)
-        off[modes] = off[-modes] = False
+        off = ~np.isin(np.abs(self.grid.mode_numbers), modes)
         if u0.grid != self.grid or np.any(u0.coeffs[off] != 0):
             raise ConfigError(f"data must live on the ensemble grid with spectrum on the "
                               f"law's support, modes +-{modes[0]}..{modes[-1]}")
@@ -208,12 +207,12 @@ def propagator_orbit(ens: Ensemble, u0: Field, windowed: bool = True,
     with m the real, even multiplier table (default 1), synthesized from the
     support modes by one real inverse FFT per time sample."""
     modes = ens.support_modes()
-    half = ens.phase_table * (ens._support_coeffs(u0, multiplier) * ens.grid.n_points)
+    half = ens.phase_table * ens._support_coeffs(u0, multiplier)
     if windowed:
         half *= ens.window[:, None]
-    spec = np.zeros((ens.n_t, ens.grid.n_points // 2 + 1), dtype=complex)
+    spec = np.zeros((ens.n_t, ens.grid.nyquist_index + 1), dtype=complex)
     spec[:, modes] = half
-    return SpaceTimeField(ens.grid, ens.t_window, np.fft.irfft(spec, ens.grid.n_points, axis=1))
+    return SpaceTimeField(ens.grid, ens.t_window, synthesize(spec))
 
 
 def _modulation_rhs(ens: Ensemble, u0: Field, multiplier: np.ndarray | None = None) -> float:

@@ -20,9 +20,14 @@ from .spectral import (
     Grid,
     MultiplierSpec,
     PhaseSymbol,
+    analyze,
     apply_multiplier,
+    fft_mode_numbers,
+    half_spectrum,
+    hermitian_extension,
     multiplier_table,
     require_mean_zero,
+    synthesize,
 )
 
 
@@ -60,10 +65,7 @@ class SpaceTimeField:
 
     def tau(self) -> np.ndarray:
         """Temporal DFT frequencies with the Nyquist housed positive."""
-        n_t = self.n_t
-        ell = np.arange(n_t)
-        ell[ell > n_t // 2] -= n_t
-        return 2.0 * np.pi * ell / self.t_window
+        return 2.0 * np.pi * fft_mode_numbers(self.n_t) / self.t_window
 
     def spectral_table(self) -> np.ndarray:
         """2-D coefficients F[l, j] = (1/(n_t*n)) sum u e^{-i xi x - i tau t}."""
@@ -138,10 +140,10 @@ def xsb_norm(stf: SpaceTimeField, s: float, b: float, symbol: PhaseSymbol) -> fl
 
 def xtilde_sb_norm(stf: SpaceTimeField, s: float, b: float, symbol: PhaseSymbol) -> float:
     """xsb norm of u plus xsb norm of its spatial antiderivative."""
-    slices = np.fft.fft(stf.values, axis=1) / stf.grid.n_points
+    slices = hermitian_extension(analyze(stf.values))
     require_mean_zero(slices, "antiderivative norm")
     inv = slices * multiplier_table(stf.grid, MultiplierSpec.derivative(-1))
-    anti = SpaceTimeField(stf.grid, stf.t_window, np.fft.ifft(inv * stf.grid.n_points, axis=1).real)
+    anti = SpaceTimeField(stf.grid, stf.t_window, synthesize(half_spectrum(inv)))
     return xsb_norm(stf, s, b, symbol) + xsb_norm(anti, s, b, symbol)
 
 

@@ -44,6 +44,7 @@ from .spectral import (
     Grid,
     MultiplierSpec,
     PhaseSymbol,
+    analyze,
     apply_multiplier,
     dealias_cutoff,
     half_spectrum,
@@ -190,7 +191,7 @@ def _nonlinear_coeffs(half: np.ndarray, k: int, flux: np.ndarray) -> np.ndarray:
         power = _int_power(u, k + 1)
     if not np.all(np.isfinite(power)):
         raise NonFiniteError(f"u^{k + 1} overflowed (max|u| = {np.max(np.abs(u)):g})")
-    out = np.fft.rfft(power, norm="forward")
+    out = analyze(power)
     out *= flux
     return out
 
@@ -381,22 +382,20 @@ def soliton_traveling_profile(c: float, k: int, beta: float, grid: Grid) -> np.n
 def _band_limit(samples_fine: np.ndarray, grid: Grid) -> np.ndarray:
     """Coarse-band truncation of a fine-grid sampling (alias-free
     coefficients; the coarse Nyquist mode is dropped)."""
-    n = grid.n_points
-    cf = np.fft.fft(samples_fine) / (n * SOLITON_OVERSAMPLING)
-    cc = np.zeros(n, dtype=complex)
-    cc[: n // 2] = cf[: n // 2]
-    cc[n // 2 + 1 :] = cf[-(n // 2 - 1) :]
-    return cc
+    half = analyze(samples_fine)[: grid.nyquist_index + 1]
+    half[-1] = 0.0
+    return hermitian_extension(half)
 
 
 def _upsample(coeffs: np.ndarray) -> np.ndarray:
-    n, fine = coeffs.size, SOLITON_OVERSAMPLING
-    cf = np.zeros(n * fine, dtype=complex)
-    cf[: n // 2] = coeffs[: n // 2]
-    cf[-(n // 2 - 1) :] = coeffs[n // 2 + 1 :]
-    cf[n // 2] = 0.5 * coeffs[n // 2]
-    cf[-n // 2] = 0.5 * np.conj(coeffs[n // 2])
-    return np.fft.ifft(cf * n * fine).real
+    """Samples on the SOLITON_OVERSAMPLING times finer grid of the field
+    with spectrum coeffs; the coarse Nyquist mode splits evenly between
+    the fine modes +-n/2."""
+    n = coeffs.size
+    half = np.zeros(n * SOLITON_OVERSAMPLING // 2 + 1, dtype=complex)
+    half[: n // 2 + 1] = half_spectrum(coeffs)
+    half[n // 2] *= 0.5
+    return synthesize(half)
 
 
 def soliton_residual(field: Field, c: float, k: int, beta: float) -> float:
@@ -485,9 +484,7 @@ def picard_iterate(u0: Field, cfg: SolverConfig, delta: float, n_iters: int):
         # I(t_l) = U(t_l) * trapezoid_j<=l [ U(-t_j) f_j ], exact factors
         g = backward * f
         prefix = np.zeros_like(g)
-        if n_lat >= 1:
-            increments = 0.5 * cfg.dt * (g[1:] + g[:-1])
-            prefix[1:] = np.cumsum(increments, axis=0)
+        prefix[1:] = np.cumsum(0.5 * cfg.dt * (g[1:] + g[:-1]), axis=0)
         integral = forward * prefix
         # nonlinear_term already carries the -(1/(k+1)) d/dx factors
         return forward * c0[None, :] + integral

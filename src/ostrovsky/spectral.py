@@ -12,13 +12,18 @@ keeps it, using the phase evaluated at +xi_{n/2}.
 
 Fields are real, so c_{-j} = conj(c_j) and the non-negative modes
 0, ..., n/2 (the half spectrum, what rfft returns) determine a field.
-A Field carries the full spectrum; the solver's internal state is the
-half spectrum, and hermitian_extension rebuilds the full one from it.
-Samples are synthesized from the half spectrum alone (synthesize, which
-Field.samples calls): irfft reads only the real part of the DC and
-Nyquist bins, as the real part of the complex inverse FFT does, so a
-propagated Nyquist coefficient, complex after e^{-i phi t}, contributes
-Re(c_{n/2}) (-1)^m to sample m.
+analyze and synthesize are the package's one real transform pair:
+analyze takes real samples to their half spectrum with the 1/n above,
+synthesize takes a half spectrum back to samples.  A Field carries the
+full spectrum, which only hermitian_extension builds from a half one, so
+coefficients from samples (Field.from_samples) are exactly
+conjugate-symmetric; the solver's internal state is the half spectrum.
+Samples are synthesized from the half spectrum alone (Field.samples
+calls synthesize): irfft reads only the real part of the DC and Nyquist
+bins, as the real part of the complex inverse FFT does, so a propagated
+Nyquist coefficient, complex after e^{-i phi t}, contributes
+Re(c_{n/2}) (-1)^m to sample m.  fft_mode_numbers builds the FFT mode
+order, for Grid.mode_numbers and for the time frequencies of a window.
 
 The dispersion symbol phi(xi) = beta*xi**3 + gamma/xi is singular at
 xi = 0.  All evolved fields are kept mean-zero, and phi(0) := 0 by
@@ -56,8 +61,7 @@ class Grid:
             raise ConfigError(f"n_points must be >= 8, got {n}")
         if not length > 0:
             raise ConfigError(f"length must be positive, got {length}")
-        j = np.arange(n)
-        j[j > n // 2] -= n  # FFT order with the Nyquist housed at +n/2
+        j = fft_mode_numbers(n)
         object.__setattr__(self, "mode_numbers", j)
         object.__setattr__(self, "x", np.arange(n) * (length / n))
         object.__setattr__(self, "wavenumbers", 2.0 * np.pi * j / length)
@@ -93,7 +97,7 @@ class Field:
             raise ConfigError(
                 f"samples shape {samples.shape} does not match grid n={grid.n_points}"
             )
-        return cls(grid, np.fft.fft(samples) / grid.n_points, samples.copy())
+        return cls(grid, hermitian_extension(analyze(samples)), samples.copy())
 
     @classmethod
     def from_coeffs(cls, grid: Grid, coeffs) -> "Field":
@@ -110,8 +114,7 @@ class Field:
     def from_half_spectrum(cls, grid: Grid, half: np.ndarray) -> "Field":
         """The field whose modes 0..n/2 are half: the Hermitian extension
         as its spectrum, its samples synthesized once and cached."""
-        field = cls(grid, hermitian_extension(half))
-        return cls(grid, field.coeffs, field.samples())
+        return cls(grid, hermitian_extension(half), synthesize(half))
 
     def samples(self) -> np.ndarray:
         """Real samples, synthesized from the non-negative modes."""
@@ -144,6 +147,14 @@ class Field:
             raise ConfigError("fields live on different grids")
 
 
+def fft_mode_numbers(n: int) -> np.ndarray:
+    """Signed mode numbers 0, 1, ..., -1 of the n DFT bins in FFT order,
+    the Nyquist bin of an even n housed at +n/2."""
+    j = np.arange(n)
+    j[j > n // 2] -= n
+    return j
+
+
 def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
     """Modes 0..n/2 of the spectra along the last axis (a view)."""
     return coeffs[..., : coeffs.shape[-1] // 2 + 1]
@@ -153,6 +164,12 @@ def hermitian_extension(half: np.ndarray) -> np.ndarray:
     """Full spectra along the last axis from their modes 0..n/2: mode -j
     is the conjugate of mode j for 0 < j < n/2, exactly."""
     return np.concatenate([half, np.conj(half[..., -2:0:-1])], axis=-1)
+
+
+def analyze(samples: np.ndarray) -> np.ndarray:
+    """Modes 0..n/2 of the real samples along the last axis,
+    c_j = (1/n) sum_m u(x_m) e^{-i xi_j x_m}; synthesize inverts it."""
+    return np.fft.rfft(samples, axis=-1, norm="forward")
 
 
 def synthesize(half: np.ndarray) -> np.ndarray:

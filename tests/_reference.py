@@ -1,14 +1,47 @@
 """Full-spectrum reference of the solver core: the nonlinear term by
 complex FFTs, and the IFRK4, Strang and Picard schemes on all n modes.
 The solver keeps half spectra (modes 0..n/2); these are the oracle its
-tests compare against."""
+tests compare against.  Also the complex-FFT analysis of samples and the
+soliton's coarse-band truncation and fine-grid synthesis on full
+spectra, the oracle of spectral.analyze and of the solver's transforms
+through it."""
 
 import math
 
 import numpy as np
 
-from ostrovsky.solver import _int_power
+from ostrovsky.solver import SOLITON_OVERSAMPLING, _int_power
 from ostrovsky.spectral import dealias_cutoff
+
+
+def complex_analysis(samples):
+    """Full spectra c_j = (1/n) sum_m u_m e^{-i xi_j x_m} of samples along
+    the last axis, through the complex fft."""
+    return np.fft.fft(samples, axis=-1) / samples.shape[-1]
+
+
+def reference_band_limit(samples_fine, grid):
+    """Modes -(n/2-1)..n/2-1 of the fine-grid sampling, read from both
+    halves of its complex spectrum; the coarse Nyquist mode is zero."""
+    n = grid.n_points
+    cf = complex_analysis(samples_fine)
+    cc = np.zeros(n, dtype=complex)
+    cc[: n // 2] = cf[: n // 2]
+    cc[n // 2 + 1 :] = cf[-(n // 2 - 1) :]
+    return cc
+
+
+def reference_upsample(coeffs):
+    """Samples on the SOLITON_OVERSAMPLING times finer grid, the coarse
+    Nyquist coefficient split between the fine modes +-n/2 and negative
+    modes placed by hand, through the complex ifft."""
+    n, fine = coeffs.size, SOLITON_OVERSAMPLING
+    cf = np.zeros(n * fine, dtype=complex)
+    cf[: n // 2] = coeffs[: n // 2]
+    cf[-(n // 2 - 1) :] = coeffs[n // 2 + 1 :]
+    cf[n // 2] = 0.5 * coeffs[n // 2]
+    cf[-n // 2] = 0.5 * np.conj(coeffs[n // 2])
+    return np.fft.ifft(cf * n * fine).real
 
 
 def complex_flux(coeffs, grid, k):

@@ -14,10 +14,13 @@ from ostrovsky.errors import (
 )
 from ostrovsky.norms import h_s_norm
 from ostrovsky.solver import (
+    SOLITON_OVERSAMPLING,
     SolverConfig,
+    _band_limit,
     _flux_table,
     _int_power,
     _nonlinear_coeffs,
+    _upsample,
     evolve,
     gaussian_bump,
     hamiltonian,
@@ -38,7 +41,13 @@ from ostrovsky.spectral import (
     hermitian_extension,
 )
 
-from _reference import complex_flux, reference_evolve, reference_picard
+from _reference import (
+    complex_flux,
+    reference_band_limit,
+    reference_evolve,
+    reference_picard,
+    reference_upsample,
+)
 from _util import random_mean_zero
 
 # the bound on the L2 distance between the half-spectrum solver and its
@@ -429,6 +438,21 @@ class TestSoliton:
 
         ratio = fwhm(0.8) / fwhm(0.4)
         assert ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=0.02)
+
+    @pytest.mark.parametrize("n", [64, 250, 1024])
+    def test_band_limit_matches_full_spectrum(self, n, rng):
+        g = Grid(n, 40.0)
+        fine = rng.standard_normal(n * SOLITON_OVERSAMPLING)
+        ref = reference_band_limit(fine, g)
+        assert np.max(np.abs(_band_limit(fine, g) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [64, 250, 1024])
+    def test_upsample_matches_full_spectrum(self, n, rng):
+        half = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+        half[0] = half[0].real
+        coeffs = hermitian_extension(half)  # the Nyquist coefficient is complex
+        ref = reference_upsample(coeffs)
+        assert np.max(np.abs(_upsample(coeffs) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_translates_at_speed_c(self):
         g = Grid(1024, 80.0)

@@ -17,6 +17,7 @@ from ostrovsky.spectral import (
     project_zero_mean,
 )
 
+from _reference import complex_analysis
 from _util import random_mean_zero
 
 
@@ -74,10 +75,18 @@ class TestTransforms:
         assert physical == pytest.approx(spectral, rel=1e-12)
 
     def test_conjugate_symmetry(self, rng):
-        g = Grid(128, 7.0)
-        c = Field.from_samples(g, rng.standard_normal(128)).coeffs
-        flipped = np.conj(c[(-np.arange(c.size)) % c.size])
-        assert np.max(np.abs(c - flipped)) < 1e-13 * np.max(np.abs(c))
+        for n in (64, 128, 250, 1024):
+            c = Field.from_samples(Grid(n, 7.0), rng.standard_normal(n)).coeffs
+            assert np.array_equal(c, np.conj(c[(-np.arange(n)) % n]))
+
+    @pytest.mark.parametrize("n", [64, 250, 1024])
+    def test_analysis_matches_complex_fft(self, n, rng):
+        g = Grid(n, 7.0)
+        u = rng.standard_normal(n)
+        ref = complex_analysis(u)
+        assert abs(ref[g.nyquist_index]) > 0
+        c = Field.from_samples(g, u).coeffs
+        assert np.max(np.abs(c - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestPhaseSymbol:
