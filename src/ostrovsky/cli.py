@@ -255,7 +255,8 @@ def cmd_probe_estimates(section, args):
         write_json(os.path.join(out, f"summary_{tag}.json"), {
             "tag": report.tag,
             "max_ratio": report.max_ratio,
-            "refinement_factor": report.stability_factor,
+            # no refinement, no stability measured
+            "refinement_factor": report.stability_factor if report.refinement_max else None,
             "refinements": report.refinement_max,
             "refinement_skipped": report.refinement_skipped,
             "skipped": report.skipped,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -137,23 +137,7 @@ class RunManifest:
     started_unix: float = field(default_factory=time.time)
 
     def write(self, path):
+        record = dict(asdict(self), numpy=np.__version__, platform=platform.platform())
         with open(path, "w") as fh:
-            json.dump(
-                {
-                    "command": self.command,
-                    "argv": self.argv,
-                    "config": self.config,
-                    "seed": self.seed,
-                    "out_dir": self.out_dir,
-                    "version": self.version,
-                    "wall_clock_s": self.wall_clock_s,
-                    "counts": self.counts,
-                    "started_unix": self.started_unix,
-                    "numpy": np.__version__,
-                    "platform": platform.platform(),
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+            json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -378,6 +378,13 @@ class TestProbeEstimatesCommand:
         assert manifest["config"] == {"probe-estimates": {}}
         assert manifest["argv"][:3] == ["probe-estimates", "--which", "2.057"]
 
+    def test_unrefined_tag_has_no_refinement_factor(self, tmp_path):
+        out = tmp_path / "pe"
+        assert main(["probe-estimates", "--which", "2.027", "--draws", "3",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary_2.027.json").read_text())
+        assert summary["refinements"] == {} and summary["refinement_factor"] is None
+
     @pytest.mark.parametrize("flags,expected", [
         ([], (5, 2)), (["--seed", "7"], (7, 2)), (["--draws", "3"], (5, 3)),
         (["--seed", "7", "--draws", "3"], (7, 3)),
@@ -493,6 +500,8 @@ class TestManifest:
         assert manifest["counts"]["nonlinear_evaluations"] == 4 * 10  # four per IFRK4 step
         assert manifest["numpy"] == np.__version__
         assert manifest["platform"] == platform.platform()
+        assert sorted(manifest) == ["argv", "command", "config", "counts", "numpy", "out_dir",
+                                    "platform", "seed", "started_unix", "version", "wall_clock_s"]
 
     def test_manifest_records_argv(self, tmp_path):
         # the tag and the flags that beat the config are in no config key
