@@ -162,7 +162,8 @@ class Ensemble:
         another grid or has a nonzero coefficient off the support, mode 0
         and the Nyquist mode included."""
         modes = self.support_modes()
-        off = ~np.isin(np.abs(self.grid.mode_numbers), modes)
+        off = np.ones(self.grid.n_points, dtype=bool)
+        off[modes] = off[-modes] = False
         if u0.grid != self.grid or np.any(u0.coeffs[off] != 0):
             raise ConfigError(f"data must live on the ensemble grid with spectrum on the "
                               f"law's support, modes +-{modes[0]}..{modes[-1]}")
