@@ -582,7 +582,7 @@ class TestShippedConfigs:
         if mismatches:
             pytest.skip("; ".join(dict.fromkeys(mismatches)))
         for stem in golden.SHIPPED:
-            golden.check_hashes(stem, shipped_run(golden.argv(stem)))
+            golden.check_hashes(stem, shipped_run(golden.shipped_argv(stem)))
 
     def test_required_keys_only_give_library_defaults(self, tmp_path, monkeypatch):
         """Keys absent from a config leave the library's defaults in force."""
