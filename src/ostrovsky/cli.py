@@ -159,7 +159,6 @@ def cmd_sweep_gamma(section, args):
     sweep = SweepConfig(
         template=template,
         t_compare=section.get_float("t_compare"),
-        **_jobs(args),
         **_given(section, gammas=section.get_floats, snapshot_every=section.get_int,
                  floor_factor=section.get_float),
     )
@@ -248,6 +247,8 @@ def cmd_probe_estimates(section, args):
 
     def run(out):
         report = run_tag(tag, seed=args.seed, n_draws=draws, **_jobs(args), **overrides)
+        # no refinement, no stability measured
+        factor = report.stability_factor if report.refinement_max else None
         write_csv(os.path.join(out, f"ratios_{tag}.csv"), {
             "draw": np.arange(report.ratios.size, dtype=float),
             "lhs": report.lhs, "rhs": report.rhs, "ratio": report.ratios,
@@ -255,16 +256,15 @@ def cmd_probe_estimates(section, args):
         write_json(os.path.join(out, f"summary_{tag}.json"), {
             "tag": report.tag,
             "max_ratio": report.max_ratio,
-            # no refinement, no stability measured
-            "refinement_factor": report.stability_factor if report.refinement_max else None,
+            "refinement_factor": factor,
             "refinements": report.refinement_max,
             "refinement_skipped": report.refinement_skipped,
             "skipped": report.skipped,
             "seed": args.seed,
             "draws": draws,
         })
-        log.info("tag %s: max ratio %.4g, stability %.3f", tag, report.max_ratio,
-                 report.stability_factor)
+        log.info("tag %s: max ratio %.4g, stability %s", tag, report.max_ratio,
+                 "none" if factor is None else f"{factor:.3f}")
         return 0, {"draws": draws, "skipped": report.skipped}
     return run
 
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(seed=None)
     common(sub.add_parser("picard-check", help="integral-equation fixed point oracle"))
     common(sub.add_parser("invariants", help="conservation suite on a snapshot"))
-    for pooled in (sweep, kernel, pe):  # the commands that run a thread pool
+    for pooled in (sweep, kernel, pe):  # sweep-gamma accepts --jobs, without effect
         pooled.add_argument("--jobs", type=int, default=None,
                             help="worker pool size (default: the command's own)")
     return parser

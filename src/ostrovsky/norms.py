@@ -9,6 +9,7 @@ Bourgain norm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,9 +88,17 @@ class ModulationWeight:
         return cls(1.0 + np.abs(tau[:, None] + phi[None, :]))
 
 
+@functools.lru_cache(maxsize=64)
+def _sobolev_weights(grid: Grid, s: float) -> np.ndarray:
+    """(1+|xi_j|)^{2s} on the grid's modes, read-only and shared per (grid, s)."""
+    w = (1.0 + np.abs(grid.wavenumbers)) ** (2.0 * s)
+    w.flags.writeable = False
+    return w
+
+
 def h_s_norm(field: Field, s: float) -> float:
     """Sobolev norm (L * sum_j (1+|xi_j|)^{2s} |c_j|^2)^{1/2}."""
-    w = (1.0 + np.abs(field.grid.wavenumbers)) ** (2.0 * s)
+    w = _sobolev_weights(field.grid, s)
     return math.sqrt(field.grid.length * float(np.sum(w * np.abs(field.coeffs) ** 2)))
 
 
@@ -132,7 +141,7 @@ def mixed_norm(stf: SpaceTimeField, p: float, q: float, order: str = "t_outer") 
 def xsb_norm(stf: SpaceTimeField, s: float, b: float, symbol: PhaseSymbol) -> float:
     """Bourgain-type norm (L*T * sum <xi>^{2s} <sigma>^{2b} |Fu|^2)^{1/2}."""
     table = stf.spectral_table()
-    wx = (1.0 + np.abs(stf.grid.wavenumbers)) ** (2.0 * s)
+    wx = _sobolev_weights(stf.grid, s)
     ws = ModulationWeight.build(stf, symbol).table ** (2.0 * b)
     total = float(np.sum(wx[None, :] * ws * np.abs(table) ** 2))
     return math.sqrt(stf.grid.length * stf.t_window * total)

@@ -1,5 +1,5 @@
 """One order-preserving thread pool for the lab's independent work items
-(ensemble draws, gamma sweep points, kernel quadrature batches).
+(ensemble draws, kernel quadrature batches).
 
 The items release the interpreter lock inside numpy, so threads run them
 in parallel.  Each caller's results depend only on the items, never on

@@ -18,6 +18,10 @@ mode is kept at +n/2 and propagated with the phase at +xi_{n/2}; the
 nonlinear flux is zero there (past the dealias cutoff) and at the DC
 mode.  Public functions take and return Fields with full spectra;
 evolve's snapshots are the exact Hermitian extensions of the state.
+
+Runs differing only in gamma step as the rows of one stacked state, each
+bit-identical to its run alone; numpy's SIMD complex multiply is not
+bit-symmetric, so e * t in place is np.multiply(e, t, out=t), not t *= e.
 """
 
 from __future__ import annotations
@@ -143,7 +147,8 @@ class Trajectory:
 def nonlinear_term(u: Field, k: int) -> Field:
     """-(1/(k+1)) d/dx [dealiased u^{k+1}], mean-zero by construction."""
     k = int(k)
-    half = _nonlinear_coeffs(half_spectrum(u.coeffs), k, _flux_table(u.grid, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = _nonlinear_coeffs(half_spectrum(u.coeffs), k, _flux_table(u.grid, k))
     return Field(u.grid, hermitian_extension(half))
 
 
@@ -185,11 +190,10 @@ def _flux_table(grid: Grid, k: int) -> np.ndarray:
 
 def _nonlinear_coeffs(half: np.ndarray, k: int, flux: np.ndarray) -> np.ndarray:
     """nonlinear_term on half spectra along the last axis, with flux the
-    grid's _flux_table for k."""
+    grid's _flux_table for k; callers hold np.errstate(over="ignore")."""
     u = synthesize(half)
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = _int_power(u, k + 1)
-    if not np.all(np.isfinite(power)):
+    power = _int_power(u, k + 1)
+    if not np.isfinite(power).all():
         raise NonFiniteError(f"u^{k + 1} overflowed (max|u| = {np.max(np.abs(u)):g})")
     out = analyze(power)
     out *= flux
@@ -197,15 +201,16 @@ def _nonlinear_coeffs(half: np.ndarray, k: int, flux: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """Precomputed exponential factors and flux table for repeated steps
-    of half spectra at fixed dt; evaluations counts nonlinear terms."""
+    """Exponential factors (a row per config) and flux table for repeated
+    steps of stacked half spectra at fixed dt; evaluations counts per row."""
 
-    def __init__(self, cfg: SolverConfig, dt: float | None = None):
-        self.cfg = cfg
+    def __init__(self, cfgs: list, dt: float | None = None):
+        cfg = self.cfg = cfgs[0]
         self.dt = cfg.dt if dt is None else dt
-        phi = half_spectrum(cfg.symbol.table(cfg.grid))
+        phi = np.array([half_spectrum(c.symbol.table(cfg.grid)) for c in cfgs])
         self.e_half = np.exp(-1j * phi * (self.dt / 2.0))
         self.e_full = self.e_half**2
+        self.dt_e, self.two_e = self.dt * self.e_half, 2.0 * self.e_half
         self.flux = _flux_table(cfg.grid, cfg.k) if cfg.include_nonlinearity else None
         self.evaluations = 0
 
@@ -218,12 +223,19 @@ class _Stepper:
     def step_coeffs(self, c: np.ndarray) -> np.ndarray:
         if self.cfg.integrator == "split_step":
             return self._strang(c)
-        dt, e, e2 = self.dt, self.e_half, self.e_full
+        h, e, e2 = self.dt / 2.0, self.e_half, self.e_full
         a = self._n(c)
-        b = self._n(e * (c + (dt / 2.0) * a))
-        cc = self._n(e * c + (dt / 2.0) * b)
-        d = self._n(e2 * c + dt * e * cc)
-        return e2 * c + (dt / 6.0) * (e2 * a + 2.0 * e * (b + cc) + d)
+        b = self._n(e * (c + h * a))
+        cc = self._n(e * c + h * b)
+        e2c = e2 * c
+        d = self._n(e2c + self.dt_e * cc)
+        # e2c + (dt/6)*(e2*a + 2e*(b + cc) + d), in place, operands in order
+        b += cc
+        np.multiply(e2, a, out=a)
+        a += np.multiply(self.two_e, b, out=b)
+        a += d
+        e2c += np.multiply(self.dt / 6.0, a, out=a)
+        return e2c
 
     def _strang(self, c: np.ndarray) -> np.ndarray:
         c = self.e_half * c
@@ -235,8 +247,9 @@ class _Stepper:
 def step(u: Field, cfg: SolverConfig) -> Field:
     """One dt advance; exact linear propagation, O(dt^5) local error in
     the nonlinearity."""
-    out = _Stepper(cfg).step_coeffs(half_spectrum(u.coeffs))
-    if not np.all(np.isfinite(out)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _Stepper([cfg]).step_coeffs(half_spectrum(u.coeffs)[None, :])[0]
+    if not np.isfinite(out).all():
         raise BlowupError(0, "nonfinite coefficients after a single step")
     return Field(u.grid, hermitian_extension(out))
 
@@ -281,67 +294,72 @@ def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
     initial norm, or a snapshot whose max|u| puts dt above
     timestep_bound (the guard validate_timestep applies at t = 0).
     """
+    return _evolve_rows(u0, [cfg], snapshot_every)[0]
+
+
+def _evolve_rows(u0: Field, cfgs: list, snapshot_every: int) -> list:
+    """[evolve(u0, cfg, snapshot_every) for cfg in cfgs], the configs differing
+    only in gamma, stepped as the rows of one stacked half spectrum, each row
+    bit-identical to its own run; raises the first BlowupError of any row."""
     if snapshot_every <= 0:
         raise ConfigError(f"snapshot_every must be positive, got {snapshot_every}")
-    check_initial_mean(u0, cfg)
-    cfg.validate_timestep(u0)
+    for cfg in cfgs:  # then cfg holds every field the rows share
+        check_initial_mean(u0, cfg)
+        cfg.validate_timestep(u0)
 
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
-    stepper = _Stepper(cfg)
+    stepper = _Stepper(cfgs)
     last_dt = cfg.t_end - (n_steps - 1) * cfg.dt
     partial = None
     if abs(last_dt - cfg.dt) > 1e-12 * cfg.dt:
-        partial = _Stepper(cfg, dt=last_dt)
+        partial = _Stepper(cfgs, dt=last_dt)
 
-    times, fields, l2s, hams, hss, xss = [], [], [], [], [], []
+    runs = [Trajectory([], [], [], [], [], [], row_cfg, n_steps) for row_cfg in cfgs]
 
-    def record(i, t, field):
-        times.append(t)
-        fields.append(field)
-        l2s.append(field.l2_norm())
+    def record(i, t, run, field):
+        run.times.append(t)
+        run.fields.append(field)
+        run.l2.append(field.l2_norm())
         try:
-            hams.append(hamiltonian(field, cfg))
+            run.hamiltonian.append(hamiltonian(field, run.config))
         except NonFiniteError as err:
             raise BlowupError(i, str(err)) from err
-        hss.append(h_s_norm(field, cfg.trace_s))
+        run.hs.append(h_s_norm(field, run.config.trace_s))
         # the x_s trace is defined on the oscillatory part; projection is
         # a bitwise no-op for the mean-zero data used when gamma > 0
-        xss.append(x_s_norm(project_zero_mean(field), cfg.trace_s))
+        run.xs.append(x_s_norm(project_zero_mean(field), run.config.trace_s))
 
-    record(0, 0.0, u0)
-    l2_initial = max(l2s[0], 1e-300)
-    c = half_spectrum(u0.coeffs)
-    for i in range(1, n_steps + 1):
-        use = stepper if (i < n_steps or partial is None) else partial
-        try:
-            c = use.step_coeffs(c)
-        except NonFiniteError as err:
-            raise BlowupError(i, str(err)) from err
-        if not np.all(np.isfinite(c)):
-            raise BlowupError(i, "nonfinite spectral coefficients")
-        t = i * cfg.dt if (i < n_steps or partial is None) else cfg.t_end
-        if i % snapshot_every == 0 or i == n_steps:
-            # samples synthesized once for the CFL check, the Hamiltonian
-            # and the snapshot writer alike
-            field = Field.from_half_spectrum(cfg.grid, c)
-            if field.l2_norm() > BLOWUP_L2_FACTOR * l2_initial:
-                raise BlowupError(i, f"L2 norm grew beyond {BLOWUP_L2_FACTOR}x initial")
-            breach = cfg._timestep_breach(field, "u")
-            if breach:
-                raise BlowupError(i, breach)
-            record(i, t, field)
+    for run in runs:
+        record(0, 0.0, run, u0)
+    l2_initial = max(runs[0].l2[0], 1e-300)
+    c = np.repeat(half_spectrum(u0.coeffs)[None, :], len(cfgs), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            use = stepper if (i < n_steps or partial is None) else partial
+            try:
+                c = use.step_coeffs(c)
+            except NonFiniteError as err:
+                raise BlowupError(i, str(err)) from err
+            if not np.isfinite(c).all():
+                raise BlowupError(i, "nonfinite spectral coefficients")
+            t = i * cfg.dt if (i < n_steps or partial is None) else cfg.t_end
+            if i % snapshot_every == 0 or i == n_steps:
+                for run, half in zip(runs, c):
+                    # samples synthesized once for the CFL check, the
+                    # Hamiltonian and the snapshot writer alike
+                    field = Field.from_half_spectrum(cfg.grid, half)
+                    if field.l2_norm() > BLOWUP_L2_FACTOR * l2_initial:
+                        raise BlowupError(i, f"L2 norm grew beyond {BLOWUP_L2_FACTOR}x initial")
+                    breach = run.config._timestep_breach(field, "u")
+                    if breach:
+                        raise BlowupError(i, breach)
+                    record(i, t, run, field)
 
-    return Trajectory(
-        times=np.asarray(times),
-        fields=fields,
-        l2=np.asarray(l2s),
-        hamiltonian=np.asarray(hams),
-        hs=np.asarray(hss),
-        xs=np.asarray(xss),
-        config=cfg,
-        n_steps=n_steps,
-        nonlinear_evaluations=stepper.evaluations + (partial.evaluations if partial else 0),
-    )
+    for run in runs:
+        for name in ("times", "l2", "hamiltonian", "hs", "xs"):
+            setattr(run, name, np.asarray(getattr(run, name)))
+        run.nonlinear_evaluations = stepper.evaluations + (partial.evaluations if partial else 0)
+    return runs
 
 
 def gaussian_bump(grid: Grid, amplitude: float = 0.5, width: float = 2.0) -> Field:
@@ -490,21 +508,22 @@ def picard_iterate(u0: Field, cfg: SolverConfig, delta: float, n_iters: int):
         return forward * c0[None, :] + integral
 
     diffs, ratios, bad_run = [], [], 0
-    for _ in range(n_iters):
-        v_next = gamma_map(v)
-        diff = float(
-            np.max(np.sqrt(grid.length * np.sum(weights * np.abs(v_next - v) ** 2, axis=1)))
-        )
-        diffs.append(diff)
-        v = v_next
-        if len(diffs) >= 2 and diffs[-2] > 0:
-            r = diffs[-1] / diffs[-2]
-            ratios.append(r)
-            bad_run = bad_run + 1 if r >= 1.0 else 0
-            if bad_run >= 3:
-                raise ContractionFailureError(ratios)
-        if diff < 1e-10 * u0_l2:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_iters):
+            v_next = gamma_map(v)
+            diff = float(
+                np.max(np.sqrt(grid.length * np.sum(weights * np.abs(v_next - v) ** 2, axis=1)))
+            )
+            diffs.append(diff)
+            v = v_next
+            if len(diffs) >= 2 and diffs[-2] > 0:
+                r = diffs[-1] / diffs[-2]
+                ratios.append(r)
+                bad_run = bad_run + 1 if r >= 1.0 else 0
+                if bad_run >= 3:
+                    raise ContractionFailureError(ratios)
+            if diff < 1e-10 * u0_l2:
+                break
 
     values = synthesize(v)
     stf = SpaceTimeField(grid, (n_lat + 1) * cfg.dt, values)

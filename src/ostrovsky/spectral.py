@@ -33,6 +33,7 @@ convention so the zero mode never participates.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -273,31 +274,29 @@ def require_mean_zero(coeffs: np.ndarray, what: str):
         raise MeanZeroViolation(complex(worst), f"{what} requires mean-zero input")
 
 
+@functools.lru_cache(maxsize=64)
 def multiplier_table(grid: Grid, spec: MultiplierSpec) -> np.ndarray:
-    """The per-mode multiplier m(xi_j) for one operator."""
+    """The per-mode multiplier m(xi_j) for one operator.  Read-only: one
+    table serves every call on equal grids and specs."""
     xi = grid.wavenumbers
-    nyq = grid.nyquist_index
     if spec.kind == "derivative":
         m = np.zeros(grid.n_points, dtype=complex)
         nz = xi != 0.0
         m[nz] = (1j * xi[nz]) ** spec.order
         if spec.order % 2 != 0:
-            m[nyq] = 0.0  # odd symmetry: the unpaired Nyquist mode is dropped
-        return m
-    if spec.kind == "fractional_d":
+            m[grid.nyquist_index] = 0.0  # odd symmetry: the unpaired Nyquist mode is dropped
+    elif spec.kind == "fractional_d":
         m = np.zeros(grid.n_points)
         nz = xi != 0.0
         m[nz] = np.abs(xi[nz]) ** spec.alpha
-        if spec.alpha > 0:
-            m[~nz] = 0.0
-        return m
-    if spec.kind == "low_pass":
-        return (np.abs(xi) < spec.cutoff).astype(float)
-    if spec.kind == "high_pass":
-        return (np.abs(xi) >= spec.cutoff).astype(float)
-    if spec.kind == "propagator":
-        return np.exp(-1j * spec.t * spec.symbol.table(grid))
-    raise ConfigError(f"unknown multiplier kind {spec.kind!r}")
+    elif spec.kind == "low_pass":
+        m = (np.abs(xi) < spec.cutoff).astype(float)
+    elif spec.kind == "high_pass":
+        m = (np.abs(xi) >= spec.cutoff).astype(float)
+    else:  # propagator, the last of MultiplierSpec.KINDS
+        m = np.exp(-1j * spec.t * spec.symbol.table(grid))
+    m.flags.writeable = False
+    return m
 
 
 def apply_multiplier(field: Field, spec: MultiplierSpec) -> Field:

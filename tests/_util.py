@@ -13,3 +13,15 @@ def random_mean_zero(grid, rng, band_fraction=0.25):
     c[m] = z
     c[-m] = np.conj(z)
     return Field(grid, c)
+
+
+def assert_same_trajectory(a, b):
+    """Two Trajectories bit for bit: traces, snapshots, counts, config."""
+    for name in ("times", "l2", "hamiltonian", "hs", "xs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert len(a.fields) == len(b.fields)
+    for fa, fb in zip(a.fields, b.fields):
+        assert np.array_equal(fa.coeffs, fb.coeffs)
+        assert np.array_equal(fa.samples(), fb.samples())
+    assert (a.n_steps, a.nonlinear_evaluations) == (b.n_steps, b.nonlinear_evaluations)
+    assert a.config == b.config

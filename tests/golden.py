@@ -9,11 +9,12 @@ the file again with
 
     PYTHONPATH=src python tests/golden.py
 
-from the repository root.  Tolerances and hashes always come from the
-fresh run.  When every fresh number of a config lies within its tolerance
-of the recorded one (a last-digit change), that config's recorded numbers
-are kept; otherwise all of them are recorded again, and the old and new
-values belong in CHANGES.md.
+from the repository root.  Hashes always come from the fresh run.  When
+a config's tolerance basis is unchanged and every fresh number lies
+within the recorded tolerance of the recorded one (a last-digit change),
+that config's recorded numbers and tolerances are kept, so such a record
+changes only hashes; otherwise all of them are recorded again from the
+fresh run, and the old and new values belong in CHANGES.md.
 
 It also holds, under estimate_zoo, max_ratio and refinement_max of every
 estimate tag at seed 2024 with acceptance 6's draw counts (ZOO_DRAWS),
@@ -399,25 +400,26 @@ def check_hashes(stem: str, out) -> None:
 
 
 def within_tolerance(fresh: dict, recorded: dict) -> bool:
-    """Whether every fresh number lies within its fresh tolerance of the
-    recorded entry's number of the same name."""
+    """Whether the recorded entry has the fresh one's tolerance basis and
+    every fresh number lies within the recorded tolerance of the recorded
+    number of the same name."""
     numbers = recorded.get("numbers", {})
-    return sorted(numbers) == sorted(fresh["numbers"]) and all(
-        abs(leaf["value"] - numbers[name]["value"]) <= leaf["tolerance"]
-        for name, leaf in fresh["numbers"].items())
+    return (recorded.get("tolerance_basis") == fresh["tolerance_basis"]
+            and sorted(numbers) == sorted(fresh["numbers"]) and all(
+                abs(leaf["value"] - numbers[name]["value"]) <= numbers[name]["tolerance"]
+                for name, leaf in fresh["numbers"].items()))
 
 
 def main_record() -> None:
     """Write tests/golden.json from fresh runs, keeping an entry's recorded
-    numbers when every fresh one lies within its tolerance of them."""
+    numbers and tolerances when every fresh number lies within them."""
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         golden = {stem: record(stem, Path(tmp) / stem) for stem in SHIPPED}
     golden[ZOO] = record_zoo()
     for key, fresh in golden.items():
         if key in old and within_tolerance(fresh, old[key]):
-            for name, leaf in fresh["numbers"].items():
-                leaf["value"] = old[key]["numbers"][name]["value"]
+            fresh["numbers"] = old[key]["numbers"]
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
 
 

@@ -107,7 +107,7 @@ class TestAcceptance:
         template = SolverConfig(beta=-1.0, gamma=1.0, k=5, dt=0.005, t_end=0.5, grid=g)
         cfg = SweepConfig(template=template, t_compare=0.5,
                           gammas=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
-                          snapshot_every=10, jobs=2)
+                          snapshot_every=10)
         rep = rotation_limit_sweep(cfg, u0)
         used = ~rep.floor_flags
         ratios = rep.error_over_gamma()[used]

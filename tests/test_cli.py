@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import platform
 import subprocess
@@ -378,12 +379,25 @@ class TestProbeEstimatesCommand:
         assert manifest["config"] == {"probe-estimates": {}}
         assert manifest["argv"][:3] == ["probe-estimates", "--which", "2.057"]
 
-    def test_unrefined_tag_has_no_refinement_factor(self, tmp_path):
+    def test_unrefined_tag_has_no_refinement_factor(self, tmp_path, caplog):
         out = tmp_path / "pe"
-        assert main(["probe-estimates", "--which", "2.027", "--draws", "3",
-                     "--out", str(out)]) == 0
+        with caplog.at_level(logging.INFO, logger="ostrovsky"):
+            assert main(["probe-estimates", "--which", "2.027", "--draws", "3",
+                         "--out", str(out)]) == 0
         summary = json.loads((out / "summary_2.027.json").read_text())
         assert summary["refinements"] == {} and summary["refinement_factor"] is None
+        line = f"tag 2.027: max ratio {summary['max_ratio']:.4g}, stability none"
+        assert line in caplog.messages
+
+    def test_refined_tag_logs_its_factor(self, tmp_path, caplog):
+        out = tmp_path / "pe"
+        with caplog.at_level(logging.INFO, logger="ostrovsky"):
+            assert main(["probe-estimates", "--which", "2.057", "--draws", "3",
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary_2.057.json").read_text())
+        line = (f"tag 2.057: max ratio {summary['max_ratio']:.4g}, "
+                f"stability {summary['refinement_factor']:.3f}")
+        assert line in caplog.messages
 
     @pytest.mark.parametrize("flags,expected", [
         ([], (5, 2)), (["--seed", "7"], (7, 2)), (["--draws", "3"], (5, 3)),

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from ostrovsky.errors import ConfigError
+from ostrovsky.errors import BlowupError, ConfigError, NonFiniteError
 from ostrovsky.limits import (
     SweepConfig,
     gronwall_consistency_check,
     rotation_limit_sweep,
     xs_growth_monitor,
 )
-from ostrovsky.solver import SolverConfig, evolve, gaussian_bump
-from ostrovsky.spectral import Grid
+from ostrovsky.solver import SolverConfig, _evolve_rows, _Stepper, evolve, gaussian_bump
+from ostrovsky.spectral import Grid, half_spectrum
+
+from _util import assert_same_trajectory
 
 
 def small_template(grid, **kw):
@@ -69,14 +71,64 @@ class TestRotationLimit:
         b = evolve(u0, template, 5).final()
         assert (a - b).l2_norm() < 1e-8
 
-    def test_reordering_invariance(self, sweep_setup):
+    def test_stacked_sweep_equals_single_runs(self, sweep_setup):
+        # the reference and the sweep points step as rows of one state;
+        # each row, and so each error, is that of its own evolve
         cfg, u0, report = sweep_setup
-        shuffled = SweepConfig(
-            template=cfg.template, t_compare=cfg.t_compare,
-            gammas=cfg.gammas, snapshot_every=cfg.snapshot_every, jobs=2,
-        )
-        second = rotation_limit_sweep(shuffled, u0)
-        assert np.array_equal(second.errors, report.errors)
+        cfgs = [cfg.template.replace(gamma=g) for g in (0.0, *cfg.gammas)]
+        singles = [evolve(u0, c, cfg.snapshot_every) for c in cfgs]
+        for row, single in zip(_evolve_rows(u0, cfgs, cfg.snapshot_every), singles):
+            assert_same_trajectory(row, single)
+        errors = [(s.final() - singles[0].final()).l2_norm() for s in singles[1:]]
+        assert np.array_equal(report.errors, errors)
+
+    @pytest.mark.parametrize("kind", ["breach", "overflow"])
+    def test_failed_point_recorded_others_kept(self, sweep_setup, monkeypatch, kind):
+        # the gamma = 1e-2 run alone breaks at step 10: its CFL check
+        # fails there, or its nonlinear term overflows in the next step
+        cfg, u0, report = sweep_setup
+        point = cfg.template.replace(gamma=1e-2)
+        state = half_spectrum(evolve(u0, point, 5).fields[2].coeffs)
+        if kind == "breach":
+            original = SolverConfig._timestep_breach
+
+            def breach(self, u, name):
+                hit = self.gamma == 1e-2 and np.array_equal(half_spectrum(u.coeffs), state)
+                return "forced breach" if hit else original(self, u, name)
+
+            monkeypatch.setattr(SolverConfig, "_timestep_breach", breach)
+        else:
+            stepped = _Stepper.step_coeffs
+
+            def overflow(self, c):
+                if any(np.array_equal(row, state) for row in c):
+                    raise NonFiniteError("forced overflow")
+                return stepped(self, c)
+
+            monkeypatch.setattr(_Stepper, "step_coeffs", overflow)
+        failed = rotation_limit_sweep(cfg, u0)
+        step = 10 if kind == "breach" else 11
+        message = f"blowup detected at step {step}: forced {kind}"
+        assert failed.failures == {1e-2: message}
+        with pytest.raises(BlowupError) as own:
+            evolve(u0, point, 5)
+        assert str(own.value) == message
+        assert failed.gammas == (1e-1, 1e-3)
+        assert np.array_equal(failed.errors, report.errors[[0, 2]])
+        assert np.array_equal(failed.gronwall_constants, report.gronwall_constants[[0, 2]])
+        assert failed.self_error == report.self_error
+
+    def test_failed_reference_raises(self, sweep_setup, monkeypatch):
+        cfg, u0, _ = sweep_setup
+        original = SolverConfig._timestep_breach
+
+        def breach(self, u, name):
+            hit = self.gamma == 0.0 and name == "u"
+            return "forced breach" if hit else original(self, u, name)
+
+        monkeypatch.setattr(SolverConfig, "_timestep_breach", breach)
+        with pytest.raises(BlowupError, match="step 5: forced breach"):
+            rotation_limit_sweep(cfg, u0)
 
     def test_gronwall_constant_stable_across_sweep(self, sweep_setup):
         _, _, report = sweep_setup

@@ -17,6 +17,7 @@ from ostrovsky.solver import (
     SOLITON_OVERSAMPLING,
     SolverConfig,
     _band_limit,
+    _evolve_rows,
     _flux_table,
     _int_power,
     _nonlinear_coeffs,
@@ -48,7 +49,7 @@ from _reference import (
     reference_picard,
     reference_upsample,
 )
-from _util import random_mean_zero
+from _util import assert_same_trajectory, random_mean_zero
 
 # the bound on the L2 distance between the half-spectrum solver and its
 # full-spectrum reference, relative to ||u0||: rounding only (the golden
@@ -313,6 +314,18 @@ class TestEvolve:
         with pytest.raises(NonFiniteError):
             nonlinear_term(u, 5)
 
+    def test_overflow_raises_nonfinite_without_warning(self):
+        # the callers hold the errstate that _nonlinear_coeffs runs under
+        g = Grid(64, 10.0)
+        u = Field.from_samples(g, 1e80 * np.sin(2 * np.pi * g.x / 10.0))
+        cfg = small_config(g, dt=0.005, t_end=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: nonlinear_term(u, 5), lambda: step(u, cfg),
+                         lambda: picard_iterate(u, cfg, delta=0.05, n_iters=3)):
+                with pytest.raises(NonFiniteError, match=r"u\^6 overflowed"):
+                    call()
+
     def test_power_overflow_in_evolve_is_blowup(self, monkeypatch):
         # dt passes the advection guard, but u^6 overflows at the first step;
         # u^7 overflows first, in the t = 0 Hamiltonian, so stub that out
@@ -356,7 +369,7 @@ class TestEvolve:
             out = original(self, c)
             if calls["n"] == 3:
                 out = out.copy()
-                out[5] = np.nan
+                out[..., 5] = np.nan
             return out
 
         monkeypatch.setattr(solver_mod._Stepper, "step_coeffs", corrupted)
@@ -399,6 +412,48 @@ class TestEvolve:
         g = Grid(64, 10.0)
         with pytest.raises(ConfigError):
             evolve(0.1 * random_mean_zero(g, rng), small_config(g), snapshot_every=0)
+
+
+class TestStackedRows:
+    """_evolve_rows steps configs that differ only in gamma as one stack;
+    each row must be bit-identical to its own evolve."""
+
+    @pytest.mark.parametrize("integrator,nonlinearity,t_end", [
+        ("ifrk4", True, 0.2), ("ifrk4", True, 0.1955), ("split_step", True, 0.1955),
+        ("ifrk4", False, 0.2)])
+    def test_rows_equal_single_runs(self, integrator, nonlinearity, t_end):
+        g = Grid(256, 40.0)
+        u0 = gaussian_bump(g, amplitude=0.5, width=2.0)
+        cfgs = [small_config(g, gamma=gamma, t_end=t_end, integrator=integrator,
+                             include_nonlinearity=nonlinearity) for gamma in (0.0, 0.3, 0.01, 1.0)]
+        rows = _evolve_rows(u0, cfgs, 3)
+        for row, cfg in zip(rows, cfgs):
+            assert_same_trajectory(row, evolve(u0, cfg, 3))
+
+    def test_failed_row_raises_its_own_error(self, monkeypatch):
+        # the CFL check fails for the gamma = 0.3 run alone, at step 4
+        g = Grid(128, 20.0)
+        u0 = gaussian_bump(g, amplitude=0.4, width=2.0)
+        cfgs = [small_config(g, gamma=gamma, t_end=0.1) for gamma in (0.0, 0.3, 1.0)]
+        target = evolve(u0, cfgs[1], 2).fields[2].samples()
+        original = SolverConfig._timestep_breach
+
+        def breach(self, u, name):
+            hit = self.gamma == 0.3 and np.array_equal(u.samples(), target)
+            return "forced breach" if hit else original(self, u, name)
+
+        monkeypatch.setattr(SolverConfig, "_timestep_breach", breach)
+        with pytest.raises(BlowupError) as own:
+            evolve(u0, cfgs[1], 2)
+        with pytest.raises(BlowupError) as stacked:
+            _evolve_rows(u0, cfgs, 2)
+        assert str(stacked.value) == str(own.value) == "blowup detected at step 4: forced breach"
+
+    def test_config_errors_raise_before_stepping(self):
+        g = Grid(64, 10.0)
+        u = Field.from_samples(g, 0.05 + 0.1 * np.cos(2 * np.pi * g.x / 10.0))
+        with pytest.raises(MeanZeroViolation):
+            _evolve_rows(u, [small_config(g, gamma=gamma) for gamma in (0.0, 1.0)], 5)
 
 
 class TestSoliton:
