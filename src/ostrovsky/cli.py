@@ -109,32 +109,31 @@ def _initial_field(section, grid: Grid, cfg: SolverConfig) -> Field:
         target = section.get_float("h1_norm", 0.0)
         if target > 0:
             u0 = scaled_to_h1(u0, target)
-        return u0
-    if kind == "soliton":
-        field, info = soliton_initial_data(
+    elif kind == "soliton":
+        u0, info = soliton_initial_data(
             section.get_float("speed", 0.7), cfg.k, cfg.beta, grid
         )
         log.info("soliton residual %.3e, projection defect %.3e",
                  info["residual"], info["projection_defect"])
         keep_background = section.get_int("keep_background", 1)  # used at gamma = 0 only
         if cfg.gamma == 0.0 and keep_background:
-            c = field.coeffs.copy()
+            c = u0.coeffs.copy()
             c[0] = info["projection_defect"]
-            return Field(grid, c)
-        return field
-    if kind.startswith("file:"):
-        field, _ = read_snapshot(kind[5:])
-        if field.grid != grid:
+            u0 = Field(grid, c)
+    elif kind.startswith("file:"):
+        u0, _ = read_snapshot(kind[5:])
+        if u0.grid != grid:
             raise ConfigError("snapshot grid does not match [solve] n/L")
-        return field
-    raise ConfigError(f"unknown initial data kind {kind!r}")
+    else:
+        raise ConfigError(f"unknown initial data kind {kind!r}")
+    check_initial_mean(u0, cfg)
+    return u0
 
 
 def cmd_solve(section, args):
     grid = _grid_from(section)
     cfg = _solver_config(section, grid)
     u0 = _initial_field(section, grid, cfg)
-    check_initial_mean(u0, cfg)
     snapshot_every = section.get_int("snapshot_every", 10)
 
     def run(out):
@@ -162,8 +161,7 @@ def cmd_sweep_gamma(section, args):
         **_given(section, gammas=section.get_floats, snapshot_every=section.get_int,
                  floor_factor=section.get_float),
     )
-    u0 = _initial_field(section, grid, template)
-    check_initial_mean(u0, template)  # every sweep gamma is positive, as the template's
+    u0 = _initial_field(section, grid, template)  # mean-checked: every sweep gamma > 0
 
     def run(out):
         report = rotation_limit_sweep(sweep, u0)
@@ -273,7 +271,6 @@ def cmd_picard_check(section, args):
     grid = _grid_from(section)
     cfg = _solver_config(section, grid)
     u0 = _initial_field(section, grid, cfg)
-    check_initial_mean(u0, cfg)  # the dx^{-1}u term at gamma > 0, cross-check or not
     delta = section.get_float("delta")
     n_iters = section.get_int("iterations", 12)
     cross_check = section.get_int("cross_check", 1)

@@ -37,8 +37,9 @@ import numpy as np
 from .errors import ConfigError, LatticeSizeError
 from .norms import SpaceTimeField, mixed_norm, window_bump
 from .pool import pool_map
-from .spectral import (Field, Grid, MultiplierSpec, PhaseSymbol, fft_mode_numbers,
-                       hermitian_extension, multiplier_table, synthesize)
+from .spectral import (Field, Grid, MultiplierSpec, PhaseSymbol, dft, fft_mode_numbers,
+                       hermitian_extension, mirror_slot, mode_slots, multiplier_table,
+                       scatter_modes, synthesize)
 
 STRICHARTZ_TAGS = ("2.03", "2.05", "2.08", "2.09")
 LINFTY_TAGS = ("2.055", "2.057", "2.060")
@@ -121,12 +122,8 @@ class Ensemble:
         z = rng.standard_normal(modes.size) + 1j * rng.standard_normal(modes.size)
         if self.law == "gaussian_spectrum":
             z = z * np.exp(-((modes * dxi / self.law_param) ** 2))
-        half = np.zeros(self.grid.nyquist_index + 1, dtype=complex)
-        half[modes] = z
-        c = hermitian_extension(half)
-        f = Field(self.grid, c)
-        norm = f.l2_norm()
-        return Field(self.grid, c / norm)
+        c = hermitian_extension(scatter_modes(z, modes, self.grid.n_points))
+        return Field(self.grid, c / Field(self.grid, c).l2_norm())
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_t) * (self.t_window / self.n_t)
@@ -148,11 +145,11 @@ class Ensemble:
         W_j = sum_l <tau_l + phi_j>^{2b} |DFT_t[psi e^{-i t phi_j}]_l / n_t|^2
         (a mode -m sees the conjugate orbit, whose DFT is reversed in l)."""
         phi = self.symbol.table(self.grid)[self.support_modes()]
-        d2 = np.abs(np.fft.fft(self.window[:, None] * self.phase_table, axis=0) / self.n_t) ** 2
+        d2 = np.abs(dft(self.window[:, None] * self.phase_table, (0,))) ** 2
         ell = fft_mode_numbers(self.n_t)
         tau = (2.0 * np.pi * ell / self.t_window)[:, None]
         plus = (1.0 + np.abs(tau + phi)) ** (2.0 * self.b) * d2
-        minus = (1.0 + np.abs(tau - phi)) ** (2.0 * self.b) * d2[-ell % self.n_t]
+        minus = (1.0 + np.abs(tau - phi)) ** (2.0 * self.b) * d2[mirror_slot(ell, self.n_t)]
         return np.sum(plus, axis=0) + np.sum(minus, axis=0)
 
     def _support_coeffs(self, u0: Field, multiplier: np.ndarray | None = None) -> np.ndarray:
@@ -162,12 +159,13 @@ class Ensemble:
         another grid or has a nonzero coefficient off the support, mode 0
         and the Nyquist mode included."""
         modes = self.support_modes()
+        mirror = mirror_slot(modes, self.grid.n_points)
         off = np.ones(self.grid.n_points, dtype=bool)
-        off[modes] = off[-modes] = False
+        off[modes] = off[mirror] = False
         if u0.grid != self.grid or np.any(u0.coeffs[off] != 0):
             raise ConfigError(f"data must live on the ensemble grid with spectrum on the "
                               f"law's support, modes +-{modes[0]}..{modes[-1]}")
-        c = 0.5 * (u0.coeffs[modes] + np.conj(u0.coeffs[-modes]))
+        c = 0.5 * (u0.coeffs[modes] + np.conj(u0.coeffs[mirror]))
         return c if multiplier is None else c * multiplier[modes]
 
     def refined(self, which: str) -> "Ensemble":
@@ -207,12 +205,10 @@ def propagator_orbit(ens: Ensemble, u0: Field, windowed: bool = True,
     """u(x, t_l) = psi(t_l) * (m(D) exp(-i t phi) u0)(x) on the ensemble window,
     with m the real, even multiplier table (default 1), synthesized from the
     support modes by one real inverse FFT per time sample."""
-    modes = ens.support_modes()
     half = ens.phase_table * ens._support_coeffs(u0, multiplier)
     if windowed:
         half *= ens.window[:, None]
-    spec = np.zeros((ens.n_t, ens.grid.nyquist_index + 1), dtype=complex)
-    spec[:, modes] = half
+    spec = scatter_modes(half, ens.support_modes(), ens.grid.n_points)
     return SpaceTimeField(ens.grid, ens.t_window, synthesize(spec))
 
 
@@ -261,16 +257,16 @@ def _orbit_pair(ens: Ensemble, which: str, u0: Field):
 def _ratio_report(tag: str, n_draws: int, pair_for, refinements, jobs: int) -> RatioReport:
     """Run an ensemble and each of its named refinements.
 
-    pair_for(name) gives pair(i) -> (lhs, rhs) for draw i, or None to skip
-    the draw; name None is the base ensemble.  Draws with rhs == 0 are
-    skipped too, and a non-finite ratio is an error.
+    pair_for(name) gives pair(i) -> (lhs, rhs) for draw i; name None is the
+    base ensemble.  Draws with rhs == 0 are skipped, and a non-finite ratio
+    is an error.
     """
 
     def evaluate(pair):
         lhs, rhs, skipped = [], [], 0
         # draws are seeded by index, so results do not depend on jobs
         for result in pool_map(pair, range(n_draws), jobs):
-            if result is None or result[1] == 0.0:
+            if result[1] == 0.0:
                 skipped += 1
                 continue
             lhs.append(result[0])
@@ -338,16 +334,12 @@ def bilinear_weighted_product(f1: Field, f2: Field, s: float, symbol: PhaseSymbo
     nz2 = np.nonzero((np.abs(f2.coeffs) > 0) & (modes != 0))[0]
     if nz1.size == 0 or nz2.size == 0:
         return np.zeros(n, dtype=complex)
-    m1 = modes[nz1][:, None]
-    m2 = modes[nz2][None, :]
-    target = m1 + m2
-    half = n // 2
-    valid = (target >= -(half - 1)) & (target <= half)
+    slots, valid = mode_slots(modes[nz1][:, None] + modes[nz2][None, :], n)
     w = np.abs(dphi[nz1][:, None] - dphi[nz2][None, :]) ** s if s != 0 else \
         np.ones((nz1.size, nz2.size))
     contrib = w * f1.coeffs[nz1][:, None] * f2.coeffs[nz2][None, :]
     out = np.zeros(n, dtype=complex)
-    np.add.at(out, target[valid] % n, contrib[valid])
+    np.add.at(out, slots[valid], contrib[valid])
     return out
 
 
@@ -357,14 +349,14 @@ def _bilinear_spectra(ens: Ensemble, s: float):
     scatter.  The mode pairs, their targets and weights are built here once."""
     grid, n_t = ens.grid, ens.n_t
     n, modes = grid.n_points, ens.support_modes()
-    idx = np.sort(np.concatenate([modes, n - modes]))
+    idx = np.sort(np.concatenate([modes, mirror_slot(modes, n)]))
     m = grid.mode_numbers[idx]
-    target = m[:, None] + m[None, :]
-    i, j = np.nonzero((target >= -(n // 2 - 1)) & (target <= n // 2))
+    slots, housed = mode_slots(m[:, None] + m[None, :], n)
+    i, j = np.nonzero(housed)
     dphi = ens.symbol.derivative_table(grid)[idx]
     w = np.abs(dphi[i] - dphi[j]) ** s if s != 0 else np.ones(i.size)
     ph = np.exp(-1j * ens.times()[:, None] * ens.symbol.table(grid)[idx][None, :])
-    slot = (np.arange(n_t)[:, None] * n + target[i, j] % n).ravel()
+    slot = (np.arange(n_t)[:, None] * n + slots[i, j]).ravel()
 
     def spectra(f1: Field, f2: Field) -> np.ndarray:
         a, b = f1.coeffs[idx] * ph, f2.coeffs[idx] * ph
@@ -388,8 +380,6 @@ def bilinear_ratio(ens: Ensemble, s: float, jobs: int = 1) -> RatioReport:
 
     def pair(i: int):
         f1, f2 = ens.draw(2 * i), ens.draw(2 * i + 1)
-        if np.abs(f1.coeffs[0]) > 0 or np.abs(f2.coeffs[0]) > 0:
-            return None
         total = float(np.sum(np.abs(spectra(f1, f2)) ** 2))
         lhs = math.sqrt(ens.grid.length * total * (ens.t_window / ens.n_t))
         return lhs, f1.l2_norm() * f2.l2_norm()

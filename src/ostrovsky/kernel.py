@@ -85,8 +85,8 @@ LEVIN_POINTS = 32  # points per batched collocation solve
 class KernelSpec:
     """Frequency block [N, 4N] in |xi| plus the phase coefficients.
 
-    threshold is the desk-scale stand-in a for the dyadic frequency
-    cutoff entering the region boundary |x| = 4000*a*N^2*t; the paper's
+    threshold is the desk-scale stand-in a for the dyadic frequency cutoff
+    in the region boundary |x| = region_speed * t = 4000*a*N^2*t; the paper's
     cutoff 2^[A] is far too large for O(1) coefficients (2^99 at
     beta = -1, gamma = 1).
     """
@@ -119,9 +119,13 @@ class KernelSpec:
         is 1e-9 up to N = 166."""
         return max(self.tolerance, RELATIVE_TOLERANCE * 6.0 * self.block_start)
 
+    @property
+    def region_speed(self) -> float:
+        return REGION_BOUNDARY_FACTOR * self.threshold * self.block_start**2
+
     def region_time_boundary(self, x: float) -> float:
         """t above which (x, t) leaves the non-stationary region."""
-        return abs(x) / (REGION_BOUNDARY_FACTOR * self.threshold * self.block_start**2)
+        return abs(x) / self.region_speed
 
 
 class RegionTag(enum.Enum):
@@ -137,8 +141,7 @@ class RegionTag(enum.Enum):
             raise ConfigError("regions partition t > 0 only")
         if abs(x) <= 1.0 / spec.block_start:
             return cls.NEAR_FIELD
-        boundary = REGION_BOUNDARY_FACTOR * spec.threshold * spec.block_start**2 * t
-        return cls.NON_STATIONARY if abs(x) >= boundary else cls.STATIONARY
+        return cls.NON_STATIONARY if abs(x) >= spec.region_speed * t else cls.STATIONARY
 
 
 def _coarse_samples(spec: KernelSpec):
@@ -509,11 +512,10 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
 RAY_OFFSETS = (3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0)
 
 
-def stationary_ray_exponent(spec: KernelSpec, offsets=RAY_OFFSETS,
-                            points_per_ray: int = 33,
+def stationary_ray_exponent(spec: KernelSpec, points_per_ray: int = 33,
                             stats: QuadratureStats | None = None,
                             jobs: int | None = None) -> float:
-    """Pooled time-decay exponent of |K| over rays x = -c/N.
+    """Pooled time-decay exponent of |K| over rays x = -c/N, c in RAY_OFFSETS.
 
     Each ray is sampled over the window where the stationary frequency
     x/t = phi'(xi_s) traverses the block [N, 4N]; there the kernel decays
@@ -526,7 +528,7 @@ def stationary_ray_exponent(spec: KernelSpec, offsets=RAY_OFFSETS,
     n_block = spec.block_start
     slope_lo = abs(spec.symbol.derivative(n_block))
     slope_hi = abs(spec.symbol.derivative(4.0 * n_block))
-    rays_x = [-cx / n_block for cx in offsets]
+    rays_x = [-cx / n_block for cx in RAY_OFFSETS]
     rays_t = [np.exp(np.linspace(math.log(abs(x) / slope_hi), math.log(abs(x) / slope_lo),
                                  points_per_ray)) for x in rays_x]
     values, achieved = _kernel_values(np.repeat(rays_x, points_per_ray),
@@ -584,8 +586,7 @@ def kernel_mixed_norm(spec: KernelSpec, gamma_exp: float, c_t: float = 1.0,
         raise ConfigError(f"gamma_exp must be >= 7, got {gamma_exp}")
     n_block = spec.block_start
     t_max = c_t / n_block**3
-    x_boundary = REGION_BOUNDARY_FACTOR * spec.threshold * n_block**2 * t_max
-    x_max = max(2.0 * x_boundary, 200.0 / n_block)
+    x_max = max(2.0 * spec.region_speed * t_max, 200.0 / n_block)
 
     ts = np.exp(np.linspace(math.log(t_max * 1e-3), math.log(t_max), n_t))
     half = np.exp(np.linspace(math.log(1e-3 / n_block), math.log(x_max), n_x))

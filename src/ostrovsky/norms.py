@@ -23,6 +23,7 @@ from .spectral import (
     PhaseSymbol,
     analyze,
     apply_multiplier,
+    dft,
     fft_mode_numbers,
     half_spectrum,
     hermitian_extension,
@@ -72,7 +73,7 @@ class SpaceTimeField:
         """2-D coefficients F[l, j] = (1/(n_t*n)) sum u e^{-i xi x - i tau t}."""
         if self.n_t % 2 != 0:
             raise ConfigError("2-D spectral table needs an even number of time samples")
-        return np.fft.fft2(self.values) / (self.n_t * self.grid.n_points)
+        return dft(self.values, (0, 1))
 
 
 @dataclass(frozen=True)

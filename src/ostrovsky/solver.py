@@ -50,11 +50,15 @@ from .spectral import (
     PhaseSymbol,
     analyze,
     apply_multiplier,
+    band_limit,
     dealias_cutoff,
     half_spectrum,
     hermitian_extension,
+    multiplier_table,
+    parseval_weights,
     project_zero_mean,
     synthesize,
+    upsample,
 )
 
 log = logging.getLogger("ostrovsky")
@@ -259,8 +263,9 @@ def hamiltonian(u: Field, cfg: SolverConfig) -> float:
               - u^{k+2}/((k+1)(k+2))] dx.
 
     Verified conserved along trajectories by a finite-difference
-    d/dt oracle in the test suite before being trusted here.  Raises
-    NonFiniteError when H overflows.
+    d/dt oracle in the test suite before being trusted here.  u must be
+    mean-zero when gamma > 0, unchecked: evolve checks u0 and conserves
+    mode 0.  Raises NonFiniteError when H overflows.
     """
     ux = apply_multiplier(u, MultiplierSpec.derivative(1)).samples()
     us = u.samples()
@@ -268,7 +273,8 @@ def hamiltonian(u: Field, cfg: SolverConfig) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         density = -(cfg.beta / 2.0) * ux**2 - _int_power(us, k + 2) / ((k + 1) * (k + 2))
         if cfg.gamma != 0.0:
-            vi = apply_multiplier(u, MultiplierSpec.derivative(-1)).samples()
+            inverse = u.coeffs * multiplier_table(u.grid, MultiplierSpec.derivative(-1))
+            vi = synthesize(half_spectrum(inverse))
             density = density - (cfg.gamma / 2.0) * vi**2
         h = float(np.sum(density) * u.grid.dx)
     if not math.isfinite(h):
@@ -397,25 +403,6 @@ def soliton_traveling_profile(c: float, k: int, beta: float, grid: Grid) -> np.n
     return amp * (1.0 / np.cosh(b_scale * y)) ** (2.0 / k)
 
 
-def _band_limit(samples_fine: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coarse-band truncation of a fine-grid sampling (alias-free
-    coefficients; the coarse Nyquist mode is dropped)."""
-    half = analyze(samples_fine)[: grid.nyquist_index + 1]
-    half[-1] = 0.0
-    return hermitian_extension(half)
-
-
-def _upsample(coeffs: np.ndarray) -> np.ndarray:
-    """Samples on the SOLITON_OVERSAMPLING times finer grid of the field
-    with spectrum coeffs; the coarse Nyquist mode splits evenly between
-    the fine modes +-n/2."""
-    n = coeffs.size
-    half = np.zeros(n * SOLITON_OVERSAMPLING // 2 + 1, dtype=complex)
-    half[: n // 2 + 1] = half_spectrum(coeffs)
-    half[n // 2] *= 0.5
-    return synthesize(half)
-
-
 def soliton_residual(field: Field, c: float, k: int, beta: float) -> float:
     """||beta Q''' - Q^k Q' + c Q'||_L2 / ||Q||_L2 for a band-limited field.
 
@@ -425,9 +412,9 @@ def soliton_residual(field: Field, c: float, k: int, beta: float) -> float:
     """
     d1 = apply_multiplier(field, MultiplierSpec.derivative(1))
     d3 = apply_multiplier(field, MultiplierSpec.derivative(3))
-    qf = _upsample(field.coeffs)
-    q1 = _upsample(d1.coeffs)
-    q3 = _upsample(d3.coeffs)
+    qf = upsample(field.coeffs, SOLITON_OVERSAMPLING)
+    q1 = upsample(d1.coeffs, SOLITON_OVERSAMPLING)
+    q3 = upsample(d3.coeffs, SOLITON_OVERSAMPLING)
     resid = beta * q3 - qf**k * q1 + c * q1
     denom = max(float(np.sqrt(np.sum(qf**2))), 1e-300)
     return float(np.sqrt(np.sum(resid**2)) / denom)
@@ -447,7 +434,7 @@ def soliton_initial_data(c: float, k: int, beta: float, grid: Grid):
     """
     fine_grid = Grid(grid.n_points * SOLITON_OVERSAMPLING, grid.length)
     q_fine = soliton_traveling_profile(c, k, beta, fine_grid)
-    raw = Field(grid, _band_limit(q_fine, grid))
+    raw = Field(grid, band_limit(q_fine, grid))
     residual = soliton_residual(raw, c, k, beta)
     if residual >= SOLITON_RESIDUAL_GATE:
         raise SolitonResidualError(residual, SOLITON_RESIDUAL_GATE)
@@ -490,9 +477,7 @@ def picard_iterate(u0: Field, cfg: SolverConfig, delta: float, n_iters: int):
     backward = np.conj(forward)
     flux = _flux_table(grid, cfg.k)
     c0 = half_spectrum(u0.coeffs)
-    # Parseval on half spectra: modes 1..n/2-1 stand for their conjugates too
-    weights = np.full(phi.size, 2.0)
-    weights[0] = weights[-1] = 1.0
+    weights = parseval_weights(grid.n_points)
 
     u0_l2 = max(u0.l2_norm(), 1e-300)
     v = forward * c0[None, :]  # free evolution, iterate 0

@@ -24,6 +24,7 @@ bins, as the real part of the complex inverse FFT does, so a propagated
 Nyquist coefficient, complex after e^{-i phi t}, contributes
 Re(c_{n/2}) (-1)^m to sample m.  fft_mode_numbers builds the FFT mode
 order, for Grid.mode_numbers and for the time frequencies of a window.
+Slot mapping, resampling and the normalised complex DFT live here too.
 
 The dispersion symbol phi(xi) = beta*xi**3 + gamma/xi is singular at
 xi = 0.  All evolved fields are kept mean-zero, and phi(0) := 0 by
@@ -179,6 +180,51 @@ def synthesize(half: np.ndarray) -> np.ndarray:
     return np.fft.irfft(half, axis=-1, norm="forward")
 
 
+def mode_slots(j, n: int):
+    """FFT-order slots of signed modes j, and whether n points house each."""
+    return j % n, (j > -(n // 2)) & (j <= n // 2)
+
+
+def mirror_slot(j, n: int):
+    """FFT-order slots of the modes -j, in a real field the conjugates of modes j."""
+    return (-j) % n
+
+
+def scatter_modes(values: np.ndarray, modes: np.ndarray, n: int) -> np.ndarray:
+    """Half spectra of n-point fields: values (last axis) at modes, zero elsewhere."""
+    half = np.zeros(values.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    half[..., modes] = values
+    return half
+
+
+def parseval_weights(n: int) -> np.ndarray:
+    """Weights 1, 2, ..., 2, 1 of |c_j|^2, j = 0..n/2, in Parseval's sum."""
+    return np.concatenate([[1.0], np.full(n // 2 - 1, 2.0), [1.0]])
+
+
+def dft(values: np.ndarray, axes: tuple) -> np.ndarray:
+    """Complex coefficients (1/N) sum_m v_m e^{-2 pi i l.m/N} over axes, N points:
+    fft, then / N (norm="forward" rounds differently unless N is a power of 2)."""
+    return np.fft.fftn(values, axes=axes) / math.prod(values.shape[a] for a in axes)
+
+
+def band_limit(samples_fine: np.ndarray, grid: Grid) -> np.ndarray:
+    """Full spectrum on grid of a finer sampling: alias-free, the Nyquist mode dropped."""
+    half = analyze(samples_fine)[: grid.nyquist_index + 1]
+    half[-1] = 0.0
+    return hermitian_extension(half)
+
+
+def upsample(coeffs: np.ndarray, factor: int) -> np.ndarray:
+    """Samples on the factor times finer grid of the field with spectrum
+    coeffs, the coarse Nyquist mode split evenly between fine modes +-n/2."""
+    n = coeffs.size
+    half = np.zeros(n * factor // 2 + 1, dtype=complex)
+    half[: n // 2 + 1] = half_spectrum(coeffs)
+    half[n // 2] *= 0.5
+    return synthesize(half)
+
+
 def _off_zero(xi, fn):
     """fn(xi) elementwise where xi != 0 and 0 where xi == 0; a float for
     scalar xi."""
@@ -325,9 +371,8 @@ def dealias(field: Field, product_degree: int) -> Field:
     p = int(product_degree)
     if p < 2:
         raise ConfigError(f"product_degree must be an integer >= 2, got {product_degree}")
-    cutoff = (2 * (field.grid.n_points // 2)) // (p + 1)
     c = field.coeffs.copy()
-    c[np.abs(field.grid.mode_numbers) > cutoff] = 0.0
+    c[np.abs(field.grid.mode_numbers) > dealias_cutoff(field.grid.n_points, p)] = 0.0
     return Field(field.grid, c)
 
 

@@ -7,6 +7,7 @@ import pytest
 from ostrovsky.errors import ConfigError, LatticeSizeError
 from ostrovsky.estimates import (
     ALL_TAGS,
+    LAWS,
     LINFTY_TAGS,
     REFINEMENTS,
     STRICHARTZ_TAGS,
@@ -59,6 +60,13 @@ class TestEnsemble:
         with pytest.raises(ConfigError):
             Ensemble(seed=1, n_draws=1, law="gaussian_spectrum", law_param=2.0,
                      grid=grid, t_window=0.25, n_t=16)
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_draws_never_set_mode_zero(self, law):
+        ens = Ensemble(seed=1, n_draws=1, law=law, law_param=1.0, grid=Grid(256, 16 * math.pi),
+                       t_window=0.05, n_t=128)
+        assert ens.support_modes()[0] >= 1
+        assert ens.draw(0).coeffs[0] == 0
 
     def test_support_mismatch_rejected(self):
         grid = Grid(64, 2 * math.pi)  # houses |xi| <= 31
@@ -448,7 +456,7 @@ class TestMultilinearRealTransforms:
 class TestRefinementSkips:
     def test_skipped_draws_counted_per_refinement(self):
         def pair_for(name):
-            return lambda i: None if (name == "b" and i == 1) else (1.0 + i, 2.0)
+            return lambda i: (1.0 + i, 0.0 if (name == "b" and i == 1) else 2.0)
 
         rep = _ratio_report("t", 3, pair_for, ("a", "b"), jobs=1)
         assert rep.skipped == 0

@@ -443,10 +443,10 @@ class TestWorkerCount:
 
 
 class TestProbesEqualScalarLoops:
-    def test_ray_exponent(self):
+    def test_ray_exponent(self, monkeypatch):
         spec = KernelSpec(8.0, -1.0, 1.0)
-        assert stationary_ray_exponent(spec, RAY_OFFSETS[:4], 9) == \
-            reference_ray_exponent(spec, RAY_OFFSETS[:4], 9)
+        monkeypatch.setattr(kernel, "RAY_OFFSETS", RAY_OFFSETS[:4])
+        assert stationary_ray_exponent(spec, 9) == reference_ray_exponent(spec, RAY_OFFSETS[:4], 9)
 
     def test_mixed_norm(self):
         # each sup_t |K| may move by accepted_error where Levin takes points
@@ -525,8 +525,9 @@ class TestProbesEqualScalarLoops:
     def test_over_cap_raises_inf_in_ray_and_mixed_norm(self, monkeypatch):
         spec = KernelSpec(8.0, -1.0, 1.0)
         monkeypatch.setattr(kernel, "MAX_NODES", 15 * 60)
+        monkeypatch.setattr(kernel, "RAY_OFFSETS", RAY_OFFSETS[:2])
         with pytest.raises(QuadratureAccuracyError) as err:
-            stationary_ray_exponent(spec, RAY_OFFSETS[:2], 5)
+            stationary_ray_exponent(spec, 5)
         assert err.value.achieved == math.inf
         with pytest.raises(QuadratureAccuracyError) as err:
             kernel_mixed_norm(spec, 8.0, n_x=4, n_t=3)

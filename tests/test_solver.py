@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ostrovsky import spectral
 from ostrovsky.errors import (
     BlowupError,
     ConfigError,
@@ -16,12 +17,10 @@ from ostrovsky.norms import h_s_norm
 from ostrovsky.solver import (
     SOLITON_OVERSAMPLING,
     SolverConfig,
-    _band_limit,
     _evolve_rows,
     _flux_table,
     _int_power,
     _nonlinear_coeffs,
-    _upsample,
     evolve,
     gaussian_bump,
     hamiltonian,
@@ -37,9 +36,11 @@ from ostrovsky.spectral import (
     MultiplierSpec,
     PhaseSymbol,
     apply_multiplier,
+    band_limit,
     dealias_cutoff,
     half_spectrum,
     hermitian_extension,
+    upsample,
 )
 
 from _reference import (
@@ -499,7 +500,7 @@ class TestSoliton:
         g = Grid(n, 40.0)
         fine = rng.standard_normal(n * SOLITON_OVERSAMPLING)
         ref = reference_band_limit(fine, g)
-        assert np.max(np.abs(_band_limit(fine, g) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(band_limit(fine, g) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [64, 250, 1024])
     def test_upsample_matches_full_spectrum(self, n, rng):
@@ -507,7 +508,8 @@ class TestSoliton:
         half[0] = half[0].real
         coeffs = hermitian_extension(half)  # the Nyquist coefficient is complex
         ref = reference_upsample(coeffs)
-        assert np.max(np.abs(_upsample(coeffs) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(upsample(coeffs, SOLITON_OVERSAMPLING) - ref)) <= \
+            1e-14 * np.max(np.abs(ref))
 
     def test_translates_at_speed_c(self):
         g = Grid(1024, 80.0)
@@ -623,3 +625,17 @@ class TestHamiltonianFormula:
         anti = apply_multiplier(u, MultiplierSpec.derivative(-1)).samples()
         difference = hamiltonian(u, cfg_kdv) - hamiltonian(u, cfg_rot)
         assert difference == pytest.approx(np.sum(anti**2) * g.dx, rel=1e-10)
+
+    def test_no_mean_check_and_same_value(self, rng, monkeypatch):
+        # evolve checks u0 once and conserves mode 0, so H does not re-check
+        g = Grid(128, 10.0)
+        u = 0.3 * random_mean_zero(g, rng)
+        cfg = small_config(g, gamma=2.0)
+        ux = apply_multiplier(u, MultiplierSpec.derivative(1)).samples()
+        vi = apply_multiplier(u, MultiplierSpec.derivative(-1)).samples()
+        density = -(cfg.beta / 2.0) * ux**2 - _int_power(u.samples(), 7) / (6 * 7)
+        expected = float(np.sum(density - (cfg.gamma / 2.0) * vi**2) * g.dx)
+        calls = []
+        monkeypatch.setattr(spectral, "require_mean_zero", lambda *a: calls.append(a))
+        assert hamiltonian(u, cfg) == expected
+        assert calls == []

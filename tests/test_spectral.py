@@ -1,10 +1,13 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ostrovsky.spectral
 from ostrovsky.errors import ConfigError, MeanZeroViolation
 from ostrovsky.spectral import (
     Field,
@@ -14,6 +17,11 @@ from ostrovsky.spectral import (
     apply_multiplier,
     dealias,
     dealias_cutoff,
+    fft_mode_numbers,
+    half_spectrum,
+    mirror_slot,
+    mode_slots,
+    parseval_weights,
     project_zero_mean,
 )
 
@@ -73,6 +81,16 @@ class TestTransforms:
         physical = np.sum(u**2) * g.dx
         spectral = g.length * np.sum(np.abs(f.coeffs) ** 2)
         assert physical == pytest.approx(spectral, rel=1e-12)
+        half = g.length * np.sum(parseval_weights(128) * np.abs(half_spectrum(f.coeffs)) ** 2)
+        assert half == pytest.approx(spectral, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_mode_slots_place_signed_modes(self, n):
+        j = fft_mode_numbers(n)
+        slots, housed = mode_slots(j, n)
+        assert np.array_equal(slots, np.arange(n)) and housed.all()
+        assert not mode_slots(np.array([-(n // 2), n // 2 + 1]), n)[1].any()
+        assert np.array_equal(j[mirror_slot(j, n)], np.where(j == n // 2, j, -j))
 
     def test_conjugate_symmetry(self, rng):
         for n in (64, 128, 250, 1024):
@@ -245,3 +263,23 @@ class TestProjectionAndDealias:
         with pytest.raises(ConfigError):
             dealias(random_mean_zero(g, rng), 1)
 
+
+class TestLayoutHome:
+    SRC = pathlib.Path(ostrovsky.spectral.__file__).parent
+
+    def test_fft_only_in_spectral(self):
+        # multilinear_ratio's padded lattice convolution is not a periodic field
+        tree = ast.parse((self.SRC / "estimates.py").read_text())
+        lattice = next(f for f in tree.body
+                       if isinstance(f, ast.FunctionDef) and f.name == "multilinear_ratio")
+        allowed = range(lattice.lineno, lattice.end_lineno + 1)
+        found = [(path.name, i) for path in sorted(self.SRC.glob("*.py"))
+                 if path.name != "spectral.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if ("np.fft" in line or "numpy.fft" in line)
+                 and not (path.name == "estimates.py" and i in allowed)]
+        assert found == []
+
+    def test_package_root_imports_nothing(self):
+        tree = ast.parse((self.SRC / "__init__.py").read_text())
+        assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
