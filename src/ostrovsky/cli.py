@@ -33,10 +33,12 @@ import numpy as np
 from . import __version__
 from .config import Config, RunManifest, load_config
 from .errors import (BlowupError, BoxTooSmallError, ConfigError, ContractionFailureError,
-                     LatticeSizeError, MeanZeroViolation, NonFiniteError, QuadratureAccuracyError)
-from .estimates import ALL_TAGS, run_tag
+                     LatticeSizeError, MeanZeroViolation, NonFiniteError, QuadratureAccuracyError,
+                     SolitonResidualError)
+from .estimates import default_ensemble, run_ensemble
 from .io import ensure_dir, fmt, read_snapshot, svg_loglog, write_csv, write_json, write_snapshot
-from .kernel import KernelSpec, kernel_mixed_norm, region_decay_check
+from .kernel import (KernelSpec, kernel_mixed_norm, region_decay_check, require_mixed_exponent,
+                     require_samples)
 from .limits import SweepConfig, conservation_drift, rotation_limit_sweep
 from .norms import norm_record
 from .solver import (
@@ -47,6 +49,7 @@ from .solver import (
     gaussian_bump,
     hamiltonian,
     picard_iterate,
+    picard_lattice,
     scaled_to_h1,
     soliton_initial_data,
 )
@@ -195,15 +198,18 @@ def cmd_probe_kernel(section, args):
     gamma = section.get_float("gamma", 1.0)
     spec_options = {"threshold": section.get_float("a")} if "a" in section.keys() else {}
     gamma_exp = section.get_float("gamma_exp", 8.0)
-    blocks = section.get_floats("blocks", (16.0, 32.0, 64.0))
+    require_mixed_exponent(gamma_exp)
+    specs = [KernelSpec(n_block, beta, gamma, **spec_options)
+             for n_block in section.get_floats("blocks", (16.0, 32.0, 64.0))]
     sampling = _given(section, samples_per_region=section.get_int)
+    if sampling:
+        require_samples(sampling["samples_per_region"])
 
     def run(out):
         rows = {"region": [], "x": [], "t": [], "absK": [], "bound": [], "ratio": []}
-        counts = {"blocks": len(blocks)}
+        counts = {"blocks": len(specs)}
         summary = {"blocks": {}, "gamma_exp": gamma_exp, "quadrature": {}}
-        for n_block in blocks:
-            spec = KernelSpec(n_block, beta, gamma, **spec_options)
+        for spec in specs:
             report = region_decay_check(spec, seed=args.seed, **sampling, **_jobs(args))
             counts["samples_per_region"] = report.samples_per_region
             mixed = kernel_mixed_norm(spec, gamma_exp, **_jobs(args))
@@ -212,14 +218,14 @@ def cmd_probe_kernel(section, args):
                            reg.bound, reg.ratios)
                 for name, values in zip(rows, columns):
                     rows[name].extend(values)
-            summary["blocks"][fmt(n_block)] = {
+            summary["blocks"][fmt(spec.block_start)] = {
                 "ray_exponent": report.ray_exponent,
                 "constants": {k: v.empirical_constant for k, v in report.regions.items()},
                 "mixed_norm": mixed.value,
                 "mixed_norm_scaled": mixed.scaled_ratio,
                 "tail_fraction": mixed.tail_fraction,
             }
-            summary["quadrature"][fmt(n_block)] = {
+            summary["quadrature"][fmt(spec.block_start)] = {
                 "decay": dataclasses.asdict(report.quadrature),
                 "mixed_norm": dataclasses.asdict(mixed.quadrature),
                 "accepted_error": spec.accepted_error,
@@ -240,11 +246,10 @@ def cmd_probe_estimates(section, args):
         ("beta", "gamma", "b", "epsilon", "threshold", "law_param", "t_window", "length"),
         section.get_float))
     tag = args.which
-    if tag not in ALL_TAGS:
-        raise ConfigError(f"unknown tag {tag!r}; valid tags: {', '.join(ALL_TAGS)}")
+    ens = default_ensemble(tag, args.seed, draws, **overrides)
 
     def run(out):
-        report = run_tag(tag, seed=args.seed, n_draws=draws, **_jobs(args), **overrides)
+        report = run_ensemble(tag, ens, **_jobs(args))
         # no refinement, no stability measured
         factor = report.stability_factor if report.refinement_max else None
         write_csv(os.path.join(out, f"ratios_{tag}.csv"), {
@@ -273,6 +278,7 @@ def cmd_picard_check(section, args):
     u0 = _initial_field(section, grid, cfg)
     delta = section.get_float("delta")
     n_iters = section.get_int("iterations", 12)
+    picard_lattice(cfg, delta, n_iters)
     cross_check = section.get_int("cross_check", 1)
 
     def run(out):
@@ -405,7 +411,8 @@ def main(argv=None) -> int:
                     out_dir=str(out), version=__version__, wall_clock_s=time.time() - t0,
                     counts=counts, started_unix=t0).write(os.path.join(out, "manifest.json"))
         return code
-    except (ConfigError, FileNotFoundError, LatticeSizeError, MeanZeroViolation) as err:
+    except (ConfigError, LatticeSizeError, MeanZeroViolation, OSError,
+            SolitonResidualError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except (BlowupError, BoxTooSmallError, ContractionFailureError, NonFiniteError,

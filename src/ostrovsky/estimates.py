@@ -37,9 +37,9 @@ import numpy as np
 from .errors import ConfigError, LatticeSizeError
 from .norms import SpaceTimeField, mixed_norm, window_bump
 from .pool import pool_map
-from .spectral import (Field, Grid, MultiplierSpec, PhaseSymbol, dft, fft_mode_numbers,
-                       hermitian_extension, mirror_slot, mode_slots, multiplier_table,
-                       scatter_modes, synthesize)
+from .spectral import (Field, Grid, MultiplierSpec, PhaseSymbol, angular_frequencies, dft,
+                       fft_mode_numbers, hermitian_extension, mirror_slot, mode_slots,
+                       multiplier_table, scatter_modes, synthesize)
 
 STRICHARTZ_TAGS = ("2.03", "2.05", "2.08", "2.09")
 LINFTY_TAGS = ("2.055", "2.057", "2.060")
@@ -132,8 +132,7 @@ class Ensemble:
     def phase_table(self) -> np.ndarray:
         """exp(-i t_l phi(xi_m)) for the window samples t_l and the positive
         support modes m, shape (n_t, M)."""
-        phi = self.symbol.table(self.grid)[self.support_modes()]
-        return np.exp(-1j * self.times()[:, None] * phi[None, :])
+        return self.symbol.propagator(self.times(), self.grid.wavenumbers[self.support_modes()])
 
     @functools.cached_property
     def window(self) -> np.ndarray:
@@ -144,12 +143,12 @@ class Ensemble:
         """W_m + W_{-m} for the positive support modes m, where
         W_j = sum_l <tau_l + phi_j>^{2b} |DFT_t[psi e^{-i t phi_j}]_l / n_t|^2
         (a mode -m sees the conjugate orbit, whose DFT is reversed in l)."""
-        phi = self.symbol.table(self.grid)[self.support_modes()]
+        xi = self.grid.wavenumbers[self.support_modes()]
+        tau = angular_frequencies(self.n_t, self.t_window)
         d2 = np.abs(dft(self.window[:, None] * self.phase_table, (0,))) ** 2
-        ell = fft_mode_numbers(self.n_t)
-        tau = (2.0 * np.pi * ell / self.t_window)[:, None]
-        plus = (1.0 + np.abs(tau + phi)) ** (2.0 * self.b) * d2
-        minus = (1.0 + np.abs(tau - phi)) ** (2.0 * self.b) * d2[mirror_slot(ell, self.n_t)]
+        plus = self.symbol.modulation(tau, xi) ** (2.0 * self.b) * d2
+        reversed_d2 = d2[mirror_slot(fft_mode_numbers(self.n_t), self.n_t)]
+        minus = self.symbol.modulation(-tau, xi) ** (2.0 * self.b) * reversed_d2
         return np.sum(plus, axis=0) + np.sum(minus, axis=0)
 
     def _support_coeffs(self, u0: Field, multiplier: np.ndarray | None = None) -> np.ndarray:
@@ -355,7 +354,7 @@ def _bilinear_spectra(ens: Ensemble, s: float):
     i, j = np.nonzero(housed)
     dphi = ens.symbol.derivative_table(grid)[idx]
     w = np.abs(dphi[i] - dphi[j]) ** s if s != 0 else np.ones(i.size)
-    ph = np.exp(-1j * ens.times()[:, None] * ens.symbol.table(grid)[idx][None, :])
+    ph = ens.symbol.propagator(ens.times(), grid.wavenumbers[idx])
     slot = (np.arange(n_t)[:, None] * n + slots[i, j]).ravel()
 
     def spectra(f1: Field, f2: Field) -> np.ndarray:
@@ -397,7 +396,7 @@ def _multilinear_weights(n_cells: int, dxi: float, dtau: float,
     idx = np.arange(-half, half)
     xi = idx * dxi
     tau = idx * dtau
-    sigma = 1.0 + np.abs(tau[None, :] + symbol(xi)[:, None])  # (xi, tau)
+    sigma = symbol.modulation(tau, xi).T  # (xi, tau)
     xi_weight = (1.0 + np.abs(xi)) ** s
     outer = (np.abs(xi)[:, None] * xi_weight[:, None]) / sigma ** (0.5 - epsilon / 12.0)
     inner = 1.0 / (xi_weight[:, None] * sigma**b)
@@ -525,7 +524,11 @@ def default_ensemble(tag: str, seed: int, n_draws: int, **overrides) -> Ensemble
 
 def run_tag(tag: str, seed: int, n_draws: int, jobs: int = 1, **overrides) -> RatioReport:
     """Dispatch one acceptance tag with its default ensemble."""
-    ens = default_ensemble(tag, seed, n_draws, **overrides)
+    return run_ensemble(tag, default_ensemble(tag, seed, n_draws, **overrides), jobs)
+
+
+def run_ensemble(tag: str, ens: Ensemble, jobs: int = 1) -> RatioReport:
+    """Run one acceptance tag on ens."""
     if tag in STRICHARTZ_TAGS:
         return strichartz_ratio(ens, tag, jobs=jobs)
     if tag in LINFTY_TAGS:

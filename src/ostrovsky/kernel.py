@@ -417,10 +417,8 @@ class RegionSamples:
 
 @dataclass
 class DecayReport:
-    spec: KernelSpec
     regions: dict
     ray_exponent: float
-    ray_x: float
     samples_per_region: int
     skipped_fraction: float
     quadrature: QuadratureStats
@@ -443,6 +441,18 @@ SAMPLE_X_SPAN = 100.0
 SAMPLE_T_SPAN = 200.0
 
 
+def require_samples(samples_per_region: int):
+    """ConfigError unless region_decay_check gets a sample per region."""
+    if samples_per_region < 1:
+        raise ConfigError(f"samples_per_region must be >= 1, got {samples_per_region}")
+
+
+def require_mixed_exponent(gamma_exp: float):
+    """ConfigError unless kernel_mixed_norm's exponent is at least 7."""
+    if gamma_exp < 7:
+        raise ConfigError(f"gamma_exp must be >= 7, got {gamma_exp}")
+
+
 def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
                        seed: int = 0, jobs: int | None = None) -> DecayReport:
     """Empirical sup |K| / bound per region plus the stationary-region
@@ -454,6 +464,7 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
     number of quadrature threads, None for every available core; the
     report does not depend on it.
     """
+    require_samples(samples_per_region)
     rng = np.random.default_rng(seed)
     n_block = spec.block_start
     t_lo, t_hi = 0.2 / n_block**3, SAMPLE_T_SPAN / n_block**3
@@ -499,10 +510,8 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
     exponent = stationary_ray_exponent(spec, stats=stats, jobs=jobs)
 
     return DecayReport(
-        spec=spec,
         regions=regions,
         ray_exponent=exponent,
-        ray_x=-4.0 / n_block,
         samples_per_region=m,
         skipped_fraction=sum(r.skipped for r in regions.values()) / max(3 * m, 1),
         quadrature=stats,
@@ -547,11 +556,8 @@ def stationary_ray_exponent(spec: KernelSpec, points_per_ray: int = 33,
 
 @dataclass
 class MixedNormReport:
-    spec: KernelSpec
-    gamma_exp: float
     value: float
     x_extent: float
-    t_extent: float
     tail_fraction: float
     scaled_ratio: float
     quadrature: QuadratureStats
@@ -582,8 +588,7 @@ def kernel_mixed_norm(spec: KernelSpec, gamma_exp: float, c_t: float = 1.0,
     then bounded by the x^{-2} envelope and must stay below 1%.  jobs is
     as in region_decay_check.
     """
-    if gamma_exp < 7:
-        raise ConfigError(f"gamma_exp must be >= 7, got {gamma_exp}")
+    require_mixed_exponent(gamma_exp)
     n_block = spec.block_start
     t_max = c_t / n_block**3
     x_max = max(2.0 * spec.region_speed * t_max, 200.0 / n_block)
@@ -606,8 +611,5 @@ def kernel_mixed_norm(spec: KernelSpec, gamma_exp: float, c_t: float = 1.0,
 
     value = (value_p + tail_p) ** (2.0 / gamma_exp)
     scaling = n_block ** ((gamma_exp - 2.0) / gamma_exp)
-    return MixedNormReport(
-        spec=spec, gamma_exp=gamma_exp, value=value, x_extent=x_max,
-        t_extent=t_max, tail_fraction=tail_fraction,
-        scaled_ratio=value / scaling, quadrature=stats,
-    )
+    return MixedNormReport(value=value, x_extent=x_max, tail_fraction=tail_fraction,
+                           scaled_ratio=value / scaling, quadrature=stats)

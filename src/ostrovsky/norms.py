@@ -22,9 +22,9 @@ from .spectral import (
     MultiplierSpec,
     PhaseSymbol,
     analyze,
+    angular_frequencies,
     apply_multiplier,
     dft,
-    fft_mode_numbers,
     half_spectrum,
     hermitian_extension,
     multiplier_table,
@@ -67,7 +67,7 @@ class SpaceTimeField:
 
     def tau(self) -> np.ndarray:
         """Temporal DFT frequencies with the Nyquist housed positive."""
-        return 2.0 * np.pi * fft_mode_numbers(self.n_t) / self.t_window
+        return angular_frequencies(self.n_t, self.t_window)
 
     def spectral_table(self) -> np.ndarray:
         """2-D coefficients F[l, j] = (1/(n_t*n)) sum u e^{-i xi x - i tau t}."""
@@ -84,9 +84,7 @@ class ModulationWeight:
 
     @classmethod
     def build(cls, stf: SpaceTimeField, symbol: PhaseSymbol) -> "ModulationWeight":
-        phi = symbol.table(stf.grid)
-        tau = stf.tau()
-        return cls(1.0 + np.abs(tau[:, None] + phi[None, :]))
+        return cls(symbol.modulation(stf.tau(), stf.grid.wavenumbers))
 
 
 @functools.lru_cache(maxsize=64)

@@ -211,8 +211,8 @@ class _Stepper:
     def __init__(self, cfgs: list, dt: float | None = None):
         cfg = self.cfg = cfgs[0]
         self.dt = cfg.dt if dt is None else dt
-        phi = np.array([half_spectrum(c.symbol.table(cfg.grid)) for c in cfgs])
-        self.e_half = np.exp(-1j * phi * (self.dt / 2.0))
+        xi = half_spectrum(cfg.grid.wavenumbers)
+        self.e_half = np.array([c.symbol.propagator(self.dt / 2.0, xi) for c in cfgs])
         self.e_full = self.e_half**2
         self.dt_e, self.two_e = self.dt * self.e_half, 2.0 * self.e_half
         self.flux = _flux_table(cfg.grid, cfg.k) if cfg.include_nonlinearity else None
@@ -443,6 +443,19 @@ def soliton_initial_data(c: float, k: int, beta: float, grid: Grid):
     return projected, info
 
 
+def picard_lattice(cfg: SolverConfig, delta: float, n_iters: int) -> int:
+    """Number of dt steps spanning [0, delta] for picard_iterate; ConfigError
+    unless delta > 0, n_iters >= 1 and dt divides delta into at least two."""
+    if not delta > 0:
+        raise ConfigError(f"delta must be positive, got {delta}")
+    if n_iters < 1:
+        raise ConfigError("need at least one iteration")
+    n_lat = int(round(delta / cfg.dt))
+    if n_lat < 2 or abs(n_lat * cfg.dt - delta) > 1e-9 * delta:
+        raise ConfigError(f"dt = {cfg.dt:g} does not evenly divide delta = {delta:g}")
+    return n_lat
+
+
 def picard_iterate(u0: Field, cfg: SolverConfig, delta: float, n_iters: int):
     """Fixed-point iteration of the integral form of the equation.
 
@@ -459,21 +472,12 @@ def picard_iterate(u0: Field, cfg: SolverConfig, delta: float, n_iters: int):
     falls below 1e-10 relative to ||u0||; three consecutive
     non-contracting ratios raise ContractionFailureError.
     """
-    if not delta > 0:
-        raise ConfigError(f"delta must be positive, got {delta}")
-    if n_iters < 1:
-        raise ConfigError("need at least one iteration")
-    n_lat = int(round(delta / cfg.dt))
-    if n_lat < 2 or abs(n_lat * cfg.dt - delta) > 1e-9 * delta:
-        raise ConfigError(
-            f"dt = {cfg.dt:g} does not evenly divide delta = {delta:g}"
-        )
+    n_lat = picard_lattice(cfg, delta, n_iters)
     grid = cfg.grid
-    phi = half_spectrum(cfg.symbol.table(grid))
     t_lat = np.arange(n_lat + 1) * cfg.dt
     # forward[l] = e^{-i t_l phi} (propagator), backward[l] its inverse,
     # on the half spectrum as the whole lattice is
-    forward = np.exp(-1j * t_lat[:, None] * phi[None, :])
+    forward = cfg.symbol.propagator(t_lat, half_spectrum(grid.wavenumbers))
     backward = np.conj(forward)
     flux = _flux_table(grid, cfg.k)
     c0 = half_spectrum(u0.coeffs)

@@ -23,12 +23,14 @@ calls synthesize): irfft reads only the real part of the DC and Nyquist
 bins, as the real part of the complex inverse FFT does, so a propagated
 Nyquist coefficient, complex after e^{-i phi t}, contributes
 Re(c_{n/2}) (-1)^m to sample m.  fft_mode_numbers builds the FFT mode
-order, for Grid.mode_numbers and for the time frequencies of a window.
-Slot mapping, resampling and the normalised complex DFT live here too.
+order, and angular_frequencies the frequencies 2*pi*j/period of Grid's
+wavenumbers and of a time window.  Slot mapping, resampling and the
+normalised complex DFT live here too.
 
 The dispersion symbol phi(xi) = beta*xi**3 + gamma/xi is singular at
 xi = 0.  All evolved fields are kept mean-zero, and phi(0) := 0 by
-convention so the zero mode never participates.
+convention so the zero mode never participates.  PhaseSymbol builds the
+free evolution e^{-i t phi} and the modulation weight 1 + |tau + phi|.
 """
 
 from __future__ import annotations
@@ -63,10 +65,9 @@ class Grid:
             raise ConfigError(f"n_points must be >= 8, got {n}")
         if not length > 0:
             raise ConfigError(f"length must be positive, got {length}")
-        j = fft_mode_numbers(n)
-        object.__setattr__(self, "mode_numbers", j)
+        object.__setattr__(self, "mode_numbers", fft_mode_numbers(n))
         object.__setattr__(self, "x", np.arange(n) * (length / n))
-        object.__setattr__(self, "wavenumbers", 2.0 * np.pi * j / length)
+        object.__setattr__(self, "wavenumbers", angular_frequencies(n, length))
 
     @property
     def dx(self) -> float:
@@ -155,6 +156,11 @@ def fft_mode_numbers(n: int) -> np.ndarray:
     j = np.arange(n)
     j[j > n // 2] -= n
     return j
+
+
+def angular_frequencies(n: int, period: float) -> np.ndarray:
+    """2*pi*j/period for the mode numbers j of the n DFT bins in FFT order."""
+    return 2.0 * np.pi * fft_mode_numbers(n) / period
 
 
 def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
@@ -253,6 +259,14 @@ class PhaseSymbol:
         """phi(xi) for an array xi with no zero entry, without the masking."""
         return self.beta * xi**3 + self.gamma / xi
 
+    def propagator(self, t, xi):
+        """exp(-i t phi(xi)), one row per entry of t; a scalar t gives xi's shape."""
+        return np.exp(-1j * np.multiply.outer(t, self(xi)))
+
+    def modulation(self, tau, xi):
+        """1 + |tau + phi(xi)|, one row per entry of tau."""
+        return 1.0 + np.abs(np.add.outer(tau, self(xi)))
+
     def derivative(self, xi):
         """phi'(xi) = 3*beta*xi**2 - gamma/xi**2, elementwise, 0 at xi = 0."""
         return _off_zero(xi, lambda x: 3.0 * self.beta * x**2 - self.gamma / x**2)
@@ -269,23 +283,19 @@ class MultiplierSpec:
     """One Fourier-multiplier operator: which kind plus its parameter.
 
     kinds: derivative(order m), fractional_d(alpha), low_pass(N),
-    high_pass(N), propagator(t, symbol).
+    high_pass(N).  The propagator is PhaseSymbol.propagator.
     """
 
     kind: str
     order: int = 0
     alpha: float = 0.0
     cutoff: float = 0.0
-    t: float = 0.0
-    symbol: PhaseSymbol | None = None
 
-    KINDS = ("derivative", "fractional_d", "low_pass", "high_pass", "propagator")
+    KINDS = ("derivative", "fractional_d", "low_pass", "high_pass")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ConfigError(f"unknown multiplier kind {self.kind!r}; expected one of {self.KINDS}")
-        if self.kind == "propagator" and self.symbol is None:
-            raise ConfigError("propagator multiplier needs a PhaseSymbol")
 
     @classmethod
     def derivative(cls, order: int) -> "MultiplierSpec":
@@ -304,10 +314,6 @@ class MultiplierSpec:
     @classmethod
     def high_pass(cls, cutoff: float) -> "MultiplierSpec":
         return cls("high_pass", cutoff=float(cutoff))
-
-    @classmethod
-    def propagator(cls, t: float, symbol: PhaseSymbol) -> "MultiplierSpec":
-        return cls("propagator", t=float(t), symbol=symbol)
 
 
 def require_mean_zero(coeffs: np.ndarray, what: str):
@@ -337,10 +343,8 @@ def multiplier_table(grid: Grid, spec: MultiplierSpec) -> np.ndarray:
         m[nz] = np.abs(xi[nz]) ** spec.alpha
     elif spec.kind == "low_pass":
         m = (np.abs(xi) < spec.cutoff).astype(float)
-    elif spec.kind == "high_pass":
+    else:  # high_pass, the last of MultiplierSpec.KINDS
         m = (np.abs(xi) >= spec.cutoff).astype(float)
-    else:  # propagator, the last of MultiplierSpec.KINDS
-        m = np.exp(-1j * spec.t * spec.symbol.table(grid))
     m.flags.writeable = False
     return m
 

@@ -15,6 +15,11 @@ def random_mean_zero(grid, rng, band_fraction=0.25):
     return Field(grid, c)
 
 
+def propagated(field, t, symbol):
+    """The free evolution e^{-i t phi(D)} of field, by PhaseSymbol.propagator."""
+    return Field(field.grid, field.coeffs * symbol.propagator(t, field.grid.wavenumbers))
+
+
 def assert_same_trajectory(a, b):
     """Two Trajectories bit for bit: traces, snapshots, counts, config."""
     for name in ("times", "l2", "hamiltonian", "hs", "xs"):

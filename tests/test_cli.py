@@ -24,9 +24,10 @@ from ostrovsky.io import read_snapshot, write_snapshot
 from ostrovsky.kernel import KernelSpec
 from ostrovsky.limits import SweepConfig
 from ostrovsky.solver import SolverConfig, gaussian_bump
-from ostrovsky.spectral import Field, Grid, MultiplierSpec, apply_multiplier
+from ostrovsky.spectral import Field, Grid
 
 import golden
+from _util import propagated
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "scripts" / "configs"
@@ -271,7 +272,7 @@ class TestSolveCommand:
         grid = Grid(128, 20.0)
         cfg = SolverConfig(beta=-1.0, gamma=1.0, k=5, dt=0.01, t_end=0.5, grid=grid)
         bump = gaussian_bump(grid, amplitude=1.0, width=1.0)
-        field = apply_multiplier(bump, MultiplierSpec.propagator(-0.5, cfg.symbol))
+        field = propagated(bump, -0.5, cfg.symbol)
         field = Field.from_samples(grid, field.samples() * (1.2 / np.max(np.abs(field.samples()))))
         snap = tmp_path / "snap.dat"
         write_snapshot(snap, field, -1.0, 1.0, 5, 0.0)
@@ -318,6 +319,53 @@ class TestSolveCommand:
         before = open(cfg).read()
         main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert open(cfg).read() == before
+
+
+class TestInputErrors:
+    """Bad inputs exit 1 with one line, from the read phase: no --out is left."""
+
+    @pytest.mark.parametrize("command,text,message", [
+        ("solve", (CONFIGS / "soliton.cfg").read_text().replace("n = 1024", "n = 16"),
+         "soliton residual 2.58"),
+        ("picard-check", (CONFIGS / "picard.cfg").read_text().replace("delta = 0.05",
+                                                                      "delta = 5e-05"),
+         "dt = 0.0001 does not evenly divide delta = 5e-05"),
+        ("picard-check", (CONFIGS / "picard.cfg").read_text() + "iterations = 0\n",
+         "need at least one iteration"),
+        ("probe-kernel", (CONFIGS / "probe_kernel.cfg").read_text().replace("gamma_exp = 8.0",
+                                                                            "gamma_exp = 5"),
+         "gamma_exp must be >= 7, got 5.0"),
+        ("probe-kernel", "[probe-kernel]\na = 20\nblocks = 8\n", "below threshold a = 20.0"),
+        ("probe-kernel", "[probe-kernel]\nsamples_per_region = 0\n",
+         "samples_per_region must be >= 1, got 0"),
+        ("probe-estimates", "[probe-estimates]\nn_t = 7\n", "n_t must be an even integer"),
+    ], ids=["soliton_on_a_coarse_grid", "picard_delta_below_two_steps", "picard_no_iterations",
+            "kernel_gamma_exp", "kernel_block_below_threshold", "kernel_no_samples",
+            "estimates_odd_n_t"])
+    def test_read_phase_rejects(self, tmp_path, capsys, command, text, message):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        extra = ["--which", "2.057"] if command == "probe-estimates" else []
+        assert main([command, "--config", cfg, "--out", str(out)] + extra) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error:") and message in err
+        assert not out.exists()
+
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["solve", "--config", write_cfg(tmp_path, SOLVE_CFG), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error:")
+        assert "File exists" in err and out.read_text() == ""
+
+    def test_config_naming_a_directory_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(tmp_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error:")
+        assert "Is a directory" in err
+        assert not out.exists()
 
 
 class TestPicardCommand:

@@ -26,9 +26,10 @@ from ostrovsky.kernel import (
     region_decay_check,
     stationary_ray_exponent,
 )
-from ostrovsky.spectral import Field, Grid, MultiplierSpec, PhaseSymbol, apply_multiplier
+from ostrovsky.spectral import Field, Grid, PhaseSymbol
 
 import golden
+from _util import propagated
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +92,7 @@ class TestKernelEval:
         c = (inside * dxi + edge * (dxi / 2.0)).astype(complex)
         field = Field(grid, c)
         t = 1e-3
-        evolved = apply_multiplier(field, MultiplierSpec.propagator(t, sym))
+        evolved = propagated(field, t, sym)
         u = evolved.samples()
         idxs = (0, 3, 11, 40, 80)
         kvals = np.array([kernel_eval(float(grid.x[i]), t, spec) for i in idxs])
@@ -155,6 +156,10 @@ class TestMixedNorm:
     def test_exponent_regime_validated(self):
         with pytest.raises(ConfigError):
             kernel_mixed_norm(KernelSpec(8.0, -1.0, 1.0), 4.0)
+
+    def test_region_samples_validated(self, spec8):
+        with pytest.raises(ConfigError, match="samples_per_region must be >= 1"):
+            region_decay_check(spec8, samples_per_region=0)
 
 
 class TestRayExponent:

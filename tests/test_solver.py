@@ -50,7 +50,7 @@ from _reference import (
     reference_picard,
     reference_upsample,
 )
-from _util import assert_same_trajectory, random_mean_zero
+from _util import assert_same_trajectory, propagated, random_mean_zero
 
 # the bound on the L2 distance between the half-spectrum solver and its
 # full-spectrum reference, relative to ||u0||: rounding only (the golden
@@ -211,7 +211,7 @@ class TestStep:
         stepped = u
         for _ in range(10):
             stepped = step(stepped, cfg)
-        exact = apply_multiplier(u, MultiplierSpec.propagator(0.2, cfg.symbol))
+        exact = propagated(u, 0.2, cfg.symbol)
         assert (stepped - exact).l2_norm() < 1e-12 * u.l2_norm()
 
     def test_stationary_mode(self):
@@ -384,7 +384,7 @@ class TestEvolve:
         g = Grid(128, 20.0)
         cfg = small_config(g, gamma=0.0, t_end=0.5, include_nonlinearity=False)
         bump = gaussian_bump(g, amplitude=1.0, width=1.0)
-        u0 = apply_multiplier(bump, MultiplierSpec.propagator(-0.5, cfg.symbol))
+        u0 = propagated(bump, -0.5, cfg.symbol)
         u0 = u0 * (1.2 / np.max(np.abs(u0.samples())))
         at_bound = cfg.replace(dt=cfg.timestep_bound(u0))
         at_bound.validate_timestep(u0)

@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 
 import ostrovsky.spectral
 from ostrovsky.errors import ConfigError, MeanZeroViolation
+from ostrovsky.estimates import ALL_TAGS, _multilinear_weights, default_ensemble
+from ostrovsky.norms import ModulationWeight, SpaceTimeField
+from ostrovsky.solver import SolverConfig, _Stepper
 from ostrovsky.spectral import (
     Field,
     Grid,
     MultiplierSpec,
     PhaseSymbol,
+    angular_frequencies,
     apply_multiplier,
     dealias,
     dealias_cutoff,
+    dft,
     fft_mode_numbers,
     half_spectrum,
     mirror_slot,
@@ -26,7 +31,7 @@ from ostrovsky.spectral import (
 )
 
 from _reference import complex_analysis
-from _util import random_mean_zero
+from _util import propagated, random_mean_zero
 
 
 class TestGrid:
@@ -166,7 +171,7 @@ class TestMultipliers:
         g = Grid(64, 2 * np.pi)
         f = Field.from_samples(g, np.cos(g.x))
         for t in (0.1, 3.0, 100.0):
-            out = apply_multiplier(f, MultiplierSpec.propagator(t, PhaseSymbol(-1.0, 1.0)))
+            out = propagated(f, t, PhaseSymbol(-1.0, 1.0))
             assert np.max(np.abs(out.samples() - np.cos(g.x))) < 1e-12
 
     def test_antiderivative_requires_mean_zero(self):
@@ -187,11 +192,10 @@ class TestMultipliers:
             MultiplierSpec.fractional_d(0.5),
             MultiplierSpec.low_pass(3.0),
             MultiplierSpec.high_pass(3.0),
-            MultiplierSpec.propagator(2.7, sym),
         ]
-        for spec in specs:
+        for out in [apply_multiplier(f, spec) for spec in specs] + [propagated(f, 2.7, sym)]:
             # the inverse transform's imaginary part, relative to its real part
-            z = np.fft.ifft(apply_multiplier(f, spec).coeffs * g.n_points)
+            z = np.fft.ifft(out.coeffs * g.n_points)
             assert np.max(np.abs(z.imag)) < 1e-12 * max(np.max(np.abs(z.real)), 1e-300)
 
     def test_derivative_inversion(self, rng):
@@ -211,18 +215,15 @@ class TestMultipliers:
         rng = np.random.default_rng(7)
         f = random_mean_zero(g, rng)
         sym = PhaseSymbol(-1.0, 1.0)
-        one = apply_multiplier(
-            apply_multiplier(f, MultiplierSpec.propagator(t1, sym)),
-            MultiplierSpec.propagator(t2, sym),
-        )
-        both = apply_multiplier(f, MultiplierSpec.propagator(t1 + t2, sym))
+        one = propagated(propagated(f, t1, sym), t2, sym)
+        both = propagated(f, t1 + t2, sym)
         assert (one - both).l2_norm() <= 1e-12 * max(f.l2_norm(), 1e-30)
 
     @given(t=st.floats(-50.0, 50.0, allow_nan=False))
     def test_propagator_isometry(self, t):
         g = Grid(64, 2 * np.pi)
         f = random_mean_zero(g, np.random.default_rng(13))
-        out = apply_multiplier(f, MultiplierSpec.propagator(t, PhaseSymbol(-0.7, 2.0)))
+        out = propagated(f, t, PhaseSymbol(-0.7, 2.0))
         assert out.l2_norm() == pytest.approx(f.l2_norm(), rel=1e-12)
 
 
@@ -280,6 +281,82 @@ class TestLayoutHome:
                  and not (path.name == "estimates.py" and i in allowed)]
         assert found == []
 
+    def test_free_evolution_only_in_spectral(self):
+        # e^{-i t phi} and 1 + |tau + phi| are PhaseSymbol's; the kernel's
+        # np.exp(1j * ...) integrand is another formula
+        found = [(path.name, i) for path in sorted(self.SRC.glob("*.py"))
+                 if path.name != "spectral.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if "np.exp(-1j" in line or "1.0 + np.abs(tau" in line]
+        assert found == []
+
     def test_package_root_imports_nothing(self):
         tree = ast.parse((self.SRC / "__init__.py").read_text())
         assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+class TestFreeEvolutionTables:
+    """Each table PhaseSymbol now builds, bit for bit the inline formula
+    its call site wrote before."""
+
+    SYM = PhaseSymbol(-1.0, 1.0)
+
+    @pytest.mark.parametrize("t", [0.7, -0.5, 0.2, 2.0])
+    def test_multiplier_propagator(self, t):
+        g = Grid(128, 20.0)
+        assert np.array_equal(self.SYM.propagator(t, g.wavenumbers),
+                              np.exp(-1j * t * self.SYM.table(g)))
+
+    def test_stepper_factors(self):
+        g = Grid(256, 32.0)
+        for dt in (0.005, 1e-4):
+            cfgs = [SolverConfig(beta=-1.0, gamma=gamma, k=5, dt=dt, t_end=1.0, grid=g)
+                    for gamma in (0.0, 1e-3, 0.1, 1.0)]
+            phi = np.array([half_spectrum(c.symbol.table(g)) for c in cfgs])
+            assert np.array_equal(_Stepper(cfgs).e_half, np.exp(-1j * phi * (dt / 2.0)))
+
+    def test_picard_lattice(self):
+        g = Grid(128, 20.0)
+        t_lat = np.arange(501) * 1e-4
+        phi = half_spectrum(self.SYM.table(g))
+        assert np.array_equal(self.SYM.propagator(t_lat, half_spectrum(g.wavenumbers)),
+                              np.exp(-1j * t_lat[:, None] * phi[None, :]))
+
+    def test_window_frequencies(self):
+        for n, period in ((64, 20.0), (512, 16 * math.pi), (7, 0.25)):
+            j = fft_mode_numbers(n)
+            assert np.array_equal(angular_frequencies(n, period), 2.0 * np.pi * j / period)
+        g = Grid(128, 20.0)
+        stf = SpaceTimeField(g, 0.5, np.zeros((32, 128)))
+        assert np.array_equal(ModulationWeight.build(stf, self.SYM).table,
+                              1.0 + np.abs(stf.tau()[:, None] + self.SYM.table(g)[None, :]))
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_ensemble_tables(self, tag):
+        ens = default_ensemble(tag, 1, 2)
+        modes = ens.support_modes()
+        phi = ens.symbol.table(ens.grid)[modes]
+        assert np.array_equal(ens.phase_table,
+                              np.exp(-1j * ens.times()[:, None] * phi[None, :]))
+        ell = fft_mode_numbers(ens.n_t)
+        tau = (2.0 * np.pi * ell / ens.t_window)[:, None]
+        d2 = np.abs(dft(ens.window[:, None] * ens.phase_table, (0,))) ** 2
+        plus = (1.0 + np.abs(tau + phi)) ** (2.0 * ens.b) * d2
+        minus = (1.0 + np.abs(tau - phi)) ** (2.0 * ens.b) * d2[mirror_slot(ell, ens.n_t)]
+        assert np.array_equal(ens.modulation_weights,
+                              np.sum(plus, axis=0) + np.sum(minus, axis=0))
+        idx = np.sort(np.concatenate([modes, mirror_slot(modes, ens.grid.n_points)]))
+        assert np.array_equal(  # _bilinear_spectra's phases
+            ens.symbol.propagator(ens.times(), ens.grid.wavenumbers[idx]),
+            np.exp(-1j * ens.times()[:, None] * ens.symbol.table(ens.grid)[idx][None, :]))
+
+    @pytest.mark.parametrize("cells", [16, 64, 128])
+    def test_multilinear_modulation(self, cells):
+        idx = np.arange(-cells // 2, cells // 2)
+        xi, tau = idx * 0.125, idx * 0.25
+        outer, inner = _multilinear_weights(cells, 0.125, 0.25, self.SYM, 0.1, 0.52, 1e-3)
+        sigma = 1.0 + np.abs(tau[None, :] + self.SYM(xi)[:, None])  # (xi, tau)
+        xi_weight = (1.0 + np.abs(xi)) ** 0.1
+        assert np.array_equal(outer, (np.abs(xi)[:, None] * xi_weight[:, None])
+                              / sigma ** (0.5 - 1e-3 / 12.0))
+        assert np.array_equal(inner, 1.0 / (xi_weight[:, None] * sigma**0.52))
