@@ -16,6 +16,15 @@ that config's recorded numbers and tolerances are kept, so such a record
 changes only hashes; otherwise all of them are recorded again from the
 fresh run, and the old and new values belong in CHANGES.md.
 
+    PYTHONPATH=src python tests/golden.py --moves [KEY ...]
+
+reruns the given configs (every one and estimate_zoo by default) the same
+way, writes nothing, and prints per config whether its numbers lie within
+tolerance and what state its hashes are in, then per field group (a
+number's name without its row index) the largest absolute and relative
+move and the largest share of tolerance; it exits 1 when a number lies
+outside its tolerance.
+
 It also holds, under estimate_zoo, max_ratio and refinement_max of every
 estimate tag at seed 2024 with acceptance 6's draw counts (ZOO_DRAWS),
 which acceptance 6 checks on the runs it already makes.
@@ -40,9 +49,11 @@ recorded with.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import json
+import math
 import platform
 import sys
 import tempfile
@@ -410,7 +421,77 @@ def within_tolerance(fresh: dict, recorded: dict) -> bool:
                 for name, leaf in fresh["numbers"].items()))
 
 
-def main_record() -> None:
+def field_group(name: str) -> str:
+    """The name of a number without its trailing row index."""
+    head, _, last = name.rpartition(" ")
+    return head if head and last.isdigit() else name
+
+
+def _share(move: float, scale: float) -> float:
+    return move / scale if scale else (0.0 if move == 0.0 else math.inf)
+
+
+def group_moves(fresh: dict, recorded: dict) -> dict:
+    """Per field group of the recorded numbers: (count, largest absolute
+    move, largest relative move, largest share of tolerance) of the fresh
+    numbers of the same names."""
+    groups = {}
+    for name, leaf in sorted(recorded.items()):
+        move = abs(fresh[name] - leaf["value"])
+        count, a, r, s = groups.get(field_group(name), (0, 0.0, 0.0, 0.0))
+        groups[field_group(name)] = (count + 1, max(a, move),
+                                     max(r, _share(move, abs(leaf["value"]))),
+                                     max(s, _share(move, leaf["tolerance"])))
+    return groups
+
+
+def hash_state(key: str, fresh: dict, recorded: dict) -> str:
+    if "sha256" not in recorded:
+        return "no hashes recorded"
+    mismatch = hash_mismatch(key)
+    if mismatch:
+        return f"hashes not comparable: {mismatch}"
+    differ = [name for name, digest in recorded["sha256"].items()
+              if fresh["sha256"].get(name) != digest]
+    return f"hashes differ: {', '.join(differ)}" if differ else "hashes equal"
+
+
+def report_moves(keys) -> int:
+    """Print how fresh runs of keys (every shipped config and the zoo if
+    empty) move against golden.json, writing nothing; 1 if a number lies
+    outside its tolerance, else 0."""
+    old = json.loads(GOLDEN.read_text())
+    keys = list(keys) or [*SHIPPED, ZOO]
+    unknown = [key for key in keys if key not in old]
+    if unknown:
+        print(f"not in {GOLDEN.name}: {', '.join(unknown)}; recorded: {', '.join(old)}")
+        return 1
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for key in keys:
+            fresh = record_zoo() if key == ZOO else record(key, Path(tmp) / key)
+            values = {name: leaf["value"] for name, leaf in fresh["numbers"].items()}
+            try:
+                compare(key, values)
+                outside = ""
+            except AssertionError as error:
+                outside = str(error)
+            kept = within_tolerance(fresh, old[key])
+            failed = failed or not kept
+            verdict = ("numbers within tolerance" if kept else
+                       "numbers OUTSIDE tolerance" if outside else "tolerance basis changed")
+            print(f"{key}: {verdict}; {hash_state(key, fresh, old[key])}")
+            recorded = {name: leaf for name, leaf in old[key]["numbers"].items()
+                        if name in values}
+            for group, (count, a, r, s) in group_moves(values, recorded).items():
+                print(f"  {group:<34} {count:>3}  abs {a:<9.3g}  rel {r:<9.3g}  "
+                      f"share of tolerance {s:.3g}")
+            for line in filter(None, outside.splitlines()):
+                print(f"  outside: {line}")
+    return int(failed)
+
+
+def main_record() -> int:
     """Write tests/golden.json from fresh runs, keeping an entry's recorded
     numbers and tolerances when every fresh number lies within them."""
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
@@ -421,7 +502,17 @@ def main_record() -> None:
         if key in old and within_tolerance(fresh, old[key]):
             fresh["numbers"] = old[key]["numbers"]
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+def run(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Record tests/golden.json from fresh runs, "
+                                     "or with --moves report how fresh runs move against it.")
+    parser.add_argument("--moves", nargs="*", metavar="KEY",
+                        help="report only, for these configs (default: all and the zoo)")
+    args = parser.parse_args(argv)
+    return main_record() if args.moves is None else report_moves(args.moves)
 
 
 if __name__ == "__main__":
-    sys.exit(main_record())
+    sys.exit(run())

@@ -1,0 +1,46 @@
+"""golden.py --moves: the report of how fresh runs move against golden.json."""
+
+import json
+
+import golden
+
+
+def _moves_output(tmp_path, monkeypatch, capsys, shift):
+    """Report picard, the smallest shipped config, against a golden.json
+    whose picard entry is a fresh record of it with evolve_cross_check_l2
+    moved by shift tolerances; (exit status, report lines)."""
+    entry = golden.record("picard", tmp_path / "record")
+    leaf = entry["numbers"]["evolve_cross_check_l2"]
+    leaf["value"] += shift * leaf["tolerance"]
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({**json.loads(golden.GOLDEN.read_text()), "picard": entry}))
+    before = path.read_bytes()
+    monkeypatch.setattr(golden, "GOLDEN", path)
+    status = golden.run(["--moves", "picard"])
+    assert path.read_bytes() == before  # the report writes nothing
+    return status, capsys.readouterr().out.splitlines()
+
+
+def _group_line(lines, group):
+    (line,) = [line for line in lines if line.split()[0] == group]
+    return line.split()
+
+
+class TestMovesReport:
+    def test_moved_field_named_and_fails(self, tmp_path, monkeypatch, capsys):
+        status, lines = _moves_output(tmp_path, monkeypatch, capsys, 3.0)
+        assert status == 1
+        assert lines[0].startswith("picard: numbers OUTSIDE tolerance; hashes equal")
+        moved = _group_line(lines, "evolve_cross_check_l2")
+        assert moved[-1] == "3"  # share of tolerance
+        unmoved = _group_line(lines, "difference")
+        assert unmoved[3] == unmoved[5] == unmoved[-1] == "0"  # abs, rel, share
+        assert any(line.startswith("  outside: evolve_cross_check_l2:") for line in lines)
+
+    def test_unmoved_run_passes(self, tmp_path, monkeypatch, capsys):
+        status, lines = _moves_output(tmp_path, monkeypatch, capsys, 0.0)
+        assert status == 0
+        assert lines[0] == "picard: numbers within tolerance; hashes equal"
+        for group in ("difference", "evolve_cross_check_l2"):
+            line = _group_line(lines, group)
+            assert line[3] == line[5] == line[-1] == "0"
