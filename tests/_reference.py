@@ -4,12 +4,17 @@ The solver keeps half spectra (modes 0..n/2); these are the oracle its
 tests compare against.  Also the complex-FFT analysis of samples and the
 soliton's coarse-band truncation and fine-grid synthesis on full
 spectra, the oracle of spectral.analyze and of the solver's transforms
-through it."""
+through it.  And the estimate zoo's synthesis paths: tag 2.08's
+sup_x L2_t norm of the synthesized orbit, the oracle of its time-Gram
+closed form, and tag 3.03's convolution padded to the full linear
+length, the oracle of the smallest alias-free period."""
 
 import math
 
 import numpy as np
 
+from ostrovsky.estimates import _multilinear_weights, propagator_orbit
+from ostrovsky.norms import mixed_norm
 from ostrovsky.solver import SOLITON_OVERSAMPLING, _int_power
 from ostrovsky.spectral import dealias_cutoff
 
@@ -112,3 +117,54 @@ def reference_picard(u0, cfg, delta, n_iters):
         if diffs[-1] < 1e-10 * max(u0.l2_norm(), 1e-300):
             break
     return np.fft.ifft(v * n, axis=1).real, diffs
+
+
+def orbit_sup_x_l2_t(ens, u0, multiplier):
+    """Linf_x L2_t norm of the windowed orbit of m(D) u0, synthesized on
+    the grid at every window sample."""
+    return mixed_norm(propagator_orbit(ens, u0, multiplier=multiplier), math.inf, 2.0, "x_outer")
+
+
+def full_pad_multilinear_pairs(ens, k, n_cells):
+    """pair_for(name) -> pair(i) of multilinear_ratio, its (k+1)-fold
+    convolution padded to the full linear length (k+1)(cells-1)+1, rounded
+    up to a power of two."""
+    s = 0.5 - 2.0 / k + 2.0 * ens.epsilon
+    dxi = 2.0 * math.pi / ens.grid.length
+    dtau = 2.0 * math.pi / ens.t_window
+    lattices = {
+        None: (n_cells, dxi, dtau, 0),
+        "lattice_x2": (2 * n_cells, dxi / 2.0, dtau / 2.0, 1),
+    }
+
+    def pair_for(name):
+        cells, dxi, dtau, rng_salt = lattices[name]
+        outer_w, inner_w = _multilinear_weights(cells, dxi, dtau, ens.symbol, s, ens.b,
+                                                ens.epsilon)
+        half = cells // 2
+        pad = 1
+        while pad < (k + 1) * (cells - 1) + 1:
+            pad *= 2
+        measure = dxi * dtau
+
+        def pair(i):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(ens.seed, spawn_key=(rng_salt, i))
+            )
+            outer_f = rng.random((cells, cells))
+            factors = [rng.random((cells, cells)) for _ in range(k + 1)]
+            prod = np.fft.rfft2(inner_w * factors[0], (pad, pad))
+            for f in factors[1:]:
+                prod *= np.fft.rfft2(inner_w * f, (pad, pad))
+            conv = np.maximum(np.fft.irfft2(prod, (pad, pad)), 0.0)
+            base = (k + 1) * half
+            sl = slice(base - half, base + half)
+            left = float(np.sum(outer_w * outer_f * conv[sl, sl])) * measure ** (k + 1)
+            right = math.sqrt(float(np.sum(outer_f**2)) * measure)
+            for f in factors:
+                right *= math.sqrt(float(np.sum(f**2)) * measure)
+            return left, right
+
+        return pair
+
+    return pair_for

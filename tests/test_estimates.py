@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from ostrovsky import estimates
 from ostrovsky.errors import ConfigError, LatticeSizeError
 from ostrovsky.estimates import (
     ALL_TAGS,
@@ -12,6 +13,7 @@ from ostrovsky.estimates import (
     REFINEMENTS,
     STRICHARTZ_TAGS,
     Ensemble,
+    _alias_free_period,
     _bilinear_spectra,
     _multilinear_weights,
     _ratio_report,
@@ -27,6 +29,8 @@ from ostrovsky.estimates import (
 )
 from ostrovsky.norms import SpaceTimeField, mixed_norm, window_bump, xsb_norm
 from ostrovsky.spectral import Field, Grid, MultiplierSpec, PhaseSymbol, multiplier_table
+
+from _reference import full_pad_multilinear_pairs, orbit_sup_x_l2_t
 
 
 def tiny_ensemble(tag="2.03", seed=11, n_draws=4, **kw):
@@ -451,6 +455,57 @@ class TestMultilinearRealTransforms:
                 for i in range(ens.n_draws)]
         assert rep.refinement_max["lattice_x2"] == pytest.approx(
             max(left / right for left, right in fine), rel=1e-12, abs=0.0)
+
+
+class TestSynthesisOracles:
+    """2.08's time-Gram LHS and 3.03's alias-free period, per draw against
+    the orbit synthesis and the full-length pad they replace."""
+
+    @pytest.mark.parametrize("seed", [2024, 1])
+    @pytest.mark.parametrize("refinement", (None,) + REFINEMENTS["2.08"])
+    def test_local_smoothing_equals_orbit_synthesis(self, seed, refinement):
+        ens = default_ensemble("2.08", seed, 3)
+        ens = ens if refinement is None else ens.refined(refinement)
+        table = multiplier_table(ens.grid, MultiplierSpec.fractional_d(1.0)) * \
+            multiplier_table(ens.grid, MultiplierSpec.high_pass(ens.threshold))
+        for i in range(ens.n_draws):
+            u0 = ens.draw(i)
+            lhs = ratio_pair_for_tag(ens, "2.08", u0)[0]
+            assert lhs == pytest.approx(orbit_sup_x_l2_t(ens, u0, table), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [2024, 1])
+    def test_multilinear_equals_full_pad(self, seed, monkeypatch):
+        # the shipped lattices: 64 cells, and 128 for lattice_x2
+        ens = default_ensemble("3.03", seed, 2)
+        captured = {}
+        monkeypatch.setattr(estimates, "_ratio_report",
+                            lambda tag, n, pair_for, names, jobs: captured.update(pair_for=pair_for))
+        multilinear_ratio(ens)
+        reference = full_pad_multilinear_pairs(ens, 5, 64)
+        for name in (None,) + REFINEMENTS["3.03"]:
+            pair, ref_pair = captured["pair_for"](name), reference(name)
+            for i in range(ens.n_draws):
+                (left, right), (ref_left, ref_right) = pair(i), ref_pair(i)
+                assert left == pytest.approx(ref_left, rel=1e-13, abs=0.0)
+                assert right == ref_right
+
+
+def _alias_free(k, cells, period):
+    half = cells // 2
+    base = (k + 1) * half
+    return period >= base + half and base - half + period > (k + 1) * (cells - 1)
+
+
+class TestAliasFreePeriod:
+    @pytest.mark.parametrize("k,cells", [(5, 64), (5, 128), (5, 16), (3, 64), (1, 8), (7, 32)])
+    def test_smallest_power_of_two(self, k, cells):
+        period = _alias_free_period(k, cells)
+        assert _alias_free(k, cells, period)
+        assert not _alias_free(k, cells, period // 2)
+
+    def test_shipped_lattices(self):
+        # the full linear length pads to 512 and 1024
+        assert [_alias_free_period(5, cells) for cells in (64, 128)] == [256, 512]
 
 
 class TestRefinementSkips:
