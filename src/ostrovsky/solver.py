@@ -451,7 +451,9 @@ def picard_lattice(cfg: SolverConfig, delta: float, n_iters: int) -> int:
     if n_iters < 1:
         raise ConfigError("need at least one iteration")
     n_lat = int(round(delta / cfg.dt))
-    if n_lat < 2 or abs(n_lat * cfg.dt - delta) > 1e-9 * delta:
+    if n_lat < 2:
+        raise ConfigError(f"delta = {delta:g} spans fewer than two steps of dt = {cfg.dt:g}")
+    if abs(n_lat * cfg.dt - delta) > 1e-9 * delta:
         raise ConfigError(f"dt = {cfg.dt:g} does not evenly divide delta = {delta:g}")
     return n_lat
 

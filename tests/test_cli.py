@@ -329,7 +329,7 @@ class TestInputErrors:
          "soliton residual 2.58"),
         ("picard-check", (CONFIGS / "picard.cfg").read_text().replace("delta = 0.05",
                                                                       "delta = 5e-05"),
-         "dt = 0.0001 does not evenly divide delta = 5e-05"),
+         "delta = 5e-05 spans fewer than two steps of dt = 0.0001"),
         ("picard-check", (CONFIGS / "picard.cfg").read_text() + "iterations = 0\n",
          "need at least one iteration"),
         ("probe-kernel", (CONFIGS / "probe_kernel.cfg").read_text().replace("gamma_exp = 8.0",

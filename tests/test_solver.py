@@ -553,8 +553,15 @@ class TestPicard:
     def test_lattice_must_divide_delta(self):
         g = Grid(64, 10.0)
         cfg = small_config(g, dt=0.007)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="does not evenly divide"):
             picard_iterate(Field.zero(g), cfg, delta=0.05, n_iters=3)
+
+    @pytest.mark.parametrize("delta", [0.005, 0.003])
+    def test_lattice_needs_two_steps(self, delta):
+        g = Grid(64, 10.0)
+        cfg = small_config(g, dt=0.005)
+        with pytest.raises(ConfigError, match="fewer than two steps of dt = 0.005"):
+            picard_iterate(Field.zero(g), cfg, delta=delta, n_iters=3)
 
 
 def nyquist_datum(grid):
