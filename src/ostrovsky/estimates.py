@@ -460,9 +460,9 @@ def multilinear_ratio(ens: Ensemble, k: int = 5, n_cells: int = 64,
     the Monte-Carlo ratio is a one-sided-safe test.  The (k+1)-fold
     convolution is evaluated by 2-D FFTs on the smallest period that
     leaves the window the outer factor reads equal to the linear
-    convolution (_alias_free_period: 256 at 64 cells, 512 at 128, with
-    k = 5); the lattice spacing comes from the ensemble's grid and window, the
-    regularity s = 1/2 - 2/k + 2 eps from k and the ensemble, and the
+    convolution (_alias_free_period: 256 at 64 cells and 512 at 128 for
+    k = 5); the lattice spacing comes from the ensemble's grid and
+    window, the regularity s = 1/2 - 2/k + 2 eps from k and the ensemble, and the
     modulation exponent from ens.b.  The refinement lattice_x2 halves
     the spacing at a fixed box extent; it and the base lattice draw with
     RNG salts 1 and 0.

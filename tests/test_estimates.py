@@ -479,7 +479,7 @@ class TestSynthesisOracles:
         ens = default_ensemble("3.03", seed, 2)
         captured = {}
         monkeypatch.setattr(estimates, "_ratio_report",
-                            lambda tag, n, pair_for, names, jobs: captured.update(pair_for=pair_for))
+                            lambda tag, n, pair_for, *_: captured.update(pair_for=pair_for))
         multilinear_ratio(ens)
         reference = full_pad_multilinear_pairs(ens, 5, 64)
         for name in (None,) + REFINEMENTS["3.03"]:
