@@ -269,6 +269,18 @@ class TestDispatch:
         assert np.array_equal(pooled.ratios, serial.ratios)
         assert pooled.refinement_max == serial.refinement_max
 
+    def test_more_workers_than_cores_share_the_gram(self):
+        # 2.08's time Gram is built before the workers start
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_tag("2.08", seed=11, n_draws=8, jobs=8)
+        finally:
+            sys.setswitchinterval(switch)
+        serial = run_tag("2.08", seed=11, n_draws=8, jobs=1)
+        assert np.array_equal(pooled.ratios, serial.ratios)
+        assert pooled.refinement_max == serial.refinement_max
+
     def test_report_reproducible_from_seed(self):
         a = run_tag("2.057", seed=42, n_draws=3)
         b = run_tag("2.057", seed=42, n_draws=3)
