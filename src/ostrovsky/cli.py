@@ -43,6 +43,7 @@ from .limits import SweepConfig, conservation_drift, rotation_limit_sweep
 from .norms import norm_record
 from .solver import (
     MEAN_ZERO_ATOL,
+    PICARD_TOLERANCE,
     SolverConfig,
     check_initial_mean,
     evolve,
@@ -50,6 +51,7 @@ from .solver import (
     hamiltonian,
     picard_iterate,
     picard_lattice,
+    require_snapshot_every,
     scaled_to_h1,
     soliton_initial_data,
 )
@@ -138,6 +140,7 @@ def cmd_solve(section, args):
     cfg = _solver_config(section, grid)
     u0 = _initial_field(section, grid, cfg)
     snapshot_every = section.get_int("snapshot_every", 10)
+    require_snapshot_every(snapshot_every)
 
     def run(out):
         traj = evolve(u0, cfg, snapshot_every)
@@ -289,7 +292,7 @@ def cmd_picard_check(section, args):
             traj = evolve(u0, cfg.replace(t_end=delta), snapshot_every=10**9)
             cross = (traj.final() - final).l2_norm()
         u0_l2 = max(u0.l2_norm(), 1e-300)
-        converged = bool(diffs and diffs[-1] < 1e-10 * u0_l2)
+        converged = bool(diffs and diffs[-1] < PICARD_TOLERANCE * u0_l2)
         factors = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
         write_csv(os.path.join(out, "picard_diffs.csv"), {
             "iteration": np.arange(1.0, len(diffs) + 1.0),

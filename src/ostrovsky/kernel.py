@@ -6,24 +6,22 @@ and verification of its three-region decay bounds and the mixed
 L_x^{g/2} L_t^inf norm scaling N^{(g-2)/g}.
 
 The two signed frequency blocks are complex conjugates, so K is real and
-only the positive block is integrated.  kernel_eval, the one-point
-reference, is panel-wise Gauss-Kronrod (G7, K15) with panels tied to the
-local wavelength 2*pi/|g'| of the phase g = x*xi - t*phi.
+only the positive block is integrated.  One scan per call samples
+g' = x - t*phi' of the phase g = x*xi - t*phi on a coarse grid of [N, 4N].
 
-The probes evaluate their points in batches, from phi' sampled on a
-coarse grid once per call.  A point whose g' keeps one sign, with
-min|g'| times a Levin piece width at least LEVIN_MIN_TURN, goes first to
-Levin collocation, whose cost does not grow with |g'|; it is accepted
-when its two orders agree within spec.accepted_error.  The other points
-take Gauss-Kronrod: consecutive points form batches of up to BATCH_NODES
-nodes (a larger point is a batch alone) on a thread pool of jobs
-workers, each evaluating its integrand CHUNK_PANELS panels at a time, so
-a worker holds one chunk's integrand plus 24 bytes per panel of its
-batch.  Only the points whose error estimate misses tolerance are re-run
-at 4x and then 16x finer panels.  Gauss-Kronrod sums are taken exactly
-as kernel_eval takes them, so those values equal kernel_eval bit for
-bit; the tests hold Levin's to kernel_eval within accepted_error.  No
-value depends on the chunk, batch or pool size.
+A point whose g' keeps one sign, with min|g'| times a Levin piece width
+at least LEVIN_MIN_TURN, goes first to Levin collocation, whose cost
+does not grow with |g'|; it is accepted when its two orders agree within
+spec.accepted_error.  The other points take the one Gauss-Kronrod
+(G7, K15) pass, on panels no wider than a quarter of the local
+wavelength 2*pi/|g'|: consecutive points form batches of up to
+BATCH_NODES nodes (a larger point is a batch alone) on a thread pool of
+jobs workers, each evaluating its integrand CHUNK_PANELS panels at a
+time, so a worker holds one chunk's integrand plus 24 bytes per panel of
+its batch.  Only the points whose error estimate misses tolerance are
+re-run at 4x and then 16x finer panels.  kernel_eval, the reference that
+the tests hold Levin to within accepted_error, is that pass on one
+point.  No value depends on the chunk, batch or pool size.
 
 Sampling windows follow the kernel's self-similar scales x ~ 1/N,
 t ~ 1/N^3, so empirical constants are comparable across dyadic N.
@@ -72,7 +70,7 @@ MAX_NODES = 4_000_000
 BATCH_NODES = 1 << 16  # nodes per batch of points; a larger point is a batch alone
 CHUNK_PANELS = BATCH_NODES // 15  # panels per evaluation of the integrand
 _COARSE = 48  # coarse sub-intervals of [N, 4N], each with its own panel width
-_COUNT_POINTS = 1024  # points whose panel counts one broadcast takes
+_COUNT_POINTS = 1024  # points whose g' one broadcast of _scan_slopes takes
 _REFINES = (1.0, 4.0, 16.0)  # panel refinements tried in turn
 RELATIVE_TOLERANCE = 1e-12  # error bound relative to the |K| <= 6N envelope
 _LEVIN_PIECES = 6  # equal pieces of [N, 4N], each collocated on its own
@@ -154,31 +152,32 @@ def _coarse_samples(spec: KernelSpec):
     return a, b, spec.symbol.derivative(np.linspace(a, b, 5, axis=1))
 
 
-def _panel_counts(xs: np.ndarray, ts: np.ndarray, coarse, refine: float) -> np.ndarray:
-    """Panels per coarse sub-interval for each point (xs[i], ts[i]), shape
-    (points, _COARSE): equal panels no wider than a quarter of the local
-    wavelength 2*pi/|x - t*phi'|, taken at the sub-interval's samples."""
-    a, b, dphi = coarse
-    slope = xs[:, None, None] - ts[:, None, None] * dphi
-    worst = np.max(np.abs(slope), axis=2) * 1.5 + 1e-30
-    width_cap = 2.0 * np.pi / (4.0 * worst)
-    return np.maximum(1, np.ceil((b - a) / width_cap * refine)).astype(np.intp)
-
-
-def _levin_eligible(xs: np.ndarray, ts: np.ndarray, coarse, n_block: float) -> np.ndarray:
-    """Points whose g' = x - t*phi' keeps one sign at the coarse samples
-    with min|g'| * piece width >= LEVIN_MIN_TURN: no stationary point, and
-    collocation systems far from the singular g' = 0."""
-    dphi = coarse[2].ravel()
-    width = 3.0 * n_block / _LEVIN_PIECES
+def _scan_slopes(xs: np.ndarray, ts: np.ndarray, coarse, n_block: float):
+    """g' = x - t*phi' at the coarse samples, _COUNT_POINTS points at a time.
+    Returns each point's widest panel per coarse sub-interval, a quarter of
+    the local wavelength 2*pi/|g'|, shape (points, _COARSE); and whether it
+    goes to Levin: no stationary point, and collocation systems far from
+    the singular g' = 0."""
+    dphi = coarse[2]
+    piece = 3.0 * n_block / _LEVIN_PIECES
+    widths = np.empty((xs.size, _COARSE))
     eligible = np.empty(xs.size, dtype=bool)
     for lo in range(0, xs.size, _COUNT_POINTS):
         part = slice(lo, lo + _COUNT_POINTS)
-        slope = xs[part, None] - ts[part, None] * dphi
+        slope = xs[part, None, None] - ts[part, None, None] * dphi
+        worst = np.max(np.abs(slope), axis=2) * 1.5 + 1e-30
+        widths[part] = 2.0 * np.pi / (4.0 * worst)
         # max(min g', -max g') is min|g'| when g' keeps one sign, else <= 0
-        least = np.maximum(slope.min(axis=1), -slope.max(axis=1))
-        eligible[part] = least * width >= LEVIN_MIN_TURN
-    return eligible
+        least = np.maximum(slope.min(axis=(1, 2)), -slope.max(axis=(1, 2)))
+        eligible[part] = least * piece >= LEVIN_MIN_TURN
+    return widths, eligible
+
+
+def _panel_counts(widths: np.ndarray, coarse, refine: float) -> np.ndarray:
+    """Equal panels per coarse sub-interval, shape (points, _COARSE), each
+    no wider than the point's width from _scan_slopes divided by refine."""
+    a, b, _ = coarse
+    return np.maximum(1, np.ceil((b - a) / widths * refine)).astype(np.intp)
 
 
 @functools.cache
@@ -242,42 +241,21 @@ class _Panels:
         return k // _COARSE, left, right
 
 
-def _block_integral(x: float, t: float, spec: KernelSpec, symbol: PhaseSymbol,
-                    refine: float):
-    """Gauss-Kronrod value and error estimate of the positive block.
-    Raises QuadratureAccuracyError (bound inf) before building more
-    panels than MAX_NODES nodes fill."""
-    xs, ts = np.array([x], dtype=float), np.array([t], dtype=float)
-    coarse = _coarse_samples(spec)
-    panels = _Panels(xs, ts, _panel_counts(xs, ts, coarse, refine), coarse)
-    if panels.size * 15 > MAX_NODES:
-        raise QuadratureAccuracyError(math.inf, spec.accepted_error)
-    _, left, right = panels.edges(0, panels.size)
-    mid = 0.5 * (left + right)
-    half = 0.5 * (right - left)
-    nodes = (mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]).ravel()
-    vals = np.exp(1j * (x * nodes - t * symbol(nodes))).reshape(half.size, -1)
-    k15 = (vals * _KRONROD_WEIGHTS[None, :]).sum(axis=1) * half
-    g7 = (vals[:, _GAUSS_SLICE] * _GAUSS_WEIGHTS[None, :]).sum(axis=1) * half
-    return complex(k15.sum()), float(np.abs(k15 - g7).sum())
-
-
 def kernel_eval(x: float, t: float, spec: KernelSpec) -> float:
-    """K(x, t), real by the conjugate symmetry of the two blocks.
+    """K(x, t), real by the conjugate symmetry of the two blocks: the
+    one-point case of the probes' Gauss-Kronrod pass, run inline.
 
     Raises QuadratureAccuracyError with the achieved bound when the
     embedded error estimate cannot be brought under spec.accepted_error.
     """
     if t < 0:
         raise ConfigError(f"t must be >= 0, got {t}")
-    symbol, accepted = spec.symbol, spec.accepted_error
-    achieved = math.inf
-    for refine in _REFINES:
-        value, err = _block_integral(x, t, spec, symbol, refine)
-        achieved = 2.0 * err
-        if achieved <= accepted:
-            return 2.0 * value.real
-    raise QuadratureAccuracyError(achieved, accepted)
+    xs, ts = np.array([x], dtype=float), np.array([t], dtype=float)
+    coarse = _coarse_samples(spec)
+    widths, _ = _scan_slopes(xs, ts, coarse, spec.block_start)
+    values, achieved, _ = _gauss_kronrod(xs, ts, widths, coarse, spec, jobs=1)
+    _require_converged(achieved, spec)
+    return float(values[0])
 
 
 @dataclass
@@ -299,10 +277,10 @@ class QuadratureStats:
 
 
 def _batch_integrals(panels: _Panels, symbol: PhaseSymbol):
-    """_block_integral for each point of panels, the integrand evaluated
-    CHUNK_PANELS panels at a time.  The nodes lie in [N, 4N], so phi needs
-    no masking of xi = 0, and cos and sin of the real phase fill the
-    complex values that exp(1j*phase) would."""
+    """Gauss-Kronrod value of the positive block and its error estimate,
+    the sum of |K15 - G7|, for each point of panels, the integrand
+    evaluated CHUNK_PANELS panels at a time.  The nodes lie in [N, 4N], so
+    phi needs no masking of xi = 0; cos and sin fill exp(1j*phase)."""
     k15 = np.empty(panels.size, dtype=complex)
     gap = np.empty(panels.size)
     vals = np.empty((min(CHUNK_PANELS, panels.size), 15), dtype=complex)
@@ -340,35 +318,24 @@ def _batches(rows: np.ndarray, nodes: np.ndarray) -> list:
     return batches
 
 
-def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int | None = None):
-    """K at the points (xs[i], ts[i]) and each point's achieved error bound.
+def _gauss_kronrod(xs, ts, widths, coarse, spec: KernelSpec, jobs: int | None):
+    """K at the points (xs[i], ts[i]) on panels of the _scan_slopes widths,
+    each point's achieved bound, and the points evaluated at each refinement.
 
-    Points that Levin does not accept take Gauss-Kronrod and equal
-    kernel_eval bit for bit for t >= 0; no value depends on jobs.  A point
-    that misses spec.accepted_error after the last refinement gets value
-    nan and keeps its bound; a point whose panels exceed MAX_NODES gets nan
-    and bound inf.  Adds what the quadrature did to stats.
+    Only the points that miss spec.accepted_error are re-run at the next
+    refinement.  A point that misses after the last gets value nan and
+    keeps its bound; a point whose panels exceed MAX_NODES gets nan and
+    bound inf.
     """
-    xs = np.asarray(xs, dtype=float)
-    ts = np.asarray(ts, dtype=float)
     symbol, accepted = spec.symbol, spec.accepted_error
-    coarse = _coarse_samples(spec)
-    values = np.full(xs.size, np.nan)
-    achieved = np.full(xs.size, np.inf)
-    eligible = np.flatnonzero(_levin_eligible(xs, ts, coarse, spec.block_start))
-    chunks = [eligible[lo:lo + LEVIN_POINTS] for lo in range(0, eligible.size, LEVIN_POINTS)]
-    levin = pool_map(lambda rows: _levin_values(xs[rows], ts[rows], spec, symbol), chunks, jobs)
-    for rows, (value, bound) in zip(chunks, levin):
-        achieved[rows] = bound
-        values[rows] = np.where(bound <= accepted, value, np.nan)
-    todo = np.flatnonzero(~(achieved <= accepted))  # the rest take Gauss-Kronrod
-    reached = [0] * len(_REFINES)  # points evaluated at each refinement
+    values, achieved = np.full(xs.size, np.nan), np.full(xs.size, np.inf)
+    todo = np.arange(xs.size)
+    reached = [0] * len(_REFINES)
     for level, refine in enumerate(_REFINES):
         if not todo.size:
             break
         reached[level] = todo.size
-        blocks = np.split(todo, np.arange(_COUNT_POINTS, todo.size, _COUNT_POINTS))
-        m = np.concatenate([_panel_counts(xs[b], ts[b], coarse, refine) for b in blocks])
+        m = _panel_counts(widths[todo], coarse, refine)
         nodes = 15 * m.sum(axis=1)
         achieved[todo[nodes > MAX_NODES]] = math.inf
         batches = [(todo[rows], m[rows])
@@ -383,8 +350,32 @@ def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int |
             values[batch[ok]] = 2.0 * value.real[ok]
             missed.extend(batch[~ok])
         todo = np.sort(np.array(missed, dtype=np.intp))
+    return values, achieved, reached
+
+
+def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int | None = None):
+    """K at the points (xs[i], ts[i]) and each point's achieved error bound.
+
+    Levin takes the eligible points it can; the rest take kernel_eval's
+    Gauss-Kronrod pass and equal kernel_eval bit for bit for t >= 0.  No
+    value depends on jobs.  Adds what the quadrature did to stats.
+    """
+    xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
+    symbol, accepted = spec.symbol, spec.accepted_error
+    coarse = _coarse_samples(spec)
+    widths, levin_eligible = _scan_slopes(xs, ts, coarse, spec.block_start)
+    values, achieved = np.full(xs.size, np.nan), np.full(xs.size, np.inf)
+    eligible = np.flatnonzero(levin_eligible)
+    chunks = [eligible[lo:lo + LEVIN_POINTS] for lo in range(0, eligible.size, LEVIN_POINTS)]
+    levin = pool_map(lambda rows: _levin_values(xs[rows], ts[rows], spec, symbol), chunks, jobs)
+    for rows, (value, bound) in zip(chunks, levin):
+        achieved[rows] = bound
+        values[rows] = np.where(bound <= accepted, value, np.nan)
+    todo = np.flatnonzero(~(achieved <= accepted))  # the rest take Gauss-Kronrod
+    values[todo], achieved[todo], reached = _gauss_kronrod(xs[todo], ts[todo], widths[todo],
+                                                           coarse, spec, jobs)
     finite = achieved[np.isfinite(achieved)]
-    levin_ok = xs.size - reached[0]  # the points Levin accepted skip Gauss-Kronrod
+    levin_ok = xs.size - todo.size
     log.debug("kernel values: %d points; Levin %d accepted, %d missed; Gauss-Kronrod %d at x1, "
               "%d at x4, %d at x16", xs.size, levin_ok, eligible.size - levin_ok, *reached)
     stats.points += xs.size
@@ -397,7 +388,8 @@ def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int |
 
 
 def _require_converged(achieved: np.ndarray, spec: KernelSpec):
-    """Raise, as kernel_eval would, for the first point that failed."""
+    """QuadratureAccuracyError with the bound of the first point that
+    missed spec.accepted_error."""
     failed = np.flatnonzero(~(achieved <= spec.accepted_error))
     if failed.size:
         raise QuadratureAccuracyError(float(achieved[failed[0]]), spec.accepted_error)

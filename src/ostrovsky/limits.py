@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupError, ConfigError
-from .solver import SolverConfig, Trajectory, _evolve_rows, evolve
+from .solver import SolverConfig, Trajectory, _evolve_rows, evolve, require_snapshot_every
 from .spectral import Field
 
 log = logging.getLogger("ostrovsky")
@@ -51,6 +51,10 @@ class SweepConfig:
             raise ConfigError("gammas must be strictly decreasing")
         if not 0 < self.t_compare <= self.template.t_end:
             raise ConfigError("t_compare must lie within every run's lifespan")
+        require_snapshot_every(self.snapshot_every)
+        # the snapshots nearest t_compare: a step i = j * snapshot_every at t = i * dt, and t_end
+        i = self.snapshot_every * round(self.t_compare / (self.snapshot_every * self.template.dt))
+        _snapshot_index(np.array([i * self.template.dt, self.template.t_end]), self.t_compare)
         object.__setattr__(self, "gammas", gs)
 
 
@@ -109,11 +113,16 @@ def conservation_drift(traj: Trajectory) -> tuple:
     return l2_drift, h_drift, ok
 
 
+def _snapshot_index(times: np.ndarray, t: float) -> int:
+    """Index of the snapshot time within 1e-9 * max(1, t) of t."""
+    idx = int(np.argmin(np.abs(times - t)))
+    if abs(times[idx] - t) > 1e-9 * max(1.0, t):
+        raise ConfigError(f"no snapshot at t = {t}; nearest is {times[idx]}")
+    return idx
+
+
 def _field_at_time(traj: Trajectory, t: float) -> Field:
-    idx = int(np.argmin(np.abs(traj.times - t)))
-    if abs(traj.times[idx] - t) > 1e-9 * max(1.0, t):
-        raise ConfigError(f"no snapshot at t = {t}; nearest is {traj.times[idx]}")
-    return traj.fields[idx]
+    return traj.fields[_snapshot_index(traj.times, t)]
 
 
 def rotation_limit_sweep(cfg: SweepConfig, u0: Field) -> RateReport:

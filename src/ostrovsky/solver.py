@@ -65,6 +65,7 @@ log = logging.getLogger("ostrovsky")
 
 MEAN_ZERO_ATOL = 1e-13
 BLOWUP_L2_FACTOR = 10.0
+PICARD_TOLERANCE = 1e-10  # picard_iterate converges below this times ||u0||
 
 
 @dataclass(frozen=True)
@@ -292,6 +293,12 @@ def check_initial_mean(u0: Field, cfg: SolverConfig):
                                 f"gamma > 0 (mean = {u0.mean():.3g})")
 
 
+def require_snapshot_every(snapshot_every: int):
+    """ConfigError unless evolve gets a positive snapshot cadence."""
+    if snapshot_every <= 0:
+        raise ConfigError(f"snapshot_every must be positive, got {snapshot_every}")
+
+
 def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
     """March from 0 to t_end recording snapshots and conserved traces.
 
@@ -307,8 +314,7 @@ def _evolve_rows(u0: Field, cfgs: list, snapshot_every: int) -> list:
     """[evolve(u0, cfg, snapshot_every) for cfg in cfgs], the configs differing
     only in gamma, stepped as the rows of one stacked half spectrum, each row
     bit-identical to its own run; raises the first BlowupError of any row."""
-    if snapshot_every <= 0:
-        raise ConfigError(f"snapshot_every must be positive, got {snapshot_every}")
+    require_snapshot_every(snapshot_every)
     for cfg in cfgs:  # then cfg holds every field the rows share
         check_initial_mean(u0, cfg)
         cfg.validate_timestep(u0)
@@ -471,7 +477,7 @@ def picard_iterate(u0: Field, cfg: SolverConfig, delta: float, n_iters: int):
 
     Returns (SpaceTimeField over the lattice, successive sup-in-time L2
     differences).  Convergence is declared when the latest difference
-    falls below 1e-10 relative to ||u0||; three consecutive
+    falls below PICARD_TOLERANCE relative to ||u0||; three consecutive
     non-contracting ratios raise ContractionFailureError.
     """
     n_lat = picard_lattice(cfg, delta, n_iters)
@@ -513,7 +519,7 @@ def picard_iterate(u0: Field, cfg: SolverConfig, delta: float, n_iters: int):
                 bad_run = bad_run + 1 if r >= 1.0 else 0
                 if bad_run >= 3:
                     raise ContractionFailureError(ratios)
-            if diff < 1e-10 * u0_l2:
+            if diff < PICARD_TOLERANCE * u0_l2:
                 break
 
     values = synthesize(v)

@@ -339,9 +339,19 @@ class TestInputErrors:
         ("probe-kernel", "[probe-kernel]\nsamples_per_region = 0\n",
          "samples_per_region must be >= 1, got 0"),
         ("probe-estimates", "[probe-estimates]\nn_t = 7\n", "n_t must be an even integer"),
+        ("solve", (CONFIGS / "solve.cfg").read_text().replace("snapshot_every = 20",
+                                                              "snapshot_every = 0"),
+         "snapshot_every must be positive, got 0"),
+        ("sweep-gamma", (CONFIGS / "sweep_gamma.cfg").read_text().replace("snapshot_every = 10",
+                                                                          "snapshot_every = 0"),
+         "snapshot_every must be positive, got 0"),
+        ("sweep-gamma", (CONFIGS / "sweep_gamma.cfg").read_text().replace("t_compare = 0.5",
+                                                                          "t_compare = 0.27"),
+         "no snapshot at t = 0.27; nearest is 0.25"),
     ], ids=["soliton_on_a_coarse_grid", "picard_delta_below_two_steps", "picard_no_iterations",
             "kernel_gamma_exp", "kernel_block_below_threshold", "kernel_no_samples",
-            "estimates_odd_n_t"])
+            "estimates_odd_n_t", "solve_no_snapshot_cadence", "sweep_no_snapshot_cadence",
+            "sweep_compare_time_off_snapshots"])
     def test_read_phase_rejects(self, tmp_path, capsys, command, text, message):
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"

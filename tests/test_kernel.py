@@ -14,13 +14,13 @@ from ostrovsky.kernel import (
     KernelSpec,
     QuadratureStats,
     RegionTag,
-    _block_integral,
+    _batch_integrals,
     _coarse_samples,
     _kernel_values,
-    _levin_eligible,
     _levin_values,
     _panel_counts,
     _Panels,
+    _scan_slopes,
     kernel_eval,
     kernel_mixed_norm,
     region_decay_check,
@@ -185,10 +185,29 @@ def region_points(n_block):
 LEVIN_ROUTED = [1, 3, 4, 5]  # the region_points that Levin takes
 
 
+def levin_eligible(xs, ts, spec):
+    """The points that the g' scan sends to Levin."""
+    return _scan_slopes(xs, ts, _coarse_samples(spec), spec.block_start)[1]
+
+
+def panel_counts(xs, ts, spec, refine):
+    """Gauss-Kronrod panels per coarse sub-interval at refinement refine."""
+    coarse = _coarse_samples(spec)
+    return _panel_counts(_scan_slopes(xs, ts, coarse, spec.block_start)[0], coarse, refine)
+
+
+def gauss_kronrod_bound(x, t, spec, refine):
+    """One point's achieved Gauss-Kronrod bound at refinement refine, from
+    the panel sums that kernel_eval and the probes share."""
+    xs, ts = np.array([x], dtype=float), np.array([t], dtype=float)
+    panels = _Panels(xs, ts, panel_counts(xs, ts, spec, refine), _coarse_samples(spec))
+    return 2.0 * _batch_integrals(panels, spec.symbol)[1][0]
+
+
 def assert_values_match(values, xs, ts, spec, ref_values):
     """Points Levin may take agree with ref_values within accepted_error,
     the rest bit for bit; at least one point is Levin's."""
-    levin = _levin_eligible(xs, ts, _coarse_samples(spec), spec.block_start)
+    levin = levin_eligible(xs, ts, spec)
     assert np.any(levin)
     assert np.array_equal(values[~levin], ref_values[~levin])
     assert np.all(np.abs(values[levin] - ref_values[levin]) <= spec.accepted_error)
@@ -199,7 +218,7 @@ def refinement_spec(n_block, level):
     refine 4 (level 1) or 16 (level 2)."""
     spec = KernelSpec(n_block, -1.0, 1.0)
     x, t = region_points(n_block)[6]
-    bounds = [2.0 * _block_integral(x, t, spec, spec.symbol, r)[1] for r in (1.0, 4.0, 16.0)]
+    bounds = [gauss_kronrod_bound(x, t, spec, r) for r in (1.0, 4.0, 16.0)]
     assert bounds[0] > bounds[1] > bounds[2]
     return KernelSpec(n_block, -1.0, 1.0, tolerance=0.5 * (bounds[level - 1] + bounds[level]))
 
@@ -330,8 +349,7 @@ class TestPanelEdges:
         tags = {RegionTag.classify(x, t, spec) for x, t in points}
         assert tags == set(RegionTag)
         xs, ts = np.array(points).T
-        coarse = _coarse_samples(spec)
-        panels = _Panels(xs, ts, _panel_counts(xs, ts, coarse, refine), coarse)
+        panels = _Panels(xs, ts, panel_counts(xs, ts, spec, refine), _coarse_samples(spec))
         point, left, right = panels.edges(0, panels.size)
         pieces = [panels.edges(lo, min(lo + 997, panels.size))
                   for lo in range(0, panels.size, 997)]
@@ -395,7 +413,7 @@ class TestBatchedQuadrature:
         # stationary point xi = sqrt(2) N keeps them from Levin.
         spec = KernelSpec(16.0, -1.0, 1.0)
         xs, ts = np.full(2, -375.0), np.full(2, 0.244140625)
-        nodes = 15 * _panel_counts(xs, ts, _coarse_samples(spec), 1.0).sum(axis=1)
+        nodes = 15 * panel_counts(xs, ts, spec, 1.0).sum(axis=1)
         assert np.all(nodes > 10 * kernel.BATCH_NODES)
         tracemalloc.start()
         try:
@@ -406,6 +424,19 @@ class TestBatchedQuadrature:
         assert peak < 20 * 2**20
         assert values[0] == values[1] == kernel_eval(-375.0, 0.244140625, spec)
         assert np.all(achieved <= spec.tolerance)
+
+    def test_one_slope_scan_per_call(self, monkeypatch):
+        # a point that reaches the 16x panels still has its g' sampled once
+        spec = refinement_spec(16.0, 2)
+        xs, ts = np.array(region_points(16.0)).T
+        scans = []
+        scan = kernel._scan_slopes
+        monkeypatch.setattr(kernel, "_scan_slopes", lambda *args: scans.append(1) or scan(*args))
+        stats = QuadratureStats()
+        _kernel_values(xs, ts, spec, stats)
+        assert stats.refined_x16 >= 1 and len(scans) == 1
+        kernel_eval(xs[6], ts[6], spec)
+        assert len(scans) == 2
 
     def test_tolerance_miss_keeps_bound(self):
         spec = KernelSpec(8.0, -1.0, 1.0, tolerance=1e-16)
@@ -509,7 +540,7 @@ class TestProbesEqualScalarLoops:
         base = region_decay_check(spec, samples_per_region=20, seed=2)
         stat = base.regions["STATIONARY"]
         _, levin_bound = _levin_values(stat.x, stat.t, spec, spec.symbol)
-        gauss_kronrod = ~(_levin_eligible(stat.x, stat.t, _coarse_samples(spec), 8.0)
+        gauss_kronrod = ~(levin_eligible(stat.x, stat.t, spec)
                           & (levin_bound <= spec.accepted_error))
         nodes = sorted((reference_panel_edges(x, t, spec, 1.0).size - 1) * 15
                        for x, t in zip(stat.x[gauss_kronrod], stat.t[gauss_kronrod]))
@@ -580,16 +611,15 @@ class TestLevin:
         # four eligible points of each region tag, drawn over the decay
         # windows, and every 40th eligible point of the benchmark-size grid
         spec = KernelSpec(n_block, -1.0, 1.0)
-        coarse = _coarse_samples(spec)
         rng = np.random.default_rng(7)
         xs = rng.choice([-1.0, 1.0], 400) * 10 ** rng.uniform(-3.0, 2.0, 400) / n_block
         ts = 10 ** rng.uniform(-4.0, 2.5, 400) / n_block**3
         tags = np.array([RegionTag.classify(x, t, spec) for x, t in zip(xs, ts)])
-        eligible = _levin_eligible(xs, ts, coarse, n_block)
+        eligible = levin_eligible(xs, ts, spec)
         picks = [np.flatnonzero(eligible & (tags == tag))[:4] for tag in RegionTag]
         assert all(pick.size == 4 for pick in picks)
         grid_x, grid_t = mixed_norm_points(spec, 1.0, 30, 12)
-        on_grid = np.flatnonzero(_levin_eligible(grid_x, grid_t, coarse, n_block))[::40]
+        on_grid = np.flatnonzero(levin_eligible(grid_x, grid_t, spec))[::40]
         px = np.concatenate([xs[pick] for pick in picks] + [grid_x[on_grid]])
         pt = np.concatenate([ts[pick] for pick in picks] + [grid_t[on_grid]])
         stats = QuadratureStats()
@@ -600,12 +630,10 @@ class TestLevin:
 
     def test_threshold_keeps_points_from_levin(self):
         spec = KernelSpec(16.0, -1.0, 1.0)
-        coarse = _coarse_samples(spec)
         # at t = 0 the phase slope is x, so min|g'| * width is |x| N / 2
         edge = kernel.LEVIN_MIN_TURN * 2.0 / spec.block_start
         xs = np.array([0.99, -0.99, 1.01, -1.01]) * edge
-        assert _levin_eligible(xs, np.zeros(4), coarse, 16.0).tolist() == [False, False,
-                                                                           True, True]
+        assert levin_eligible(xs, np.zeros(4), spec).tolist() == [False, False, True, True]
         # the near field as t -> 0, and the stationary ray
         near_x = np.repeat([0.5 / 16.0, -1.0 / 16.0], 3)
         near_t = np.tile([0.0, 1e-6, 1e-3], 2) / 16.0**3
@@ -616,7 +644,7 @@ class TestLevin:
                                                    math.log(abs(x) / slope_lo), 9))
                                 for x in ray_x[::9]])
         xs, ts = np.concatenate([near_x, ray_x]), np.concatenate([near_t, ray_t])
-        assert not np.any(_levin_eligible(xs, ts, coarse, 16.0))
+        assert not np.any(levin_eligible(xs, ts, spec))
         stats = QuadratureStats()
         values, _ = _kernel_values(xs, ts, spec, stats)
         assert stats.levin == 0
@@ -628,13 +656,13 @@ class TestLevin:
         monkeypatch.setattr(kernel, "_LEVIN_ORDERS", (4, 6))
         spec = KernelSpec(16.0, -1.0, 1.0)
         xs, ts = np.array(region_points(16.0))[[1, 4, 5]].T
-        assert np.all(_levin_eligible(xs, ts, _coarse_samples(spec), 16.0))
+        assert np.all(levin_eligible(xs, ts, spec))
         stats = QuadratureStats()
         with caplog.at_level(logging.DEBUG, logger="ostrovsky"):
             values, achieved = _kernel_values(xs, ts, spec, stats)
         assert stats.levin == 0
         assert np.array_equal(values, scalar_values(xs, ts, spec, None)[0])
-        assert np.array_equal(achieved, [2.0 * _block_integral(x, t, spec, spec.symbol, 1.0)[1]
+        assert np.array_equal(achieved, [gauss_kronrod_bound(x, t, spec, 1.0)
                                          for x, t in zip(xs, ts)])
         assert caplog.messages == ["kernel values: 3 points; Levin 0 accepted, 3 missed; "
                                    "Gauss-Kronrod 3 at x1, 0 at x4, 0 at x16"]
@@ -654,7 +682,7 @@ class TestLevin:
         xs, ts = mixed_norm_points(spec, 1.0, 30, 12)
         tags = np.array([RegionTag.classify(x, t, spec) for x, t in zip(xs, ts)])
         far = tags == RegionTag.NON_STATIONARY
-        eligible = _levin_eligible(xs, ts, _coarse_samples(spec), 16.0)
+        eligible = levin_eligible(xs, ts, spec)
         stats = QuadratureStats()
         _kernel_values(xs, ts, spec, stats)
         assert stats.levin == np.count_nonzero(eligible)  # every eligible point met the bound
