@@ -408,6 +408,8 @@ def main(argv=None) -> int:
         section = config.section(args.command)
         run = COMMANDS[args.command](section, args)
         section.reject_unread()
+        if args.seed < 0:  # numpy's SeedSequence takes non-negative integers only
+            raise ConfigError(f"seed must be non-negative, got {args.seed}")
         out = ensure_dir(args.out)
         code, counts = run(out)
         RunManifest(command=args.command, argv=argv, config=config.as_dict(), seed=args.seed,

@@ -20,8 +20,10 @@ enforces this.  Such norms are summed per mode in closed form from
 weights each Ensemble builds once.  So is 2.08's Linf_x L2_t norm: the
 time sum of |u(x, t_l)|^2 is a trigonometric polynomial in x whose
 coefficients come from a time Gram of the support modes, synthesized
-once per draw.  The other orbit tags synthesize the orbit at every
-window sample, from the law's support modes only.
+once per draw.  The other orbit tags synthesize the orbit from the law's
+support modes ORBIT_BLOCK window samples at a time and reduce their mixed
+norms block by block (norms.mixed_norm_blocks), so no draw holds a whole
+orbit; the values equal those of the whole orbit bit for bit.
 
 Estimate tags are opaque IDs (see TAG_DEFAULTS for the menu); draws are
 reproducible bit-exactly from (seed, draw index) and independent of
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LatticeSizeError
-from .norms import SpaceTimeField, mixed_norm, window_bump
+from .norms import SpaceTimeField, mixed_norm_blocks, window_bump
 from .pool import pool_map
 from .spectral import (Field, Grid, MultiplierSpec, PhaseSymbol, angular_frequencies, dft,
                        fft_mode_numbers, hermitian_extension, mirror_slot, mode_slots,
@@ -49,6 +51,8 @@ LINFTY_TAGS = ("2.055", "2.057", "2.060")
 ALL_TAGS = STRICHARTZ_TAGS + ("2.027",) + LINFTY_TAGS + ("3.03",)
 
 LAWS = ("gaussian_spectrum", "band_limited", "low_frequency", "high_frequency")
+
+ORBIT_BLOCK = 64  # window samples an orbit tag synthesizes at a time; no value depends on it
 
 
 @dataclass(frozen=True)
@@ -214,16 +218,28 @@ class RatioReport:
         return worst
 
 
+def _orbit_blocks(ens: Ensemble, u0: Field, windowed: bool, multiplier: np.ndarray | None,
+                  rows: int):
+    """propagator_orbit's samples, rows window samples at a time: the support
+    coefficients times rows of phase_table (and of window), scattered and
+    synthesized by one real inverse FFT per time sample."""
+    c = ens._support_coeffs(u0, multiplier)
+    modes, n = ens.support_modes(), ens.grid.n_points
+    for start in range(0, ens.n_t, rows):
+        half = ens.phase_table[start:start + rows] * c
+        if windowed:
+            half *= ens.window[start:start + rows, None]
+        yield synthesize(scatter_modes(half, modes, n))
+
+
 def propagator_orbit(ens: Ensemble, u0: Field, windowed: bool = True,
                      multiplier: np.ndarray | None = None) -> SpaceTimeField:
     """u(x, t_l) = psi(t_l) * (m(D) exp(-i t phi) u0)(x) on the ensemble window,
     with m the real, even multiplier table (default 1), synthesized from the
-    support modes by one real inverse FFT per time sample."""
-    half = ens.phase_table * ens._support_coeffs(u0, multiplier)
-    if windowed:
-        half *= ens.window[:, None]
-    spec = scatter_modes(half, ens.support_modes(), ens.grid.n_points)
-    return SpaceTimeField(ens.grid, ens.t_window, synthesize(spec))
+    support modes by one real inverse FFT per time sample: the one-block
+    case of _orbit_blocks."""
+    (values,) = _orbit_blocks(ens, u0, windowed, multiplier, ens.n_t)
+    return SpaceTimeField(ens.grid, ens.t_window, values)
 
 
 def _modulation_rhs(ens: Ensemble, u0: Field, multiplier: np.ndarray | None = None) -> float:
@@ -253,37 +269,37 @@ def _sup_x_l2_t(ens: Ensemble, u0: Field, multiplier: np.ndarray) -> float:
 
 
 def _orbit_pair(ens: Ensemble, which: str, u0: Field):
-    """(LHS, RHS) of one draw for an orbit tag."""
+    """(LHS, RHS) of one draw for an orbit tag.  Every LHS but 2.08's is a
+    mixed norm of the orbit, reduced over ORBIT_BLOCK window samples at a
+    time, so no draw holds the whole orbit."""
     grid, eps = ens.grid, ens.epsilon
     high = multiplier_table(grid, MultiplierSpec.high_pass(ens.threshold))
 
     def d(alpha):
         return multiplier_table(grid, MultiplierSpec.fractional_d(alpha))
 
-    def orbit(table=None):
-        return propagator_orbit(ens, u0, multiplier=table)
+    def norm(p, q, order="t_outer", table=None, windowed=True):
+        blocks = _orbit_blocks(ens, u0, windowed, table, ORBIT_BLOCK)
+        return mixed_norm_blocks(blocks, grid.dx, ens.t_window / ens.n_t, p, q, order)
 
     if which == "2.03":
-        return mixed_norm(propagator_orbit(ens, u0, windowed=False), 8.0, 8.0), u0.l2_norm()
+        return norm(8.0, 8.0, windowed=False), u0.l2_norm()
     if which == "2.05":
-        return mixed_norm(orbit(d(1.0 / 6.0) * high), 6.0, 6.0), _modulation_rhs(ens, u0)
+        return norm(6.0, 6.0, table=d(1.0 / 6.0) * high), _modulation_rhs(ens, u0)
     if which == "2.08":
         return _sup_x_l2_t(ens, u0, d(1.0) * high), _modulation_rhs(ens, u0)
     if which == "2.09":
         low = multiplier_table(grid, MultiplierSpec.low_pass(ens.law_param))
-        lhs = mixed_norm(orbit(d(0.25 + eps) * low), 2.0, math.inf, "x_outer")
-        return lhs, _modulation_rhs(ens, u0)
+        return norm(2.0, math.inf, "x_outer", d(0.25 + eps) * low), _modulation_rhs(ens, u0)
     law = {"2.055": "band_limited", "2.057": "low_frequency", "2.060": "high_frequency"}[which]
     if ens.law != law:
         raise ConfigError(f"tag {which} needs {law} data")
     if which == "2.055":
-        rhs = ens.law_param ** (0.25 - eps) * _modulation_rhs(ens, u0)
-        return float(np.max(np.abs(orbit().values))), rhs
+        return norm(math.inf, math.inf), ens.law_param ** (0.25 - eps) * _modulation_rhs(ens, u0)
     if which == "2.057":
-        lhs = mixed_norm(orbit(), 2.0 / (1.0 - 2.0 * eps), math.inf, "x_outer")
+        lhs = norm(2.0 / (1.0 - 2.0 * eps), math.inf, "x_outer")
         return lhs, _modulation_rhs(ens, u0, d(-0.25))
-    lhs = float(np.max(np.abs(orbit(d(-0.5 - 4.0 * eps) * high).values)))
-    return lhs, _modulation_rhs(ens, u0)
+    return norm(math.inf, math.inf, table=d(-0.5 - 4.0 * eps) * high), _modulation_rhs(ens, u0)
 
 
 def _ratio_report(tag: str, n_draws: int, pair_for, refinements, jobs: int) -> RatioReport:

@@ -116,22 +116,40 @@ def mixed_norm(stf: SpaceTimeField, p: float, q: float, order: str = "t_outer") 
 
     order="t_outer" evaluates (int (int |f|^q dx)^{p/q} dt)^{1/p};
     order="x_outer" swaps the roles (x integral outermost).  Infinite
-    exponents take the maximum over their axis.
+    exponents take the maximum over their axis.  The one-block case of
+    mixed_norm_blocks.
+    """
+    return mixed_norm_blocks([stf.values], stf.grid.dx, stf.dt, p, q, order)
+
+
+def mixed_norm_blocks(blocks, dx: float, dt: float, p: float, q: float,
+                      order: str = "t_outer") -> float:
+    """mixed_norm of the samples whose time rows come in blocks, each of
+    shape (rows, n_x), without stacking them.  t_outer reduces each row
+    over x within its block; x_outer at q = inf keeps a running maximum over
+    t.  Both equal the stacked reduction bit for bit.  x_outer at finite q
+    sums every row into each column, so it takes one block only.
     """
     if p < 1 or q < 1:
         raise ConfigError(f"exponents must be >= 1, got p={p}, q={q}")
     if order not in ("t_outer", "x_outer"):
         raise ConfigError(f"order must be 't_outer' or 'x_outer', got {order!r}")
-    v = np.abs(stf.values)  # shape (n_t, n_x)
-    dx, dt = stf.grid.dx, stf.dt
+
+    def reduce(v, axis, meas):
+        if math.isinf(q):
+            return v.max(axis=axis)
+        return (np.sum(v**q, axis=axis) * meas) ** (1.0 / q)
+
     if order == "t_outer":
-        inner_axis, inner_meas, outer_meas = 1, dx, dt
+        inner = np.concatenate([reduce(np.abs(v), 1, dx) for v in blocks])
+        outer_meas = dt
     else:
-        inner_axis, inner_meas, outer_meas = 0, dt, dx
-    if math.isinf(q):
-        inner = v.max(axis=inner_axis)
-    else:
-        inner = (np.sum(v**q, axis=inner_axis) * inner_meas) ** (1.0 / q)
+        inner, outer_meas = None, dx
+        for v in blocks:
+            if inner is not None and not math.isinf(q):
+                raise ConfigError("x_outer at finite q needs the samples in one block")
+            part = reduce(np.abs(v), 0, dt)
+            inner = part if inner is None else np.maximum(inner, part)
     if math.isinf(p):
         return float(inner.max())
     return float((np.sum(inner**p) * outer_meas) ** (1.0 / p))

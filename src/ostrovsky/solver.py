@@ -456,7 +456,10 @@ def picard_lattice(cfg: SolverConfig, delta: float, n_iters: int) -> int:
         raise ConfigError(f"delta must be positive, got {delta}")
     if n_iters < 1:
         raise ConfigError("need at least one iteration")
-    n_lat = int(round(delta / cfg.dt))
+    steps = delta / cfg.dt
+    if not math.isfinite(steps):
+        raise ConfigError(f"delta = {delta:g} is not a finite number of steps of dt = {cfg.dt:g}")
+    n_lat = int(round(steps))
     if n_lat < 2:
         raise ConfigError(f"delta = {delta:g} spans fewer than two steps of dt = {cfg.dt:g}")
     if abs(n_lat * cfg.dt - delta) > 1e-9 * delta:

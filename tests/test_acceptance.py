@@ -36,6 +36,13 @@ def report(number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
+def below(value, bound):
+    """value as a bound that holds ("< 1e-11"), for rounding-level quantities
+    whose digits any change of evaluation order moves; the value itself if
+    it exceeds the bound."""
+    return f"< {bound:.0e}" if value < bound else f"{value:.2e}"
+
+
 class TestAcceptance:
     def test_1_linear_machinery(self):
         t0 = time.time()
@@ -84,8 +91,8 @@ class TestAcceptance:
         dhdt = float(np.max(np.abs(np.gradient(traj.hamiltonian, traj.times))) / h_scale)
         elapsed = time.time() - t0
         ok = l2_drift < 1e-8 and h_drift < 1e-6 and dhdt < 1e-6 and elapsed < 60.0
-        report(2, ok, f"L2 drift {l2_drift:.2e}, H drift {h_drift:.2e}, "
-                      f"|dH/dt| {dhdt:.2e} ({elapsed:.1f}s)")
+        report(2, ok, f"L2 drift {below(l2_drift, 1e-13)}, H drift {below(h_drift, 1e-11)}, "
+                      f"|dH/dt| {below(dhdt, 1e-10)} ({elapsed:.1f}s)")
 
     def test_3_picard_duhamel_cross_check(self):
         t0 = time.time()

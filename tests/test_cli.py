@@ -348,10 +348,18 @@ class TestInputErrors:
         ("sweep-gamma", (CONFIGS / "sweep_gamma.cfg").read_text().replace("t_compare = 0.5",
                                                                           "t_compare = 0.27"),
          "no snapshot at t = 0.27; nearest is 0.25"),
+        ("picard-check", (CONFIGS / "picard.cfg").read_text().replace("delta = 0.05",
+                                                                      "delta = 1e308"),
+         "delta = 1e+308 is not a finite number of steps of dt = 0.0001"),
+        ("picard-check", (CONFIGS / "picard.cfg").read_text().replace("delta = 0.05",
+                                                                      "delta = inf"),
+         "delta = inf is not a finite number of steps of dt = 0.0001"),
+        ("probe-estimates", "[probe-estimates]\nseed = -1\n", "seed must be non-negative, got -1"),
     ], ids=["soliton_on_a_coarse_grid", "picard_delta_below_two_steps", "picard_no_iterations",
             "kernel_gamma_exp", "kernel_block_below_threshold", "kernel_no_samples",
             "estimates_odd_n_t", "solve_no_snapshot_cadence", "sweep_no_snapshot_cadence",
-            "sweep_compare_time_off_snapshots"])
+            "sweep_compare_time_off_snapshots", "picard_delta_1e308", "picard_delta_inf",
+            "estimates_negative_seed_key"])
     def test_read_phase_rejects(self, tmp_path, capsys, command, text, message):
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
@@ -359,6 +367,20 @@ class TestInputErrors:
         assert main([command, "--config", cfg, "--out", str(out)] + extra) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error:") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,text", [
+        ("probe-estimates", "[probe-estimates]\n"),
+        ("probe-kernel", "[probe-kernel]\nblocks = 8\n"),
+    ], ids=["estimates", "kernel"])
+    def test_negative_seed_flag_rejected_in_read_phase(self, tmp_path, capsys, command, text):
+        out = tmp_path / "out"
+        extra = ["--which", "2.057"] if command == "probe-estimates" else []
+        argv = [command, "--config", write_cfg(tmp_path, text), "--out", str(out), "--seed", "-1"]
+        assert main(argv + extra) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error:")
+        assert "seed must be non-negative, got -1" in err
         assert not out.exists()
 
     def test_out_naming_a_file_exits_one(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,6 +396,58 @@ class TestOrbitFastPath:
         other = ens.refined("grid_x2")
         with pytest.raises(ConfigError):
             ratio_pair_for_tag(ens, "2.05", other.draw(0))
+
+
+def _whole_orbit_lhs(ens, tag, u0):
+    """An orbit tag's LHS as mixed_norm of the whole propagator_orbit."""
+    grid, eps = ens.grid, ens.epsilon
+    high = multiplier_table(grid, MultiplierSpec.high_pass(ens.threshold))
+
+    def orbit(alpha=None, band=None):
+        if alpha is None:
+            return propagator_orbit(ens, u0)
+        d = multiplier_table(grid, MultiplierSpec.fractional_d(alpha))
+        return propagator_orbit(ens, u0, multiplier=d * band)
+
+    if tag == "2.03":
+        return mixed_norm(propagator_orbit(ens, u0, windowed=False), 8.0, 8.0)
+    if tag == "2.05":
+        return mixed_norm(orbit(1.0 / 6.0, high), 6.0, 6.0)
+    if tag == "2.09":
+        low = multiplier_table(grid, MultiplierSpec.low_pass(ens.law_param))
+        return mixed_norm(orbit(0.25 + eps, low), 2.0, math.inf, "x_outer")
+    if tag == "2.055":
+        return float(np.max(np.abs(orbit().values)))
+    if tag == "2.057":
+        return mixed_norm(orbit(), 2.0 / (1.0 - 2.0 * eps), math.inf, "x_outer")
+    return float(np.max(np.abs(orbit(-0.5 - 4.0 * eps, high).values)))
+
+
+class TestOrbitBlocks:
+    """Orbit tags reduce their LHS over ORBIT_BLOCK window samples at a time."""
+
+    @pytest.mark.parametrize("block", [1, 48, "n_t"])
+    @pytest.mark.parametrize("tag,refinement", [c for c in ORBIT_CASES if c[0] != "2.08"])
+    def test_streamed_lhs_equals_whole_orbit(self, monkeypatch, tag, refinement, block):
+        ens = default_ensemble(tag, 5, 2)
+        ens = ens if refinement is None else ens.refined(refinement)
+        monkeypatch.setattr(estimates, "ORBIT_BLOCK", ens.n_t if block == "n_t" else block)
+        u0 = ens.draw(1)
+        assert ratio_pair_for_tag(ens, tag, u0)[0] == _whole_orbit_lhs(ens, tag, u0)
+
+    def test_pair_holds_less_than_one_orbit(self):
+        # the whole 1024 x 512 orbit of 2.03's window_x2 takes 4 MiB, and
+        # synthesized at once, a pair's peak was about 15 MiB
+        ens = default_ensemble("2.03", 5, 1).refined("window_x2")
+        u0 = ens.draw(0)
+        ratio_pair_for_tag(ens, "2.03", u0)  # builds the phase table outside the trace
+        tracemalloc.start()
+        try:
+            ratio_pair_for_tag(ens, "2.03", u0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ens.n_t * ens.grid.n_points * np.dtype(float).itemsize
 
 
 class TestBilinearVectorized:

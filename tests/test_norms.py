@@ -11,6 +11,7 @@ from ostrovsky.norms import (
     SpaceTimeField,
     h_s_norm,
     mixed_norm,
+    mixed_norm_blocks,
     _time_bump,
     window_bump,
     x_s_norm,
@@ -113,6 +114,25 @@ class TestMixed:
         stf = SpaceTimeField(g, 1.0, rng.standard_normal((8, 64)))
         with pytest.raises(ConfigError):
             mixed_norm(stf, 0.5, 2)
+
+    @pytest.mark.parametrize("rows", [1, 7, 16])
+    @pytest.mark.parametrize("p,q,order", [
+        (8.0, 8.0, "t_outer"), (2.0, 6.0, "t_outer"), (math.inf, 2.0, "t_outer"),
+        (3.0, math.inf, "t_outer"), (math.inf, math.inf, "t_outer"),
+        (2.0, math.inf, "x_outer"), (math.inf, math.inf, "x_outer"),
+    ])
+    def test_blocks_equal_one_block(self, rng, rows, p, q, order):
+        # each row's x reduction, and the running max over t, are exact in blocks
+        g = Grid(64, 3.0)
+        stf = SpaceTimeField(g, 2.0, rng.standard_normal((48, 64)))
+        blocks = (stf.values[i:i + rows].copy() for i in range(0, stf.n_t, rows))
+        assert mixed_norm_blocks(blocks, g.dx, stf.dt, p, q, order) == \
+            mixed_norm(stf, p, q, order)
+
+    def test_x_outer_finite_q_takes_one_block(self, rng):
+        v = rng.standard_normal((8, 64))
+        with pytest.raises(ConfigError, match="one block"):
+            mixed_norm_blocks([v[:4], v[4:]], 0.1, 0.1, 2.0, 2.0, "x_outer")
 
     def test_triangle_inequality(self, rng):
         g = Grid(64, 3.0)
