@@ -437,7 +437,7 @@ class TestOrbitBlocks:
 
     def test_pair_holds_less_than_one_orbit(self):
         # the whole 1024 x 512 orbit of 2.03's window_x2 takes 4 MiB, and
-        # synthesized at once, a pair's peak was about 15 MiB
+        # synthesized whole, a pair's peak was about 12 MiB
         ens = default_ensemble("2.03", 5, 1).refined("window_x2")
         u0 = ens.draw(0)
         ratio_pair_for_tag(ens, "2.03", u0)  # builds the phase table outside the trace
