@@ -9,11 +9,11 @@ section names, then main rejects every key left unread, all before
 --out exists.  Then the command writes its artifacts into --out and main
 drops a manifest.json (argv, config, seed, version, wall clock)
 sufficient to reproduce the run bit-exactly.  [sweep-gamma] sets the
-X^s trace exponent with its `s` key only.
+X^s trace exponent with its `s` key; no other command has a key for it.
 
 Exit codes, each with a one-line message: 0 success, 1 configuration or
-input error, 2 run aborted (numerical failure), 3 invariant violation
-(invariants command only); the README lists the cases.
+input error (a ConfigError or OSError), 2 run aborted (a RunAborted), 3
+invariant violation (invariants command only); the README lists the cases.
 
 OSTROVSKY_LOG in {error, info, debug} controls stderr logging.
 """
@@ -32,9 +32,7 @@ import numpy as np
 
 from . import __version__
 from .config import Config, RunManifest, load_config
-from .errors import (BlowupError, BoxTooSmallError, ConfigError, ContractionFailureError,
-                     LatticeSizeError, MeanZeroViolation, NonFiniteError, QuadratureAccuracyError,
-                     SolitonResidualError)
+from .errors import ConfigError, RunAborted
 from .estimates import default_ensemble, run_ensemble
 from .io import ensure_dir, fmt, read_snapshot, svg_loglog, write_csv, write_json, write_snapshot
 from .kernel import (KernelSpec, kernel_mixed_norm, region_decay_check, require_mixed_exponent,
@@ -88,13 +86,9 @@ def _jobs(args) -> dict:
     return {} if args.jobs is None else {"jobs": args.jobs}
 
 
-def _solver_config(section, grid: Grid, gamma=None, trace_key="trace_s") -> SolverConfig:
-    """SolverConfig from the section; trace_key is the key read into trace_s."""
-    options = _given(section, integrator=section.get_str, cfl_safety=section.get_float)
-    if trace_key in section.keys():
-        options["trace_s"] = section.get_float(trace_key)
-    if "nonlinearity" in section.keys():
-        options["include_nonlinearity"] = section.get_int("nonlinearity") != 0
+def _solver_config(section, grid: Grid, gamma=None, **options) -> SolverConfig:
+    """SolverConfig from the section's equation and step keys and its
+    `integrator`; options are the further fields the command sets."""
     return SolverConfig(
         beta=section.get_float("beta"),
         gamma=section.get_float("gamma") if gamma is None else gamma,
@@ -102,8 +96,16 @@ def _solver_config(section, grid: Grid, gamma=None, trace_key="trace_s") -> Solv
         dt=section.get_float("dt"),
         t_end=section.get_float("t_end"),
         grid=grid,
+        **_given(section, integrator=section.get_str),
         **options,
     )
+
+
+def _nonlinearity(section) -> dict:
+    """include_nonlinearity from the `nonlinearity` key, when given."""
+    if "nonlinearity" not in section.keys():
+        return {}
+    return {"include_nonlinearity": section.get_int("nonlinearity") != 0}
 
 
 def _initial_field(section, grid: Grid, cfg: SolverConfig) -> Field:
@@ -137,7 +139,7 @@ def _initial_field(section, grid: Grid, cfg: SolverConfig) -> Field:
 
 def cmd_solve(section, args):
     grid = _grid_from(section)
-    cfg = _solver_config(section, grid)
+    cfg = _solver_config(section, grid, **_nonlinearity(section))
     u0 = _initial_field(section, grid, cfg)
     snapshot_every = section.get_int("snapshot_every", 10)
     require_snapshot_every(snapshot_every)
@@ -160,12 +162,12 @@ def cmd_solve(section, args):
 def cmd_sweep_gamma(section, args):
     grid = _grid_from(section)
     section.get_float("gamma", 1.0)  # accepted but unused: each sweep point sets gamma
-    template = _solver_config(section, grid, gamma=1.0, trace_key="s")
+    trace = {"trace_s": section.get_float("s")} if "s" in section.keys() else {}
+    template = _solver_config(section, grid, gamma=1.0, **trace, **_nonlinearity(section))
     sweep = SweepConfig(
         template=template,
         t_compare=section.get_float("t_compare"),
-        **_given(section, gammas=section.get_floats, snapshot_every=section.get_int,
-                 floor_factor=section.get_float),
+        **_given(section, gammas=section.get_floats, snapshot_every=section.get_int),
     )
     u0 = _initial_field(section, grid, template)  # mean-checked: every sweep gamma > 0
 
@@ -282,15 +284,11 @@ def cmd_picard_check(section, args):
     delta = section.get_float("delta")
     n_iters = section.get_int("iterations", 12)
     picard_lattice(cfg, delta, n_iters)
-    cross_check = section.get_int("cross_check", 1)
 
     def run(out):
         stf, diffs = picard_iterate(u0, cfg, delta, n_iters)
         final = Field.from_samples(grid, stf.values[-1])
-        cross = None
-        if cross_check:
-            traj = evolve(u0, cfg.replace(t_end=delta), snapshot_every=10**9)
-            cross = (traj.final() - final).l2_norm()
+        traj = evolve(u0, cfg.replace(t_end=delta), snapshot_every=10**9)
         u0_l2 = max(u0.l2_norm(), 1e-300)
         converged = bool(diffs and diffs[-1] < PICARD_TOLERANCE * u0_l2)
         factors = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
@@ -303,7 +301,7 @@ def cmd_picard_check(section, args):
             "iterations": len(diffs),
             "differences": list(map(float, diffs)),
             "contraction_factors": list(map(float, factors)),
-            "evolve_cross_check_l2": cross,
+            "evolve_cross_check_l2": (traj.final() - final).l2_norm(),
             "delta": delta,
         })
         log.info("picard: converged=%s after %d iterations", converged, len(diffs))
@@ -321,10 +319,8 @@ def cmd_invariants(section, args):
         beta=float(header["beta"]), gamma=float(header["gamma"]), k=int(header["k"]),
         dt=horizon, t_end=horizon, grid=grid,
     )
-    dt = section.get_float("dt", 0.0)
-    if dt <= 0:
-        # half the step the CFL guard admits, shortened to divide the horizon
-        dt = horizon / max(1, int(math.ceil(horizon / (0.5 * cfg.timestep_bound(field)))))
+    # half the step the CFL guard admits, shortened to divide the horizon
+    dt = horizon / max(1, int(math.ceil(horizon / (0.5 * cfg.timestep_bound(field)))))
     cfg = cfg.replace(dt=dt)
 
     def run(out):
@@ -416,12 +412,10 @@ def main(argv=None) -> int:
                     out_dir=str(out), version=__version__, wall_clock_s=time.time() - t0,
                     counts=counts, started_unix=t0).write(os.path.join(out, "manifest.json"))
         return code
-    except (ConfigError, LatticeSizeError, MeanZeroViolation, OSError,
-            SolitonResidualError) as err:
+    except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    except (BlowupError, BoxTooSmallError, ContractionFailureError, NonFiniteError,
-            QuadratureAccuracyError) as err:
+    except RunAborted as err:
         print(f"run aborted: {err}", file=sys.stderr)
         return 2
 

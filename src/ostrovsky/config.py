@@ -2,14 +2,16 @@
 
 Config files are plain text: `[section]` headers, `key = value` lines,
 `#` comments.  Values stay strings until a typed accessor asks for them,
-so error messages can name the offending key and file.  A section
-remembers which keys were asked for, so a command can reject the keys
-it never read (a misspelt key would otherwise be silently ignored).
+so error messages can name the offending key and file; a number that is
+nan or +-inf is malformed.  A section remembers which keys were asked
+for, so a command can reject the keys it never read (a misspelt key
+would otherwise be silently ignored).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import platform
 import time
 from dataclasses import asdict, dataclass, field
@@ -60,7 +62,7 @@ class Section:
             raise ConfigError(f"{self.source}: key `{key}` = {raw!r} is not {kind}") from err
 
     def get_float(self, key: str, default=None) -> float:
-        return self._lookup(key, default, float, "a number")
+        return self._lookup(key, default, _finite_float, "a finite number")
 
     def get_int(self, key: str, default=None) -> int:
         return self._lookup(key, default, int, "an integer")
@@ -69,7 +71,7 @@ class Section:
         return self._lookup(key, default, str, "a string")
 
     def get_floats(self, key: str, default=None) -> tuple:
-        return self._lookup(key, default, _float_list, "a number list")
+        return self._lookup(key, default, _float_list, "a list of finite numbers")
 
     def keys(self):
         return self._values.keys()
@@ -83,8 +85,15 @@ class Section:
                     f"{self.source}:{self._lines[key]}: unknown key `{key}` in [{self.name}]")
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _float_list(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    return tuple(_finite_float(tok) for tok in raw.replace(",", " ").split())
 
 
 def parse_config_text(text: str, source: str = "<memory>") -> Config:

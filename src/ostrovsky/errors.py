@@ -1,11 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  The type sets the CLI's
+exit code: 1 for a ConfigError (bad input), 2 for a RunAborted."""
 
 
 class ConfigError(ValueError):
     """A configuration value violates a documented precondition."""
 
 
-class MeanZeroViolation(ValueError):
+class RunAborted(RuntimeError):
+    """A run stopped on a numerical failure."""
+
+
+class MeanZeroViolation(ConfigError):
     """An operator that needs mean-zero input saw a nonzero mean."""
 
     def __init__(self, mean, message=None):
@@ -13,11 +18,11 @@ class MeanZeroViolation(ValueError):
         super().__init__(message or f"field is not mean-zero (mean = {mean!r})")
 
 
-class NonFiniteError(FloatingPointError):
+class NonFiniteError(RunAborted):
     """A pointwise power or update produced inf/nan."""
 
 
-class BlowupError(RuntimeError):
+class BlowupError(RunAborted):
     """Time stepping detected blowup; carries the offending step index."""
 
     def __init__(self, step_index, diagnostics=""):
@@ -26,7 +31,7 @@ class BlowupError(RuntimeError):
         super().__init__(f"blowup detected at step {step_index}: {diagnostics}")
 
 
-class SolitonResidualError(ValueError):
+class SolitonResidualError(ConfigError):
     """Traveling-wave ansatz failed its residual gate (wrong constants)."""
 
     def __init__(self, residual, gate):
@@ -35,7 +40,7 @@ class SolitonResidualError(ValueError):
         super().__init__(f"soliton residual {residual:.3e} exceeds gate {gate:.1e}")
 
 
-class ContractionFailureError(RuntimeError):
+class ContractionFailureError(RunAborted):
     """Fixed-point iteration stopped contracting (window too long)."""
 
     def __init__(self, factors):
@@ -43,7 +48,7 @@ class ContractionFailureError(RuntimeError):
         super().__init__(f"iteration not contracting; successive ratios {self.factors}")
 
 
-class QuadratureAccuracyError(RuntimeError):
+class QuadratureAccuracyError(RunAborted):
     """Oscillatory quadrature could not meet the requested tolerance."""
 
     def __init__(self, achieved, requested):
@@ -54,9 +59,5 @@ class QuadratureAccuracyError(RuntimeError):
         )
 
 
-class BoxTooSmallError(RuntimeError):
+class BoxTooSmallError(RunAborted):
     """Truncated (x, t) box leaves more than the allowed tail mass."""
-
-
-class LatticeSizeError(ValueError):
-    """Requested space-time lattice exceeds the cost guard."""

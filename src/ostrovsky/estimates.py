@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LatticeSizeError
+from .errors import ConfigError
 from .norms import SpaceTimeField, mixed_norm_blocks, window_bump
 from .pool import pool_map
 from .spectral import (Field, Grid, MultiplierSpec, PhaseSymbol, angular_frequencies, dft,
@@ -438,9 +438,6 @@ def bilinear_ratio(ens: Ensemble, s: float, jobs: int = 1) -> RatioReport:
     return _ratio_report(tag, ens.n_draws, lambda name: pair, REFINEMENTS["2.027"], jobs)
 
 
-MULTILINEAR_CELL_GUARD = 256
-
-
 def _multilinear_weights(n_cells: int, dxi: float, dtau: float,
                          symbol: PhaseSymbol, s: float, b: float, epsilon: float):
     half = n_cells // 2
@@ -483,10 +480,6 @@ def multilinear_ratio(ens: Ensemble, k: int = 5, n_cells: int = 64,
     the spacing at a fixed box extent; it and the base lattice draw with
     RNG salts 1 and 0.
     """
-    if n_cells > MULTILINEAR_CELL_GUARD:
-        raise LatticeSizeError(
-            f"{n_cells}^2 cells per factor exceeds the {MULTILINEAR_CELL_GUARD}^2 guard"
-        )
     s = 0.5 - 2.0 / k + 2.0 * ens.epsilon
     dxi = 2.0 * math.pi / ens.grid.length
     dtau = 2.0 * math.pi / ens.t_window

@@ -31,6 +31,7 @@ DEFAULT_GAMMAS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
 L2_DRIFT_GATE = 1e-8
 HAMILTONIAN_DRIFT_GATE = 1e-6
+FLOOR_FACTOR = 10.0  # an error within this factor of the self-error is floor-limited
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,6 @@ class SweepConfig:
     t_compare: float
     gammas: tuple = DEFAULT_GAMMAS
     snapshot_every: int = 10
-    floor_factor: float = 10.0
 
     def __post_init__(self):
         gs = tuple(float(g) for g in self.gammas)
@@ -130,7 +130,7 @@ def rotation_limit_sweep(cfg: SweepConfig, u0: Field) -> RateReport:
     grids and time steps, as the rows of one stacked state (each run
     alone when any blows up); fit log e(gamma) against log gamma.
 
-    Points whose error sits within floor_factor of the measured solver
+    Points whose error sits within FLOOR_FACTOR of the measured solver
     self-error are flagged floor-limited and excluded from the fit.
     Sweep points that blow up are recorded as failures and skipped.
     """
@@ -167,7 +167,7 @@ def rotation_limit_sweep(cfg: SweepConfig, u0: Field) -> RateReport:
         _l2_distance(_field_at_time(results[g], cfg.t_compare), v_t) for g in gammas_ok
     ])
     conservation = np.array([conservation_drift(results[g])[2] for g in gammas_ok])
-    floor_flags = errors <= cfg.floor_factor * max(self_error, 1e-300)
+    floor_flags = errors <= FLOOR_FACTOR * max(self_error, 1e-300)
 
     usable = (~floor_flags) & conservation
     if np.sum(usable) >= 2:

@@ -66,6 +66,7 @@ log = logging.getLogger("ostrovsky")
 MEAN_ZERO_ATOL = 1e-13
 BLOWUP_L2_FACTOR = 10.0
 PICARD_TOLERANCE = 1e-10  # picard_iterate converges below this times ||u0||
+CFL_SAFETY = 0.5  # the share of dx / max(1, max|u|)^k that a step may take
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,6 @@ class SolverConfig:
     t_end: float
     grid: Grid
     integrator: str = "ifrk4"
-    cfl_safety: float = 0.5
     include_nonlinearity: bool = True
     trace_s: float = 2.0
 
@@ -96,8 +96,6 @@ class SolverConfig:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if self.integrator not in ("ifrk4", "split_step"):
             raise ConfigError(f"integrator must be ifrk4 or split_step, got {self.integrator!r}")
-        if not 0 < self.cfl_safety <= 1:
-            raise ConfigError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if self.k < 5:
             log.warning("k = %d is below the k >= 5 well-posedness range", self.k)
 
@@ -110,9 +108,9 @@ class SolverConfig:
 
     def timestep_bound(self, u: Field) -> float:
         """Largest dt the CFL-style guard admits for data u:
-        cfl_safety * dx / max(1, max|u|)^k."""
+        CFL_SAFETY * dx / max(1, max|u|)^k."""
         umax = float(np.max(np.abs(u.samples())))
-        return self.cfl_safety * self.grid.dx / max(1.0, umax) ** self.k
+        return CFL_SAFETY * self.grid.dx / max(1.0, umax) ** self.k
 
     def validate_timestep(self, u0: Field):
         """CFL-style guard: dt <= timestep_bound(u0)."""

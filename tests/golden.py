@@ -9,12 +9,10 @@ the file again with
 
     PYTHONPATH=src python tests/golden.py
 
-from the repository root.  Hashes always come from the fresh run.  When
-a config's tolerance basis is unchanged and every fresh number lies
-within the recorded tolerance of the recorded one (a last-digit change),
-that config's recorded numbers and tolerances are kept, so such a record
-changes only hashes; otherwise all of them are recorded again from the
-fresh run, and the old and new values belong in CHANGES.md.
+from the repository root.  Every number, tolerance and hash comes from
+the fresh runs, so a re-record on an unchanged tree leaves the file as it
+is, and the moves of a change show in the file's diff; the old and new
+values belong in CHANGES.md.
 
     PYTHONPATH=src python tests/golden.py --moves [KEY ...]
 
@@ -476,9 +474,9 @@ def report_moves(keys) -> int:
                 outside = ""
             except AssertionError as error:
                 outside = str(error)
-            kept = within_tolerance(fresh, old[key])
-            failed = failed or not kept
-            verdict = ("numbers within tolerance" if kept else
+            within = within_tolerance(fresh, old[key])
+            failed = failed or not within
+            verdict = ("numbers within tolerance" if within else
                        "numbers OUTSIDE tolerance" if outside else "tolerance basis changed")
             print(f"{key}: {verdict}; {hash_state(key, fresh, old[key])}")
             recorded = {name: leaf for name, leaf in old[key]["numbers"].items()
@@ -492,15 +490,10 @@ def report_moves(keys) -> int:
 
 
 def main_record() -> int:
-    """Write tests/golden.json from fresh runs, keeping an entry's recorded
-    numbers and tolerances when every fresh number lies within them."""
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    """Write tests/golden.json from fresh runs."""
     with tempfile.TemporaryDirectory() as tmp:
         golden = {stem: record(stem, Path(tmp) / stem) for stem in SHIPPED}
     golden[ZOO] = record_zoo()
-    for key, fresh in golden.items():
-        if key in old and within_tolerance(fresh, old[key]):
-            fresh["numbers"] = old[key]["numbers"]
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -10,15 +10,19 @@ import numpy as np
 import pytest
 
 import ostrovsky
-from ostrovsky import cli
+from ostrovsky import cli, errors
 from ostrovsky.cli import main
 from ostrovsky.config import parse_config_text
 from ostrovsky.errors import (
+    BlowupError,
     BoxTooSmallError,
     ConfigError,
-    LatticeSizeError,
+    ContractionFailureError,
     MeanZeroViolation,
+    NonFiniteError,
     QuadratureAccuracyError,
+    RunAborted,
+    SolitonResidualError,
 )
 from ostrovsky.io import read_snapshot, write_snapshot
 from ostrovsky.kernel import KernelSpec
@@ -76,6 +80,34 @@ def file_initial(text, snap):
     return text.replace("amplitude = 0.4\n", "").replace("width = 2.0\n", "")
 
 
+def assert_appended_key_unknown(tmp_path, capsys, stem, command, key, value, extra=()):
+    """The shipped config stem with `key = value` appended exits 1 with one
+    line naming file, line and key, before --out exists."""
+    text = (CONFIGS / f"{stem}.cfg").read_text().rstrip("\n") + f"\n{key} = {value}\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *extra]) == 1
+    line = len(text.splitlines())
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}:{line}: unknown key `{key}` in [{command}]\n")
+    assert not out.exists()
+
+
+# one instance of every exception type in ostrovsky.errors, with the exit
+# code main maps it to
+EXIT_CODES = [
+    (MeanZeroViolation(0.5), 1),
+    (SolitonResidualError(2.58e-3, 1e-8), 1),
+    (QuadratureAccuracyError(1e-6, 1e-9), 2),
+    (BoxTooSmallError("tail fraction 2% exceeds 1%"), 2),
+    (ConfigError("key `n` = 'abc' is not an integer"), 1),
+    (RunAborted("run stopped"), 2),
+    (BlowupError(3, "Hamiltonian overflowed"), 2),
+    (ContractionFailureError([0.4, 1.2]), 2),
+    (NonFiniteError("u^(k+1) overflowed"), 2),
+]
+
+
 class TestConfigFormat:
     def test_sections_and_comments(self):
         cfg = parse_config_text("[a]\nx = 1  # trailing\n# full line\n[b]\ny = two words\n")
@@ -121,15 +153,8 @@ class TestUnknownKeys:
         ("probe_kernel", "probe-kernel"),
     ], ids=lambda value: value)
     def test_shipped_config_with_a_misspelt_key_exits_one(self, tmp_path, capsys, stem, command):
-        text = (CONFIGS / f"{stem}.cfg").read_text().rstrip("\n") + "\nnonlinarity = 0\n"
-        cfg = write_cfg(tmp_path, text)
-        out = tmp_path / "out"
         extra = ["--which", "2.057"] if command == "probe-estimates" else []
-        assert main([command, "--config", cfg, "--out", str(out)] + extra) == 1
-        line = len(text.splitlines())
-        assert capsys.readouterr().err == (
-            f"config error: {cfg}:{line}: unknown key `nonlinarity` in [{command}]\n")
-        assert not out.exists()
+        assert_appended_key_unknown(tmp_path, capsys, stem, command, "nonlinarity", "0", extra)
 
     def test_invariants_with_a_misspelt_key_exits_one(self, tmp_path, capsys):
         cfg = write_invariants_cfg(tmp_path, lambda lines: lines)
@@ -142,22 +167,39 @@ class TestUnknownKeys:
 
     def test_sweep_trace_s_is_unknown(self, tmp_path, capsys):
         # [sweep-gamma] sets the X^s exponent with `s` alone
-        text = (CONFIGS / "sweep_gamma.cfg").read_text() + "trace_s = 1.0\n"
-        cfg = write_cfg(tmp_path, text)
+        assert_appended_key_unknown(tmp_path, capsys, "sweep_gamma", "sweep-gamma",
+                                    "trace_s", "1.0")
+
+    @pytest.mark.parametrize("stem,command,key,value", [
+        ("solve", "solve", "cfl_safety", "0.5"),
+        ("solve", "solve", "trace_s", "1.0"),
+        ("sweep_gamma", "sweep-gamma", "cfl_safety", "0.5"),
+        ("sweep_gamma", "sweep-gamma", "floor_factor", "10.0"),
+        ("picard", "picard-check", "cfl_safety", "0.5"),
+        ("picard", "picard-check", "trace_s", "1.0"),
+        ("picard", "picard-check", "nonlinearity", "0"),
+        ("picard", "picard-check", "cross_check", "0"),
+    ], ids=lambda value: value)
+    def test_retired_key_exits_one(self, tmp_path, capsys, stem, command, key, value):
+        # the CFL safety share, the sweep's floor factor, the trace exponent
+        # outside [sweep-gamma] and the Picard switches are fixed, not keys
+        assert_appended_key_unknown(tmp_path, capsys, stem, command, key, value)
+
+    def test_invariants_dt_is_unknown(self, tmp_path, capsys):
+        # invariants takes its step from the CFL bound of the snapshot
+        cfg = write_invariants_cfg(tmp_path, lambda lines: lines)
+        Path(cfg).write_text(Path(cfg).read_text() + "dt = 0.01\n")
         out = tmp_path / "out"
-        assert main(["sweep-gamma", "--config", cfg, "--out", str(out)]) == 1
-        line = len(text.splitlines())
+        assert main(["invariants", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            f"config error: {cfg}:{line}: unknown key `trace_s` in [sweep-gamma]\n")
+            f"config error: {cfg}:4: unknown key `dt` in [invariants]\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,stage,text", [
         ("solve", "evolve",
          (CONFIGS / "soliton.cfg").read_text().replace("gamma = 0.0", "gamma = 0.5")),
-        ("picard-check", "picard_iterate",
-         PICARD_CFG.format(initial="gaussian") + "cross_check = 0\n"),
         ("sweep-gamma", "rotation_limit_sweep", (CONFIGS / "sweep_gamma.cfg").read_text()),
-    ], ids=["keep_background_at_positive_gamma", "cross_check", "sweep_gamma"])
+    ], ids=["keep_background_at_positive_gamma", "sweep_gamma"])
     def test_keys_used_in_some_cases_only_are_accepted(self, tmp_path, monkeypatch,
                                                        command, stage, text):
         class Reached(Exception):
@@ -298,12 +340,7 @@ class TestSolveCommand:
         assert err.startswith("config error:") and "mean-zero" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("error,code", [
-        (MeanZeroViolation(0.5), 1),
-        (LatticeSizeError("lattice too large"), 1),
-        (QuadratureAccuracyError(1e-6, 1e-9), 2),
-        (BoxTooSmallError("tail fraction 2% exceeds 1%"), 2),
-    ])
+    @pytest.mark.parametrize("error,code", EXIT_CODES)
     def test_numerical_errors_map_to_exit_codes(self, tmp_path, capsys, monkeypatch, error, code):
         def fail(*args, **kwargs):
             raise error
@@ -313,6 +350,11 @@ class TestSolveCommand:
         assert main(["probe-kernel", "--config", cfg, "--out", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and str(error) in err
+
+    def test_every_error_type_has_an_exit_code_case(self):
+        types = {value for value in vars(errors).values()
+                 if isinstance(value, type) and issubclass(value, Exception)}
+        assert types == {type(error) for error, _ in EXIT_CODES}
 
     def test_config_file_not_mutated(self, tmp_path):
         cfg = write_cfg(tmp_path, SOLVE_CFG)
@@ -353,13 +395,28 @@ class TestInputErrors:
          "delta = 1e+308 is not a finite number of steps of dt = 0.0001"),
         ("picard-check", (CONFIGS / "picard.cfg").read_text().replace("delta = 0.05",
                                                                       "delta = inf"),
-         "delta = inf is not a finite number of steps of dt = 0.0001"),
+         "key `delta` = 'inf' is not a finite number"),
         ("probe-estimates", "[probe-estimates]\nseed = -1\n", "seed must be non-negative, got -1"),
+        ("solve", (CONFIGS / "solve.cfg").read_text().replace("amplitude = 0.5",
+                                                              "amplitude = inf"),
+         "key `amplitude` = 'inf' is not a finite number"),
+        ("solve", (CONFIGS / "solve.cfg").read_text().replace("L = 80.0", "L = -inf"),
+         "key `L` = '-inf' is not a finite number"),
+        ("solve", (CONFIGS / "soliton.cfg").read_text().replace("speed = 0.7", "speed = nan"),
+         "key `speed` = 'nan' is not a finite number"),
+        ("sweep-gamma", (CONFIGS / "sweep_gamma.cfg").read_text().replace("1e-3", "nan"),
+         "key `gammas` = '1e-1 3e-2 1e-2 3e-3 nan' is not a list of finite numbers"),
+        ("probe-kernel", (CONFIGS / "probe_kernel.cfg").read_text().replace("64", "inf"),
+         "key `blocks` = '16 32 inf' is not a list of finite numbers"),
+        ("probe-estimates", "[probe-estimates]\nt_window = nan\n",
+         "key `t_window` = 'nan' is not a finite number"),
     ], ids=["soliton_on_a_coarse_grid", "picard_delta_below_two_steps", "picard_no_iterations",
             "kernel_gamma_exp", "kernel_block_below_threshold", "kernel_no_samples",
             "estimates_odd_n_t", "solve_no_snapshot_cadence", "sweep_no_snapshot_cadence",
             "sweep_compare_time_off_snapshots", "picard_delta_1e308", "picard_delta_inf",
-            "estimates_negative_seed_key"])
+            "estimates_negative_seed_key", "solve_amplitude_inf", "solve_length_minus_inf",
+            "soliton_speed_nan", "sweep_gammas_nan", "kernel_blocks_inf",
+            "estimates_window_nan"])
     def test_read_phase_rejects(self, tmp_path, capsys, command, text, message):
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
@@ -419,14 +476,13 @@ class TestPicardCommand:
         assert all(r < 0.5 for r in report["contraction_factors"])
         assert report["evolve_cross_check_l2"] < 1e-6
 
-    @pytest.mark.parametrize("cross_check", [1, 0])
-    def test_nonzero_mean_snapshot_exits_one_before_out(self, tmp_path, capsys, cross_check):
+    def test_nonzero_mean_snapshot_exits_one_before_out(self, tmp_path, capsys):
         grid = Grid(128, 20.0)
         snap = tmp_path / "snap.dat"
         field = gaussian_bump(grid, amplitude=0.3, width=2.0)
         write_snapshot(snap, Field.from_samples(grid, field.samples() + 0.1), -1.0, 1.0, 5, 0.0)
         text = PICARD_CFG.format(initial=f"file:{snap}").replace("amplitude = 0.3\n", "")
-        text = text.replace("width = 2.0\nh1_norm = 0.1\n", f"cross_check = {cross_check}\n")
+        text = text.replace("width = 2.0\nh1_norm = 0.1\n", "")
         cfg = write_cfg(tmp_path, text)
         assert main(["picard-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err

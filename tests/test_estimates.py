@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ostrovsky import estimates
-from ostrovsky.errors import ConfigError, LatticeSizeError
+from ostrovsky.errors import ConfigError
 from ostrovsky.estimates import (
     ALL_TAGS,
     LAWS,
@@ -197,10 +197,6 @@ class TestMultilinear:
             inner_w[xi_idx, tau_idx] ** (k + 1) * (dxi * dtau) ** (k + 1)
         lhs = _one_cell_lhs(ens, k, n_cells, xi_idx, tau_idx)
         assert lhs == pytest.approx(direct, rel=1e-12)
-
-    def test_lattice_guard(self):
-        with pytest.raises(LatticeSizeError):
-            multilinear_ratio(default_ensemble("3.03", 13, 1), k=5, n_cells=512)
 
     def test_refinement_stable(self):
         rep = multilinear_ratio(default_ensemble("3.03", 13, 5), k=5, n_cells=32)

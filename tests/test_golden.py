@@ -1,5 +1,7 @@
-"""golden.py --moves: the report of how fresh runs move against golden.json."""
+"""golden.py: the record of fresh numbers, and the --moves report of how
+fresh runs move against golden.json."""
 
+import copy
 import json
 
 import golden
@@ -44,3 +46,19 @@ class TestMovesReport:
         for group in ("difference", "evolve_cross_check_l2"):
             line = _group_line(lines, group)
             assert line[3] == line[5] == line[-1] == "0"
+
+
+class TestRecord:
+    def test_fresh_number_within_tolerance_is_written(self, tmp_path, monkeypatch):
+        recorded = json.loads(golden.GOLDEN.read_text())
+        fresh = copy.deepcopy(recorded)
+        leaf = fresh["picard"]["numbers"]["evolve_cross_check_l2"]
+        leaf["value"] += 0.5 * leaf["tolerance"]
+        path = tmp_path / "golden.json"
+        path.write_bytes(golden.GOLDEN.read_bytes())
+        monkeypatch.setattr(golden, "GOLDEN", path)
+        monkeypatch.setattr(golden, "record", lambda stem, out: copy.deepcopy(fresh[stem]))
+        monkeypatch.setattr(golden, "record_zoo", lambda: copy.deepcopy(fresh[golden.ZOO]))
+        assert golden.within_tolerance(fresh["picard"], recorded["picard"])
+        assert golden.run([]) == 0
+        assert json.loads(path.read_text()) == fresh

@@ -15,6 +15,7 @@ from ostrovsky.errors import (
 )
 from ostrovsky.norms import h_s_norm
 from ostrovsky.solver import (
+    CFL_SAFETY,
     SOLITON_OVERSAMPLING,
     SolverConfig,
     _evolve_rows,
@@ -395,7 +396,7 @@ class TestEvolve:
         fine = evolve(u0, cfg.replace(dt=1e-3), snapshot_every=1)
         peak = max(np.max(np.abs(f.samples())) for f in fine.fields)
         assert peak > 1.5
-        safe = cfg.replace(dt=0.9 * cfg.cfl_safety * g.dx / peak**cfg.k)
+        safe = cfg.replace(dt=0.9 * CFL_SAFETY * g.dx / peak**cfg.k)
         assert evolve(u0, safe, snapshot_every=2).times[-1] == 0.5
 
     @pytest.mark.parametrize("integrator,nonlinearity,per_step", [
