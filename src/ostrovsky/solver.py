@@ -9,7 +9,10 @@ antiderivative multiplier is then never evaluated.
 
 Also provides the short-time fixed-point iteration of the integral
 (Duhamel) form of the equation, used as an independent oracle for the
-time stepper.
+time stepper.  It holds the propagator table and one iterate over the
+time lattice and applies each map to the iterate in place, PICARD_BLOCK
+rows at a time, so its working set is three lattice arrays (with the
+returned samples) plus one block, whatever the lattice's length.
 
 The stepper and the fixed-point lattice hold half spectra: the modes
 0..n/2 of a real field (see spectral), what rfft returns, so every
@@ -67,6 +70,7 @@ MEAN_ZERO_ATOL = 1e-13
 BLOWUP_L2_FACTOR = 10.0
 PICARD_TOLERANCE = 1e-10  # picard_iterate converges below this times ||u0||
 CFL_SAFETY = 0.5  # the share of dx / max(1, max|u|)^k that a step may take
+PICARD_BLOCK = 64  # lattice rows per block of a Picard map; no value depends on it
 
 
 @dataclass(frozen=True)
@@ -291,6 +295,27 @@ def check_initial_mean(u0: Field, cfg: SolverConfig):
                                 f"gamma > 0 (mean = {u0.mean():.3g})")
 
 
+def check_initial_data(u0: Field, cfg: SolverConfig):
+    """Raise ConfigError for initial data on which evolve aborts at step 0:
+    non-finite samples, a CFL bound whose max(1, max|u0|)^k overflows, a
+    t = 0 Hamiltonian that overflows, or (check_initial_mean) a nonzero
+    mean where gamma > 0."""
+    with np.errstate(all="ignore"):
+        samples = u0.samples()
+        if not np.isfinite(samples).all():
+            raise ConfigError("initial data has non-finite samples")
+        try:
+            cfg.timestep_bound(u0)
+        except OverflowError:
+            raise ConfigError(f"max|u0|^k overflows the CFL bound (max|u0| = "
+                              f"{np.max(np.abs(samples)):g}, k = {cfg.k})") from None
+        try:
+            hamiltonian(u0, cfg)
+        except NonFiniteError as err:
+            raise ConfigError(f"initial data: {err}") from None
+    check_initial_mean(u0, cfg)
+
+
 def require_snapshot_every(snapshot_every: int):
     """ConfigError unless evolve gets a positive snapshot cadence."""
     if snapshot_every <= 0:
@@ -374,7 +399,9 @@ def _evolve_rows(u0: Field, cfgs: list, snapshot_every: int) -> list:
 
 def gaussian_bump(grid: Grid, amplitude: float = 0.5, width: float = 2.0) -> Field:
     """Mean-projected Gaussian bump centred in the box, the standard smooth
-    test datum."""
+    test datum; ConfigError unless width > 0."""
+    if not width > 0:
+        raise ConfigError(f"width must be positive, got {width}")
     u = amplitude * np.exp(-(((grid.x - 0.5 * grid.length) / width) ** 2))
     return project_zero_mean(Field.from_samples(grid, u))
 
@@ -476,6 +503,14 @@ def picard_iterate(u0: Field, cfg: SolverConfig, delta: float, n_iters: int):
     The smooth time cutoff of the integral formulation is identically 1
     on [0, delta] and therefore drops out.
 
+    Each map overwrites the one iterate in place, PICARD_BLOCK lattice
+    rows at a time: row l of v^{m+1} reads v^m only at rows <= l, through
+    the running trapezoid sum, so a block needs only the last flux row
+    and prefix of the block before it, and takes its rows' differences
+    before it overwrites them.  The working set is the propagator table,
+    the iterate and the returned samples, plus one block; every number
+    equals that of the map over the whole lattice at once, bit for bit.
+
     Returns (SpaceTimeField over the lattice, successive sup-in-time L2
     differences).  Convergence is declared when the latest difference
     falls below PICARD_TOLERANCE relative to ||u0||; three consecutive
@@ -484,36 +519,48 @@ def picard_iterate(u0: Field, cfg: SolverConfig, delta: float, n_iters: int):
     n_lat = picard_lattice(cfg, delta, n_iters)
     grid = cfg.grid
     t_lat = np.arange(n_lat + 1) * cfg.dt
-    # forward[l] = e^{-i t_l phi} (propagator), backward[l] its inverse,
-    # on the half spectrum as the whole lattice is
+    # forward[l] = e^{-i t_l phi} (propagator) on the half spectrum, as the
+    # whole lattice is
     forward = cfg.symbol.propagator(t_lat, half_spectrum(grid.wavenumbers))
-    backward = np.conj(forward)
     flux = _flux_table(grid, cfg.k)
     c0 = half_spectrum(u0.coeffs)
     weights = parseval_weights(grid.n_points)
+    h = 0.5 * cfg.dt
 
     u0_l2 = max(u0.l2_norm(), 1e-300)
     v = forward * c0[None, :]  # free evolution, iterate 0
 
-    def gamma_map(v_cur: np.ndarray) -> np.ndarray:
-        f = _nonlinear_coeffs(v_cur, cfg.k, flux)
-        # I(t_l) = U(t_l) * trapezoid_j<=l [ U(-t_j) f_j ], exact factors
-        g = backward * f
-        prefix = np.zeros_like(g)
-        prefix[1:] = np.cumsum(0.5 * cfg.dt * (g[1:] + g[:-1]), axis=0)
-        integral = forward * prefix
-        # nonlinear_term already carries the -(1/(k+1)) d/dx factors
-        return forward * c0[None, :] + integral
+    def gamma_map_in_place() -> float:
+        """v <- Gamma(v); returns the sup over rows of ||Gamma(v) - v||_L2."""
+        diff, g_last, prefix_last = 0.0, None, None
+        for start in range(0, n_lat + 1, PICARD_BLOCK):
+            rows = slice(start, min(start + PICARD_BLOCK, n_lat + 1))
+            # I(t_l) = U(t_l) * trapezoid_j<=l [ U(-t_j) f_j ], exact factors
+            f = _nonlinear_coeffs(v[rows], cfg.k, flux)
+            g = np.conj(forward[rows]) * f  # in this order: not bit-symmetric
+            # prefix[l] = prefix[l-1] + h*(g[l] + g[l-1]), the sequential sum
+            # np.cumsum forms over the lattice: the first increment starts it
+            prefix = np.empty_like(g)
+            prefix[1:] = h * (g[1:] + g[:-1])
+            if g_last is None:
+                prefix[0] = 0.0
+                np.cumsum(prefix[1:], axis=0, out=prefix[1:])
+            else:
+                prefix[0] = prefix_last + h * (g[0] + g_last)
+                np.cumsum(prefix, axis=0, out=prefix)
+            g_last, prefix_last = g[-1], prefix[-1]
+            # nonlinear_term already carries the -(1/(k+1)) d/dx factors
+            nxt = forward[rows] * c0[None, :] + forward[rows] * prefix
+            row_diffs = np.sqrt(grid.length * np.sum(weights * np.abs(nxt - v[rows]) ** 2, axis=1))
+            diff = max(diff, float(np.max(row_diffs)))
+            v[rows] = nxt
+        return diff
 
     diffs, ratios, bad_run = [], [], 0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_iters):
-            v_next = gamma_map(v)
-            diff = float(
-                np.max(np.sqrt(grid.length * np.sum(weights * np.abs(v_next - v) ** 2, axis=1)))
-            )
+            diff = gamma_map_in_place()
             diffs.append(diff)
-            v = v_next
             if len(diffs) >= 2 and diffs[-2] > 0:
                 r = diffs[-1] / diffs[-2]
                 ratios.append(r)

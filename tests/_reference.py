@@ -7,16 +7,21 @@ spectra, the oracle of spectral.analyze and of the solver's transforms
 through it.  And the estimate zoo's synthesis paths: tag 2.08's
 sup_x L2_t norm of the synthesized orbit, the oracle of its time-Gram
 closed form, and tag 3.03's convolution padded to the full linear
-length, the oracle of the smallest alias-free period."""
+length, the oracle of the smallest alias-free period.  And the Picard
+map over the whole time lattice at once, the oracle of picard_iterate's
+in-place blocks, and tag 3.03's full-period inverse transform, the oracle
+of its window rows."""
 
 import math
 
 import numpy as np
 
+from ostrovsky.errors import ContractionFailureError
 from ostrovsky.estimates import _multilinear_weights, propagator_orbit
-from ostrovsky.norms import mixed_norm
-from ostrovsky.solver import SOLITON_OVERSAMPLING, _int_power
-from ostrovsky.spectral import dealias_cutoff
+from ostrovsky.norms import SpaceTimeField, mixed_norm
+from ostrovsky.solver import (PICARD_TOLERANCE, SOLITON_OVERSAMPLING, _flux_table, _int_power,
+                              _nonlinear_coeffs, picard_lattice)
+from ostrovsky.spectral import dealias_cutoff, half_spectrum, parseval_weights, synthesize
 
 
 def complex_analysis(samples):
@@ -119,16 +124,61 @@ def reference_picard(u0, cfg, delta, n_iters):
     return np.fft.ifft(v * n, axis=1).real, diffs
 
 
+def whole_lattice_picard(u0, cfg, delta, n_iters):
+    """picard_iterate with each map formed over the whole lattice at once:
+    the backward table, the flux, the trapezoid prefix by one np.cumsum and
+    the next iterate, each a lattice-sized array."""
+    n_lat = picard_lattice(cfg, delta, n_iters)
+    grid = cfg.grid
+    t_lat = np.arange(n_lat + 1) * cfg.dt
+    forward = cfg.symbol.propagator(t_lat, half_spectrum(grid.wavenumbers))
+    backward = np.conj(forward)
+    flux = _flux_table(grid, cfg.k)
+    c0 = half_spectrum(u0.coeffs)
+    weights = parseval_weights(grid.n_points)
+
+    u0_l2 = max(u0.l2_norm(), 1e-300)
+    v = forward * c0[None, :]
+
+    def gamma_map(v_cur):
+        f = _nonlinear_coeffs(v_cur, cfg.k, flux)
+        g = backward * f
+        prefix = np.zeros_like(g)
+        prefix[1:] = np.cumsum(0.5 * cfg.dt * (g[1:] + g[:-1]), axis=0)
+        return forward * c0[None, :] + forward * prefix
+
+    diffs, ratios, bad_run = [], [], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_iters):
+            v_next = gamma_map(v)
+            diff = float(
+                np.max(np.sqrt(grid.length * np.sum(weights * np.abs(v_next - v) ** 2, axis=1)))
+            )
+            diffs.append(diff)
+            v = v_next
+            if len(diffs) >= 2 and diffs[-2] > 0:
+                r = diffs[-1] / diffs[-2]
+                ratios.append(r)
+                bad_run = bad_run + 1 if r >= 1.0 else 0
+                if bad_run >= 3:
+                    raise ContractionFailureError(ratios)
+            if diff < PICARD_TOLERANCE * u0_l2:
+                break
+
+    return SpaceTimeField(grid, (n_lat + 1) * cfg.dt, synthesize(v)), diffs
+
+
 def orbit_sup_x_l2_t(ens, u0, multiplier):
     """Linf_x L2_t norm of the windowed orbit of m(D) u0, synthesized on
     the grid at every window sample."""
     return mixed_norm(propagator_orbit(ens, u0, multiplier=multiplier), math.inf, 2.0, "x_outer")
 
 
-def full_pad_multilinear_pairs(ens, k, n_cells):
+def full_pad_multilinear_pairs(ens, k, n_cells, period=None):
     """pair_for(name) -> pair(i) of multilinear_ratio, its (k+1)-fold
-    convolution padded to the full linear length (k+1)(cells-1)+1, rounded
-    up to a power of two."""
+    convolution inverted by irfft2 over the whole period: period(k, cells),
+    or by default the full linear length (k+1)(cells-1)+1 rounded up to a
+    power of two."""
     s = 0.5 - 2.0 / k + 2.0 * ens.epsilon
     dxi = 2.0 * math.pi / ens.grid.length
     dtau = 2.0 * math.pi / ens.t_window
@@ -145,6 +195,8 @@ def full_pad_multilinear_pairs(ens, k, n_cells):
         pad = 1
         while pad < (k + 1) * (cells - 1) + 1:
             pad *= 2
+        if period is not None:
+            pad = period(k, cells)
         measure = dxi * dtau
 
         def pair(i):

@@ -278,19 +278,22 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "`beta`" in capsys.readouterr().err
 
-    def test_overflow_exits_two_with_one_line(self, tmp_path, capsys):
+    def test_overflowing_data_exits_one_before_out(self, tmp_path, capsys):
+        # u^6 would overflow at the first step, but u^7 in the t = 0
+        # Hamiltonian overflows first, in the read phase
         text = SOLVE_CFG.replace("n = 128", "n = 256").replace("L = 20.0", "L = 40.0")
         text = text.replace("dt = 0.01", "dt = 1e-300").replace("t_end = 0.1", "t_end = 1e-300")
         text = text.replace("amplitude = 0.4", "amplitude = 3e51")
         cfg = write_cfg(tmp_path, text)
         code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert code == 2
+        assert code == 1
         err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
+        assert len(err.strip().splitlines()) == 1 and err.startswith("config error:")
         assert "Traceback" not in err and "overflowed" in err
+        assert not (tmp_path / "o").exists()
 
-    def test_hamiltonian_overflow_exits_two_with_one_line(self, tmp_path):
-        # u^6 stays finite at amplitude 1e46 but u^7 in the Hamiltonian
+    def test_hamiltonian_overflow_exits_one_before_out(self, tmp_path):
+        # u^6 stays finite at amplitude 1e46 but u^7 in the t = 0 Hamiltonian
         # does not; a fresh process shows any numpy warning on stderr
         text = SOLVE_CFG.replace("n = 128", "n = 256").replace("L = 20.0", "L = 40.0")
         text = text.replace("dt = 0.01", "dt = 1e-300").replace("t_end = 0.1", "t_end = 1e-299")
@@ -303,11 +306,11 @@ class TestSolveCommand:
             [sys.executable, "-m", "ostrovsky.cli", "solve", "--config", cfg, "--out", str(out)],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert proc.returncode == 2
+        assert proc.returncode == 1
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("run aborted:"), proc.stderr
+        assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr
         assert "Hamiltonian overflowed" in lines[0]
-        assert not (out / "traces.csv").exists()
+        assert not out.exists()
 
     def test_cfl_breach_after_t0_exits_two_with_one_line(self, tmp_path, capsys):
         # data that refocuses under dispersion, with dt at its t = 0 bound
@@ -410,13 +413,23 @@ class TestInputErrors:
          "key `blocks` = '16 32 inf' is not a list of finite numbers"),
         ("probe-estimates", "[probe-estimates]\nt_window = nan\n",
          "key `t_window` = 'nan' is not a finite number"),
+        ("solve", (CONFIGS / "solve.cfg").read_text().replace("width = 2.0", "width = 0"),
+         "width must be positive, got 0.0"),
+        ("solve", (CONFIGS / "solve.cfg").read_text().replace("amplitude = 0.5",
+                                                              "amplitude = 1e308"),
+         "initial data has non-finite samples"),
+        ("solve", (CONFIGS / "solve.cfg").read_text().replace("L = 80.0", "L = 1e308"),
+         "initial data: Hamiltonian overflowed (max|u| = 0.499512)"),
+        ("solve", (CONFIGS / "solve.cfg").read_text() + "h1_norm = 1e308\n",
+         "max|u0|^k overflows the CFL bound (max|u0| = 4.28595e+307, k = 5)"),
     ], ids=["soliton_on_a_coarse_grid", "picard_delta_below_two_steps", "picard_no_iterations",
             "kernel_gamma_exp", "kernel_block_below_threshold", "kernel_no_samples",
             "estimates_odd_n_t", "solve_no_snapshot_cadence", "sweep_no_snapshot_cadence",
             "sweep_compare_time_off_snapshots", "picard_delta_1e308", "picard_delta_inf",
             "estimates_negative_seed_key", "solve_amplitude_inf", "solve_length_minus_inf",
             "soliton_speed_nan", "sweep_gammas_nan", "kernel_blocks_inf",
-            "estimates_window_nan"])
+            "estimates_window_nan", "solve_width_zero", "solve_amplitude_1e308",
+            "solve_length_1e308", "solve_h1_norm_1e308"])
     def test_read_phase_rejects(self, tmp_path, capsys, command, text, message):
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
@@ -636,6 +649,17 @@ class TestInvariantsCommand:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("config error: snapshot ") and "snap.dat" in err and message in err
+
+    def test_overflowing_snapshot_exits_one_before_out(self, tmp_path, capsys):
+        # max|u|^k overflows the CFL bound that sets the step
+        cfg = write_invariants_cfg(tmp_path, lambda lines: lines[:1] + ["1e100", "-1e100"]
+                                   + lines[3:])
+        out = tmp_path / "inv"
+        assert main(["invariants", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error:")
+        assert "max|u0|^k overflows the CFL bound (max|u0| = 1e+100, k = 5)" in err
+        assert not out.exists()
 
 
 class TestManifest:

@@ -550,6 +550,21 @@ class TestSynthesisOracles:
                 assert left == pytest.approx(ref_left, rel=1e-13, abs=0.0)
                 assert right == ref_right
 
+    @pytest.mark.parametrize("seed", [2024, 1])
+    def test_multilinear_window_rows_equal_irfft2(self, seed, monkeypatch):
+        # the inverse of the window rows only, against irfft2 over the whole
+        # period: 256 at 64 cells and 512 at 128 (lattice_x2), bit for bit
+        ens = default_ensemble("3.03", seed, 2)
+        captured = {}
+        monkeypatch.setattr(estimates, "_ratio_report",
+                            lambda tag, n, pair_for, *_: captured.update(pair_for=pair_for))
+        multilinear_ratio(ens)
+        reference = full_pad_multilinear_pairs(ens, 5, 64, period=_alias_free_period)
+        for name in (None,) + REFINEMENTS["3.03"]:
+            pair, ref_pair = captured["pair_for"](name), reference(name)
+            for i in range(ens.n_draws):
+                assert pair(i) == ref_pair(i)
+
 
 def _alias_free(k, cells, period):
     half = cells // 2

@@ -1,14 +1,16 @@
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from ostrovsky import spectral
+from ostrovsky import solver, spectral
 from ostrovsky.errors import (
     BlowupError,
     ConfigError,
+    ContractionFailureError,
     MeanZeroViolation,
     NonFiniteError,
     SolitonResidualError,
@@ -27,6 +29,7 @@ from ostrovsky.solver import (
     hamiltonian,
     nonlinear_term,
     picard_iterate,
+    picard_lattice,
     scaled_to_h1,
     soliton_initial_data,
     step,
@@ -50,6 +53,7 @@ from _reference import (
     reference_evolve,
     reference_picard,
     reference_upsample,
+    whole_lattice_picard,
 )
 from _util import assert_same_trajectory, propagated, random_mean_zero
 
@@ -563,6 +567,69 @@ class TestPicard:
         cfg = small_config(g, dt=0.005)
         with pytest.raises(ConfigError, match="fewer than two steps of dt = 0.005"):
             picard_iterate(Field.zero(g), cfg, delta=delta, n_iters=3)
+
+
+def picard_case(name):
+    """(u0, cfg, delta, n_iters) of the streamed-map oracle cases."""
+    if name in ("picard_cfg", "zero"):  # scripts/configs/picard.cfg: 501 lattice rows
+        g = Grid(256, 32.0)
+        u0 = scaled_to_h1(gaussian_bump(g, amplitude=0.3, width=2.0), 0.1)
+        u0 = Field.zero(g) if name == "zero" else u0
+        return u0, small_config(g, dt=1e-4, t_end=0.05), 0.05, 12
+    g = Grid(64, 10.0)
+    if name == "ragged":  # 72 rows: not a multiple of 7 or 64
+        return gaussian_bump(g, amplitude=0.5, width=1.5), small_config(g, dt=1e-3), 0.071, 12
+    # three growing ratios in a row: ContractionFailureError
+    return gaussian_bump(g, amplitude=3.0, width=1.5), small_config(g, dt=1e-3), 0.2, 30
+
+
+BLOCKS = [1, 7, 64, "whole"]  # "whole": one block of n_lat + 1 rows
+
+
+def set_picard_block(monkeypatch, block, cfg, delta, n_iters):
+    if block == "whole":
+        block = picard_lattice(cfg, delta, n_iters) + 1
+    monkeypatch.setattr(solver, "PICARD_BLOCK", block)
+
+
+class TestPicardBlocks:
+    """picard_iterate's in-place row blocks against the map over the whole
+    lattice (tests/_reference.py): the same bytes at every block size."""
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("name", ["picard_cfg", "zero", "ragged"])
+    def test_equals_whole_lattice(self, monkeypatch, name, block):
+        u0, cfg, delta, n_iters = picard_case(name)
+        set_picard_block(monkeypatch, block, cfg, delta, n_iters)
+        stf, diffs = picard_iterate(u0, cfg, delta, n_iters)
+        ref, ref_diffs = whole_lattice_picard(u0, cfg, delta, n_iters)
+        assert diffs == ref_diffs
+        assert stf.values.tobytes() == ref.values.tobytes()  # a zero's sign counts too
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_same_contraction_failure(self, monkeypatch, block):
+        u0, cfg, delta, n_iters = picard_case("growing")
+        set_picard_block(monkeypatch, block, cfg, delta, n_iters)
+        with pytest.raises(ContractionFailureError) as ref:
+            whole_lattice_picard(u0, cfg, delta, n_iters)
+        with pytest.raises(ContractionFailureError) as exc:
+            picard_iterate(u0, cfg, delta, n_iters)
+        assert exc.value.factors == ref.value.factors
+
+    def test_peak_memory_below_four_lattice_arrays(self):
+        # forward, the iterate and the returned samples, plus one block; the
+        # whole-lattice map held about eight lattice arrays (8.0 MiB here)
+        u0, cfg, delta, n_iters = picard_case("picard_cfg")
+        rows = picard_lattice(cfg, delta, n_iters) + 1
+        lattice_bytes = rows * (cfg.grid.n_points // 2 + 1) * 16  # complex half spectra
+        picard_iterate(u0, cfg, delta, n_iters)  # the cached flux table, built once
+        tracemalloc.start()
+        try:
+            picard_iterate(u0, cfg, delta, n_iters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * lattice_bytes
 
 
 def nyquist_datum(grid):
