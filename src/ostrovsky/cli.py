@@ -46,12 +46,12 @@ from .solver import (
     check_initial_data,
     evolve,
     gaussian_bump,
-    hamiltonian,
     picard_iterate,
     picard_lattice,
     require_snapshot_every,
     scaled_to_h1,
     soliton_initial_data,
+    step_ratio,
 )
 from .spectral import Field, Grid
 
@@ -284,12 +284,12 @@ def cmd_picard_check(section, args):
     u0 = _initial_field(section, grid, cfg)
     delta = section.get_float("delta")
     n_iters = section.get_int("iterations", 12)
-    picard_lattice(cfg, delta, n_iters)
+    n_lat = picard_lattice(cfg, delta, n_iters)
 
     def run(out):
         stf, diffs = picard_iterate(u0, cfg, delta, n_iters)
         final = Field.from_samples(grid, stf.values[-1])
-        traj = evolve(u0, cfg.replace(t_end=delta), snapshot_every=10**9)
+        traj = evolve(u0, cfg.replace(t_end=delta), snapshot_every=n_lat)
         u0_l2 = max(u0.l2_norm(), 1e-300)
         converged = bool(diffs and diffs[-1] < PICARD_TOLERANCE * u0_l2)
         factors = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
@@ -316,17 +316,18 @@ def cmd_invariants(section, args):
     field, header = read_snapshot(section.get_str("snapshot"))
     grid = field.grid
     horizon = section.get_float("horizon", 0.1)
-    cfg = SolverConfig(
+    cfg = SolverConfig(  # dt = horizon holds a place until the CFL bound sets it
         beta=float(header["beta"]), gamma=float(header["gamma"]), k=int(header["k"]),
         dt=horizon, t_end=horizon, grid=grid,
     )
+    bound = cfg.timestep_bound(field)  # 0 when max|u|^k overflows: check_initial_data says so
+    if bound > 0:  # half the step the CFL guard admits, shortened to divide the horizon
+        steps = step_ratio(horizon, 0.5 * bound, "horizon")
+        cfg = cfg.replace(dt=horizon / max(1, math.ceil(steps)))
     check_initial_data(field, cfg)
-    # half the step the CFL guard admits, shortened to divide the horizon
-    dt = horizon / max(1, int(math.ceil(horizon / (0.5 * cfg.timestep_bound(field)))))
-    cfg = cfg.replace(dt=dt)
 
     def run(out):
-        traj = evolve(field, cfg, snapshot_every=max(1, int(round(horizon / dt / 16))))
+        traj = evolve(field, cfg, snapshot_every=max(1, int(round(horizon / cfg.dt / 16))))
         l2_drift, h_drift, drift_ok = conservation_drift(traj)
         mean_max = float(max(abs(f.mean()) for f in traj.fields))
         mean_ok = (mean_max < MEAN_ZERO_ATOL) if cfg.gamma > 0 else \
@@ -337,8 +338,8 @@ def cmd_invariants(section, args):
             "hamiltonian_drift": h_drift,
             "max_abs_mean": mean_max,
             "horizon": horizon,
-            "dt": dt,
-            "hamiltonian_initial": hamiltonian(field, cfg),
+            "dt": cfg.dt,
+            "hamiltonian_initial": traj.hamiltonian[0],
             "norms": [
                 norm_record("L2", traj.l2[0]),
                 norm_record("Hs", traj.hs[0], s=cfg.trace_s),

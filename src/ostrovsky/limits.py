@@ -52,9 +52,9 @@ class SweepConfig:
         if not 0 < self.t_compare <= self.template.t_end:
             raise ConfigError("t_compare must lie within every run's lifespan")
         require_snapshot_every(self.snapshot_every)
-        # the snapshots nearest t_compare: a step i = j * snapshot_every at t = i * dt, and t_end
+        # the snapshots nearest t_compare: a step i = j * snapshot_every, and the last
         i = self.snapshot_every * round(self.t_compare / (self.snapshot_every * self.template.dt))
-        _snapshot_index(np.array([i * self.template.dt, self.template.t_end]), self.t_compare)
+        _snapshot_index(np.array([i, self.template.n_steps]) * self.template.dt, self.t_compare)
         object.__setattr__(self, "gammas", gs)
 
 

@@ -22,9 +22,15 @@ nonlinear flux is zero there (past the dealias cutoff) and at the DC
 mode.  Public functions take and return Fields with full spectra;
 evolve's snapshots are the exact Hermitian extensions of the state.
 
+A run steps on one lattice, t_i = i*dt up to t_end = n_steps*dt, under
+the rule (lattice_steps) the fixed-point lattice applies to delta too;
+check_initial_data is the one t = 0 check, evolve's and its callers'.
+
 Runs differing only in gamma step as the rows of one stacked state, each
-bit-identical to its run alone; numpy's SIMD complex multiply is not
-bit-symmetric, so e * t in place is np.multiply(e, t, out=t), not t *= e.
+bit-identical to its run alone.  numpy's SIMD complex multiply is not
+bit-symmetric, so e * t in place is np.multiply(e, t, out=t), not t *= e,
+and never e * (a temporary): from 256 KiB numpy reuses a temporary operand
+as the output and may swap the operands.
 """
 
 from __future__ import annotations
@@ -86,6 +92,7 @@ class SolverConfig:
     integrator: str = "ifrk4"
     include_nonlinearity: bool = True
     trace_s: float = 2.0
+    n_steps: int = dataclasses.field(init=False)  # steps of dt from 0 to t_end
 
     def __post_init__(self):
         if not self.beta < 0:
@@ -98,6 +105,7 @@ class SolverConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.t_end > 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        object.__setattr__(self, "n_steps", lattice_steps(self.t_end, self.dt, "t_end"))
         if self.integrator not in ("ifrk4", "split_step"):
             raise ConfigError(f"integrator must be ifrk4 or split_step, got {self.integrator!r}")
         if self.k < 5:
@@ -112,15 +120,12 @@ class SolverConfig:
 
     def timestep_bound(self, u: Field) -> float:
         """Largest dt the CFL-style guard admits for data u:
-        CFL_SAFETY * dx / max(1, max|u|)^k."""
+        CFL_SAFETY * dx / max(1, max|u|)^k, or 0.0 when max|u|^k overflows."""
         umax = float(np.max(np.abs(u.samples())))
-        return CFL_SAFETY * self.grid.dx / max(1.0, umax) ** self.k
-
-    def validate_timestep(self, u0: Field):
-        """CFL-style guard: dt <= timestep_bound(u0)."""
-        breach = self._timestep_breach(u0, "u0")
-        if breach:
-            raise ConfigError(breach)
+        try:
+            return CFL_SAFETY * self.grid.dx / max(1.0, umax) ** self.k
+        except OverflowError:
+            return 0.0
 
     def _timestep_breach(self, u: Field, name: str) -> str:
         """Why dt exceeds timestep_bound(u) beyond 1e-12 relative slack,
@@ -131,6 +136,23 @@ class SolverConfig:
         umax = float(np.max(np.abs(u.samples())))
         return (f"dt = {self.dt:g} exceeds the advection bound {bound:g} "
                 f"(dx = {self.grid.dx:g}, max|{name}| = {umax:g}, k = {self.k})")
+
+
+def step_ratio(span: float, dt: float, name: str) -> float:
+    """span / dt, ConfigError unless finite."""
+    steps = span / dt
+    if not math.isfinite(steps):
+        raise ConfigError(f"{name} = {span:g} is not a finite number of steps of dt = {dt:g}")
+    return steps
+
+
+def lattice_steps(span: float, dt: float, name: str) -> int:
+    """n = round(span / dt) for positive span and dt, ConfigError unless
+    finite with n*dt within 1e-9*span of span (so n >= 1)."""
+    n = round(step_ratio(span, dt, name))
+    if abs(n * dt - span) > 1e-9 * span:
+        raise ConfigError(f"dt = {dt:g} does not evenly divide {name} = {span:g}")
+    return n
 
 
 @dataclass
@@ -211,9 +233,9 @@ class _Stepper:
     """Exponential factors (a row per config) and flux table for repeated
     steps of stacked half spectra at fixed dt; evaluations counts per row."""
 
-    def __init__(self, cfgs: list, dt: float | None = None):
+    def __init__(self, cfgs: list):
         cfg = self.cfg = cfgs[0]
-        self.dt = cfg.dt if dt is None else dt
+        self.dt = cfg.dt
         xi = half_spectrum(cfg.grid.wavenumbers)
         self.e_half = np.array([c.symbol.propagator(self.dt / 2.0, xi) for c in cfgs])
         self.e_full = self.e_half**2
@@ -232,7 +254,8 @@ class _Stepper:
             return self._strang(c)
         h, e, e2 = self.dt / 2.0, self.e_half, self.e_full
         a = self._n(c)
-        b = self._n(e * (c + h * a))
+        t = c + h * a
+        b = self._n(np.multiply(e, t, out=t))
         cc = self._n(e * c + h * b)
         e2c = e2 * c
         d = self._n(e2c + self.dt_e * cc)
@@ -285,35 +308,28 @@ def hamiltonian(u: Field, cfg: SolverConfig) -> float:
     return h
 
 
-def check_initial_mean(u0: Field, cfg: SolverConfig):
-    """Raise MeanZeroViolation for initial data with a nonzero mean when
-    cfg.gamma > 0: the dispersion symbol is singular at xi = 0 there.  At
-    gamma = 0 the mean is dynamically inert (phi(0) = 0, nonlinear flux is
-    mean-free) and a constant background is legal input."""
-    if cfg.gamma > 0 and abs(u0.mean()) > MEAN_ZERO_ATOL * max(1.0, u0.l2_norm()):
-        raise MeanZeroViolation(u0.mean(), f"evolve requires mean-zero initial data when "
-                                f"gamma > 0 (mean = {u0.mean():.3g})")
-
-
 def check_initial_data(u0: Field, cfg: SolverConfig):
-    """Raise ConfigError for initial data on which evolve aborts at step 0:
-    non-finite samples, a CFL bound whose max(1, max|u0|)^k overflows, a
-    t = 0 Hamiltonian that overflows, or (check_initial_mean) a nonzero
-    mean where gamma > 0."""
+    """The t = 0 check evolve applies to each config: ConfigError for
+    non-finite samples, a CFL bound whose max(1, max|u0|)^k overflows, an
+    overflowing Hamiltonian, a nonzero mean where gamma > 0 (MeanZeroViolation:
+    phi is singular at xi = 0 there) or a dt above timestep_bound(u0)."""
     with np.errstate(all="ignore"):
         samples = u0.samples()
         if not np.isfinite(samples).all():
             raise ConfigError("initial data has non-finite samples")
-        try:
-            cfg.timestep_bound(u0)
-        except OverflowError:
+        if cfg.timestep_bound(u0) == 0.0:
             raise ConfigError(f"max|u0|^k overflows the CFL bound (max|u0| = "
-                              f"{np.max(np.abs(samples)):g}, k = {cfg.k})") from None
+                              f"{np.max(np.abs(samples)):g}, k = {cfg.k})")
         try:
             hamiltonian(u0, cfg)
         except NonFiniteError as err:
             raise ConfigError(f"initial data: {err}") from None
-    check_initial_mean(u0, cfg)
+    if cfg.gamma > 0 and abs(u0.mean()) > MEAN_ZERO_ATOL * max(1.0, u0.l2_norm()):
+        raise MeanZeroViolation(u0.mean(), f"evolve requires mean-zero initial data when "
+                                f"gamma > 0 (mean = {u0.mean():.3g})")
+    breach = cfg._timestep_breach(u0, "u0")
+    if breach:
+        raise ConfigError(breach)
 
 
 def require_snapshot_every(snapshot_every: int):
@@ -323,12 +339,13 @@ def require_snapshot_every(snapshot_every: int):
 
 
 def evolve(u0: Field, cfg: SolverConfig, snapshot_every: int) -> Trajectory:
-    """March from 0 to t_end recording snapshots and conserved traces.
+    """March cfg.n_steps steps of dt to t_end, recording conserved traces
+    and a snapshot at every snapshot_every-th step and the last.
 
-    Aborts with BlowupError on nonfinite values (overflow in the
-    nonlinearity or the Hamiltonian included), L2 growth beyond 10x the
-    initial norm, or a snapshot whose max|u| puts dt above
-    timestep_bound (the guard validate_timestep applies at t = 0).
+    Raises ConfigError for data check_initial_data refuses.  Aborts with
+    BlowupError on nonfinite values (overflow in the nonlinearity or the
+    Hamiltonian included), L2 growth beyond 10x the initial norm, or a
+    snapshot whose max|u| puts dt above timestep_bound.
     """
     return _evolve_rows(u0, [cfg], snapshot_every)[0]
 
@@ -339,20 +356,13 @@ def _evolve_rows(u0: Field, cfgs: list, snapshot_every: int) -> list:
     bit-identical to its own run; raises the first BlowupError of any row."""
     require_snapshot_every(snapshot_every)
     for cfg in cfgs:  # then cfg holds every field the rows share
-        check_initial_mean(u0, cfg)
-        cfg.validate_timestep(u0)
+        check_initial_data(u0, cfg)
 
-    n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
-    stepper = _Stepper(cfgs)
-    last_dt = cfg.t_end - (n_steps - 1) * cfg.dt
-    partial = None
-    if abs(last_dt - cfg.dt) > 1e-12 * cfg.dt:
-        partial = _Stepper(cfgs, dt=last_dt)
-
+    stepper, n_steps = _Stepper(cfgs), cfg.n_steps
     runs = [Trajectory([], [], [], [], [], [], row_cfg, n_steps) for row_cfg in cfgs]
 
-    def record(i, t, run, field):
-        run.times.append(t)
+    def record(i, run, field):
+        run.times.append(i * run.config.dt)
         run.fields.append(field)
         run.l2.append(field.l2_norm())
         try:
@@ -365,19 +375,17 @@ def _evolve_rows(u0: Field, cfgs: list, snapshot_every: int) -> list:
         run.xs.append(x_s_norm(project_zero_mean(field), run.config.trace_s))
 
     for run in runs:
-        record(0, 0.0, run, u0)
+        record(0, run, u0)
     l2_initial = max(runs[0].l2[0], 1e-300)
     c = np.repeat(half_spectrum(u0.coeffs)[None, :], len(cfgs), axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
-            use = stepper if (i < n_steps or partial is None) else partial
             try:
-                c = use.step_coeffs(c)
+                c = stepper.step_coeffs(c)
             except NonFiniteError as err:
                 raise BlowupError(i, str(err)) from err
             if not np.isfinite(c).all():
                 raise BlowupError(i, "nonfinite spectral coefficients")
-            t = i * cfg.dt if (i < n_steps or partial is None) else cfg.t_end
             if i % snapshot_every == 0 or i == n_steps:
                 for run, half in zip(runs, c):
                     # samples synthesized once for the CFL check, the
@@ -388,12 +396,12 @@ def _evolve_rows(u0: Field, cfgs: list, snapshot_every: int) -> list:
                     breach = run.config._timestep_breach(field, "u")
                     if breach:
                         raise BlowupError(i, breach)
-                    record(i, t, run, field)
+                    record(i, run, field)
 
     for run in runs:
         for name in ("times", "l2", "hamiltonian", "hs", "xs"):
             setattr(run, name, np.asarray(getattr(run, name)))
-        run.nonlinear_evaluations = stepper.evaluations + (partial.evaluations if partial else 0)
+        run.nonlinear_evaluations = stepper.evaluations
     return runs
 
 
@@ -476,20 +484,15 @@ def soliton_initial_data(c: float, k: int, beta: float, grid: Grid):
 
 def picard_lattice(cfg: SolverConfig, delta: float, n_iters: int) -> int:
     """Number of dt steps spanning [0, delta] for picard_iterate; ConfigError
-    unless delta > 0, n_iters >= 1 and dt divides delta into at least two."""
+    unless delta > 0, n_iters >= 1 and dt divides delta (lattice_steps)
+    into at least two."""
     if not delta > 0:
         raise ConfigError(f"delta must be positive, got {delta}")
     if n_iters < 1:
         raise ConfigError("need at least one iteration")
-    steps = delta / cfg.dt
-    if not math.isfinite(steps):
-        raise ConfigError(f"delta = {delta:g} is not a finite number of steps of dt = {cfg.dt:g}")
-    n_lat = int(round(steps))
-    if n_lat < 2:
+    if round(step_ratio(delta, cfg.dt, "delta")) < 2:
         raise ConfigError(f"delta = {delta:g} spans fewer than two steps of dt = {cfg.dt:g}")
-    if abs(n_lat * cfg.dt - delta) > 1e-9 * delta:
-        raise ConfigError(f"dt = {cfg.dt:g} does not evenly divide delta = {delta:g}")
-    return n_lat
+    return lattice_steps(delta, cfg.dt, "delta")
 
 
 def picard_iterate(u0: Field, cfg: SolverConfig, delta: float, n_iters: int):

@@ -67,8 +67,9 @@ def complex_flux(coeffs, grid, k):
     return out * table
 
 
-def reference_step(c, cfg, dt):
-    """One IFRK4 or Strang step of length dt on the full spectrum c."""
+def reference_step(c, cfg):
+    """One IFRK4 or Strang step of length cfg.dt on the full spectrum c."""
+    dt = cfg.dt
     e = np.exp(-1j * cfg.symbol.table(cfg.grid) * (dt / 2.0))
     e2 = e**2
 
@@ -88,13 +89,11 @@ def reference_step(c, cfg, dt):
 
 def reference_evolve(u0, cfg, snapshot_every):
     """Full spectra at the steps where evolve records a snapshot, step 0
-    and the shortened last step included."""
-    n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
-    last_dt = cfg.t_end - (n_steps - 1) * cfg.dt
+    and the last step included."""
+    n_steps = round(cfg.t_end / cfg.dt)
     c, snapshots = u0.coeffs.copy(), [u0.coeffs.copy()]
     for i in range(1, n_steps + 1):
-        partial = i == n_steps and abs(last_dt - cfg.dt) > 1e-12 * cfg.dt
-        c = reference_step(c, cfg, last_dt if partial else cfg.dt)
+        c = reference_step(c, cfg)
         if i % snapshot_every == 0 or i == n_steps:
             snapshots.append(c.copy())
     return snapshots

@@ -322,8 +322,10 @@ class TestSolveCommand:
         snap = tmp_path / "snap.dat"
         write_snapshot(snap, field, -1.0, 1.0, 5, 0.0)
         text = file_initial(SOLVE_CFG, snap)
-        text = text.replace("dt = 0.01", f"dt = {cfg.timestep_bound(field)!r}")
-        text = text.replace("t_end = 0.1", "t_end = 0.5").replace("snapshot_every = 5", "snapshot_every = 2")
+        bound = cfg.timestep_bound(field)
+        text = text.replace("dt = 0.01", f"dt = {bound!r}")  # 16 steps, past t = 0.5
+        text = text.replace("t_end = 0.1", f"t_end = {16 * bound!r}")
+        text = text.replace("snapshot_every = 5", "snapshot_every = 2")
         cfg_path = write_cfg(tmp_path, text)
         assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -422,6 +424,20 @@ class TestInputErrors:
          "initial data: Hamiltonian overflowed (max|u| = 0.499512)"),
         ("solve", (CONFIGS / "solve.cfg").read_text() + "h1_norm = 1e308\n",
          "max|u0|^k overflows the CFL bound (max|u0| = 4.28595e+307, k = 5)"),
+        ("solve", (CONFIGS / "solve.cfg").read_text().replace("t_end = 1.0", "t_end = 1e308"),
+         "t_end = 1e+308 is not a finite number of steps of dt = 0.005"),
+        ("solve", (CONFIGS / "solve.cfg").read_text().replace("t_end = 1.0", "t_end = 0.9975"),
+         "dt = 0.005 does not evenly divide t_end = 0.9975"),
+        ("solve", (CONFIGS / "solve.cfg").read_text().replace("dt = 0.005", "dt = 0.1"),
+         "dt = 0.1 exceeds the advection bound 0.0390625 (dx = 0.078125, max|u0| = 0.477844, k = 5)"),
+        ("sweep-gamma", (CONFIGS / "sweep_gamma.cfg").read_text().replace("t_end = 0.5",
+                                                                          "t_end = 1e308"),
+         "t_end = 1e+308 is not a finite number of steps of dt = 0.005"),
+        ("sweep-gamma", (CONFIGS / "sweep_gamma.cfg").read_text().replace("dt = 0.005",
+                                                                          "dt = 0.1"),
+         "dt = 0.1 exceeds the advection bound 0.0390625 (dx = 0.078125, max|u0| = 0.477844, k = 5)"),
+        ("invariants", "[invariants]\nsnapshot = {snapshot}\nhorizon = 1e308\n",
+         "horizon = 1e+308 is not a finite number of steps of dt = 0.0390625"),
     ], ids=["soliton_on_a_coarse_grid", "picard_delta_below_two_steps", "picard_no_iterations",
             "kernel_gamma_exp", "kernel_block_below_threshold", "kernel_no_samples",
             "estimates_odd_n_t", "solve_no_snapshot_cadence", "sweep_no_snapshot_cadence",
@@ -429,8 +445,14 @@ class TestInputErrors:
             "estimates_negative_seed_key", "solve_amplitude_inf", "solve_length_minus_inf",
             "soliton_speed_nan", "sweep_gammas_nan", "kernel_blocks_inf",
             "estimates_window_nan", "solve_width_zero", "solve_amplitude_1e308",
-            "solve_length_1e308", "solve_h1_norm_1e308"])
+            "solve_length_1e308", "solve_h1_norm_1e308", "solve_t_end_1e308", "solve_t_end_off_lattice", "solve_dt_above_cfl",
+            "sweep_t_end_1e308", "sweep_dt_above_cfl", "invariants_horizon_1e308"])
     def test_read_phase_rejects(self, tmp_path, capsys, command, text, message):
+        if command == "invariants":
+            snap = tmp_path / "snap.dat"
+            write_snapshot(snap, gaussian_bump(Grid(128, 20.0), amplitude=0.4, width=2.0),
+                           beta=-1.0, gamma=1.0, k=5, t=0.0)
+            text = text.format(snapshot=snap)
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
         extra = ["--which", "2.057"] if command == "probe-estimates" else []

@@ -42,12 +42,12 @@ class TestSweepConfig:
             SweepConfig(template=small_template(g), t_compare=5.0)
 
     def test_compare_time_on_snapshot_lattice(self):
-        # dt = 0.01 does not divide t_end = 0.255: snapshots at 0, 0.1, 0.2, 0.255
-        template = small_template(Grid(64, 10.0), t_end=0.255)
-        for t in (0.1, 0.2, 0.255):
+        # 25 steps at snapshot_every = 10: snapshots at 0, 0.1, 0.2 and the last, 0.25
+        template = small_template(Grid(64, 10.0), t_end=0.25)
+        for t in (0.1, 0.2, 0.25):
             SweepConfig(template=template, t_compare=t)
-        with pytest.raises(ConfigError, match="no snapshot at t = 0.25; nearest is 0.255"):
-            SweepConfig(template=template, t_compare=0.25)
+        with pytest.raises(ConfigError, match="no snapshot at t = 0.24; nearest is 0.25"):
+            SweepConfig(template=template, t_compare=0.24)
         with pytest.raises(ConfigError, match="snapshot_every must be positive, got 0"):
             SweepConfig(template=template, t_compare=0.2, snapshot_every=0)
 

@@ -24,9 +24,11 @@ from ostrovsky.solver import (
     _flux_table,
     _int_power,
     _nonlinear_coeffs,
+    check_initial_data,
     evolve,
     gaussian_bump,
     hamiltonian,
+    lattice_steps,
     nonlinear_term,
     picard_iterate,
     picard_lattice,
@@ -87,8 +89,24 @@ class TestConfig:
         g = Grid(64, 10.0)
         cfg = SolverConfig(beta=-1.0, gamma=0.0, k=5, dt=0.2, t_end=1.0, grid=g)
         u0 = gaussian_bump(g, amplitude=2.0)
-        with pytest.raises(ConfigError):
-            cfg.validate_timestep(u0)
+        with pytest.raises(ConfigError, match=r"dt = 0.2 exceeds the advection bound .*max\|u0\|"):
+            check_initial_data(u0, cfg)
+
+    def test_time_lattice(self):
+        # dt divides t_end, within 1e-9 relative, under the rule delta follows
+        g = Grid(64, 10.0)
+        assert small_config(g, dt=0.01, t_end=0.2).n_steps == 20
+        assert small_config(g, dt=0.01, t_end=0.2 * (1 + 1e-10)).n_steps == 20
+        # many steps whose sum drifts from t_end by rounding: all full steps
+        assert small_config(g, dt=0.1 / 6250, t_end=0.1).n_steps == 6250
+        for t_end in (0.2 * (1 + 1e-8), 0.115, 0.004):
+            with pytest.raises(ConfigError, match=f"dt = 0.01 does not evenly divide t_end = {t_end:g}"):
+                small_config(g, dt=0.01, t_end=t_end)
+        with pytest.raises(ConfigError,
+                           match=r"t_end = 1e\+308 is not a finite number of steps of dt = 0.01"):
+            small_config(g, dt=0.01, t_end=1e308)
+        assert lattice_steps(0.05, 1e-4, "delta") == picard_lattice(
+            small_config(g, dt=1e-4, t_end=0.05), 0.05, 1) == 500
 
 
 class TestNonlinearTerm:
@@ -271,8 +289,8 @@ class TestEvolve:
     def test_snapshot_samples_synthesized_once_and_equal(self):
         g = Grid(128, 20.0)
         u0 = gaussian_bump(g, amplitude=0.5, width=2.0)
-        traj = evolve(u0, small_config(g, dt=0.01, t_end=0.115), snapshot_every=4)
-        assert len(traj.fields) == 4  # steps 0, 4, 8 and the final, partial step 12
+        traj = evolve(u0, small_config(g, dt=0.01, t_end=0.11), snapshot_every=4)
+        assert len(traj.fields) == 4  # steps 0, 4, 8 and the last, 11
         for field in traj.fields[1:]:
             assert field.cached_samples is not None
             assert np.array_equal(field.samples(), Field(g, field.coeffs).samples())
@@ -345,8 +363,9 @@ class TestEvolve:
             evolve(u0, cfg, snapshot_every=1)
         assert exc.value.step_index == 1
 
-    def test_hamiltonian_overflow_is_blowup_at_step_zero(self):
-        # u^6 stays finite at amplitude 1e46, u^7 in the Hamiltonian does not
+    def test_hamiltonian_overflow_is_config_error(self):
+        # u^6 stays finite at amplitude 1e46, u^7 in the Hamiltonian does
+        # not: evolve refuses the data at t = 0, as the CLI read phase does
         g = Grid(256, 40.0)
         u0 = gaussian_bump(g, amplitude=1e46)
         cfg = small_config(g, dt=1e-300, t_end=1e-299)
@@ -354,10 +373,8 @@ class TestEvolve:
             hamiltonian(u0, cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(BlowupError) as exc:
+            with pytest.raises(ConfigError, match=r"^initial data: Hamiltonian overflowed"):
                 evolve(u0, cfg, snapshot_every=5)
-        assert exc.value.step_index == 0
-        assert "Hamiltonian overflowed" in str(exc.value)
 
     def test_blowup_aborts_with_step_index(self, rng, monkeypatch):
         # the advection guard prevents honestly reaching overflow at desk
@@ -391,8 +408,9 @@ class TestEvolve:
         bump = gaussian_bump(g, amplitude=1.0, width=1.0)
         u0 = propagated(bump, -0.5, cfg.symbol)
         u0 = u0 * (1.2 / np.max(np.abs(u0.samples())))
-        at_bound = cfg.replace(dt=cfg.timestep_bound(u0))
-        at_bound.validate_timestep(u0)
+        bound = cfg.timestep_bound(u0)
+        at_bound = cfg.replace(dt=bound, t_end=16 * bound)  # 16 steps, past t = 0.5
+        check_initial_data(u0, at_bound)
         with pytest.raises(BlowupError, match=r"exceeds the advection bound .*max\|u\|") as exc:
             evolve(u0, at_bound, snapshot_every=2)
         assert exc.value.step_index > 0 and exc.value.step_index % 2 == 0
@@ -400,18 +418,19 @@ class TestEvolve:
         fine = evolve(u0, cfg.replace(dt=1e-3), snapshot_every=1)
         peak = max(np.max(np.abs(f.samples())) for f in fine.fields)
         assert peak > 1.5
-        safe = cfg.replace(dt=0.9 * CFL_SAFETY * g.dx / peak**cfg.k)
-        assert evolve(u0, safe, snapshot_every=2).times[-1] == 0.5
+        n_safe = math.ceil(0.5 / (0.9 * CFL_SAFETY * g.dx / peak**cfg.k))
+        safe = cfg.replace(dt=0.5 / n_safe)
+        assert evolve(u0, safe, snapshot_every=2).times[-1] == n_safe * safe.dt
 
     @pytest.mark.parametrize("integrator,nonlinearity,per_step", [
         ("ifrk4", True, 4), ("split_step", True, 2), ("ifrk4", False, 0)])
     def test_counts_nonlinear_evaluations(self, integrator, nonlinearity, per_step):
         g = Grid(64, 10.0)
         u0 = gaussian_bump(g, amplitude=0.3, width=1.5)
-        cfg = small_config(g, dt=0.01, t_end=0.115, integrator=integrator,
+        cfg = small_config(g, dt=0.01, t_end=0.12, integrator=integrator,
                            include_nonlinearity=nonlinearity)
         traj = evolve(u0, cfg, snapshot_every=5)
-        assert traj.n_steps == 12  # the last one shortened
+        assert traj.n_steps == cfg.n_steps == 12
         assert traj.nonlinear_evaluations == per_step * traj.n_steps
 
     def test_snapshot_cadence_validated(self, rng):
@@ -425,7 +444,7 @@ class TestStackedRows:
     each row must be bit-identical to its own evolve."""
 
     @pytest.mark.parametrize("integrator,nonlinearity,t_end", [
-        ("ifrk4", True, 0.2), ("ifrk4", True, 0.1955), ("split_step", True, 0.1955),
+        ("ifrk4", True, 0.2), ("ifrk4", True, 0.19), ("split_step", True, 0.19),
         ("ifrk4", False, 0.2)])
     def test_rows_equal_single_runs(self, integrator, nonlinearity, t_end):
         g = Grid(256, 40.0)
@@ -435,6 +454,18 @@ class TestStackedRows:
         rows = _evolve_rows(u0, cfgs, 3)
         for row, cfg in zip(rows, cfgs):
             assert_same_trajectory(row, evolve(u0, cfg, 3))
+
+    @pytest.mark.parametrize("integrator", ["ifrk4", "split_step"])
+    def test_rows_equal_single_runs_past_256_kib(self, integrator):
+        # six rows of 4097 complex modes, 393,312 B: from 256 KiB numpy may
+        # reuse a temporary operand as the output of a product
+        g = Grid(8192, 80.0)
+        u0 = gaussian_bump(g, amplitude=0.5, width=2.0)
+        cfgs = [small_config(g, gamma=gamma, dt=0.001, t_end=0.005, integrator=integrator)
+                for gamma in (0.0, 1e-3, 1e-2, 0.1, 0.3, 1.0)]
+        rows = _evolve_rows(u0, cfgs, 5)
+        for row, cfg in zip(rows, cfgs):
+            assert_same_trajectory(row, evolve(u0, cfg, 5))
 
     def test_failed_row_raises_its_own_error(self, monkeypatch):
         # the CFL check fails for the gamma = 0.3 run alone, at step 4
@@ -557,7 +588,7 @@ class TestPicard:
 
     def test_lattice_must_divide_delta(self):
         g = Grid(64, 10.0)
-        cfg = small_config(g, dt=0.007)
+        cfg = small_config(g, dt=0.007, t_end=0.21)
         with pytest.raises(ConfigError, match="does not evenly divide"):
             picard_iterate(Field.zero(g), cfg, delta=0.05, n_iters=3)
 
@@ -649,7 +680,7 @@ class TestHalfSpectrumOracle:
     def test_evolve_matches_full_spectrum(self, n, integrator):
         g = Grid(n, 40.0)
         u0 = gaussian_bump(g, amplitude=0.5, width=2.0)
-        cfg = small_config(g, dt=0.005, t_end=0.0725, integrator=integrator)
+        cfg = small_config(g, dt=0.005, t_end=0.075, integrator=integrator)
         traj = evolve(u0, cfg, snapshot_every=4)
         ref = reference_evolve(u0, cfg, 4)
         assert len(traj.fields) == len(ref) == 5
