@@ -484,8 +484,7 @@ def soliton_initial_data(c: float, k: int, beta: float, grid: Grid):
 
 def picard_lattice(cfg: SolverConfig, delta: float, n_iters: int) -> int:
     """Number of dt steps spanning [0, delta] for picard_iterate; ConfigError
-    unless delta > 0, n_iters >= 1 and dt divides delta (lattice_steps)
-    into at least two."""
+    unless delta > 0, n_iters >= 1 and dt divides delta into at least two."""
     if not delta > 0:
         raise ConfigError(f"delta must be positive, got {delta}")
     if n_iters < 1:
