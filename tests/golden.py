@@ -21,11 +21,13 @@ way, writes nothing, and prints per config whether its numbers lie within
 tolerance and what state its hashes are in, then per field group (a
 number's name without its row index) the largest absolute and relative
 move and the largest share of tolerance; it exits 1 when a number lies
-outside its tolerance.
+outside its tolerance or a comparable hash differs.
 
 It also holds, under estimate_zoo, max_ratio and refinement_max of every
 estimate tag at seed 2024 with acceptance 6's draw counts (ZOO_DRAWS),
-which acceptance 6 checks on the runs it already makes.
+and the SHA-256 digests of the per-draw lhs and rhs bytes of each tag's
+base ensemble and of each refinement (run_zoo_tag), which acceptance 6
+checks on the runs it already makes.
 
 Tolerances follow from a stated basis, not from observed moves; each
 entry's tolerance_basis names it:
@@ -41,8 +43,8 @@ entry's tolerance_basis names it:
   * probe_estimates, estimate_zoo: each ratio may move by RATIO_ULPS ulps
     of its value, a change of evaluation order in the orbit synthesis and
     the norms' sums; the draws are fixed, so skipped counts are exact.
-Hashes are compared only on the numpy version and platform they were
-recorded with.
+Hashes and digests are compared only on the numpy version and platform
+they were recorded with.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ostrovsky import cli, kernel, limits
+from ostrovsky import cli, estimates, kernel, limits
 from ostrovsky.cli import main
 from ostrovsky.config import load_config
 from ostrovsky.estimates import run_tag
@@ -103,6 +105,11 @@ def shipped_argv(stem: str) -> list:
 
 def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def digest(values) -> str:
+    """SHA-256 of the bytes of values as float64."""
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
 
 
 @contextlib.contextmanager
@@ -360,16 +367,33 @@ def record(stem: str, out: Path) -> dict:
     }
 
 
+def run_zoo_tag(tag: str):
+    """run_tag(tag) at ZOO_SEED with ZOO_DRAWS[tag] draws, and the SHA-256
+    digests of the lhs and of the rhs of every draw as evaluated (skipped
+    draws included), for the base ensemble and for each refinement, named
+    `<tag> base lhs`, `<tag> <refinement> rhs` and so on."""
+    with capturing(estimates, "pool_map") as calls:
+        report = run_tag(tag, seed=ZOO_SEED, n_draws=ZOO_DRAWS[tag])
+    digests = {}
+    # one pool_map per ensemble: the base, then the refinements in report order
+    for name, (_, pairs) in zip(("base", *report.refinement_max), calls, strict=True):
+        lhs, rhs = np.array(pairs, dtype=float).reshape(-1, 2).T
+        digests.update({f"{tag} {name} lhs": digest(lhs), f"{tag} {name} rhs": digest(rhs)})
+    return report, digests
+
+
 def record_zoo() -> dict:
     """The golden entry of acceptance 6's estimate zoo, from fresh runs."""
-    reports = {tag: run_tag(tag, seed=ZOO_SEED, n_draws=draws) for tag, draws in ZOO_DRAWS.items()}
-    numbers = zoo_numbers(reports)
+    runs = {tag: run_zoo_tag(tag) for tag in ZOO_DRAWS}
+    numbers = zoo_numbers({tag: report for tag, (report, _) in runs.items()})
     tolerances = ratio_tolerances(numbers)
     return {
         "runs": f"run_tag(tag, seed={ZOO_SEED}, n_draws=ZOO_DRAWS[tag]) (tests/golden.py)",
         "tolerance_basis": f"{RATIO_BASIS} (tests/golden.py)",
         "numbers": {name: {"value": value, "tolerance": tolerances[name]}
                     for name, value in numbers.items()},
+        "sha256": {name: value for _, digests in runs.values() for name, value in digests.items()},
+        **environment(),
     }
 
 
@@ -379,10 +403,17 @@ def check_numbers(stem: str, out) -> None:
     compare(stem, NUMBERS[SHIPPED[stem][0]](out))
 
 
-def check_zoo(reports) -> None:
+def check_zoo(reports, digests) -> None:
     """Assert that max_ratio and refinement_max of the RatioReport of each
-    tag in reports are the recorded ones within their tolerances."""
+    tag in reports are the recorded ones within their tolerances, and,
+    where they are comparable, that digests (run_zoo_tag's, merged over
+    the tags) are the recorded ones."""
     compare(ZOO, zoo_numbers(reports))
+    if hash_mismatch(ZOO) is None:
+        recorded = json.loads(GOLDEN.read_text())[ZOO]["sha256"]
+        assert sorted(digests) == sorted(recorded), "the run digests other arrays than recorded"
+        differ = [name for name, value in recorded.items() if digests[name] != value]
+        assert not differ, f"per-draw digests differ from the recorded ones: {', '.join(differ)}"
 
 
 def compare(key: str, fresh: dict) -> None:
@@ -443,21 +474,22 @@ def group_moves(fresh: dict, recorded: dict) -> dict:
     return groups
 
 
-def hash_state(key: str, fresh: dict, recorded: dict) -> str:
+def hash_state(key: str, fresh: dict, recorded: dict) -> tuple:
+    """(what state key's hashes are in, whether comparable hashes differ)."""
     if "sha256" not in recorded:
-        return "no hashes recorded"
+        return "no hashes recorded", False
     mismatch = hash_mismatch(key)
     if mismatch:
-        return f"hashes not comparable: {mismatch}"
-    differ = [name for name, digest in recorded["sha256"].items()
-              if fresh["sha256"].get(name) != digest]
-    return f"hashes differ: {', '.join(differ)}" if differ else "hashes equal"
+        return f"hashes not comparable: {mismatch}", False
+    differ = [name for name, value in recorded["sha256"].items()
+              if fresh["sha256"].get(name) != value]
+    return (f"hashes differ: {', '.join(differ)}", True) if differ else ("hashes equal", False)
 
 
 def report_moves(keys) -> int:
     """Print how fresh runs of keys (every shipped config and the zoo if
     empty) move against golden.json, writing nothing; 1 if a number lies
-    outside its tolerance, else 0."""
+    outside its tolerance or a comparable hash differs, else 0."""
     old = json.loads(GOLDEN.read_text())
     keys = list(keys) or [*SHIPPED, ZOO]
     unknown = [key for key in keys if key not in old]
@@ -475,10 +507,11 @@ def report_moves(keys) -> int:
             except AssertionError as error:
                 outside = str(error)
             within = within_tolerance(fresh, old[key])
-            failed = failed or not within
+            hashes, hashes_differ = hash_state(key, fresh, old[key])
+            failed = failed or not within or hashes_differ
             verdict = ("numbers within tolerance" if within else
                        "numbers OUTSIDE tolerance" if outside else "tolerance basis changed")
-            print(f"{key}: {verdict}; {hash_state(key, fresh, old[key])}")
+            print(f"{key}: {verdict}; {hashes}")
             recorded = {name: leaf for name, leaf in old[key]["numbers"].items()
                         if name in values}
             for group, (count, a, r, s) in group_moves(values, recorded).items():

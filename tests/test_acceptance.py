@@ -157,9 +157,10 @@ class TestAcceptance:
     @pytest.mark.slow
     def test_6_estimate_ensembles(self):
         t0 = time.time()
-        summary, ok, reports = [], True, {}
+        summary, ok, reports, digests = [], True, {}, {}
         for tag, draws in golden.ZOO_DRAWS.items():
-            rep = run_tag(tag, seed=golden.ZOO_SEED, n_draws=draws)
+            rep, tag_digests = golden.run_zoo_tag(tag)
+            digests.update(tag_digests)
             again = run_tag(tag, seed=golden.ZOO_SEED, n_draws=draws)
             reports[tag] = rep
             reproducible = np.array_equal(rep.ratios, again.ratios)
@@ -172,7 +173,7 @@ class TestAcceptance:
         elapsed = time.time() - t0
         ok = ok and elapsed < 1200.0
         report(6, ok, "max-ratio/stability " + ", ".join(summary) + f" ({elapsed:.1f}s)")
-        golden.check_zoo(reports)
+        golden.check_zoo(reports, digests)
 
     def test_7_soliton_regression(self):
         t0 = time.time()

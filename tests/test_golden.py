@@ -4,6 +4,8 @@ fresh runs move against golden.json."""
 import copy
 import json
 
+import pytest
+
 import golden
 
 
@@ -62,3 +64,49 @@ class TestRecord:
         assert golden.within_tolerance(fresh["picard"], recorded["picard"])
         assert golden.run([]) == 0
         assert json.loads(path.read_text()) == fresh
+
+
+class TestZooDigests:
+    """Per-draw digests of the zoo, on a two-tag zoo small enough to record
+    here: 2.057 with its grid and window refinements, 3.03 with its lattice."""
+
+    DRAWS = {"2.057": 2, "3.03": 1}
+
+    @pytest.fixture
+    def small_zoo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(golden, "ZOO_DRAWS", self.DRAWS)
+        entry = golden.record_zoo()
+        path = tmp_path / "golden.json"
+        monkeypatch.setattr(golden, "GOLDEN", path)
+        return entry, path
+
+    def test_digest_per_ensemble_and_side(self, small_zoo):
+        entry, _ = small_zoo
+        assert sorted(entry["sha256"]) == sorted(
+            f"{tag} {name} {side}" for tag, names in
+            (("2.057", ("base", "grid_x2", "window_x2")), ("3.03", ("base", "lattice_x2")))
+            for name in names for side in ("lhs", "rhs"))
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_perturbed_digest_fails_moves(self, small_zoo, capsys, perturbed):
+        entry, path = small_zoo
+        name = "2.057 window_x2 rhs"
+        if perturbed:
+            entry["sha256"][name] = "0" * 64
+        path.write_text(json.dumps({golden.ZOO: entry}))
+        assert golden.run(["--moves", golden.ZOO]) == int(perturbed)
+        state = f"hashes differ: {name}" if perturbed else "hashes equal"
+        assert capsys.readouterr().out.splitlines()[0] == \
+            f"{golden.ZOO}: numbers within tolerance; {state}"
+
+    def test_check_zoo_names_a_perturbed_digest(self, small_zoo):
+        entry, path = small_zoo
+        runs = {tag: golden.run_zoo_tag(tag) for tag in self.DRAWS}
+        reports = {tag: report for tag, (report, _) in runs.items()}
+        digests = {name: value for _, d in runs.values() for name, value in d.items()}
+        path.write_text(json.dumps({golden.ZOO: entry}))
+        golden.check_zoo(reports, digests)
+        entry["sha256"]["3.03 lattice_x2 lhs"] = "0" * 64
+        path.write_text(json.dumps({golden.ZOO: entry}))
+        with pytest.raises(AssertionError, match="3.03 lattice_x2 lhs"):
+            golden.check_zoo(reports, digests)
