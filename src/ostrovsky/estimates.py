@@ -5,7 +5,7 @@ evolves it freely over a time window, computes the estimate's two sides,
 and reports the per-draw ratios.  Constants are never asserted
 numerically: the testable form of "C < infinity, independent of the
 cutoff" is that the max ratio is finite and stable (within 4x) under the
-tag's REFINEMENTS.  A grid refinement at fixed L redraws the same modes,
+tag's refinements.  A grid refinement at fixed L redraws the same modes,
 so it moves only an LHS that takes a sup; it reproduced the integral
 norms of 2.03, 2.05 and 2.027 to rounding, so they run no grid
 refinement.  2.027 runs no refinement yet; dyadic cutoff doublings are
@@ -25,7 +25,7 @@ support modes ORBIT_BLOCK window samples at a time and reduce their mixed
 norms block by block (norms.mixed_norm_blocks), so no draw holds a whole
 orbit; the values equal those of the whole orbit bit for bit.
 
-Estimate tags are opaque IDs (see TAG_DEFAULTS for the menu); draws are
+Estimate tags are opaque IDs, each declared once in TAGS; draws are
 reproducible bit-exactly from (seed, draw index) and independent of
 worker count.
 """
@@ -36,6 +36,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,13 +47,17 @@ from .spectral import (Field, Grid, MultiplierSpec, PhaseSymbol, angular_frequen
                        fft_mode_numbers, hermitian_extension, mirror_slot, mode_slots,
                        multiplier_table, scatter_modes, synthesize)
 
+# the orbit tags of TAGS; kept for labbench, ROADMAP item 1 deletes them
 STRICHARTZ_TAGS = ("2.03", "2.05", "2.08", "2.09")
 LINFTY_TAGS = ("2.055", "2.057", "2.060")
-ALL_TAGS = STRICHARTZ_TAGS + ("2.027",) + LINFTY_TAGS + ("3.03",)
 
 LAWS = ("gaussian_spectrum", "band_limited", "low_frequency", "high_frequency")
 
+# Ensemble.refined's factors on (the grid points at fixed L, the window and n_t)
+REFINED = {"grid_x2": (2, 1), "grid_x4": (4, 1), "window_x2": (1, 2)}
 ORBIT_BLOCK = 64  # window samples an orbit tag synthesizes at a time; no value depends on it
+BILINEAR_S = 0.5  # 2.027's interaction weight |phi'(xi1) - phi'(xi2)|^s
+MULTILINEAR_K = 5  # 3.03's form is (k+2)-linear
 
 
 @dataclass(frozen=True)
@@ -186,14 +191,12 @@ class Ensemble:
         c = 0.5 * (u0.coeffs[modes] + np.conj(u0.coeffs[mirror]))
         return c if multiplier is None else c * multiplier[modes]
 
-    def refined(self, which: str) -> "Ensemble":
-        if which == "grid_x2":
-            return dataclasses.replace(self, grid=Grid(2 * self.grid.n_points, self.grid.length))
-        if which == "grid_x4":
-            return dataclasses.replace(self, grid=Grid(4 * self.grid.n_points, self.grid.length))
-        if which == "window_x2":
-            return dataclasses.replace(self, t_window=2.0 * self.t_window, n_t=2 * self.n_t)
-        raise ConfigError(f"unknown refinement {which!r}")
+    def refined(self, name: str) -> "Ensemble":
+        if name not in REFINED:
+            raise ConfigError(f"unknown refinement {name!r}")
+        points, window = REFINED[name]
+        return dataclasses.replace(self, grid=Grid(points * self.grid.n_points, self.grid.length),
+                                   t_window=window * self.t_window, n_t=window * self.n_t)
 
 
 @dataclass
@@ -268,38 +271,53 @@ def _sup_x_l2_t(ens: Ensemble, u0: Field, multiplier: np.ndarray) -> float:
     return math.sqrt(peak * (ens.t_window / ens.n_t))
 
 
-def _orbit_pair(ens: Ensemble, which: str, u0: Field):
-    """(LHS, RHS) of one draw for an orbit tag.  Every LHS but 2.08's is a
-    mixed norm of the orbit, reduced over ORBIT_BLOCK window samples at a
-    time, so no draw holds the whole orbit."""
-    grid, eps = ens.grid, ens.epsilon
-    high = multiplier_table(grid, MultiplierSpec.high_pass(ens.threshold))
+def _norm(ens: Ensemble, u0: Field, p, q, order="t_outer", table=None, windowed=True):
+    """mixed_norm of u0's orbit, reduced ORBIT_BLOCK window samples at a time."""
+    blocks = _orbit_blocks(ens, u0, windowed, table, ORBIT_BLOCK)
+    return mixed_norm_blocks(blocks, ens.grid.dx, ens.t_window / ens.n_t, p, q, order)
 
-    def d(alpha):
-        return multiplier_table(grid, MultiplierSpec.fractional_d(alpha))
 
-    def norm(p, q, order="t_outer", table=None, windowed=True):
-        blocks = _orbit_blocks(ens, u0, windowed, table, ORBIT_BLOCK)
-        return mixed_norm_blocks(blocks, grid.dx, ens.t_window / ens.n_t, p, q, order)
+def _d(ens: Ensemble, alpha: float, band: MultiplierSpec | None = None) -> np.ndarray:
+    """The multiplier table of D^alpha, times band's if given."""
+    d = multiplier_table(ens.grid, MultiplierSpec.fractional_d(alpha))
+    return d if band is None else d * multiplier_table(ens.grid, band)
 
-    if which == "2.03":
-        return norm(8.0, 8.0, windowed=False), u0.l2_norm()
-    if which == "2.05":
-        return norm(6.0, 6.0, table=d(1.0 / 6.0) * high), _modulation_rhs(ens, u0)
-    if which == "2.08":
-        return _sup_x_l2_t(ens, u0, d(1.0) * high), _modulation_rhs(ens, u0)
-    if which == "2.09":
-        low = multiplier_table(grid, MultiplierSpec.low_pass(ens.law_param))
-        return norm(2.0, math.inf, "x_outer", d(0.25 + eps) * low), _modulation_rhs(ens, u0)
-    law = {"2.055": "band_limited", "2.057": "low_frequency", "2.060": "high_frequency"}[which]
-    if ens.law != law:
-        raise ConfigError(f"tag {which} needs {law} data")
-    if which == "2.055":
-        return norm(math.inf, math.inf), ens.law_param ** (0.25 - eps) * _modulation_rhs(ens, u0)
-    if which == "2.057":
-        lhs = norm(2.0 / (1.0 - 2.0 * eps), math.inf, "x_outer")
-        return lhs, _modulation_rhs(ens, u0, d(-0.25))
-    return norm(math.inf, math.inf, table=d(-0.5 - 4.0 * eps) * high), _modulation_rhs(ens, u0)
+
+# The orbit tags' pair(ens) -> (u0 -> (LHS, RHS)); tables are built once per ensemble.
+
+def _l8_pair(ens: Ensemble):
+    return lambda u0: (_norm(ens, u0, 8.0, 8.0, windowed=False), u0.l2_norm())
+
+
+def _l6_pair(ens: Ensemble):
+    table = _d(ens, 1.0 / 6.0, MultiplierSpec.high_pass(ens.threshold))
+    return lambda u0: (_norm(ens, u0, 6.0, 6.0, table=table), _modulation_rhs(ens, u0))
+
+
+def _smoothing_pair(ens: Ensemble):
+    table = _d(ens, 1.0, MultiplierSpec.high_pass(ens.threshold))
+    ens.time_gram  # built here once, not raced for by the worker threads
+    return lambda u0: (_sup_x_l2_t(ens, u0, table), _modulation_rhs(ens, u0))
+
+
+def _maximal_pair(ens: Ensemble):
+    table = _d(ens, 0.25 + ens.epsilon, MultiplierSpec.low_pass(ens.law_param))
+    return lambda u0: (_norm(ens, u0, 2.0, math.inf, "x_outer", table), _modulation_rhs(ens, u0))
+
+
+def _block_pair(ens: Ensemble):
+    scale = ens.law_param ** (0.25 - ens.epsilon)
+    return lambda u0: (_norm(ens, u0, math.inf, math.inf), scale * _modulation_rhs(ens, u0))
+
+
+def _low_maximal_pair(ens: Ensemble):
+    p, weight = 2.0 / (1.0 - 2.0 * ens.epsilon), _d(ens, -0.25)
+    return lambda u0: (_norm(ens, u0, p, math.inf, "x_outer"), _modulation_rhs(ens, u0, weight))
+
+
+def _high_pointwise_pair(ens: Ensemble):
+    table = _d(ens, -0.5 - 4.0 * ens.epsilon, MultiplierSpec.high_pass(ens.threshold))
+    return lambda u0: (_norm(ens, u0, math.inf, math.inf, table=table), _modulation_rhs(ens, u0))
 
 
 def _ratio_report(tag: str, n_draws: int, pair_for, refinements, jobs: int) -> RatioReport:
@@ -335,37 +353,26 @@ def _ratio_report(tag: str, n_draws: int, pair_for, refinements, jobs: int) -> R
     )
 
 
-def _orbit_ratio(ens: Ensemble, which: str, tags: tuple, jobs: int) -> RatioReport:
-    """Run an orbit tag's ensemble and its REFINEMENTS."""
-    if which not in tags:
-        raise ConfigError(f"unknown tag {which!r}; expected one of {tags}")
-
-    def pair_for(name):
-        e = ens if name is None else ens.refined(name)
-        if which == "2.08":
-            e.time_gram  # built here once, not raced for by the worker threads
-        return lambda i: _orbit_pair(e, which, e.draw(i))
-
-    return _ratio_report(which, ens.n_draws, pair_for, REFINEMENTS[which], jobs)
+def _orbit_pair(tag: str, ens: Ensemble):
+    """The orbit tag's pair(ens), after its law check if it has one."""
+    record = TAGS[tag]
+    if record.fixed_law and ens.law != record.defaults["law"]:
+        raise ConfigError(f"tag {tag} needs {record.defaults['law']} data")
+    return record.pair(ens)
 
 
 def strichartz_ratio(ens: Ensemble, which: str, jobs: int = 1) -> RatioReport:
-    """Space-time integrability gains of the free propagator.
-
-    2.03: L8_{xt} against the L2 norm of the data (no window cutoff);
-    2.05: D^{1/6} high-pass in L6_{xt}; 2.08: one full derivative
-    high-pass in Linf_x L2_t (local smoothing); 2.09: D^{1/4+eps}
-    low-pass in L2_x Linf_t (maximal function).  RHS for the windowed
-    variants is the modulation norm with b = ens.b.  Refinements: the
-    tag's REFINEMENTS."""
-    return _orbit_ratio(ens, which, STRICHARTZ_TAGS, jobs)
+    # kept for labbench; ROADMAP item 1 deletes it
+    if which not in STRICHARTZ_TAGS:
+        raise ConfigError(f"unknown tag {which!r}; expected one of {STRICHARTZ_TAGS}")
+    return run_ensemble(which, ens, jobs)
 
 
 def linfty_bounds_ratio(ens: Ensemble, which: str, jobs: int = 1) -> RatioReport:
-    """Pointwise bounds: block data in Linf_{xt} against N^{1/4-eps},
-    low-frequency maximal bound, and the weighted high-frequency
-    Linf bound.  Refinements: the tag's REFINEMENTS."""
-    return _orbit_ratio(ens, which, LINFTY_TAGS, jobs)
+    # kept for labbench; ROADMAP item 1 deletes it
+    if which not in LINFTY_TAGS:
+        raise ConfigError(f"unknown tag {which!r}; expected one of {LINFTY_TAGS}")
+    return run_ensemble(which, ens, jobs)
 
 
 def bilinear_weighted_product(f1: Field, f2: Field, s: float, symbol: PhaseSymbol) -> np.ndarray:
@@ -385,15 +392,14 @@ def bilinear_weighted_product(f1: Field, f2: Field, s: float, symbol: PhaseSymbo
     if nz1.size == 0 or nz2.size == 0:
         return np.zeros(n, dtype=complex)
     slots, valid = mode_slots(modes[nz1][:, None] + modes[nz2][None, :], n)
-    w = np.abs(dphi[nz1][:, None] - dphi[nz2][None, :]) ** s if s != 0 else \
-        np.ones((nz1.size, nz2.size))
+    w = np.abs(dphi[nz1][:, None] - dphi[nz2][None, :]) ** s
     contrib = w * f1.coeffs[nz1][:, None] * f2.coeffs[nz2][None, :]
     out = np.zeros(n, dtype=complex)
     np.add.at(out, slots[valid], contrib[valid])
     return out
 
 
-def _bilinear_spectra(ens: Ensemble, s: float):
+def _bilinear_spectra(ens: Ensemble):
     """spectra(f1, f2) -> (n_t, n): row l is bilinear_weighted_product of
     U(t_l) f1 and U(t_l) f2 for data on the law's support, all rows from one
     scatter.  The mode pairs, their targets and weights are built here once."""
@@ -404,7 +410,7 @@ def _bilinear_spectra(ens: Ensemble, s: float):
     slots, housed = mode_slots(m[:, None] + m[None, :], n)
     i, j = np.nonzero(housed)
     dphi = ens.symbol.derivative_table(grid)[idx]
-    w = np.abs(dphi[i] - dphi[j]) ** s if s != 0 else np.ones(i.size)
+    w = np.abs(dphi[i] - dphi[j]) ** BILINEAR_S
     ph = ens.symbol.propagator(ens.times(), grid.wavenumbers[idx])
     slot = (np.arange(n_t)[:, None] * n + slots[i, j]).ravel()
 
@@ -417,16 +423,13 @@ def _bilinear_spectra(ens: Ensemble, s: float):
     return spectra
 
 
-def bilinear_ratio(ens: Ensemble, s: float, jobs: int = 1) -> RatioReport:
-    """Smoothing of the interaction of two free waves.
+def bilinear_ratio(ens: Ensemble, jobs: int = 1) -> RatioReport:
+    """Tag 2.027, smoothing of the interaction of two free waves.
 
-    LHS is the L2_{xt} norm of the weighted product of two evolved
-    draws; RHS is the product of the data L2 norms.  The interaction
-    weight vanishes on the diagonal and anti-diagonal (phi' is even), so
-    single-mode data are annihilated.  2.027 runs no refinement yet."""
-    if not 0.0 <= s <= 0.5:
-        raise ConfigError(f"s must lie in [0, 1/2], got {s}")
-    spectra = _bilinear_spectra(ens, s)
+    LHS is the L2_{xt} norm of the weighted product (s = BILINEAR_S) of two
+    evolved draws; RHS is the product of the data L2 norms.  The weight
+    vanishes on the diagonal and anti-diagonal (phi' is even)."""
+    spectra = _bilinear_spectra(ens)
 
     def pair(i: int):
         f1, f2 = ens.draw(2 * i), ens.draw(2 * i + 1)
@@ -434,8 +437,8 @@ def bilinear_ratio(ens: Ensemble, s: float, jobs: int = 1) -> RatioReport:
         lhs = math.sqrt(ens.grid.length * total * (ens.t_window / ens.n_t))
         return lhs, f1.l2_norm() * f2.l2_norm()
 
-    tag = f"2.027(s={s:g})" if s == 0.5 else f"bilinear(s={s:g})"
-    return _ratio_report(tag, ens.n_draws, lambda name: pair, REFINEMENTS["2.027"], jobs)
+    return _ratio_report(f"2.027(s={BILINEAR_S:g})", ens.n_draws, lambda name: pair,
+                         TAGS["2.027"].refinements, jobs)
 
 
 def _multilinear_weights(n_cells: int, dxi: float, dtau: float,
@@ -465,9 +468,9 @@ def _alias_free_period(k: int, cells: int) -> int:
     return period
 
 
-def multilinear_ratio(ens: Ensemble, k: int = 5, n_cells: int = 64,
-                      jobs: int = 1) -> RatioReport:
-    """(k+2)-linear convolution inequality on a space-time mode lattice.
+def multilinear_ratio(ens: Ensemble, n_cells: int = 64, jobs: int = 1) -> RatioReport:
+    """Tag 3.03, the (k+2)-linear convolution inequality on a space-time
+    mode lattice, k = MULTILINEAR_K.
 
     All spectra are drawn nonnegative, so the integral is monotone and
     the Monte-Carlo ratio is a one-sided-safe test.  The (k+1)-fold
@@ -480,6 +483,7 @@ def multilinear_ratio(ens: Ensemble, k: int = 5, n_cells: int = 64,
     ens.b.  The refinement lattice_x2 halves the spacing at a fixed box
     extent; it and the base lattice draw with RNG salts 1 and 0.
     """
+    k = MULTILINEAR_K
     s = 0.5 - 2.0 / k + 2.0 * ens.epsilon
     dxi = 2.0 * math.pi / ens.grid.length
     dtau = 2.0 * math.pi / ens.t_window
@@ -521,62 +525,71 @@ def multilinear_ratio(ens: Ensemble, k: int = 5, n_cells: int = 64,
 
         return pair
 
-    return _ratio_report(f"3.03(k={k})", ens.n_draws, pair_for, REFINEMENTS["3.03"], jobs)
+    return _ratio_report(f"3.03(k={k})", ens.n_draws, pair_for, TAGS["3.03"].refinements, jobs)
 
 
 def ratio_pair_for_tag(ens: Ensemble, tag: str, u0: Field):
     """(LHS, RHS) of one draw for the orbit-based tags; test hook for the
     homogeneity invariant."""
-    if tag not in STRICHARTZ_TAGS + LINFTY_TAGS:
+    if tag not in TAGS or TAGS[tag].pair is None:
         raise ConfigError(f"tag {tag!r} is not orbit-based")
-    return _orbit_pair(ens, tag, u0)
+    return _orbit_pair(tag, ens)(u0)
 
 
-TAG_DEFAULTS = {
-    # gaussian-spectrum family on L = 16*pi: decay 2 caps support at
-    # |xi| <= 14.9, so max|phi| ~ 3.3e3 and T = 0.25 needs n_t >= 265
-    "2.03": dict(law="gaussian_spectrum", law_param=2.0, n=512, length=16 * math.pi,
-                 t_window=0.25, n_t=512),
-    "2.05": dict(law="gaussian_spectrum", law_param=2.0, n=512, length=16 * math.pi,
-                 t_window=0.25, n_t=512),
-    "2.08": dict(law="gaussian_spectrum", law_param=2.0, n=512, length=16 * math.pi,
-                 t_window=0.25, n_t=512),
-    # low-frequency laws need a long box so |xi| <= 1 is well populated;
-    # the slowest mode carries phi ~ gamma/dxi
-    "2.09": dict(law="low_frequency", law_param=1.0, n=256, length=128 * math.pi,
-                 t_window=1.0, n_t=128),
-    "2.057": dict(law="low_frequency", law_param=1.0, n=256, length=128 * math.pi,
-                  t_window=1.0, n_t=128),
-    "2.060": dict(law="high_frequency", law_param=1.0, n=512, length=16 * math.pi,
-                  t_window=0.25, n_t=128),
-    "2.027": dict(law="band_limited", law_param=1.0, n=256, length=8 * math.pi,
-                  t_window=0.5, n_t=64),
-    "2.055": dict(law="band_limited", law_param=4.0, n=512, length=8 * math.pi,
-                  t_window=20.0 / 16.0**3, n_t=64),
+class Tag(NamedTuple):
+    """An estimate tag: default_ensemble's fields (n and length make the
+    grid), the refinements run beside the base ensemble, and how a draw is
+    evaluated: an orbit tag's pair(ens) -> (u0 -> (lhs, rhs)), the others'
+    ratio(ens, jobs).  fixed_law: only data of the default law are accepted."""
+
+    defaults: dict
+    refinements: tuple
+    pair: Callable | None = None
+    ratio: Callable | None = None
+    fixed_law: bool = False
+
+
+# gaussian-spectrum family on L = 16*pi: decay 2 caps support at |xi| <= 14.9,
+# so max|phi| ~ 3.3e3 and T = 0.25 needs n_t >= 265
+_GAUSSIAN = dict(law="gaussian_spectrum", law_param=2.0, n=512, length=16 * math.pi,
+                 t_window=0.25, n_t=512)
+# low-frequency laws need a long box so |xi| <= 1 is well populated; the
+# slowest mode carries phi ~ gamma/dxi
+_LOW = dict(law="low_frequency", law_param=1.0, n=256, length=128 * math.pi, t_window=1.0, n_t=128)
+# Grid refinements are left out where they matched every per-draw LHS of the
+# base within 2e-16 relative (2.03, 2.05 and 2.027 at seeds 1, 7, 99 and 2024).
+TAGS = {
+    "2.03": Tag(_GAUSSIAN, ("window_x2",), _l8_pair),
+    "2.05": Tag(_GAUSSIAN, ("window_x2",), _l6_pair),
+    "2.08": Tag(_GAUSSIAN, ("grid_x2", "grid_x4", "window_x2"), _smoothing_pair),
+    "2.09": Tag(_LOW, ("grid_x2", "grid_x4", "window_x2"), _maximal_pair),
+    "2.027": Tag(dict(law="band_limited", law_param=1.0, n=256, length=8 * math.pi,
+                      t_window=0.5, n_t=64), (), ratio=bilinear_ratio),
+    "2.055": Tag(dict(law="band_limited", law_param=4.0, n=512, length=8 * math.pi,
+                      t_window=20.0 / 16.0**3, n_t=64),
+                 ("grid_x2", "window_x2"), _block_pair, fixed_law=True),
+    "2.057": Tag(_LOW, ("grid_x2", "window_x2"), _low_maximal_pair, fixed_law=True),
+    "2.060": Tag(dict(law="high_frequency", law_param=1.0, n=512, length=16 * math.pi,
+                      t_window=0.25, n_t=128),
+                 ("grid_x2", "window_x2"), _high_pointwise_pair, fixed_law=True),
     # only the lattice spacings dxi = 2pi/L and dtau = 2pi/T matter here;
     # draws are fresh nonnegative cell values, not orbit data
-    "3.03": dict(law="band_limited", law_param=1.0, n=256, length=16 * math.pi,
-                 t_window=8.0, n_t=256),
+    "3.03": Tag(dict(law="band_limited", law_param=1.0, n=256, length=16 * math.pi,
+                     t_window=8.0, n_t=256), ("lattice_x2",), ratio=multilinear_ratio),
 }
+ALL_TAGS = tuple(TAGS)
 
-# Ensemble.refined names per orbit tag, multilinear_ratio's for 3.03.  Grid
-# refinements are left out where they matched every per-draw LHS of the base
-# within 2e-16 relative (2.03, 2.05 and 2.027 at seeds 1, 7, 99 and 2024).
-REFINEMENTS = {
-    **dict.fromkeys(("2.03", "2.05"), ("window_x2",)),
-    **dict.fromkeys(("2.08", "2.09"), ("grid_x2", "grid_x4", "window_x2")),
-    **dict.fromkeys(LINFTY_TAGS, ("grid_x2", "window_x2")),
-    "2.027": (),
-    "3.03": ("lattice_x2",),
-}
+
+def _tag(tag: str) -> Tag:
+    if tag not in TAGS:
+        raise ConfigError(f"unknown tag {tag!r}; valid tags: {', '.join(ALL_TAGS)}")
+    return TAGS[tag]
 
 
 def default_ensemble(tag: str, seed: int, n_draws: int, **overrides) -> Ensemble:
-    """The tag's TAG_DEFAULTS ensemble; overrides replace its entries or
+    """The tag's default ensemble (TAGS); overrides replace its entries or
     set any other Ensemble field, whose own default applies otherwise."""
-    if tag not in TAG_DEFAULTS:
-        raise ConfigError(f"unknown tag {tag!r}; valid tags: {', '.join(ALL_TAGS)}")
-    d = dict(TAG_DEFAULTS[tag], **overrides)
+    d = dict(_tag(tag).defaults, **overrides)
     grid = Grid(d.pop("n"), d.pop("length"))
     return Ensemble(seed=seed, n_draws=n_draws, grid=grid, **d)
 
@@ -587,11 +600,14 @@ def run_tag(tag: str, seed: int, n_draws: int, jobs: int = 1, **overrides) -> Ra
 
 
 def run_ensemble(tag: str, ens: Ensemble, jobs: int = 1) -> RatioReport:
-    """Run one acceptance tag on ens."""
-    if tag in STRICHARTZ_TAGS:
-        return strichartz_ratio(ens, tag, jobs=jobs)
-    if tag in LINFTY_TAGS:
-        return linfty_bounds_ratio(ens, tag, jobs=jobs)
-    if tag == "2.027":
-        return bilinear_ratio(ens, 0.5, jobs=jobs)
-    return multilinear_ratio(ens, k=5, jobs=jobs)
+    """Run one acceptance tag on ens, with its refinements."""
+    record = _tag(tag)
+    if record.ratio is not None:
+        return record.ratio(ens, jobs=jobs)
+
+    def pair_for(name):
+        e = ens if name is None else ens.refined(name)
+        pair = _orbit_pair(tag, e)
+        return lambda i: pair(e.draw(i))
+
+    return _ratio_report(tag, ens.n_draws, pair_for, record.refinements, jobs)

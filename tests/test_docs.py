@@ -1,12 +1,12 @@
 """The README's tables against the code they describe: the Layout block
-names exactly the package's modules, the refinement table lists
-estimates.REFINEMENTS tag by tag, and the estimate-tag table lists
-estimates.ALL_TAGS in order."""
+names exactly the package's modules, the refinement table lists each
+record's refinements in estimates.TAGS, and the estimate-tag table lists
+the tags of estimates.TAGS in order."""
 
 import pathlib
 import re
 
-from ostrovsky.estimates import ALL_TAGS, REFINEMENTS
+from ostrovsky.estimates import TAGS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -33,11 +33,11 @@ def test_refinement_table_equals_refinements():
         for tag in tags.split(", "):
             assert tag not in table, f"tag {tag} listed twice"
             table[tag] = names
-    assert table == REFINEMENTS
+    assert table == {tag: record.refinements for tag, record in TAGS.items()}
 
 
 def test_estimate_tag_table_lists_all_tags_in_order():
     rows = README.split("\n| tag   | probed bound |\n|-------|--------------|\n", 1)[1]
     rows = rows.split("\n\n", 1)[0]
     tags = re.findall(r"^\| ([\d.]+) +\| ", rows, flags=re.M)
-    assert tuple(tags) == ALL_TAGS and len(rows.splitlines()) == len(tags)
+    assert tuple(tags) == tuple(TAGS) and len(rows.splitlines()) == len(tags)

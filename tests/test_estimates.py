@@ -11,8 +11,8 @@ from ostrovsky.estimates import (
     ALL_TAGS,
     LAWS,
     LINFTY_TAGS,
-    REFINEMENTS,
     STRICHARTZ_TAGS,
+    TAGS,
     Ensemble,
     _alias_free_period,
     _bilinear_spectra,
@@ -25,6 +25,7 @@ from ostrovsky.estimates import (
     multilinear_ratio,
     propagator_orbit,
     ratio_pair_for_tag,
+    run_ensemble,
     run_tag,
     strichartz_ratio,
 )
@@ -83,7 +84,7 @@ class TestEnsemble:
 class TestStrichartz:
     @pytest.mark.parametrize("tag", ["2.03", "2.05", "2.08", "2.09"])
     def test_finite_and_stable(self, tag):
-        report = strichartz_ratio(default_ensemble(tag, 7, 6), tag)
+        report = run_ensemble(tag, default_ensemble(tag, 7, 6))
         assert np.isfinite(report.max_ratio)
         assert report.stability_factor < 4.0
 
@@ -109,7 +110,7 @@ class TestStrichartz:
         maxima = []
         for m_cut in (0.125, 0.25, 0.5, 1.0):
             ens = default_ensemble("2.09", 3, 5, law_param=m_cut)
-            rep = strichartz_ratio(ens, "2.09")
+            rep = run_ensemble("2.09", ens)
             maxima.append(rep.max_ratio)
         assert max(maxima) <= 4.0 * min(maxima)
 
@@ -125,7 +126,7 @@ class TestStrichartz:
 class TestLinfty:
     @pytest.mark.parametrize("tag", ["2.055", "2.057", "2.060"])
     def test_finite_and_stable(self, tag):
-        report = linfty_bounds_ratio(default_ensemble(tag, 7, 6), tag)
+        report = run_ensemble(tag, default_ensemble(tag, 7, 6))
         assert np.isfinite(report.max_ratio)
         assert report.stability_factor < 4.0
 
@@ -136,14 +137,14 @@ class TestLinfty:
                 "2.055", 5, 5, law_param=n_block,
                 t_window=20.0 / (4.0 * n_block) ** 3,
             )
-            rep = linfty_bounds_ratio(ens, "2.055")
+            rep = run_ensemble("2.055", ens)
             maxima.append(rep.max_ratio)
         assert max(maxima) <= 4.0 * min(maxima)
 
     def test_law_mismatch_rejected(self):
         ens = default_ensemble("2.055", 1, 2)
-        with pytest.raises(ConfigError):
-            linfty_bounds_ratio(ens, "2.057")
+        with pytest.raises(ConfigError, match="^tag 2.057 needs low_frequency data$"):
+            run_ensemble("2.057", ens)
 
 
 class TestBilinear:
@@ -165,13 +166,9 @@ class TestBilinear:
         assert np.max(np.abs(out - product_spec)) < 1e-10 * np.max(np.abs(product_spec))
 
     def test_ratio_report(self):
-        rep = bilinear_ratio(default_ensemble("2.027", 9, 4), 0.5)
+        rep = bilinear_ratio(default_ensemble("2.027", 9, 4))
         assert np.isfinite(rep.max_ratio)
         assert rep.refinement_max == {} and rep.stability_factor == 1.0
-
-    def test_s_range_validated(self):
-        with pytest.raises(ConfigError):
-            bilinear_ratio(default_ensemble("2.027", 9, 2), 0.75)
 
 
 class TestMultilinear:
@@ -199,7 +196,7 @@ class TestMultilinear:
         assert lhs == pytest.approx(direct, rel=1e-12)
 
     def test_refinement_stable(self):
-        rep = multilinear_ratio(default_ensemble("3.03", 13, 5), k=5, n_cells=32)
+        rep = multilinear_ratio(default_ensemble("3.03", 13, 5), n_cells=32)
         assert rep.stability_factor < 4.0
 
 
@@ -237,13 +234,44 @@ def _one_cell_lhs(ens, k, n_cells, xi_idx, tau_idx, kill_one_factor=False):
 
 class TestDispatch:
     def test_unknown_tag(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^unknown tag '9.99'; valid tags: 2.03, 2.05, "):
             run_tag("9.99", seed=1, n_draws=1)
+        with pytest.raises(ConfigError, match="^unknown tag '9.99'; valid tags: "):
+            run_ensemble("9.99", default_ensemble("3.03", 1, 1))
 
     def test_all_tags_listed(self):
         assert set(ALL_TAGS) == {
             "2.03", "2.05", "2.08", "2.09", "2.027", "2.055", "2.057", "2.060", "3.03",
         }
+
+    def test_family_tuples_are_the_orbit_records(self):
+        orbit = tuple(tag for tag, record in TAGS.items() if record.pair is not None)
+        assert STRICHARTZ_TAGS + LINFTY_TAGS == orbit
+        assert all((record.pair is None) != (record.ratio is None) for record in TAGS.values())
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_report_label_and_refinements(self, tag):
+        labels = {"2.027": "2.027(s=0.5)", "3.03": "3.03(k=5)"}
+        rep = run_tag(tag, seed=3, n_draws=1)
+        assert rep.tag == labels.get(tag, tag)
+        assert tuple(rep.refinement_max) == TAGS[tag].refinements
+
+    @pytest.mark.parametrize("shim,family,other", [
+        (strichartz_ratio, STRICHARTZ_TAGS, "2.055"),
+        (linfty_bounds_ratio, LINFTY_TAGS, "2.03"),
+    ], ids=["strichartz", "linfty"])
+    def test_family_shim_refuses_other_tags(self, shim, family, other):
+        tag = family[-1]
+        ens = default_ensemble(tag, 3, 1)
+        assert np.array_equal(shim(ens, tag).ratios, run_ensemble(tag, ens).ratios)
+        with pytest.raises(ConfigError, match=f"unknown tag '{other}'; expected one of"):
+            shim(ens, other)
+
+    @pytest.mark.parametrize("tag", ["2.027", "3.03", "9.99"])
+    def test_pair_only_for_orbit_tags(self, tag):
+        ens = default_ensemble("2.05", 3, 1)
+        with pytest.raises(ConfigError, match=f"^tag '{tag}' is not orbit-based$"):
+            ratio_pair_for_tag(ens, tag, ens.draw(0))
 
     @pytest.mark.parametrize("tag", ALL_TAGS)
     def test_worker_count_independent(self, tag):
@@ -452,7 +480,7 @@ class TestBilinearVectorized:
         ens = default_ensemble("2.027", 9, 1)
         ens = ens if refinement is None else ens.refined(refinement)
         f1, f2 = ens.draw(0), ens.draw(1)
-        spectra = _bilinear_spectra(ens, 0.5)(f1, f2)
+        spectra = _bilinear_spectra(ens)(f1, f2)
         phi = ens.symbol.table(ens.grid)
         for row, tl in zip(spectra, ens.times()):
             ph = np.exp(-1j * tl * phi)
@@ -462,7 +490,7 @@ class TestBilinearVectorized:
 
     def test_lhs_equals_per_slice_loop(self):
         ens = default_ensemble("2.027", 9, 3)
-        rep = bilinear_ratio(ens, 0.5)
+        rep = bilinear_ratio(ens)
         grid, phi, dt = ens.grid, ens.symbol.table(ens.grid), ens.t_window / ens.n_t
         for i, lhs in enumerate(rep.lhs):
             f1, f2 = ens.draw(2 * i), ens.draw(2 * i + 1)
@@ -506,7 +534,7 @@ class TestMultilinearRealTransforms:
         ens = default_ensemble("3.03", 13, 2)
         k, cells = 5, 16
         s, b = 0.5 - 2.0 / k + 2.0 * ens.epsilon, ens.b
-        rep = multilinear_ratio(ens, k=k, n_cells=cells)
+        rep = multilinear_ratio(ens, n_cells=cells)
         dxi, dtau = 2 * math.pi / ens.grid.length, 2 * math.pi / ens.t_window
         for i in range(ens.n_draws):
             left, right = _reference_multilinear_pair(ens, k, cells, dxi, dtau, 0, i, s, b)
@@ -523,7 +551,7 @@ class TestSynthesisOracles:
     the orbit synthesis and the full-length pad they replace."""
 
     @pytest.mark.parametrize("seed", [2024, 1])
-    @pytest.mark.parametrize("refinement", (None,) + REFINEMENTS["2.08"])
+    @pytest.mark.parametrize("refinement", (None,) + TAGS["2.08"].refinements)
     def test_local_smoothing_equals_orbit_synthesis(self, seed, refinement):
         ens = default_ensemble("2.08", seed, 3)
         ens = ens if refinement is None else ens.refined(refinement)
@@ -543,7 +571,7 @@ class TestSynthesisOracles:
                             lambda tag, n, pair_for, *_: captured.update(pair_for=pair_for))
         multilinear_ratio(ens)
         reference = full_pad_multilinear_pairs(ens, 5, 64)
-        for name in (None,) + REFINEMENTS["3.03"]:
+        for name in (None,) + TAGS["3.03"].refinements:
             pair, ref_pair = captured["pair_for"](name), reference(name)
             for i in range(ens.n_draws):
                 (left, right), (ref_left, ref_right) = pair(i), ref_pair(i)
@@ -560,7 +588,7 @@ class TestSynthesisOracles:
                             lambda tag, n, pair_for, *_: captured.update(pair_for=pair_for))
         multilinear_ratio(ens)
         reference = full_pad_multilinear_pairs(ens, 5, 64, period=_alias_free_period)
-        for name in (None,) + REFINEMENTS["3.03"]:
+        for name in (None,) + TAGS["3.03"].refinements:
             pair, ref_pair = captured["pair_for"](name), reference(name)
             for i in range(ens.n_draws):
                 assert pair(i) == ref_pair(i)
@@ -600,7 +628,7 @@ class TestRefinementSkips:
 
 
 ORBIT_REFINEMENTS = [(tag, name) for tag in STRICHARTZ_TAGS + LINFTY_TAGS
-                     for name in REFINEMENTS[tag]]
+                     for name in TAGS[tag].refinements]
 
 
 def _orbit_lhs(ens, tag, n_draws):
@@ -628,8 +656,8 @@ class TestRefinementTable:
         ens = default_ensemble(tag, 2024, 3)
         fine = ens.refined("grid_x2")
         if tag == "2.027":
-            base, refined = bilinear_ratio(ens, 0.5).lhs, bilinear_ratio(fine, 0.5).lhs
+            base, refined = bilinear_ratio(ens).lhs, bilinear_ratio(fine).lhs
         else:
             base, refined = _orbit_lhs(ens, tag, 3), _orbit_lhs(fine, tag, 3)
-        assert "grid_x2" not in REFINEMENTS[tag]
+        assert "grid_x2" not in TAGS[tag].refinements
         np.testing.assert_allclose(refined, base, rtol=1e-15, atol=0.0)
