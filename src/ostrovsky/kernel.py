@@ -104,6 +104,7 @@ class KernelSpec:
             raise ConfigError(
                 f"block start N = {self.block_start} below threshold a = {self.threshold}"
             )
+        self.symbol  # PhaseSymbol refuses gamma < 0
 
     @property
     def symbol(self) -> PhaseSymbol:

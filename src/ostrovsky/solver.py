@@ -24,7 +24,8 @@ evolve's snapshots are the exact Hermitian extensions of the state.
 
 A run steps on one lattice, t_i = i*dt up to t_end = n_steps*dt, under
 the rule (lattice_steps) the fixed-point lattice applies to delta too;
-check_initial_data is the one t = 0 check, evolve's and its callers'.
+no span takes more than MAX_STEPS steps.  check_initial_data is the one
+t = 0 check, evolve's and its callers'.
 
 Runs differing only in gamma step as the rows of one stacked state, each
 bit-identical to its run alone.  numpy's SIMD complex multiply is not
@@ -77,6 +78,9 @@ BLOWUP_L2_FACTOR = 10.0
 PICARD_TOLERANCE = 1e-10  # picard_iterate converges below this times ||u0||
 CFL_SAFETY = 0.5  # the share of dx / max(1, max|u|)^k that a step may take
 PICARD_BLOCK = 64  # lattice rows per block of a Picard map; no value depends on it
+# the most steps of dt a t_end, delta or invariants horizon may span: 100 times
+# the longest run a shipped config, test or labbench leg takes (10,000 steps)
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -139,10 +143,13 @@ class SolverConfig:
 
 
 def step_ratio(span: float, dt: float, name: str) -> float:
-    """span / dt, ConfigError unless finite."""
+    """span / dt, ConfigError unless finite and at most MAX_STEPS."""
     steps = span / dt
     if not math.isfinite(steps):
         raise ConfigError(f"{name} = {span:g} is not a finite number of steps of dt = {dt:g}")
+    if steps > MAX_STEPS:
+        raise ConfigError(f"{name} = {span:g} is {steps:.7g} steps of dt = {dt:g}, "
+                          f"more than MAX_STEPS = {MAX_STEPS}")
     return steps
 
 

@@ -438,6 +438,15 @@ class TestInputErrors:
          "dt = 0.1 exceeds the advection bound 0.0390625 (dx = 0.078125, max|u0| = 0.477844, k = 5)"),
         ("invariants", "[invariants]\nsnapshot = {snapshot}\nhorizon = 1e308\n",
          "horizon = 1e+308 is not a finite number of steps of dt = 0.0390625"),
+        ("solve", (CONFIGS / "solve.cfg").read_text().replace("t_end = 1.0", "t_end = 1e300"),
+         "t_end = 1e+300 is 2e+302 steps of dt = 0.005, more than MAX_STEPS = 1000000"),
+        ("solve", (CONFIGS / "solve.cfg").read_text().replace("t_end = 1.0", "t_end = 5000.005"),
+         "t_end = 5000.01 is 1000001 steps of dt = 0.005, more than MAX_STEPS = 1000000"),
+        ("invariants", "[invariants]\nsnapshot = {snapshot}\nhorizon = 1e300\n",
+         "horizon = 1e+300 is 2.56e+301 steps of dt = 0.0390625, more than MAX_STEPS = 1000000"),
+        ("probe-kernel", (CONFIGS / "probe_kernel.cfg").read_text().replace("gamma = 1.0",
+                                                                            "gamma = -1"),
+         "gamma must be >= 0, got -1.0"),
     ], ids=["soliton_on_a_coarse_grid", "picard_delta_below_two_steps", "picard_no_iterations",
             "kernel_gamma_exp", "kernel_block_below_threshold", "kernel_no_samples",
             "estimates_odd_n_t", "solve_no_snapshot_cadence", "sweep_no_snapshot_cadence",
@@ -446,8 +455,10 @@ class TestInputErrors:
             "soliton_speed_nan", "sweep_gammas_nan", "kernel_blocks_inf",
             "estimates_window_nan", "solve_width_zero", "solve_amplitude_1e308",
             "solve_length_1e308", "solve_h1_norm_1e308", "solve_t_end_1e308", "solve_t_end_off_lattice", "solve_dt_above_cfl",
-            "sweep_t_end_1e308", "sweep_dt_above_cfl", "invariants_horizon_1e308"])
-    def test_read_phase_rejects(self, tmp_path, capsys, command, text, message):
+            "sweep_t_end_1e308", "sweep_dt_above_cfl", "invariants_horizon_1e308",
+            "solve_t_end_1e300", "solve_one_step_past_the_cap", "invariants_horizon_1e300",
+            "kernel_gamma_negative"])
+    def test_read_phase_rejects(self, tmp_path, capsys, monkeypatch, command, text, message):
         if command == "invariants":
             snap = tmp_path / "snap.dat"
             write_snapshot(snap, gaussian_bump(Grid(128, 20.0), amplitude=0.4, width=2.0),
@@ -456,6 +467,11 @@ class TestInputErrors:
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
         extra = ["--which", "2.057"] if command == "probe-estimates" else []
+
+        def run_phase(path):  # a case that gets here could run for ever
+            raise AssertionError(f"the run phase was reached with --out {path}")
+
+        monkeypatch.setattr(cli, "ensure_dir", run_phase)
         assert main([command, "--config", cfg, "--out", str(out)] + extra) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error:") and message in err

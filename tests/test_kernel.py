@@ -76,6 +76,10 @@ class TestKernelEval:
         with pytest.raises(ConfigError):
             KernelSpec(0.5, -1.0, 1.0, threshold=1.0)
 
+    def test_negative_gamma_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="gamma must be >= 0, got -1.0"):
+            KernelSpec(16.0, -1.0, -1.0)
+
     def test_agrees_with_discrete_propagator(self):
         # trapezoid sampling of the block indicator turns the discrete
         # propagator into a periodized quadrature of the kernel; on a box

@@ -18,6 +18,7 @@ from ostrovsky.errors import (
 from ostrovsky.norms import h_s_norm
 from ostrovsky.solver import (
     CFL_SAFETY,
+    MAX_STEPS,
     SOLITON_OVERSAMPLING,
     SolverConfig,
     _evolve_rows,
@@ -107,6 +108,10 @@ class TestConfig:
             small_config(g, dt=0.01, t_end=1e308)
         assert lattice_steps(0.05, 1e-4, "delta") == picard_lattice(
             small_config(g, dt=1e-4, t_end=0.05), 0.05, 1) == 500
+        # at most MAX_STEPS steps, checked before anything runs
+        assert small_config(g, dt=0.01, t_end=0.01 * MAX_STEPS).n_steps == MAX_STEPS
+        with pytest.raises(ConfigError, match=f"more than MAX_STEPS = {MAX_STEPS}"):
+            small_config(g, dt=0.01, t_end=0.01 * (MAX_STEPS + 1))
 
 
 class TestNonlinearTerm:
