@@ -64,7 +64,7 @@ def exit_codes():
     return by_type, listed
 
 
-def test_exit_code_list_names_each_code_once():
+def test_exit_code_list_agrees_with_the_type_rule():
     by_type, listed = exit_codes()
     assert by_type == {"ConfigError": 1, "OSError": 1, "RunAborted": 2}
     assert listed == {"success": 0, "config or input error": by_type["ConfigError"],
