@@ -36,7 +36,7 @@ from .errors import ConfigError, RunAborted
 from .estimates import default_ensemble, run_ensemble
 from .io import ensure_dir, fmt, read_snapshot, svg_loglog, write_csv, write_json, write_snapshot
 from .kernel import (KernelSpec, kernel_mixed_norm, region_decay_check, require_mixed_exponent,
-                     require_samples)
+                     require_sample_windows, require_samples)
 from .limits import SweepConfig, conservation_drift, rotation_limit_sweep
 from .norms import norm_record
 from .solver import (
@@ -204,9 +204,11 @@ def cmd_probe_kernel(section, args):
     gamma = section.get_float("gamma", 1.0)
     spec_options = {"threshold": section.get_float("a")} if "a" in section.keys() else {}
     gamma_exp = section.get_float("gamma_exp", 8.0)
-    require_mixed_exponent(gamma_exp)
     specs = [KernelSpec(n_block, beta, gamma, **spec_options)
              for n_block in section.get_floats("blocks", (16.0, 32.0, 64.0))]
+    for spec in specs:
+        require_mixed_exponent(gamma_exp, spec)
+        require_sample_windows(spec)
     sampling = _given(section, samples_per_region=section.get_int)
     if sampling:
         require_samples(sampling["samples_per_region"])

@@ -13,15 +13,15 @@ A point whose g' keeps one sign, with min|g'| times a Levin piece width
 at least LEVIN_MIN_TURN, goes first to Levin collocation, whose cost
 does not grow with |g'|; it is accepted when its two orders agree within
 spec.accepted_error.  The other points take the one Gauss-Kronrod
-(G7, K15) pass, on panels no wider than a quarter of the local
-wavelength 2*pi/|g'|: consecutive points form batches of up to
-BATCH_NODES nodes (a larger point is a batch alone) on a thread pool of
-jobs workers, each evaluating its integrand CHUNK_PANELS panels at a
-time, so a worker holds one chunk's integrand plus 24 bytes per panel of
-its batch.  Only the points whose error estimate misses tolerance are
-re-run at 4x and then 16x finer panels.  kernel_eval, the reference that
-the tests hold Levin to within accepted_error, is that pass on one
-point.  No value depends on the chunk, batch or pool size.
+(G7, K15) pass, on panels no wider than half the local wavelength
+2*pi/|g'| at a 1.5x margin on |g'|: consecutive points form batches of
+up to BATCH_NODES nodes (a larger point is a batch alone) on a thread
+pool of jobs workers, each evaluating its integrand CHUNK_PANELS panels
+at a time, so a worker holds one chunk's integrand plus 16 bytes per
+panel of its batch.  Only the points whose error estimate misses
+tolerance are re-run at 4x and then 16x finer panels.  kernel_eval, the
+reference that the tests hold Levin to within accepted_error, is that
+pass on one point.  No value depends on the chunk, batch or pool size.
 
 Sampling windows follow the kernel's self-similar scales x ~ 1/N,
 t ~ 1/N^3, so empirical constants are comparable across dyadic N.
@@ -33,6 +33,7 @@ import enum
 import functools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,8 @@ REGION_BOUNDARY_FACTOR = 4000.0
 MAX_NODES = 4_000_000
 BATCH_NODES = 1 << 16  # nodes per batch of points; a larger point is a batch alone
 CHUNK_PANELS = BATCH_NODES // 15  # panels per evaluation of the integrand
-_COARSE = 48  # coarse sub-intervals of [N, 4N], each with its own panel width
+_COARSE = 24  # coarse sub-intervals of [N, 4N], each with its own panel width
+_WAVELENGTH_PANELS = 2  # panels per local wavelength 2*pi/|g'| at the 1.5x slope margin
 _COUNT_POINTS = 1024  # points whose g' one broadcast of _scan_slopes takes
 _REFINES = (1.0, 4.0, 16.0)  # panel refinements tried in turn
 RELATIVE_TOLERANCE = 1e-12  # error bound relative to the |K| <= 6N envelope
@@ -86,7 +88,9 @@ class KernelSpec:
     threshold is the desk-scale stand-in a for the dyadic frequency cutoff
     in the region boundary |x| = region_speed * t = 4000*a*N^2*t; the paper's
     cutoff 2^[A] is far too large for O(1) coefficients (2^99 at
-    beta = -1, gamma = 1).
+    beta = -1, gamma = 1).  The kernel's time scale 1/N^3 needs (4N)^3
+    finite, and its phase needs phi and phi' finite at both block ends,
+    hence on the whole block (gamma >= 0 and xi > 0).
     """
 
     block_start: float
@@ -104,7 +108,14 @@ class KernelSpec:
             raise ConfigError(
                 f"block start N = {self.block_start} below threshold a = {self.threshold}"
             )
-        self.symbol  # PhaseSymbol refuses gamma < 0
+        ends = np.array([self.block_start, 4.0 * self.block_start])
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(ends[1] ** 3):
+                raise ConfigError(f"block start N = {self.block_start:g} has no finite (4N)^3")
+            symbol = self.symbol  # PhaseSymbol refuses gamma < 0
+            if not np.all(np.isfinite([symbol.at_nonzero(ends), symbol.derivative(ends)])):
+                raise ConfigError(f"phi or phi' is not finite on the block [{ends[0]:g}, "
+                                  f"{ends[1]:g}] at beta = {self.beta:g}, gamma = {self.gamma:g}")
 
     @property
     def symbol(self) -> PhaseSymbol:
@@ -155,10 +166,10 @@ def _coarse_samples(spec: KernelSpec):
 
 def _scan_slopes(xs: np.ndarray, ts: np.ndarray, coarse, n_block: float):
     """g' = x - t*phi' at the coarse samples, _COUNT_POINTS points at a time.
-    Returns each point's widest panel per coarse sub-interval, a quarter of
-    the local wavelength 2*pi/|g'|, shape (points, _COARSE); and whether it
-    goes to Levin: no stationary point, and collocation systems far from
-    the singular g' = 0."""
+    Returns each point's widest panel per coarse sub-interval, the local
+    wavelength 2*pi/(1.5*max|g'|) over _WAVELENGTH_PANELS, shape (points,
+    _COARSE); and whether it goes to Levin: no stationary point, and
+    collocation systems far from the singular g' = 0."""
     dphi = coarse[2]
     piece = 3.0 * n_block / _LEVIN_PIECES
     widths = np.empty((xs.size, _COARSE))
@@ -167,7 +178,7 @@ def _scan_slopes(xs: np.ndarray, ts: np.ndarray, coarse, n_block: float):
         part = slice(lo, lo + _COUNT_POINTS)
         slope = xs[part, None, None] - ts[part, None, None] * dphi
         worst = np.max(np.abs(slope), axis=2) * 1.5 + 1e-30
-        widths[part] = 2.0 * np.pi / (4.0 * worst)
+        widths[part] = 2.0 * np.pi / (_WAVELENGTH_PANELS * worst)
         # max(min g', -max g') is min|g'| when g' keeps one sign, else <= 0
         least = np.maximum(slope.min(axis=(1, 2)), -slope.max(axis=(1, 2)))
         eligible[part] = least * piece >= LEVIN_MIN_TURN
@@ -206,7 +217,9 @@ def _levin_values(xs: np.ndarray, ts: np.ndarray, spec: KernelSpec, symbol: Phas
         nodes, diff = _collocation(order)
         xi = mid[:, None] + half[:, None] * nodes  # (pieces, order + 1)
         slope = xs[:, None, None] - ts[:, None, None] * symbol.derivative(xi)
-        system = diff / half[:, None, None] + 1j * slope[..., None] * np.eye(order + 1)
+        system = np.empty(slope.shape + (order + 1,), dtype=complex)
+        system[...] = diff / half[:, None, None]
+        system.reshape(slope.shape[:2] + (-1,))[..., ::order + 2] += 1j * slope  # the diagonal
         p = np.linalg.solve(system, np.ones(slope.shape + (1,), dtype=complex))[..., 0]
         ends = xi[:, [0, -1]]
         phase = xs[:, None, None] * ends - ts[:, None, None] * symbol.at_nonzero(ends)
@@ -249,12 +262,14 @@ def kernel_eval(x: float, t: float, spec: KernelSpec) -> float:
     Raises QuadratureAccuracyError with the achieved bound when the
     embedded error estimate cannot be brought under spec.accepted_error.
     """
+    if not (math.isfinite(x) and math.isfinite(t)):
+        raise ConfigError(f"x and t must be finite, got x = {x}, t = {t}")
     if t < 0:
         raise ConfigError(f"t must be >= 0, got {t}")
     xs, ts = np.array([x], dtype=float), np.array([t], dtype=float)
     coarse = _coarse_samples(spec)
     widths, _ = _scan_slopes(xs, ts, coarse, spec.block_start)
-    values, achieved, _ = _gauss_kronrod(xs, ts, widths, coarse, spec, jobs=1)
+    values, achieved, _, _ = _gauss_kronrod(xs, ts, widths, coarse, spec, jobs=1)
     _require_converged(achieved, spec)
     return float(values[0])
 
@@ -265,44 +280,53 @@ class QuadratureStats:
 
     levin counts the points Levin accepted; refined_x4 and refined_x16
     count the points that were re-run at 4x (and then 16x) finer panels;
-    max_error is the largest finite achieved error bound, over converged
-    and failed points alike.
+    nodes counts the Gauss-Kronrod nodes evaluated, 15 per panel over
+    every refinement; max_error is the largest finite achieved error
+    bound, over converged and failed points alike.
     """
 
     points: int = 0
     levin: int = 0
     refined_x4: int = 0
     refined_x16: int = 0
+    nodes: int = 0
     over_cap: int = 0
     max_error: float = 0.0
 
 
+def _weighted_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * rows[k], added row by row in k order, so that no
+    entry's sum depends on how many columns rows has."""
+    total = weights[0] * rows[0]
+    for weight, row in zip(weights[1:], rows[1:]):
+        total += weight * row
+    return total
+
+
 def _batch_integrals(panels: _Panels, symbol: PhaseSymbol):
-    """Gauss-Kronrod value of the positive block and its error estimate,
-    the sum of |K15 - G7|, for each point of panels, the integrand
-    evaluated CHUNK_PANELS panels at a time.  The nodes lie in [N, 4N], so
-    phi needs no masking of xi = 0; cos and sin fill exp(1j*phase)."""
-    k15 = np.empty(panels.size, dtype=complex)
+    """Real part of the Gauss-Kronrod value of the positive block and its
+    error estimate, the sum of |K15 - G7|, for each point of panels, the
+    integrand evaluated CHUNK_PANELS panels at a time with row k holding
+    node k of every panel.  The nodes lie in [N, 4N], so phi needs no
+    masking of xi = 0."""
+    k15 = np.empty(panels.size)
     gap = np.empty(panels.size)
-    vals = np.empty((min(CHUNK_PANELS, panels.size), 15), dtype=complex)
     for lo in range(0, panels.size, CHUNK_PANELS):
         hi = min(lo + CHUNK_PANELS, panels.size)
         point, left, right = panels.edges(lo, hi)
         mid = 0.5 * (left + right)
         half = 0.5 * (right - left)
-        nodes = mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]
-        x, t = panels.xs[point][:, None], panels.ts[point][:, None]
-        phase = x * nodes - t * symbol.at_nonzero(nodes)
-        chunk = vals[:hi - lo]
-        np.cos(phase, out=chunk.real)
-        np.sin(phase, out=chunk.imag)
-        k15[lo:hi] = (chunk * _KRONROD_WEIGHTS[None, :]).sum(axis=1) * half
-        g7 = (chunk[:, _GAUSS_SLICE] * _GAUSS_WEIGHTS[None, :]).sum(axis=1) * half
-        gap[lo:hi] = np.abs(k15[lo:hi] - g7)
-    bounds = list(zip(np.concatenate(([0], panels.point_stops[:-1])), panels.point_stops))
-    values = np.array([k15[a:b].sum() for a, b in bounds])
-    errs = np.array([gap[a:b].sum() for a, b in bounds])
-    return values, errs
+        nodes = mid + half * _KRONROD_NODES[:, None]
+        phase = panels.xs[point] * nodes - panels.ts[point] * symbol.at_nonzero(nodes)
+        cos, sin = np.cos(phase), np.sin(phase)
+        k15_cos = _weighted_rows(cos, _KRONROD_WEIGHTS)
+        gap_cos = k15_cos - _weighted_rows(cos[_GAUSS_SLICE], _GAUSS_WEIGHTS)
+        gap_sin = _weighted_rows(sin, _KRONROD_WEIGHTS) \
+            - _weighted_rows(sin[_GAUSS_SLICE], _GAUSS_WEIGHTS)
+        k15[lo:hi] = k15_cos * half
+        gap[lo:hi] = np.hypot(gap_cos, gap_sin) * half
+    starts = np.concatenate(([0], panels.point_stops[:-1]))
+    return np.add.reduceat(k15, starts), np.add.reduceat(gap, starts)
 
 
 def _batches(rows: np.ndarray, nodes: np.ndarray) -> list:
@@ -321,7 +345,8 @@ def _batches(rows: np.ndarray, nodes: np.ndarray) -> list:
 
 def _gauss_kronrod(xs, ts, widths, coarse, spec: KernelSpec, jobs: int | None):
     """K at the points (xs[i], ts[i]) on panels of the _scan_slopes widths,
-    each point's achieved bound, and the points evaluated at each refinement.
+    each point's achieved bound, the points evaluated at each refinement,
+    and the nodes evaluated over all of them.
 
     Only the points that miss spec.accepted_error are re-run at the next
     refinement.  A point that misses after the last gets value nan and
@@ -331,7 +356,7 @@ def _gauss_kronrod(xs, ts, widths, coarse, spec: KernelSpec, jobs: int | None):
     symbol, accepted = spec.symbol, spec.accepted_error
     values, achieved = np.full(xs.size, np.nan), np.full(xs.size, np.inf)
     todo = np.arange(xs.size)
-    reached = [0] * len(_REFINES)
+    reached, evaluated = [0] * len(_REFINES), 0
     for level, refine in enumerate(_REFINES):
         if not todo.size:
             break
@@ -339,6 +364,7 @@ def _gauss_kronrod(xs, ts, widths, coarse, spec: KernelSpec, jobs: int | None):
         m = _panel_counts(widths[todo], coarse, refine)
         nodes = 15 * m.sum(axis=1)
         achieved[todo[nodes > MAX_NODES]] = math.inf
+        evaluated += int(nodes[nodes <= MAX_NODES].sum())
         batches = [(todo[rows], m[rows])
                    for rows in _batches(np.flatnonzero(nodes <= MAX_NODES), nodes)]
         batches.sort(key=lambda batch: -int(batch[1].sum()))  # largest first, to balance
@@ -348,10 +374,10 @@ def _gauss_kronrod(xs, ts, widths, coarse, spec: KernelSpec, jobs: int | None):
         for (batch, _), (value, err) in zip(batches, integrals):
             achieved[batch] = 2.0 * err
             ok = achieved[batch] <= accepted
-            values[batch[ok]] = 2.0 * value.real[ok]
+            values[batch[ok]] = 2.0 * value[ok]
             missed.extend(batch[~ok])
         todo = np.sort(np.array(missed, dtype=np.intp))
-    return values, achieved, reached
+    return values, achieved, reached, evaluated
 
 
 def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int | None = None):
@@ -373,16 +399,18 @@ def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int |
         achieved[rows] = bound
         values[rows] = np.where(bound <= accepted, value, np.nan)
     todo = np.flatnonzero(~(achieved <= accepted))  # the rest take Gauss-Kronrod
-    values[todo], achieved[todo], reached = _gauss_kronrod(xs[todo], ts[todo], widths[todo],
-                                                           coarse, spec, jobs)
+    values[todo], achieved[todo], reached, nodes = _gauss_kronrod(
+        xs[todo], ts[todo], widths[todo], coarse, spec, jobs)
     finite = achieved[np.isfinite(achieved)]
     levin_ok = xs.size - todo.size
     log.debug("kernel values: %d points; Levin %d accepted, %d missed; Gauss-Kronrod %d at x1, "
-              "%d at x4, %d at x16", xs.size, levin_ok, eligible.size - levin_ok, *reached)
+              "%d at x4, %d at x16, %d nodes", xs.size, levin_ok, eligible.size - levin_ok,
+              *reached, nodes)
     stats.points += xs.size
     stats.levin += levin_ok
     stats.refined_x4 += reached[1]
     stats.refined_x16 += reached[2]
+    stats.nodes += nodes
     stats.over_cap += int(np.sum(np.isposinf(achieved)))
     stats.max_error = max(stats.max_error, float(np.max(finite, initial=0.0)))
     return values, achieved
@@ -440,10 +468,45 @@ def require_samples(samples_per_region: int):
         raise ConfigError(f"samples_per_region must be >= 1, got {samples_per_region}")
 
 
-def require_mixed_exponent(gamma_exp: float):
-    """ConfigError unless kernel_mixed_norm's exponent is at least 7."""
+def _sample_times(spec: KernelSpec):
+    """Ends of region_decay_check's t window (0.2/N^3, SAMPLE_T_SPAN/N^3]."""
+    return 0.2 / spec.block_start**3, SAMPLE_T_SPAN / spec.block_start**3
+
+
+def _stationary_window(spec: KernelSpec, x: float):
+    """Ends of the log-uniform t window of a stationary sample at x."""
+    t_lo, t_hi = _sample_times(spec)
+    return max(spec.region_time_boundary(x) * 1.001, t_lo), t_hi * 10.0
+
+
+def require_sample_windows(spec: KernelSpec):
+    """ConfigError unless region_decay_check's stationary t window is
+    nonempty at every sampled x; its start grows with |x|, so at the
+    widest, SAMPLE_X_SPAN/N.  It is for a >= about 1.25e-5."""
+    n_block = spec.block_start
+    lo, hi = _stationary_window(spec, SAMPLE_X_SPAN / n_block)
+    if not lo <= hi:
+        raise ConfigError(f"threshold a = {spec.threshold:g} leaves the stationary region no "
+                          f"sample times at N = {n_block:g}")
+
+
+def _mixed_norm_box(spec: KernelSpec, c_t: float):
+    """kernel_mixed_norm's box ends T = c_t/N^3 and X."""
+    t_max = c_t / spec.block_start**3
+    return t_max, max(2.0 * spec.region_speed * t_max, 200.0 / spec.block_start)
+
+
+def require_mixed_exponent(gamma_exp: float, spec: KernelSpec, c_t: float = 1.0):
+    """ConfigError unless kernel_mixed_norm's exponent is at least 7 and
+    the norm's p-th power on spec's box, p = gamma_exp/2, stays finite: its
+    |K| <= 6N envelope (6N)^p times 4X, and (6N)^p itself."""
     if gamma_exp < 7:
         raise ConfigError(f"gamma_exp must be >= 7, got {gamma_exp}")
+    n_block, (_, x_max) = spec.block_start, _mixed_norm_box(spec, c_t)
+    log_envelope = gamma_exp / 2.0 * math.log(6.0 * n_block) + math.log(max(4.0 * x_max, 1.0))
+    if not log_envelope < math.log(sys.float_info.max):
+        raise ConfigError(f"gamma_exp = {gamma_exp:g} overflows the mixed norm's envelope "
+                          f"(6N)^(gamma_exp/2) at N = {n_block:g}")
 
 
 def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
@@ -458,9 +521,10 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
     report does not depend on it.
     """
     require_samples(samples_per_region)
+    require_sample_windows(spec)
     rng = np.random.default_rng(seed)
     n_block = spec.block_start
-    t_lo, t_hi = 0.2 / n_block**3, SAMPLE_T_SPAN / n_block**3
+    t_lo, t_hi = _sample_times(spec)
     m = samples_per_region
     signs = rng.choice([-1.0, 1.0], size=m)
 
@@ -474,10 +538,7 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
     )
 
     x3 = signs * _log_uniform(rng, 1.001 / n_block, SAMPLE_X_SPAN / n_block, m)
-    t3 = np.array([
-        _log_uniform(rng, max(spec.region_time_boundary(x) * 1.001, t_lo), t_hi * 10.0, 1)[0]
-        for x in x3
-    ])
+    t3 = np.array([_log_uniform(rng, *_stationary_window(spec, x), 1)[0] for x in x3])
 
     # one quadrature call over the regions, in RegionTag order, balances the pool
     stats = QuadratureStats()
@@ -581,10 +642,9 @@ def kernel_mixed_norm(spec: KernelSpec, gamma_exp: float, c_t: float = 1.0,
     then bounded by the x^{-2} envelope and must stay below 1%.  jobs is
     as in region_decay_check.
     """
-    require_mixed_exponent(gamma_exp)
+    require_mixed_exponent(gamma_exp, spec, c_t)
     n_block = spec.block_start
-    t_max = c_t / n_block**3
-    x_max = max(2.0 * spec.region_speed * t_max, 200.0 / n_block)
+    t_max, x_max = _mixed_norm_box(spec, c_t)
 
     ts = np.exp(np.linspace(math.log(t_max * 1e-3), math.log(t_max), n_t))
     half = np.exp(np.linspace(math.log(1e-3 / n_block), math.log(x_max), n_x))

@@ -10,12 +10,15 @@ closed form, and tag 3.03's convolution padded to the full linear
 length, the oracle of the smallest alias-free period.  And the Picard
 map over the whole time lattice at once, the oracle of picard_iterate's
 in-place blocks, and tag 3.03's full-period inverse transform, the oracle
-of its window rows."""
+of its window rows.  And the kernel's Gauss-Kronrod pass one point at a
+time, on the panels of its earlier rule (a quarter of the local
+wavelength on 48 coarse sub-intervals), the oracle of the batched pass."""
 
 import math
 
 import numpy as np
 
+from ostrovsky import kernel
 from ostrovsky.errors import ContractionFailureError
 from ostrovsky.estimates import _multilinear_weights, propagator_orbit
 from ostrovsky.norms import SpaceTimeField, mixed_norm
@@ -219,3 +222,46 @@ def full_pad_multilinear_pairs(ens, k, n_cells, period=None):
         return pair
 
     return pair_for
+
+
+def reference_panel_edges(x, t, spec, refine, coarse=None, wavelength_panels=None):
+    """Gauss-Kronrod panel edges of the point (x, t): one np.linspace per
+    coarse sub-interval of [N, 4N], with equal panels no wider than the
+    local wavelength 2*pi/(1.5*max|g'|) over wavelength_panels, divided by
+    refine.  coarse and wavelength_panels default to the kernel module's."""
+    coarse = kernel._COARSE if coarse is None else coarse
+    wavelength_panels = kernel._WAVELENGTH_PANELS if wavelength_panels is None \
+        else wavelength_panels
+    lo, hi = spec.block_start, 4.0 * spec.block_start
+    ends = np.linspace(lo, hi, coarse + 1)
+    edges = [lo]
+    for a, b in zip(ends[:-1], ends[1:]):
+        slope = x - t * spec.symbol.derivative(np.linspace(a, b, 5))
+        worst = float(np.max(np.abs(slope))) * 1.5 + 1e-30
+        width_cap = 2.0 * np.pi / (wavelength_panels * worst)
+        m = max(1, int(math.ceil((b - a) / width_cap * refine)))
+        edges.extend(np.linspace(a, b, m + 1)[1:])
+    return np.asarray(edges)
+
+
+QUARTER_WAVELENGTH_PANELS = {"coarse": 48, "wavelength_panels": 4}  # the earlier rule
+
+
+def quarter_wavelength_kernel(x, t, spec):
+    """(K(x, t), achieved bound) by the earlier Gauss-Kronrod rule, one point
+    and one refinement (1x, 4x, 16x) at a time, each panel's K15 and G7
+    summed over its 15 nodes; value nan once the bound misses
+    spec.accepted_error at 16x, and bound inf past kernel.MAX_NODES."""
+    for refine in (1.0, 4.0, 16.0):
+        edges = reference_panel_edges(x, t, spec, refine, **QUARTER_WAVELENGTH_PANELS)
+        if 15 * (edges.size - 1) > kernel.MAX_NODES:
+            return math.nan, math.inf
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        nodes = mid[:, None] + half[:, None] * kernel._KRONROD_NODES
+        f = np.exp(1j * (x * nodes - t * spec.symbol.at_nonzero(nodes)))
+        k15 = (f * kernel._KRONROD_WEIGHTS).sum(axis=1) * half
+        g7 = (f[:, 1::2] * kernel._GAUSS_WEIGHTS).sum(axis=1) * half
+        bound = 2.0 * float(np.abs(k15 - g7).sum())
+        if bound <= spec.accepted_error:
+            return 2.0 * float(k15.sum().real), bound
+    return math.nan, bound

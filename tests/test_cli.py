@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ostrovsky
-from ostrovsky import cli, errors
+from ostrovsky import cli, errors, kernel
 from ostrovsky.cli import main
 from ostrovsky.config import parse_config_text
 from ostrovsky.errors import (
@@ -447,6 +447,20 @@ class TestInputErrors:
         ("probe-kernel", (CONFIGS / "probe_kernel.cfg").read_text().replace("gamma = 1.0",
                                                                             "gamma = -1"),
          "gamma must be >= 0, got -1.0"),
+        ("probe-kernel", (CONFIGS / "probe_kernel.cfg").read_text().replace("beta = -1.0",
+                                                                            "beta = 1e308"),
+         "phi or phi' is not finite on the block [16, 64] at beta = 1e+308, gamma = 1"),
+        ("probe-kernel", (CONFIGS / "probe_kernel.cfg").read_text().replace("beta = -1.0",
+                                                                            "beta = -1e308"),
+         "phi or phi' is not finite on the block [16, 64] at beta = -1e+308, gamma = 1"),
+        ("probe-kernel", (CONFIGS / "probe_kernel.cfg").read_text().replace("gamma_exp = 8.0",
+                                                                            "gamma_exp = 1e308"),
+         "gamma_exp = 1e+308 overflows the mixed norm's envelope (6N)^(gamma_exp/2) at N = 16"),
+        ("probe-kernel", (CONFIGS / "probe_kernel.cfg").read_text().replace("16 32 64", "1e308"),
+         "block start N = 1e+308 has no finite (4N)^3"),
+        ("probe-kernel", (CONFIGS / "probe_kernel.cfg").read_text().replace("a = 1.0",
+                                                                            "a = 1e-308"),
+         "threshold a = 1e-308 leaves the stationary region no sample times at N = 16"),
     ], ids=["soliton_on_a_coarse_grid", "picard_delta_below_two_steps", "picard_no_iterations",
             "kernel_gamma_exp", "kernel_block_below_threshold", "kernel_no_samples",
             "estimates_odd_n_t", "solve_no_snapshot_cadence", "sweep_no_snapshot_cadence",
@@ -457,7 +471,8 @@ class TestInputErrors:
             "solve_length_1e308", "solve_h1_norm_1e308", "solve_t_end_1e308", "solve_t_end_off_lattice", "solve_dt_above_cfl",
             "sweep_t_end_1e308", "sweep_dt_above_cfl", "invariants_horizon_1e308",
             "solve_t_end_1e300", "solve_one_step_past_the_cap", "invariants_horizon_1e300",
-            "kernel_gamma_negative"])
+            "kernel_gamma_negative", "kernel_beta_1e308", "kernel_beta_minus_1e308",
+            "kernel_gamma_exp_1e308", "kernel_blocks_1e308", "kernel_threshold_1e-308"])
     def test_read_phase_rejects(self, tmp_path, capsys, monkeypatch, command, text, message):
         if command == "invariants":
             snap = tmp_path / "snap.dat"
@@ -750,9 +765,10 @@ class TestProbeKernelCommand:
             assert mixed["points"] == 16 * 4
             assert mixed["levin"] > 0  # the grid's far field
             for stats in (decay, mixed):
-                assert sorted(stats) == ["levin", "max_error", "over_cap", "points",
+                assert sorted(stats) == ["levin", "max_error", "nodes", "over_cap", "points",
                                          "refined_x16", "refined_x4"]
                 assert 0.0 < stats["max_error"] <= block["accepted_error"]
+                assert stats["nodes"] >= 15 * kernel._COARSE * (stats["points"] - stats["levin"])
 
 
 @pytest.fixture(scope="module")

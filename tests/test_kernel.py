@@ -29,6 +29,7 @@ from ostrovsky.kernel import (
 from ostrovsky.spectral import Field, Grid, PhaseSymbol
 
 import golden
+from _reference import QUARTER_WAVELENGTH_PANELS, quarter_wavelength_kernel, reference_panel_edges
 from _util import propagated
 
 
@@ -71,6 +72,11 @@ class TestKernelEval:
     def test_negative_time_rejected(self, spec8):
         with pytest.raises(ConfigError):
             kernel_eval(0.1, -1.0, spec8)
+
+    @pytest.mark.parametrize("x,t", [(math.inf, 0.0), (math.nan, 0.0), (0.1, math.inf)])
+    def test_non_finite_point_rejected(self, spec8, x, t):
+        with pytest.raises(ConfigError, match="x and t must be finite"):
+            kernel_eval(x, t, spec8)
 
     def test_block_below_threshold_rejected(self):
         with pytest.raises(ConfigError):
@@ -183,7 +189,7 @@ def region_points(n_block):
     return [(0.5 / n, 1.0 / n**3), (-0.3 / n, 20.0 / n**3),
             (5.0 / n, 1e-4 / n**3), (-20.0 / n, 0.004 / n**3),
             (10.0 / n, 3.0 / n**3), (-3.0 / n, 25.0 / n**3),
-            (-400.0 / n, 120.0 / n**3), (-4e4 / n, 4e4 / (6.0 * n**3))]
+            (-400.0 / n, 120.0 / n**3), (-8e4 / n, 8e4 / (6.0 * n**3))]
 
 
 LEVIN_ROUTED = [1, 3, 4, 5]  # the region_points that Levin takes
@@ -238,20 +244,6 @@ def scalar_values(xs, ts, spec, stats, jobs=None):
         except QuadratureAccuracyError as err:
             achieved[i] = err.achieved
     return values, achieved
-
-
-def reference_panel_edges(x, t, spec, refine):
-    """One np.linspace per coarse sub-interval."""
-    lo, hi = spec.block_start, 4.0 * spec.block_start
-    coarse = np.linspace(lo, hi, 49)
-    edges = [lo]
-    for a, b in zip(coarse[:-1], coarse[1:]):
-        slope = x - t * spec.symbol.derivative(np.linspace(a, b, 5))
-        worst = float(np.max(np.abs(slope))) * 1.5 + 1e-30
-        width_cap = 2.0 * np.pi / (4.0 * worst)
-        m = max(1, int(math.ceil((b - a) / width_cap * refine)))
-        edges.extend(np.linspace(a, b, m + 1)[1:])
-    return np.asarray(edges)
 
 
 def reference_ray_exponent(spec, offsets=RAY_OFFSETS, points_per_ray=33):
@@ -339,6 +331,34 @@ class TestAcceptedError:
                 small.regions[name].empirical_constant, rel=1e-4)
 
 
+@pytest.mark.usefixtures("gauss_kronrod_only")
+class TestQuarterWavelengthOracle:
+    @pytest.mark.parametrize("n_block", [8.0, 16.0, 32.0, 64.0])
+    def test_within_accepted_error(self, n_block):
+        # the region points that converge, two rays of the ray fit and a
+        # small mixed-norm grid, every point on Gauss-Kronrod; both passes
+        # converge at every point, the new one on about half the nodes
+        spec = KernelSpec(n_block, -1.0, 1.0)
+        region = region_points(n_block)[:-1]
+        slope_lo = abs(spec.symbol.derivative(n_block))
+        slope_hi = abs(spec.symbol.derivative(4.0 * n_block))
+        ray = [(-c / n_block, t) for c in RAY_OFFSETS[::5]
+               for t in np.exp(np.linspace(math.log(c / n_block / slope_hi),
+                                           math.log(c / n_block / slope_lo), 5))]
+        grid = list(zip(*mixed_norm_points(spec, 1.0, 6, 4)))
+        xs, ts = np.array(region + ray + grid).T
+        stats = QuadratureStats()
+        values, achieved = _kernel_values(xs, ts, spec, stats)
+        assert np.all(achieved <= spec.accepted_error)
+        reference = [quarter_wavelength_kernel(x, t, spec) for x, t in zip(xs, ts)]
+        ref_values, ref_achieved = np.array(reference).T
+        assert np.all(ref_achieved <= spec.accepted_error)
+        assert np.all(np.abs(values - ref_values) <= spec.accepted_error)
+        ref_nodes = sum(15 * (reference_panel_edges(x, t, spec, 1.0, **QUARTER_WAVELENGTH_PANELS)
+                              .size - 1) for x, t in zip(xs, ts))
+        assert stats.refined_x4 == 0 and stats.nodes < 0.6 * ref_nodes
+
+
 class TestPanelEdges:
     @pytest.mark.parametrize("refine", [1.0, 4.0, 16.0])
     @pytest.mark.parametrize("n_block", [8.0, 16.0, 32.0])
@@ -412,11 +432,11 @@ class TestBatchedQuadrature:
         self.assert_unchanged_with(monkeypatch, name, size)
 
     def test_points_over_budget_in_bounded_memory(self):
-        # two points of about 680,000 nodes each, side by side on two
+        # two points of about 700,000 nodes each, side by side on two
         # threads; evaluated whole, one point alone took about 29 MiB.  The
         # stationary point xi = sqrt(2) N keeps them from Levin.
         spec = KernelSpec(16.0, -1.0, 1.0)
-        xs, ts = np.full(2, -375.0), np.full(2, 0.244140625)
+        xs, ts = np.full(2, -750.0), np.full(2, 0.48828125)
         nodes = 15 * panel_counts(xs, ts, spec, 1.0).sum(axis=1)
         assert np.all(nodes > 10 * kernel.BATCH_NODES)
         tracemalloc.start()
@@ -426,7 +446,7 @@ class TestBatchedQuadrature:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
-        assert values[0] == values[1] == kernel_eval(-375.0, 0.244140625, spec)
+        assert values[0] == values[1] == kernel_eval(-750.0, 0.48828125, spec)
         assert np.all(achieved <= spec.tolerance)
 
     def test_one_slope_scan_per_call(self, monkeypatch):
@@ -441,6 +461,31 @@ class TestBatchedQuadrature:
         assert stats.refined_x16 >= 1 and len(scans) == 1
         kernel_eval(xs[6], ts[6], spec)
         assert len(scans) == 2
+
+    @pytest.mark.usefixtures("gauss_kronrod_only")
+    @pytest.mark.parametrize("jobs,name,size", [
+        (1, None, None), (2, None, None), (2, "CHUNK_PANELS", 61), (2, "BATCH_NODES", 3000),
+    ])
+    def test_nodes_count_every_panel_evaluated(self, monkeypatch, jobs, name, size):
+        # 15 nodes per panel of each refinement a point runs, until its
+        # bound meets the tolerance; none for a point past MAX_NODES
+        spec = refinement_spec(16.0, 2)
+        xs, ts = np.array(region_points(16.0)).T
+        expected = 0
+        for x, t in zip(xs, ts):
+            for refine in (1.0, 4.0, 16.0):
+                nodes = 15 * int(panel_counts(np.array([x]), np.array([t]), spec, refine).sum())
+                if nodes > kernel.MAX_NODES:
+                    break
+                expected += nodes
+                if gauss_kronrod_bound(x, t, spec, refine) <= spec.accepted_error:
+                    break
+        if name:
+            monkeypatch.setattr(kernel, name, size)
+        stats = QuadratureStats()
+        _kernel_values(xs, ts, spec, stats, jobs)
+        assert stats.refined_x16 >= 1 and stats.over_cap == 1
+        assert stats.nodes == expected
 
     def test_tolerance_miss_keeps_bound(self):
         spec = KernelSpec(8.0, -1.0, 1.0, tolerance=1e-16)
@@ -563,8 +608,10 @@ class TestProbesEqualScalarLoops:
             assert_values_match(reg.abs_k, reg.x, reg.t, spec, ref.abs_k)
 
     def test_over_cap_raises_inf_in_ray_and_mixed_norm(self, monkeypatch):
+        # points past 30 panels go over the cap: the last one or two of
+        # each ray, and the mixed norm's first Gauss-Kronrod point
         spec = KernelSpec(8.0, -1.0, 1.0)
-        monkeypatch.setattr(kernel, "MAX_NODES", 15 * 60)
+        monkeypatch.setattr(kernel, "MAX_NODES", 15 * 30)
         monkeypatch.setattr(kernel, "RAY_OFFSETS", RAY_OFFSETS[:2])
         with pytest.raises(QuadratureAccuracyError) as err:
             stationary_ray_exponent(spec, 5)
@@ -589,9 +636,10 @@ class TestProbesEqualScalarLoops:
     def test_first_failure_in_scalar_order_with_levin(self, absolute_tolerance, monkeypatch):
         # orders 4 and 6 meet this tolerance where the phase is nearly
         # linear, at the outermost x, whose Gauss-Kronrod panels exceed
-        # MAX_NODES; later eligible points that Levin misses fail on
-        # Gauss-Kronrod, each with its own bound
+        # half MAX_NODES at 16x; later eligible points that Levin misses
+        # fail on Gauss-Kronrod, each with its own bound
         monkeypatch.setattr(kernel, "_LEVIN_ORDERS", (4, 6))
+        monkeypatch.setattr(kernel, "MAX_NODES", kernel.MAX_NODES // 2)
         spec = KernelSpec(8.0, -1.0, 1.0, tolerance=2e-13)
         xs, ts = mixed_norm_points(spec, 1.0, 8, 5)
         stats = QuadratureStats()
@@ -668,8 +716,9 @@ class TestLevin:
         assert np.array_equal(values, scalar_values(xs, ts, spec, None)[0])
         assert np.array_equal(achieved, [gauss_kronrod_bound(x, t, spec, 1.0)
                                          for x, t in zip(xs, ts)])
+        nodes = 15 * panel_counts(xs, ts, spec, 1.0).sum()
         assert caplog.messages == ["kernel values: 3 points; Levin 0 accepted, 3 missed; "
-                                   "Gauss-Kronrod 3 at x1, 0 at x4, 0 at x16"]
+                                   f"Gauss-Kronrod 3 at x1, 0 at x4, 0 at x16, {nodes} nodes"]
 
     def test_debug_line_per_call(self, caplog):
         spec = KernelSpec(16.0, -1.0, 1.0)
@@ -677,9 +726,11 @@ class TestLevin:
         stats = QuadratureStats()
         with caplog.at_level(logging.DEBUG, logger="ostrovsky"):
             _kernel_values(xs, ts, spec, stats)
+        # the last point's panels exceed MAX_NODES: it counts no nodes
+        nodes = 15 * panel_counts(xs[[0, 2, 6]], ts[[0, 2, 6]], spec, 1.0).sum()
         assert caplog.messages == ["kernel values: 8 points; Levin 4 accepted, 0 missed; "
-                                   "Gauss-Kronrod 4 at x1, 0 at x4, 0 at x16"]
-        assert (stats.levin, stats.over_cap) == (4, 1)
+                                   f"Gauss-Kronrod 4 at x1, 0 at x4, 0 at x16, {nodes} nodes"]
+        assert (stats.levin, stats.over_cap, stats.nodes) == (4, 1, nodes)
 
     def test_most_non_stationary_grid_points_go_to_levin(self):
         spec = KernelSpec(16.0, -1.0, 1.0)
