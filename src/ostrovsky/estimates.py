@@ -25,6 +25,17 @@ support modes ORBIT_BLOCK window samples at a time and reduce their mixed
 norms block by block (norms.mixed_norm_blocks), so no draw holds a whole
 orbit; the values equal those of the whole orbit bit for bit.
 
+Where the tables live: each orbit tag's pair builder builds the tables its
+draws read (the phase table, the window, the modulation weights, 2.08's
+time Gram) on the calling thread before the draws start, never lazily in
+a pool thread.  Ensemble.refined hands a grid refinement at fixed L the
+base's built tables when it samples the same window and support
+wavenumbers, so within one run_ensemble call the grid refinements build
+only their mode slots; a window refinement builds its own.  There is no
+cache across ensembles.  The modulation weights are built MODE_BLOCK
+modes at a time and 3.03's period transforms PERIOD_BLOCKS column blocks
+at a time, with the bits of the whole tables.
+
 Estimate tags are opaque IDs, each declared once in TAGS; draws are
 reproducible bit-exactly from (seed, draw index) and independent of
 worker count.
@@ -55,9 +66,14 @@ LAWS = ("gaussian_spectrum", "band_limited", "low_frequency", "high_frequency")
 
 # Ensemble.refined's factors on (the grid points at fixed L, the window and n_t)
 REFINED = {"grid_x2": (2, 1), "grid_x4": (4, 1), "window_x2": (1, 2)}
+# Ensemble's tables that depend on the window samples and the support
+# wavenumbers but not on the grid's point count; grid refinements share them
+_SHARED_TABLES = ("phase_table", "window", "modulation_weights", "time_gram")
 ORBIT_BLOCK = 64  # window samples an orbit tag synthesizes at a time; no value depends on it
+MODE_BLOCK = 32  # support modes Ensemble.modulation_weights builds at a time; 8 moved bits
 BILINEAR_S = 0.5  # 2.027's interaction weight |phi'(xi1) - phi'(xi2)|^s
 MULTILINEAR_K = 5  # 3.03's form is (k+2)-linear
+PERIOD_BLOCKS = 4  # column blocks 3.03's period transforms run in; no value depends on it
 
 
 @dataclass(frozen=True)
@@ -154,26 +170,30 @@ class Ensemble:
     def modulation_weights(self) -> np.ndarray:
         """W_m + W_{-m} for the positive support modes m, where
         W_j = sum_l <tau_l + phi_j>^{2b} |DFT_t[psi e^{-i t phi_j}]_l / n_t|^2
-        (a mode -m sees the conjugate orbit, whose DFT is reversed in l)."""
+        (a mode -m sees the conjugate orbit, whose DFT is reversed in l).
+        Built MODE_BLOCK modes at a time, every block MODE_BLOCK wide (the
+        last one overlaps its neighbour), which sums each mode's column in
+        the same order as the whole table does."""
         xi = self.grid.wavenumbers[self.support_modes()]
         tau = angular_frequencies(self.n_t, self.t_window)
-        d2 = np.abs(dft(self.window[:, None] * self.phase_table, (0,))) ** 2
-        plus = self.symbol.modulation(tau, xi) ** (2.0 * self.b) * d2
-        reversed_d2 = d2[mirror_slot(fft_mode_numbers(self.n_t), self.n_t)]
-        minus = self.symbol.modulation(-tau, xi) ** (2.0 * self.b) * reversed_d2
-        return np.sum(plus, axis=0) + np.sum(minus, axis=0)
+        reverse = mirror_slot(fft_mode_numbers(self.n_t), self.n_t)
+        weights = np.empty(xi.size)
+        for start in range(0, xi.size, MODE_BLOCK):
+            cols = slice(max(min(start, xi.size - MODE_BLOCK), 0), start + MODE_BLOCK)
+            d2 = np.abs(dft(self.window[:, None] * self.phase_table[:, cols], (0,))) ** 2
+            plus = self.symbol.modulation(tau, xi[cols]) ** (2.0 * self.b) * d2
+            minus = self.symbol.modulation(-tau, xi[cols]) ** (2.0 * self.b) * d2[reverse]
+            weights[cols] = np.sum(plus, axis=0) + np.sum(minus, axis=0)
+        return weights
 
     @functools.cached_property
     def time_gram(self) -> tuple:
-        """(A, B, slots) for the sup_x L2_t norm of windowed orbits.  With
+        """(A, B) for the sup_x L2_t norm of windowed orbits: with
         P = window * phase_table, A = P^T conj(P) and B = P^T P, flattened
-        over the support mode pairs (m, m'); slots are the FFT slots of
-        m - m' and of m + m', concatenated."""
+        over the support mode pairs (m, m').  The product stays whole:
+        BLAS blocks it itself, so row blocks of it move bits."""
         p = self.window[:, None] * self.phase_table
-        modes, n = self.support_modes(), self.grid.n_points
-        slots = np.concatenate([mode_slots(np.subtract.outer(modes, modes), n)[0].ravel(),
-                                mode_slots(np.add.outer(modes, modes), n)[0].ravel()])
-        return (p.T @ np.conj(p)).ravel(), (p.T @ p).ravel(), slots
+        return (p.T @ np.conj(p)).ravel(), (p.T @ p).ravel()
 
     def _support_coeffs(self, u0: Field, multiplier: np.ndarray | None = None) -> np.ndarray:
         """Coefficients of m(D) u0 on the positive support modes, m the real,
@@ -192,11 +212,20 @@ class Ensemble:
         return c if multiplier is None else c * multiplier[modes]
 
     def refined(self, name: str) -> "Ensemble":
+        """The refinement name of this ensemble.  A grid refinement at fixed L
+        samples the same window and support wavenumbers, so it takes this
+        ensemble's tables that are built already instead of building its own."""
         if name not in REFINED:
             raise ConfigError(f"unknown refinement {name!r}")
         points, window = REFINED[name]
-        return dataclasses.replace(self, grid=Grid(points * self.grid.n_points, self.grid.length),
+        fine = dataclasses.replace(self, grid=Grid(points * self.grid.n_points, self.grid.length),
                                    t_window=window * self.t_window, n_t=window * self.n_t)
+        modes = self.support_modes()
+        if window == 1 and np.array_equal(fine.support_modes(), modes) and np.array_equal(
+                fine.grid.wavenumbers[modes], self.grid.wavenumbers[modes]):
+            vars(fine).update({key: value for key, value in vars(self).items()
+                               if key in _SHARED_TABLES})
+        return fine
 
 
 @dataclass
@@ -253,14 +282,22 @@ def _modulation_rhs(ens: Ensemble, u0: Field, multiplier: np.ndarray | None = No
     return math.sqrt(ens.grid.length * ens.t_window * total)
 
 
-def _sup_x_l2_t(ens: Ensemble, u0: Field, multiplier: np.ndarray) -> float:
+def _gram_slots(ens: Ensemble) -> np.ndarray:
+    """The FFT slots of m - m' and of m + m' over the support mode pairs
+    (m, m') of ens.time_gram, concatenated."""
+    modes, n = ens.support_modes(), ens.grid.n_points
+    return np.concatenate([mode_slots(np.subtract.outer(modes, modes), n)[0].ravel(),
+                           mode_slots(np.add.outer(modes, modes), n)[0].ravel()])
+
+
+def _sup_x_l2_t(ens: Ensemble, slots: np.ndarray, u0: Field, multiplier: np.ndarray) -> float:
     """mixed_norm(propagator_orbit(ens, u0, True, multiplier), inf, 2, "x_outer")
     from ens.time_gram: with a the support coefficients of m(D) u0,
     sum_l u(x, t_l)^2 = 2 Re sum_{m,m'} (a_m conj(a_m') A_mm' e^{i(xi_m - xi_m')x}
     + a_m a_m' B_mm' e^{i(xi_m + xi_m')x}), whose terms are summed onto the
-    grid's modes (aliased, as the samples alias them), folded to a half
-    spectrum and synthesized once."""
-    gram_a, gram_b, slots = ens.time_gram
+    grid's modes at slots (_gram_slots; aliased, as the samples alias them),
+    folded to a half spectrum and synthesized once."""
+    gram_a, gram_b = ens.time_gram
     a = ens._support_coeffs(u0, multiplier)
     terms = np.concatenate([np.multiply.outer(a, np.conj(a)).ravel() * gram_a,
                             np.multiply.outer(a, a).ravel() * gram_b])
@@ -283,40 +320,50 @@ def _d(ens: Ensemble, alpha: float, band: MultiplierSpec | None = None) -> np.nd
     return d if band is None else d * multiplier_table(ens.grid, band)
 
 
-# The orbit tags' pair(ens) -> (u0 -> (LHS, RHS)); tables are built once per ensemble.
+# The orbit tags' pair(ens) -> (u0 -> (LHS, RHS)).  Each builds the tables
+# its pair reads here, on the calling thread, before the draws start
+# (modulation_weights builds phase_table and window on its way): built
+# lazily on a pool thread, a table would sit in that thread's malloc arena.
 
 def _l8_pair(ens: Ensemble):
+    ens.phase_table
     return lambda u0: (_norm(ens, u0, 8.0, 8.0, windowed=False), u0.l2_norm())
 
 
 def _l6_pair(ens: Ensemble):
     table = _d(ens, 1.0 / 6.0, MultiplierSpec.high_pass(ens.threshold))
+    ens.modulation_weights
     return lambda u0: (_norm(ens, u0, 6.0, 6.0, table=table), _modulation_rhs(ens, u0))
 
 
 def _smoothing_pair(ens: Ensemble):
     table = _d(ens, 1.0, MultiplierSpec.high_pass(ens.threshold))
-    ens.time_gram  # built here once, not raced for by the worker threads
-    return lambda u0: (_sup_x_l2_t(ens, u0, table), _modulation_rhs(ens, u0))
+    slots = _gram_slots(ens)
+    ens.time_gram, ens.modulation_weights
+    return lambda u0: (_sup_x_l2_t(ens, slots, u0, table), _modulation_rhs(ens, u0))
 
 
 def _maximal_pair(ens: Ensemble):
     table = _d(ens, 0.25 + ens.epsilon, MultiplierSpec.low_pass(ens.law_param))
+    ens.modulation_weights
     return lambda u0: (_norm(ens, u0, 2.0, math.inf, "x_outer", table), _modulation_rhs(ens, u0))
 
 
 def _block_pair(ens: Ensemble):
     scale = ens.law_param ** (0.25 - ens.epsilon)
+    ens.modulation_weights
     return lambda u0: (_norm(ens, u0, math.inf, math.inf), scale * _modulation_rhs(ens, u0))
 
 
 def _low_maximal_pair(ens: Ensemble):
     p, weight = 2.0 / (1.0 - 2.0 * ens.epsilon), _d(ens, -0.25)
+    ens.modulation_weights
     return lambda u0: (_norm(ens, u0, p, math.inf, "x_outer"), _modulation_rhs(ens, u0, weight))
 
 
 def _high_pointwise_pair(ens: Ensemble):
     table = _d(ens, -0.5 - 4.0 * ens.epsilon, MultiplierSpec.high_pass(ens.threshold))
+    ens.modulation_weights
     return lambda u0: (_norm(ens, u0, math.inf, math.inf, table=table), _modulation_rhs(ens, u0))
 
 
@@ -477,7 +524,8 @@ def multilinear_ratio(ens: Ensemble, n_cells: int = 64, jobs: int = 1) -> RatioR
     convolution is evaluated by 2-D FFTs on the smallest period that
     leaves the window the outer factor reads equal to the linear
     convolution (_alias_free_period: 256 at 64 cells and 512 at 128 for
-    k = 5), inverting only the window's rows; the lattice spacing comes
+    k = 5), PERIOD_BLOCKS column blocks at a time, inverting only the
+    window's rows; the lattice spacing comes
     from the ensemble's grid and window, the regularity s = 1/2 - 2/k +
     2 eps from k and the ensemble, and the modulation exponent from
     ens.b.  The refinement lattice_x2 halves the spacing at a fixed box
@@ -503,6 +551,13 @@ def multilinear_ratio(ens: Ensemble, n_cells: int = 64, jobs: int = 1) -> RatioR
         half = cells // 2
         sl = slice(k * half, (k + 2) * half)
         measure = dxi * dtau
+        width = -(-(pad // 2 + 1) // PERIOD_BLOCKS)
+        column_blocks = [slice(lo, lo + width) for lo in range(0, pad // 2 + 1, width)]
+
+        def transform(f, cols):
+            """Columns cols of rfft2(inner_w * f, (pad, pad)), in rfft2's own
+            order: rfft along axis 1 on the cells rows, then fft along axis 0."""
+            return np.fft.fft(np.fft.rfft(inner_w * f, pad, axis=1)[:, cols], pad, axis=0)
 
         def pair(i: int):
             rng = np.random.default_rng(
@@ -510,12 +565,15 @@ def multilinear_ratio(ens: Ensemble, n_cells: int = 64, jobs: int = 1) -> RatioR
             )
             outer_f = rng.random((cells, cells))
             factors = [rng.random((cells, cells)) for _ in range(k + 1)]
-            prod = np.fft.rfft2(inner_w * factors[0], (pad, pad))
-            for f in factors[1:]:
-                prod *= np.fft.rfft2(inner_w * f, (pad, pad))
-            # irfft2 runs ifft along axis 0, then irfft along axis 1; the
-            # second runs on the window's rows only, with the same bits
-            rows = np.fft.ifft(prod, pad, axis=0)[sl]
+            # the transforms along axis 0 work column by column, so a column
+            # block at a time has the bits of the whole; irfft2 runs ifft
+            # along axis 0, then irfft along axis 1, here on the window's rows
+            rows = np.empty((cells, pad // 2 + 1), dtype=complex)
+            for cols in column_blocks:
+                prod = transform(factors[0], cols)
+                for f in factors[1:]:
+                    prod *= transform(f, cols)
+                rows[:, cols] = np.fft.ifft(prod, pad, axis=0)[sl]
             window = np.maximum(np.fft.irfft(rows, pad, axis=1)[:, sl], 0.0)
             left = float(np.sum(outer_w * outer_f * window)) * measure ** (k + 1)
             right = math.sqrt(float(np.sum(outer_f**2)) * measure)

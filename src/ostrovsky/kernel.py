@@ -90,7 +90,9 @@ class KernelSpec:
     cutoff 2^[A] is far too large for O(1) coefficients (2^99 at
     beta = -1, gamma = 1).  The kernel's time scale 1/N^3 needs (4N)^3
     finite, and its phase needs phi and phi' finite at both block ends,
-    hence on the whole block (gamma >= 0 and xi > 0).
+    hence on the whole block (gamma >= 0 and xi > 0), and phi' nonzero
+    there: the stationary rays run at the group velocities phi'(N) and
+    phi'(4N).
     """
 
     block_start: float
@@ -113,9 +115,13 @@ class KernelSpec:
             if not np.isfinite(ends[1] ** 3):
                 raise ConfigError(f"block start N = {self.block_start:g} has no finite (4N)^3")
             symbol = self.symbol  # PhaseSymbol refuses gamma < 0
-            if not np.all(np.isfinite([symbol.at_nonzero(ends), symbol.derivative(ends)])):
+            slopes = symbol.derivative(ends)
+            if not np.all(np.isfinite([symbol.at_nonzero(ends), slopes])):
                 raise ConfigError(f"phi or phi' is not finite on the block [{ends[0]:g}, "
                                   f"{ends[1]:g}] at beta = {self.beta:g}, gamma = {self.gamma:g}")
+        if not np.all(slopes != 0.0):
+            raise ConfigError(f"phi' vanishes at an end of the block [{ends[0]:g}, {ends[1]:g}] "
+                              f"at beta = {self.beta:g}, gamma = {self.gamma:g}")
 
     @property
     def symbol(self) -> PhaseSymbol:

@@ -12,7 +12,9 @@ map over the whole time lattice at once, the oracle of picard_iterate's
 in-place blocks, and tag 3.03's full-period inverse transform, the oracle
 of its window rows.  And the kernel's Gauss-Kronrod pass one point at a
 time, on the panels of its earlier rule (a quarter of the local
-wavelength on 48 coarse sub-intervals), the oracle of the batched pass."""
+wavelength on 48 coarse sub-intervals), the oracle of the batched pass.
+And an ensemble's modulation weights built from the whole (n_t x M)
+tables at once, the oracle of Ensemble.modulation_weights' mode blocks."""
 
 import math
 
@@ -24,7 +26,8 @@ from ostrovsky.estimates import _multilinear_weights, propagator_orbit
 from ostrovsky.norms import SpaceTimeField, mixed_norm
 from ostrovsky.solver import (PICARD_TOLERANCE, SOLITON_OVERSAMPLING, _flux_table, _int_power,
                               _nonlinear_coeffs, picard_lattice)
-from ostrovsky.spectral import dealias_cutoff, half_spectrum, parseval_weights, synthesize
+from ostrovsky.spectral import (angular_frequencies, dealias_cutoff, dft, fft_mode_numbers,
+                                half_spectrum, mirror_slot, parseval_weights, synthesize)
 
 
 def complex_analysis(samples):
@@ -174,6 +177,18 @@ def orbit_sup_x_l2_t(ens, u0, multiplier):
     """Linf_x L2_t norm of the windowed orbit of m(D) u0, synthesized on
     the grid at every window sample."""
     return mixed_norm(propagator_orbit(ens, u0, multiplier=multiplier), math.inf, 2.0, "x_outer")
+
+
+def whole_modulation_weights(ens):
+    """Ensemble.modulation_weights from the whole (n_t x M) tables: the time
+    DFT of the windowed phase table, |.|^2, and both modulation tables."""
+    xi = ens.grid.wavenumbers[ens.support_modes()]
+    tau = angular_frequencies(ens.n_t, ens.t_window)
+    d2 = np.abs(dft(ens.window[:, None] * ens.phase_table, (0,))) ** 2
+    plus = ens.symbol.modulation(tau, xi) ** (2.0 * ens.b) * d2
+    reversed_d2 = d2[mirror_slot(fft_mode_numbers(ens.n_t), ens.n_t)]
+    minus = ens.symbol.modulation(-tau, xi) ** (2.0 * ens.b) * reversed_d2
+    return np.sum(plus, axis=0) + np.sum(minus, axis=0)
 
 
 def full_pad_multilinear_pairs(ens, k, n_cells, period=None):

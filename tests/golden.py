@@ -23,6 +23,14 @@ number's name without its row index) the largest absolute and relative
 move and the largest share of tolerance; it exits 1 when a number lies
 outside its tolerance or a comparable hash differs.
 
+    PYTHONPATH=src python tests/golden.py --moves [KEY ...] --exact
+
+checks bit identity instead: it prints one line per config, which says
+whether the config is bit-identical (every number moved by 0 and every
+comparable hash and digest is equal), moved within tolerance, or lies
+outside tolerance (a comparable hash or digest that differs counts as
+outside), and exits 1 unless every config is bit-identical.
+
 It also holds, under estimate_zoo, max_ratio and refinement_max of every
 estimate tag at seed 2024 with acceptance 6's draw counts (ZOO_DRAWS),
 and the SHA-256 digests of the per-draw lhs and rhs bytes of each tag's
@@ -486,10 +494,20 @@ def hash_state(key: str, fresh: dict, recorded: dict) -> tuple:
     return (f"hashes differ: {', '.join(differ)}", True) if differ else ("hashes equal", False)
 
 
-def report_moves(keys) -> int:
+def exact_verdict(fresh: dict, recorded: dict, within: bool, hashes_differ: bool) -> str:
+    """--exact's verdict on one config's fresh numbers against the recorded ones."""
+    if not within or hashes_differ:
+        return "outside tolerance"
+    moved = any(leaf["value"] != recorded[name]["value"] for name, leaf in fresh.items())
+    return "moved within tolerance" if moved else "bit-identical"
+
+
+def report_moves(keys, exact: bool = False) -> int:
     """Print how fresh runs of keys (every shipped config and the zoo if
     empty) move against golden.json, writing nothing; 1 if a number lies
-    outside its tolerance or a comparable hash differs, else 0."""
+    outside its tolerance or a comparable hash differs, else 0.  With
+    exact, print one verdict line per config (exact_verdict), and return 1
+    unless every config is bit-identical."""
     old = json.loads(GOLDEN.read_text())
     keys = list(keys) or [*SHIPPED, ZOO]
     unknown = [key for key in keys if key not in old]
@@ -508,6 +526,12 @@ def report_moves(keys) -> int:
                 outside = str(error)
             within = within_tolerance(fresh, old[key])
             hashes, hashes_differ = hash_state(key, fresh, old[key])
+            if exact:
+                verdict = exact_verdict(fresh["numbers"], old[key]["numbers"], within,
+                                        hashes_differ)
+                print(f"{key}: {verdict}; {hashes}")
+                failed = failed or verdict != "bit-identical"
+                continue
             failed = failed or not within or hashes_differ
             verdict = ("numbers within tolerance" if within else
                        "numbers OUTSIDE tolerance" if outside else "tolerance basis changed")
@@ -536,8 +560,12 @@ def run(argv=None) -> int:
                                      "or with --moves report how fresh runs move against it.")
     parser.add_argument("--moves", nargs="*", metavar="KEY",
                         help="report only, for these configs (default: all and the zoo)")
+    parser.add_argument("--exact", action="store_true",
+                        help="with --moves: fail unless every config is bit-identical")
     args = parser.parse_args(argv)
-    return main_record() if args.moves is None else report_moves(args.moves)
+    if args.exact and args.moves is None:
+        parser.error("--exact needs --moves")
+    return main_record() if args.moves is None else report_moves(args.moves, args.exact)
 
 
 if __name__ == "__main__":

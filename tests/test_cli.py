@@ -461,6 +461,9 @@ class TestInputErrors:
         ("probe-kernel", (CONFIGS / "probe_kernel.cfg").read_text().replace("a = 1.0",
                                                                             "a = 1e-308"),
          "threshold a = 1e-308 leaves the stationary region no sample times at N = 16"),
+        ("probe-kernel", (CONFIGS / "probe_kernel.cfg").read_text().replace(
+            "beta = -1.0", "beta = 0").replace("gamma = 1.0", "gamma = 0"),
+         "phi' vanishes at an end of the block [16, 64] at beta = 0, gamma = 0"),
     ], ids=["soliton_on_a_coarse_grid", "picard_delta_below_two_steps", "picard_no_iterations",
             "kernel_gamma_exp", "kernel_block_below_threshold", "kernel_no_samples",
             "estimates_odd_n_t", "solve_no_snapshot_cadence", "sweep_no_snapshot_cadence",
@@ -472,7 +475,8 @@ class TestInputErrors:
             "sweep_t_end_1e308", "sweep_dt_above_cfl", "invariants_horizon_1e308",
             "solve_t_end_1e300", "solve_one_step_past_the_cap", "invariants_horizon_1e300",
             "kernel_gamma_negative", "kernel_beta_1e308", "kernel_beta_minus_1e308",
-            "kernel_gamma_exp_1e308", "kernel_blocks_1e308", "kernel_threshold_1e-308"])
+            "kernel_gamma_exp_1e308", "kernel_blocks_1e308", "kernel_threshold_1e-308",
+            "kernel_phi_prime_zero"])
     def test_read_phase_rejects(self, tmp_path, capsys, monkeypatch, command, text, message):
         if command == "invariants":
             snap = tmp_path / "snap.dat"

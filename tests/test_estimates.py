@@ -32,7 +32,7 @@ from ostrovsky.estimates import (
 from ostrovsky.norms import SpaceTimeField, mixed_norm, window_bump, xsb_norm
 from ostrovsky.spectral import Field, Grid, MultiplierSpec, PhaseSymbol, multiplier_table
 
-from _reference import full_pad_multilinear_pairs, orbit_sup_x_l2_t
+from _reference import full_pad_multilinear_pairs, orbit_sup_x_l2_t, whole_modulation_weights
 
 
 def tiny_ensemble(tag="2.03", seed=11, n_draws=4, **kw):
@@ -474,6 +474,86 @@ class TestOrbitBlocks:
         assert peak < ens.n_t * ens.grid.n_points * np.dtype(float).itemsize
 
 
+def _traced_peak(fn) -> float:
+    """The largest memory fn() holds at once, in bytes, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTablesInBoundedMemory:
+    """The per-ensemble tables: built in mode blocks, built before the draws
+    start, and shared by the grid refinements; and the peaks of run_tag."""
+
+    @pytest.mark.parametrize("tag,refinement", ORBIT_CASES)
+    def test_blocked_modulation_weights_equal_whole_table(self, tag, refinement):
+        ens = default_ensemble(tag, 5, 1)
+        ens = ens if refinement is None else ens.refined(refinement)
+        assert np.array_equal(ens.modulation_weights, whole_modulation_weights(ens))
+
+    def test_modulation_weights_build_holds_less_than_the_whole_tables(self):
+        # built whole, the 1024 x 118 tables of 2.05's window_x2 peaked at
+        # 4.75 MiB, 2.6 phase tables; in mode blocks at 1.9 MiB
+        ens = default_ensemble("2.05", 5, 1).refined("window_x2")
+        ens.phase_table, ens.window
+        assert _traced_peak(lambda: ens.modulation_weights) < 2 * ens.phase_table.nbytes
+
+    @pytest.mark.parametrize("tag", STRICHARTZ_TAGS + LINFTY_TAGS)
+    def test_pair_builds_its_tables_before_the_draws(self, tag):
+        ens = default_ensemble(tag, 5, 1)
+        estimates._orbit_pair(tag, ens)
+        built = {"phase_table"} if tag == "2.03" else \
+            {"phase_table", "window", "modulation_weights"}
+        assert built | ({"time_gram"} if tag == "2.08" else set()) == \
+            set(vars(ens)) & set(estimates._SHARED_TABLES)
+
+    @pytest.mark.parametrize("tag,refinement", [
+        (tag, name) for tag in STRICHARTZ_TAGS + LINFTY_TAGS
+        for name in TAGS[tag].refinements if name.startswith("grid")])
+    def test_grid_refinement_shares_tables_equal_to_fresh_ones(self, tag, refinement):
+        base = default_ensemble(tag, 5, 2)
+        estimates._orbit_pair(tag, base)
+        shared, fresh = base.refined(refinement), default_ensemble(tag, 5, 2).refined(refinement)
+        assert not set(vars(fresh)) & set(estimates._SHARED_TABLES)
+        estimates._orbit_pair(tag, fresh)
+        names = set(vars(base)) & set(estimates._SHARED_TABLES)
+        assert names and names == set(vars(fresh)) & set(estimates._SHARED_TABLES)
+        for name in names:
+            assert vars(shared)[name] is vars(base)[name]
+            assert np.array_equal(np.asarray(vars(shared)[name]), np.asarray(vars(fresh)[name]))
+        u0 = shared.draw(1)
+        assert ratio_pair_for_tag(shared, tag, u0) == ratio_pair_for_tag(fresh, tag, u0)
+
+    def test_refinement_with_other_support_builds_its_own(self):
+        # at n = 128 the Gaussian support is cut at the grid's top mode 63,
+        # at grid_x2's n = 256 it runs to mode 118
+        base = default_ensemble("2.08", 5, 1, n=128)
+        estimates._orbit_pair("2.08", base)
+        fine = base.refined("grid_x2")
+        assert fine.support_modes().size > base.support_modes().size
+        assert not set(vars(fine)) & set(estimates._SHARED_TABLES)
+        assert not set(vars(base.refined("window_x2"))) & set(estimates._SHARED_TABLES)
+
+    # run_tag's peaks at jobs = 2, against the whole tables built in each
+    # draw's thread and 3.03's whole-period transforms
+    @pytest.mark.parametrize("tag,bound", [
+        ("2.05", 3.0),  # window_x2 phase tables: 7.5 MiB whole, 4.7 in blocks
+        ("2.08", 4.5),  # window_x2 phase tables: 9.6 MiB, 7.4 shared and in blocks
+        ("3.03", 4.0),  # lattice_x2 period transforms: 11.4 MiB whole, 6.1 in blocks
+    ])
+    def test_run_tag_peak(self, tag, bound):
+        if tag == "3.03":
+            unit = 512 * 257 * np.dtype(complex).itemsize
+        else:
+            ens = default_ensemble(tag, 5, 1).refined("window_x2")
+            unit = ens.n_t * ens.support_modes().size * np.dtype(complex).itemsize
+        run_tag(tag, 5, 1)
+        assert _traced_peak(lambda: run_tag(tag, 5, 2, jobs=2)) < bound * unit
+
+
 class TestBilinearVectorized:
     @pytest.mark.parametrize("refinement", [None, "grid_x2"])
     def test_spectra_equal_per_slice_product(self, refinement):
@@ -580,8 +660,18 @@ class TestSynthesisOracles:
 
     @pytest.mark.parametrize("seed", [2024, 1])
     def test_multilinear_window_rows_equal_irfft2(self, seed, monkeypatch):
-        # the inverse of the window rows only, against irfft2 over the whole
-        # period: 256 at 64 cells and 512 at 128 (lattice_x2), bit for bit
+        # PERIOD_BLOCKS column blocks of the period transforms and the
+        # inverse of the window rows only, against rfft2 and irfft2 over the
+        # whole period: 256 at 64 cells and 512 at 128 (lattice_x2), bit for bit
+        self._assert_multilinear_equals_whole_period(seed, monkeypatch)
+
+    @pytest.mark.parametrize("blocks", [1, 7])
+    def test_multilinear_column_blocks_move_no_bit(self, blocks, monkeypatch):
+        monkeypatch.setattr(estimates, "PERIOD_BLOCKS", blocks)
+        self._assert_multilinear_equals_whole_period(2024, monkeypatch)
+
+    @staticmethod
+    def _assert_multilinear_equals_whole_period(seed, monkeypatch):
         ens = default_ensemble("3.03", seed, 2)
         captured = {}
         monkeypatch.setattr(estimates, "_ratio_report",

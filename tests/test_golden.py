@@ -3,7 +3,9 @@ fresh runs move against golden.json."""
 
 import copy
 import json
+import math
 
+import numpy as np
 import pytest
 
 import golden
@@ -48,6 +50,48 @@ class TestMovesReport:
         for group in ("difference", "evolve_cross_check_l2"):
             line = _group_line(lines, group)
             assert line[3] == line[5] == line[-1] == "0"
+
+
+class TestExact:
+    """--moves --exact on picard: one verdict line, and exit 0 only when
+    every number moved by 0 and every comparable hash is equal."""
+
+    @pytest.fixture(scope="class")
+    def fresh(self, tmp_path_factory):
+        return golden.record("picard", tmp_path_factory.mktemp("picard"))
+
+    @staticmethod
+    def _exact(tmp_path, monkeypatch, capsys, fresh, entry=None, exact=True):
+        """(exit status, report lines) of fresh against golden.json, or
+        against entry as its picard entry if given."""
+        monkeypatch.setattr(golden, "record", lambda stem, out: copy.deepcopy(fresh))
+        if entry is not None:
+            path = tmp_path / "golden.json"
+            path.write_text(json.dumps({**json.loads(golden.GOLDEN.read_text()), "picard": entry}))
+            monkeypatch.setattr(golden, "GOLDEN", path)
+        status = golden.run(["--moves", "picard", *(["--exact"] if exact else [])])
+        return status, capsys.readouterr().out.splitlines()
+
+    def test_tree_is_bit_identical(self, tmp_path, monkeypatch, capsys, fresh):
+        if golden.hash_mismatch("picard"):
+            pytest.skip(golden.hash_mismatch("picard"))
+        assert self._exact(tmp_path, monkeypatch, capsys, fresh) == \
+            (0, ["picard: bit-identical; hashes equal"])
+
+    def test_number_moved_by_one_ulp_fails(self, tmp_path, monkeypatch, capsys, fresh):
+        entry = copy.deepcopy(fresh)
+        leaf = entry["numbers"]["evolve_cross_check_l2"]
+        leaf["value"] = float(np.nextafter(leaf["value"], math.inf))
+        assert self._exact(tmp_path, monkeypatch, capsys, fresh, entry) == \
+            (1, ["picard: moved within tolerance; hashes equal"])
+        status, lines = self._exact(tmp_path, monkeypatch, capsys, fresh, entry, exact=False)
+        assert status == 0 and lines[0] == "picard: numbers within tolerance; hashes equal"
+
+    def test_perturbed_digest_fails(self, tmp_path, monkeypatch, capsys, fresh):
+        entry = copy.deepcopy(fresh)
+        entry["sha256"]["picard_diffs.csv"] = "0" * 64
+        assert self._exact(tmp_path, monkeypatch, capsys, fresh, entry) == \
+            (1, ["picard: outside tolerance; hashes differ: picard_diffs.csv"])
 
 
 class TestRecord:
