@@ -70,7 +70,7 @@ REFINED = {"grid_x2": (2, 1), "grid_x4": (4, 1), "window_x2": (1, 2)}
 # wavenumbers but not on the grid's point count; grid refinements share them
 _SHARED_TABLES = ("phase_table", "window", "modulation_weights", "time_gram")
 ORBIT_BLOCK = 64  # window samples an orbit tag synthesizes at a time; no value depends on it
-MODE_BLOCK = 32  # support modes Ensemble.modulation_weights builds at a time; 8 moved bits
+MODE_BLOCK = 32  # support modes modulation_weights builds at a time; 8 to 64 gave the same bits
 BILINEAR_S = 0.5  # 2.027's interaction weight |phi'(xi1) - phi'(xi2)|^s
 MULTILINEAR_K = 5  # 3.03's form is (k+2)-linear
 PERIOD_BLOCKS = 4  # column blocks 3.03's period transforms run in; no value depends on it
@@ -172,8 +172,9 @@ class Ensemble:
         W_j = sum_l <tau_l + phi_j>^{2b} |DFT_t[psi e^{-i t phi_j}]_l / n_t|^2
         (a mode -m sees the conjugate orbit, whose DFT is reversed in l).
         Built MODE_BLOCK modes at a time, every block MODE_BLOCK wide (the
-        last one overlaps its neighbour), which sums each mode's column in
-        the same order as the whole table does."""
+        last one overlaps its neighbour): a column block sums its columns
+        row by row as the whole table does, where a 1-column tail would
+        be summed pairwise, with other bits."""
         xi = self.grid.wavenumbers[self.support_modes()]
         tau = angular_frequencies(self.n_t, self.t_window)
         reverse = mirror_slot(fft_mode_numbers(self.n_t), self.n_t)
@@ -213,16 +214,15 @@ class Ensemble:
 
     def refined(self, name: str) -> "Ensemble":
         """The refinement name of this ensemble.  A grid refinement at fixed L
-        samples the same window and support wavenumbers, so it takes this
-        ensemble's tables that are built already instead of building its own."""
+        with the same support modes samples the same window and support
+        wavenumbers, so it takes this ensemble's tables that are built
+        already instead of building its own."""
         if name not in REFINED:
             raise ConfigError(f"unknown refinement {name!r}")
         points, window = REFINED[name]
         fine = dataclasses.replace(self, grid=Grid(points * self.grid.n_points, self.grid.length),
                                    t_window=window * self.t_window, n_t=window * self.n_t)
-        modes = self.support_modes()
-        if window == 1 and np.array_equal(fine.support_modes(), modes) and np.array_equal(
-                fine.grid.wavenumbers[modes], self.grid.wavenumbers[modes]):
+        if window == 1 and np.array_equal(fine.support_modes(), self.support_modes()):
             vars(fine).update({key: value for key, value in vars(self).items()
                                if key in _SHARED_TABLES})
         return fine
