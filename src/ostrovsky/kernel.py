@@ -13,15 +13,20 @@ A point whose g' keeps one sign, with min|g'| times a Levin piece width
 at least LEVIN_MIN_TURN, goes first to Levin collocation, whose cost
 does not grow with |g'|; it is accepted when its two orders agree within
 spec.accepted_error.  The other points take the one Gauss-Kronrod
-(G7, K15) pass, on panels no wider than half the local wavelength
-2*pi/|g'| at a 1.5x margin on |g'|: consecutive points form batches of
-up to BATCH_NODES nodes (a larger point is a batch alone) on a thread
-pool of jobs workers, each evaluating its integrand CHUNK_PANELS panels
-at a time, so a worker holds one chunk's integrand plus 16 bytes per
-panel of its batch.  Only the points whose error estimate misses
-tolerance are re-run at 4x and then 16x finer panels.  kernel_eval, the
-reference that the tests hold Levin to within accepted_error, is that
-pass on one point.  No value depends on the chunk, batch or pool size.
+(G15, K31) pass, on panels no wider than two local wavelengths 2*pi/|g'|
+at a 1.5x margin on |g'|; there the embedded G15 estimate is still at
+rounding level, so it does not hold the panels below the width the K31
+value needs.  Each of the _COARSE coarse sub-intervals sizes its panels
+from g' at five samples that include its ends: where g' is monotone
+(gamma >= 0, away from phi'' = 0), |g'| is largest at an end.
+Consecutive points form batches of up to BATCH_NODES nodes (a larger
+point is a batch alone) on a thread pool of jobs workers, each
+evaluating its integrand CHUNK_PANELS panels at a time, so a worker
+holds one chunk's integrand plus 16 bytes per panel of its batch.  Only
+the points whose error estimate misses tolerance are re-run at 4x and
+then 16x finer panels.  kernel_eval, the reference that the tests hold
+Levin to within accepted_error, is that pass on one point.  No value
+depends on the chunk, batch or pool size.
 
 Sampling windows follow the kernel's self-similar scales x ~ 1/N,
 t ~ 1/N^3, so empirical constants are comparable across dyadic N.
@@ -44,34 +49,44 @@ from .spectral import PhaseSymbol
 
 log = logging.getLogger("ostrovsky")
 
-# 15-point Kronrod extension of 7-point Gauss on [-1, 1]
-_KRONROD_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
+
+def _mirrored(half, sign: float = 1.0) -> np.ndarray:
+    """A rule's table over [-1, 1] from its entries at the nodes in [-1, 0];
+    the rules are symmetric about 0."""
+    half = np.array(half)
+    return np.concatenate([half, sign * half[-2::-1]])
+
+
+# 31-point Kronrod extension of 15-point Gauss on [-1, 1] (QUADPACK's qk31)
+_KRONROD_NODES = _mirrored([
+    -0.99800229869339706, -0.98799251802048543, -0.96773907567913913,
+    -0.93727339240070590, -0.89726453234408190, -0.84820658341042722,
+    -0.79041850144246593, -0.72441773136017005, -0.65099674129741697,
+    -0.57097217260853885, -0.48508186364023968, -0.39415134707756337,
+    -0.29918000715316881, -0.20119409399743452, -0.10114206691871750,
+    0.0,
+], -1.0)
+_KRONROD_WEIGHTS = _mirrored([
+    0.0053774798729233490, 0.015007947329316123, 0.025460847326715320,
+    0.035346360791375846, 0.044589751324764877, 0.053481524690928087,
+    0.062009567800670640, 0.069854121318728259, 0.076849680757720379,
+    0.083080502823133021, 0.088564443056211771, 0.093126598170825321,
+    0.096642726983623679, 0.099173598721791959, 0.10076984552387560,
+    0.10133000701479155,
 ])
-_KRONROD_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
+_GAUSS_WEIGHTS = _mirrored([
+    0.030753241996117268, 0.070366047488108125, 0.10715922046717194,
+    0.13957067792615431, 0.16626920581699393, 0.18616100001556221,
+    0.19843148532711158, 0.20257824192556127,
 ])
-_GAUSS_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
-_GAUSS_SLICE = slice(1, 14, 2)  # Gauss-7 nodes sit at the odd Kronrod indices
+_GAUSS_SLICE = slice(1, 30, 2)  # Gauss-15 nodes sit at the odd Kronrod indices
 
 REGION_BOUNDARY_FACTOR = 4000.0
 MAX_NODES = 4_000_000
 BATCH_NODES = 1 << 16  # nodes per batch of points; a larger point is a batch alone
-CHUNK_PANELS = BATCH_NODES // 15  # panels per evaluation of the integrand
-_COARSE = 24  # coarse sub-intervals of [N, 4N], each with its own panel width
-_WAVELENGTH_PANELS = 2  # panels per local wavelength 2*pi/|g'| at the 1.5x slope margin
+CHUNK_PANELS = BATCH_NODES // 31  # panels per evaluation of the integrand
+_COARSE = 4  # coarse sub-intervals of [N, 4N], each with its own panel width
+_PANEL_WAVELENGTHS = 2.0  # widest panel in local wavelengths 2*pi/|g'| at the 1.5x slope margin
 _COUNT_POINTS = 1024  # points whose g' one broadcast of _scan_slopes takes
 _REFINES = (1.0, 4.0, 16.0)  # panel refinements tried in turn
 RELATIVE_TOLERANCE = 1e-12  # error bound relative to the |K| <= 6N envelope
@@ -172,8 +187,8 @@ def _coarse_samples(spec: KernelSpec):
 
 def _scan_slopes(xs: np.ndarray, ts: np.ndarray, coarse, n_block: float):
     """g' = x - t*phi' at the coarse samples, _COUNT_POINTS points at a time.
-    Returns each point's widest panel per coarse sub-interval, the local
-    wavelength 2*pi/(1.5*max|g'|) over _WAVELENGTH_PANELS, shape (points,
+    Returns each point's widest panel per coarse sub-interval,
+    _PANEL_WAVELENGTHS local wavelengths 2*pi/(1.5*max|g'|), shape (points,
     _COARSE); and whether it goes to Levin: no stationary point, and
     collocation systems far from the singular g' = 0."""
     dphi = coarse[2]
@@ -184,7 +199,7 @@ def _scan_slopes(xs: np.ndarray, ts: np.ndarray, coarse, n_block: float):
         part = slice(lo, lo + _COUNT_POINTS)
         slope = xs[part, None, None] - ts[part, None, None] * dphi
         worst = np.max(np.abs(slope), axis=2) * 1.5 + 1e-30
-        widths[part] = 2.0 * np.pi / (_WAVELENGTH_PANELS * worst)
+        widths[part] = _PANEL_WAVELENGTHS * 2.0 * np.pi / worst
         # max(min g', -max g') is min|g'| when g' keeps one sign, else <= 0
         least = np.maximum(slope.min(axis=(1, 2)), -slope.max(axis=(1, 2)))
         eligible[part] = least * piece >= LEVIN_MIN_TURN
@@ -212,7 +227,7 @@ def _collocation(order: int):
 def _levin_values(xs: np.ndarray, ts: np.ndarray, spec: KernelSpec, symbol: PhaseSymbol):
     """K at each point by Levin collocation (D. Levin, Math. Comp. 38
     (1982) 531-538) and its achieved bound, twice the gap between the two
-    orders as the GK bound is twice K15 - G7.  On each piece, p' + i g' p = 1
+    orders as the GK bound is twice K31 - G15.  On each piece, p' + i g' p = 1
     at the nodes makes (p e^{ig})' the integrand, so the piece contributes
     p e^{ig} at its right end minus at its left; p does not oscillate when
     g' has no zero, so the cost is the same at every frequency."""
@@ -286,7 +301,7 @@ class QuadratureStats:
 
     levin counts the points Levin accepted; refined_x4 and refined_x16
     count the points that were re-run at 4x (and then 16x) finer panels;
-    nodes counts the Gauss-Kronrod nodes evaluated, 15 per panel over
+    nodes counts the Gauss-Kronrod nodes evaluated, 31 per panel over
     every refinement; max_error is the largest finite achieved error
     bound, over converged and failed points alike.
     """
@@ -311,11 +326,11 @@ def _weighted_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _batch_integrals(panels: _Panels, symbol: PhaseSymbol):
     """Real part of the Gauss-Kronrod value of the positive block and its
-    error estimate, the sum of |K15 - G7|, for each point of panels, the
+    error estimate, the sum of |K31 - G15|, for each point of panels, the
     integrand evaluated CHUNK_PANELS panels at a time with row k holding
     node k of every panel.  The nodes lie in [N, 4N], so phi needs no
     masking of xi = 0."""
-    k15 = np.empty(panels.size)
+    k31 = np.empty(panels.size)
     gap = np.empty(panels.size)
     for lo in range(0, panels.size, CHUNK_PANELS):
         hi = min(lo + CHUNK_PANELS, panels.size)
@@ -325,14 +340,14 @@ def _batch_integrals(panels: _Panels, symbol: PhaseSymbol):
         nodes = mid + half * _KRONROD_NODES[:, None]
         phase = panels.xs[point] * nodes - panels.ts[point] * symbol.at_nonzero(nodes)
         cos, sin = np.cos(phase), np.sin(phase)
-        k15_cos = _weighted_rows(cos, _KRONROD_WEIGHTS)
-        gap_cos = k15_cos - _weighted_rows(cos[_GAUSS_SLICE], _GAUSS_WEIGHTS)
+        k31_cos = _weighted_rows(cos, _KRONROD_WEIGHTS)
+        gap_cos = k31_cos - _weighted_rows(cos[_GAUSS_SLICE], _GAUSS_WEIGHTS)
         gap_sin = _weighted_rows(sin, _KRONROD_WEIGHTS) \
             - _weighted_rows(sin[_GAUSS_SLICE], _GAUSS_WEIGHTS)
-        k15[lo:hi] = k15_cos * half
+        k31[lo:hi] = k31_cos * half
         gap[lo:hi] = np.hypot(gap_cos, gap_sin) * half
     starts = np.concatenate(([0], panels.point_stops[:-1]))
-    return np.add.reduceat(k15, starts), np.add.reduceat(gap, starts)
+    return np.add.reduceat(k31, starts), np.add.reduceat(gap, starts)
 
 
 def _batches(rows: np.ndarray, nodes: np.ndarray) -> list:
@@ -368,7 +383,7 @@ def _gauss_kronrod(xs, ts, widths, coarse, spec: KernelSpec, jobs: int | None):
             break
         reached[level] = todo.size
         m = _panel_counts(widths[todo], coarse, refine)
-        nodes = 15 * m.sum(axis=1)
+        nodes = _KRONROD_NODES.size * m.sum(axis=1)
         achieved[todo[nodes > MAX_NODES]] = math.inf
         evaluated += int(nodes[nodes <= MAX_NODES].sum())
         batches = [(todo[rows], m[rows])

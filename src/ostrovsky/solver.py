@@ -318,8 +318,9 @@ def hamiltonian(u: Field, cfg: SolverConfig) -> float:
 def check_initial_data(u0: Field, cfg: SolverConfig):
     """The t = 0 check evolve applies to each config: ConfigError for
     non-finite samples, a CFL bound whose max(1, max|u0|)^k overflows, an
-    overflowing Hamiltonian, a nonzero mean where gamma > 0 (MeanZeroViolation:
-    phi is singular at xi = 0 there) or a dt above timestep_bound(u0)."""
+    overflowing Hamiltonian, an L2, H^s or X^s trace norm at cfg.trace_s that
+    is not finite, a nonzero mean where gamma > 0 (MeanZeroViolation: phi is
+    singular at xi = 0 there) or a dt above timestep_bound(u0)."""
     with np.errstate(all="ignore"):
         samples = u0.samples()
         if not np.isfinite(samples).all():
@@ -331,6 +332,13 @@ def check_initial_data(u0: Field, cfg: SolverConfig):
             hamiltonian(u0, cfg)
         except NonFiniteError as err:
             raise ConfigError(f"initial data: {err}") from None
+        # the norms evolve traces at t = 0
+        norms = {"L2": u0.l2_norm(), "H^s": h_s_norm(u0, cfg.trace_s),
+                 "X^s": x_s_norm(project_zero_mean(u0), cfg.trace_s)}
+    for name, value in norms.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"initial data: its {name} norm is not finite "
+                              f"(trace_s = {cfg.trace_s:g})")
     if cfg.gamma > 0 and abs(u0.mean()) > MEAN_ZERO_ATOL * max(1.0, u0.l2_norm()):
         raise MeanZeroViolation(u0.mean(), f"evolve requires mean-zero initial data when "
                                 f"gamma > 0 (mean = {u0.mean():.3g})")

@@ -11,8 +11,10 @@ length, the oracle of the smallest alias-free period.  And the Picard
 map over the whole time lattice at once, the oracle of picard_iterate's
 in-place blocks, and tag 3.03's full-period inverse transform, the oracle
 of its window rows.  And the kernel's Gauss-Kronrod pass one point at a
-time, on the panels of its earlier rule (a quarter of the local
-wavelength on 48 coarse sub-intervals), the oracle of the batched pass.
+time by its earlier (G7, K15) rules, on panels of a quarter of the local
+wavelength over 48 coarse sub-intervals or of half of it over 24, the
+oracles of the batched pass, and Laurie's construction of the Kronrod
+rules, the oracle of their tables.
 And an ensemble's modulation weights built from the whole (n_t x M)
 tables at once, the oracle of Ensemble.modulation_weights' mode blocks."""
 
@@ -239,43 +241,105 @@ def full_pad_multilinear_pairs(ens, k, n_cells, period=None):
     return pair_for
 
 
-def reference_panel_edges(x, t, spec, refine, coarse=None, wavelength_panels=None):
+# The kernel's earlier rule: 15-point Kronrod extension of 7-point Gauss on [-1, 1]
+K15_NODES = np.array([
+    -0.991455371120813, -0.949107912342759, -0.864864423359769,
+    -0.741531185599394, -0.586087235467691, -0.405845151377397,
+    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
+    0.586087235467691, 0.741531185599394, 0.864864423359769,
+    0.949107912342759, 0.991455371120813,
+])
+K15_WEIGHTS = np.array([
+    0.022935322010529, 0.063092092629979, 0.104790010322250,
+    0.140653259715525, 0.169004726639267, 0.190350578064785,
+    0.204432940075298, 0.209482141084728, 0.204432940075298,
+    0.190350578064785, 0.169004726639267, 0.140653259715525,
+    0.104790010322250, 0.063092092629979, 0.022935322010529,
+])
+G7_WEIGHTS = np.array([
+    0.129484966168870, 0.279705391489277, 0.381830050505119,
+    0.417959183673469, 0.381830050505119, 0.279705391489277,
+    0.129484966168870,
+])
+
+
+def kronrod_rule(n):
+    """Nodes (ascending) and weights of the (2n+1)-point Kronrod extension
+    of n-point Gauss-Legendre on [-1, 1], by Laurie's algorithm (D. P.
+    Laurie, Math. Comp. 66 (1997) 1133-1145), after Gautschi's r_kronrod.
+    From the Legendre recurrence a_k = 0, b_0 = 2, b_k = k^2/(4k^2 - 1) it
+    completes the Jacobi matrix of the extension; the nodes are its
+    eigenvalues and the weights b_0 times the squared first components of
+    its eigenvectors."""
+    a, b = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
+    k = np.arange(1, -(-3 * n // 2) + 1)
+    b[0], b[k] = 2.0, k**2 / (4.0 * k**2 - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        lo = m - k
+        s[k + 1] = np.cumsum((a[k + n + 1] - a[lo]) * t[k + 1] + b[k + n + 1] * s[k]
+                             - b[lo] * s[k + 1])
+        s, t = t, s
+    j = np.arange(n // 2, -1, -1)
+    s[j + 1] = s[j]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        lo = m - k
+        j = n - 1 - lo
+        s[j + 1] = np.cumsum(-(a[k + n + 1] - a[lo]) * t[j + 1] - b[k + n + 1] * s[j + 1]
+                             + b[lo] * s[j + 2])
+        j, k = j[-1], (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    off = np.sqrt(b[1:])
+    nodes, vectors = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, b[0] * vectors[0] ** 2
+
+
+def reference_panel_edges(x, t, spec, refine, coarse=None, wavelengths=None):
     """Gauss-Kronrod panel edges of the point (x, t): one np.linspace per
-    coarse sub-interval of [N, 4N], with equal panels no wider than the
-    local wavelength 2*pi/(1.5*max|g'|) over wavelength_panels, divided by
-    refine.  coarse and wavelength_panels default to the kernel module's."""
+    coarse sub-interval of [N, 4N], with equal panels no wider than
+    wavelengths local wavelengths 2*pi/(1.5*max|g'|), divided by refine.
+    coarse and wavelengths default to the kernel module's."""
     coarse = kernel._COARSE if coarse is None else coarse
-    wavelength_panels = kernel._WAVELENGTH_PANELS if wavelength_panels is None \
-        else wavelength_panels
+    wavelengths = kernel._PANEL_WAVELENGTHS if wavelengths is None else wavelengths
     lo, hi = spec.block_start, 4.0 * spec.block_start
     ends = np.linspace(lo, hi, coarse + 1)
     edges = [lo]
     for a, b in zip(ends[:-1], ends[1:]):
         slope = x - t * spec.symbol.derivative(np.linspace(a, b, 5))
         worst = float(np.max(np.abs(slope))) * 1.5 + 1e-30
-        width_cap = 2.0 * np.pi / (wavelength_panels * worst)
+        width_cap = wavelengths * 2.0 * np.pi / worst
         m = max(1, int(math.ceil((b - a) / width_cap * refine)))
         edges.extend(np.linspace(a, b, m + 1)[1:])
     return np.asarray(edges)
 
 
-QUARTER_WAVELENGTH_PANELS = {"coarse": 48, "wavelength_panels": 4}  # the earlier rule
+# the kernel's earlier panel rules, both with the (G7, K15) pair
+QUARTER_WAVELENGTH_PANELS = {"coarse": 48, "wavelengths": 0.25}
+HALF_WAVELENGTH_PANELS = {"coarse": 24, "wavelengths": 0.5}
 
 
-def quarter_wavelength_kernel(x, t, spec):
-    """(K(x, t), achieved bound) by the earlier Gauss-Kronrod rule, one point
-    and one refinement (1x, 4x, 16x) at a time, each panel's K15 and G7
-    summed over its 15 nodes; value nan once the bound misses
-    spec.accepted_error at 16x, and bound inf past kernel.MAX_NODES."""
+def k15_kernel(x, t, spec, rule):
+    """(K(x, t), achieved bound) by the (G7, K15) pair on the panels of
+    rule, one point and one refinement (1x, 4x, 16x) at a time, each
+    panel's K15 and G7 summed over its 15 nodes; value nan once the bound
+    misses spec.accepted_error at 16x, and bound inf past kernel.MAX_NODES."""
     for refine in (1.0, 4.0, 16.0):
-        edges = reference_panel_edges(x, t, spec, refine, **QUARTER_WAVELENGTH_PANELS)
+        edges = reference_panel_edges(x, t, spec, refine, **rule)
         if 15 * (edges.size - 1) > kernel.MAX_NODES:
             return math.nan, math.inf
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-        nodes = mid[:, None] + half[:, None] * kernel._KRONROD_NODES
+        nodes = mid[:, None] + half[:, None] * K15_NODES
         f = np.exp(1j * (x * nodes - t * spec.symbol.at_nonzero(nodes)))
-        k15 = (f * kernel._KRONROD_WEIGHTS).sum(axis=1) * half
-        g7 = (f[:, 1::2] * kernel._GAUSS_WEIGHTS).sum(axis=1) * half
+        k15 = (f * K15_WEIGHTS).sum(axis=1) * half
+        g7 = (f[:, 1::2] * G7_WEIGHTS).sum(axis=1) * half
         bound = 2.0 * float(np.abs(k15 - g7).sum())
         if bound <= spec.accepted_error:
             return 2.0 * float(k15.sum().real), bound

@@ -35,7 +35,10 @@ It also holds, under estimate_zoo, max_ratio and refinement_max of every
 estimate tag at seed 2024 with acceptance 6's draw counts (ZOO_DRAWS),
 and the SHA-256 digests of the per-draw lhs and rhs bytes of each tag's
 base ensemble and of each refinement (run_zoo_tag), which acceptance 6
-checks on the runs it already makes.
+checks on the runs it already makes.  Under probe_kernel it holds, next
+to the CSV hash, the SHA-256 digest of each block's |K| over the mixed
+norm's grid (mixed_norm_digest), which no artifact holds; acceptance 5
+makes the same kernel_mixed_norm calls and checks them.
 
 Tolerances follow from a stated basis, not from observed moves; each
 entry's tolerance_basis names it:
@@ -118,6 +121,12 @@ def sha256(path) -> str:
 def digest(values) -> str:
     """SHA-256 of the bytes of values as float64."""
     return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def mixed_norm_digest(n_block: float, values) -> dict:
+    """The digest of |K| on block n_block's mixed-norm grid from the values
+    of its kernel_mixed_norm's _kernel_values call, named with the block."""
+    return {f"{cli.fmt(n_block)} mixed_norm |K|": digest(np.abs(values))}
 
 
 @contextlib.contextmanager
@@ -340,9 +349,11 @@ def record(stem: str, out: Path) -> dict:
         with capturing(kernel, "_kernel_values") as values, \
                 capturing(kernel, "_mixed_norm_terms") as terms:
             assert main(argv) == 0
-        tolerances = {}
+        tolerances, digests = {}, {}
         for i, name in enumerate(_load(out, "kernel_summary.json")["blocks"]):
             tolerances.update(_kernel_tolerances(name, *values[3 * i:3 * i + 2], terms[i][0]))
+            (_, _, spec, *_), (mixed, _) = values[3 * i + 2]
+            digests.update(mixed_norm_digest(spec.block_start, mixed))
         basis = ("each |K| may move by 2 * accepted_error; tolerances are the largest move "
                  "that makes in each field")
     elif command == "sweep-gamma":
@@ -370,7 +381,8 @@ def record(stem: str, out: Path) -> dict:
         "tolerance_basis": f"{basis} (tests/golden.py)",
         "numbers": {name: {"value": value, "tolerance": tolerances[name]}
                     for name, value in numbers.items()},
-        "sha256": {name: sha256(out / name) for name in artifacts},
+        "sha256": {**{name: sha256(out / name) for name in artifacts},
+                   **(digests if command == "probe-kernel" else {})},
         **environment(),
     }
 
@@ -417,11 +429,20 @@ def check_zoo(reports, digests) -> None:
     where they are comparable, that digests (run_zoo_tag's, merged over
     the tags) are the recorded ones."""
     compare(ZOO, zoo_numbers(reports))
-    if hash_mismatch(ZOO) is None:
-        recorded = json.loads(GOLDEN.read_text())[ZOO]["sha256"]
-        assert sorted(digests) == sorted(recorded), "the run digests other arrays than recorded"
-        differ = [name for name, value in recorded.items() if digests[name] != value]
-        assert not differ, f"per-draw digests differ from the recorded ones: {', '.join(differ)}"
+    check_digests(ZOO, digests)
+
+
+def check_digests(key: str, digests: dict) -> None:
+    """Assert, where they are comparable, that digests are the ones
+    recorded under key, which records no other digest than those and the
+    hashes of key's artifacts."""
+    if hash_mismatch(key) is not None:
+        return
+    recorded = {name: value for name, value in json.loads(GOLDEN.read_text())[key]["sha256"].items()
+                if name not in SHIPPED.get(key, (None, None, ()))[2]}
+    assert sorted(digests) == sorted(recorded), "the run digests other arrays than recorded"
+    differ = [name for name, value in recorded.items() if digests[name] != value]
+    assert not differ, f"digests differ from the recorded ones: {', '.join(differ)}"
 
 
 def compare(key: str, fresh: dict) -> None:
@@ -443,8 +464,10 @@ def hash_mismatch(stem: str) -> str | None:
 
 
 def check_hashes(stem: str, out) -> None:
-    for name, digest in json.loads(GOLDEN.read_text())[stem]["sha256"].items():
-        assert sha256(Path(out) / name) == digest, f"{name} differs from the recorded bytes"
+    """Assert that the artifacts of stem's run in out have the recorded hashes."""
+    recorded = json.loads(GOLDEN.read_text())[stem]["sha256"]
+    for name in SHIPPED[stem][2]:
+        assert sha256(Path(out) / name) == recorded[name], f"{name} differs from the recorded bytes"
 
 
 def within_tolerance(fresh: dict, recorded: dict) -> bool:

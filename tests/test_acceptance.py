@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from ostrovsky import kernel
 from ostrovsky.estimates import run_tag
 from ostrovsky.kernel import KernelSpec, kernel_mixed_norm, region_decay_check
 from ostrovsky.limits import SweepConfig, rotation_limit_sweep
@@ -137,13 +138,17 @@ class TestAcceptance:
     @pytest.mark.slow
     def test_5_kernel_decay(self):
         t0 = time.time()
-        exponents, ns_constants, mixed_ratios = [], [], []
+        exponents, ns_constants, mixed_ratios, digests = [], [], [], {}
         for n_block in (16.0, 32.0, 64.0):
             spec = KernelSpec(n_block, -1.0, 1.0)
             dec = region_decay_check(spec, samples_per_region=60, seed=3)
             exponents.append(dec.ray_exponent)
             ns_constants.append(dec.regions["NON_STATIONARY"].empirical_constant)
-            mixed_ratios.append(kernel_mixed_norm(spec, 8.0).scaled_ratio)
+            # the shipped probe_kernel config's mixed norm: its |K| digest is recorded
+            with golden.capturing(kernel, "_kernel_values") as calls:
+                mixed_ratios.append(kernel_mixed_norm(spec, 8.0).scaled_ratio)
+            [(_, (values, _))] = calls
+            digests.update(golden.mixed_norm_digest(n_block, values))
         elapsed = time.time() - t0
         exponent_ok = all(-0.43 <= e <= -0.23 for e in exponents)
         constant_ok = max(ns_constants) <= 4.0 * min(ns_constants)
@@ -153,6 +158,7 @@ class TestAcceptance:
                       f"constant spread {max(ns_constants) / min(ns_constants):.2f}x, "
                       f"mixed-norm spread {max(mixed_ratios) / min(mixed_ratios):.2f}x "
                       f"({elapsed:.1f}s)")
+        golden.check_digests("probe_kernel", digests)
 
     @pytest.mark.slow
     def test_6_estimate_ensembles(self):

@@ -154,3 +154,22 @@ class TestZooDigests:
         path.write_text(json.dumps({golden.ZOO: entry}))
         with pytest.raises(AssertionError, match="3.03 lattice_x2 lhs"):
             golden.check_zoo(reports, digests)
+
+
+class TestKernelDigests:
+    """The |K| digests of probe_kernel's mixed norms, checked here against
+    the recorded ones without a quadrature run."""
+
+    def test_check_digests_names_a_perturbed_block(self):
+        if golden.hash_mismatch("probe_kernel"):
+            pytest.skip(golden.hash_mismatch("probe_kernel"))
+        recorded = json.loads(golden.GOLDEN.read_text())["probe_kernel"]["sha256"]
+        digests = {name: value for name, value in recorded.items()
+                   if name != "kernel_regions.csv"}
+        assert sorted(digests) == [f"{n} mixed_norm |K|" for n in ("16.0", "32.0", "64.0")]
+        golden.check_digests("probe_kernel", digests)
+        digests["32.0 mixed_norm |K|"] = "0" * 64
+        with pytest.raises(AssertionError, match=r"32\.0 mixed_norm \|K\|"):
+            golden.check_digests("probe_kernel", digests)
+        with pytest.raises(AssertionError, match="other arrays"):
+            golden.check_digests("probe_kernel", {})

@@ -29,7 +29,9 @@ from ostrovsky.kernel import (
 from ostrovsky.spectral import Field, Grid, PhaseSymbol
 
 import golden
-from _reference import QUARTER_WAVELENGTH_PANELS, quarter_wavelength_kernel, reference_panel_edges
+from _reference import (G7_WEIGHTS, HALF_WAVELENGTH_PANELS, K15_NODES, K15_WEIGHTS,
+                        QUARTER_WAVELENGTH_PANELS, k15_kernel, kronrod_rule,
+                        reference_panel_edges)
 from _util import propagated
 
 
@@ -111,6 +113,35 @@ class TestKernelEval:
             assert abs(u[i] - kv) < 0.01 * scale
 
 
+class TestGaussKronrodRule:
+    @pytest.mark.parametrize("n,nodes,weights,gauss_weights,tolerance", [
+        (15, kernel._KRONROD_NODES, kernel._KRONROD_WEIGHTS, kernel._GAUSS_WEIGHTS, 1e-15),
+        # the earlier pair's literals carry 15 decimals
+        (7, K15_NODES, K15_WEIGHTS, G7_WEIGHTS, 2e-15),
+    ], ids=["K31", "K15"])
+    def test_literals_by_laurie(self, n, nodes, weights, gauss_weights, tolerance):
+        # the Kronrod tables from Laurie's algorithm on the Legendre
+        # recurrence, the Gauss ones from leggauss at the odd indices
+        laurie_nodes, laurie_weights = kronrod_rule(n)
+        gauss_nodes, gauss = np.polynomial.legendre.leggauss(n)
+        assert nodes.size == weights.size == 2 * n + 1 and gauss_weights.size == n
+        assert np.max(np.abs(nodes - laurie_nodes)) <= tolerance
+        assert np.max(np.abs(weights - laurie_weights)) <= tolerance
+        assert np.max(np.abs(nodes[1::2] - gauss_nodes)) <= tolerance
+        assert np.max(np.abs(gauss_weights - gauss)) <= tolerance
+
+    def test_exact_on_monomials(self):
+        # K31 integrates x^d exactly up to d = 3*15 + 1 = 46, G15 up to
+        # 2*15 - 1 = 29, within rounding; G15 misses x^30 by about 3e-9
+        nodes, gauss_nodes = kernel._KRONROD_NODES, kernel._KRONROD_NODES[kernel._GAUSS_SLICE]
+        exact = [(1.0 + (-1.0) ** d) / (d + 1.0) for d in range(47)]
+        for d in range(47):
+            assert abs(kernel._KRONROD_WEIGHTS @ nodes**d - exact[d]) <= 1e-15
+        for d in range(30):
+            assert abs(kernel._GAUSS_WEIGHTS @ gauss_nodes**d - exact[d]) <= 1e-15
+        assert abs(kernel._GAUSS_WEIGHTS @ gauss_nodes**30 - 2.0 / 31.0) > 1e-10
+
+
 class TestRegions:
     def test_partition(self, spec8):
         rng = np.random.default_rng(5)
@@ -189,7 +220,7 @@ def region_points(n_block):
     return [(0.5 / n, 1.0 / n**3), (-0.3 / n, 20.0 / n**3),
             (5.0 / n, 1e-4 / n**3), (-20.0 / n, 0.004 / n**3),
             (10.0 / n, 3.0 / n**3), (-3.0 / n, 25.0 / n**3),
-            (-400.0 / n, 120.0 / n**3), (-8e4 / n, 8e4 / (6.0 * n**3))]
+            (-400.0 / n, 120.0 / n**3), (-1.6e5 / n, 1.6e5 / (6.0 * n**3))]
 
 
 LEVIN_ROUTED = [1, 3, 4, 5]  # the region_points that Levin takes
@@ -331,32 +362,48 @@ class TestAcceptedError:
                 small.regions[name].empirical_constant, rel=1e-4)
 
 
+def assert_within_earlier_rule(n_block, rule, node_share):
+    """The region points that converge, two rays of the ray fit and a
+    small mixed-norm grid, every point on Gauss-Kronrod: the batched pass
+    and the (G7, K15) pass on the panels of rule converge at every point
+    and agree within accepted_error, the batched one on under node_share
+    of the nodes."""
+    spec = KernelSpec(n_block, -1.0, 1.0)
+    region = region_points(n_block)[:-1]
+    slope_lo = abs(spec.symbol.derivative(n_block))
+    slope_hi = abs(spec.symbol.derivative(4.0 * n_block))
+    ray = [(-c / n_block, t) for c in RAY_OFFSETS[::5]
+           for t in np.exp(np.linspace(math.log(c / n_block / slope_hi),
+                                       math.log(c / n_block / slope_lo), 5))]
+    grid = list(zip(*mixed_norm_points(spec, 1.0, 6, 4)))
+    xs, ts = np.array(region + ray + grid).T
+    stats = QuadratureStats()
+    values, achieved = _kernel_values(xs, ts, spec, stats)
+    assert np.all(achieved <= spec.accepted_error)
+    reference = [k15_kernel(x, t, spec, rule) for x, t in zip(xs, ts)]
+    ref_values, ref_achieved = np.array(reference).T
+    assert np.all(ref_achieved <= spec.accepted_error)
+    assert np.all(np.abs(values - ref_values) <= spec.accepted_error)
+    ref_nodes = sum(15 * (reference_panel_edges(x, t, spec, 1.0, **rule).size - 1)
+                    for x, t in zip(xs, ts))
+    assert stats.refined_x4 == 0 and stats.nodes < node_share * ref_nodes
+
+
 @pytest.mark.usefixtures("gauss_kronrod_only")
 class TestQuarterWavelengthOracle:
     @pytest.mark.parametrize("n_block", [8.0, 16.0, 32.0, 64.0])
     def test_within_accepted_error(self, n_block):
-        # the region points that converge, two rays of the ray fit and a
-        # small mixed-norm grid, every point on Gauss-Kronrod; both passes
-        # converge at every point, the new one on about half the nodes
-        spec = KernelSpec(n_block, -1.0, 1.0)
-        region = region_points(n_block)[:-1]
-        slope_lo = abs(spec.symbol.derivative(n_block))
-        slope_hi = abs(spec.symbol.derivative(4.0 * n_block))
-        ray = [(-c / n_block, t) for c in RAY_OFFSETS[::5]
-               for t in np.exp(np.linspace(math.log(c / n_block / slope_hi),
-                                           math.log(c / n_block / slope_lo), 5))]
-        grid = list(zip(*mixed_norm_points(spec, 1.0, 6, 4)))
-        xs, ts = np.array(region + ray + grid).T
-        stats = QuadratureStats()
-        values, achieved = _kernel_values(xs, ts, spec, stats)
-        assert np.all(achieved <= spec.accepted_error)
-        reference = [quarter_wavelength_kernel(x, t, spec) for x, t in zip(xs, ts)]
-        ref_values, ref_achieved = np.array(reference).T
-        assert np.all(ref_achieved <= spec.accepted_error)
-        assert np.all(np.abs(values - ref_values) <= spec.accepted_error)
-        ref_nodes = sum(15 * (reference_panel_edges(x, t, spec, 1.0, **QUARTER_WAVELENGTH_PANELS)
-                              .size - 1) for x, t in zip(xs, ts))
-        assert stats.refined_x4 == 0 and stats.nodes < 0.6 * ref_nodes
+        assert_within_earlier_rule(n_block, QUARTER_WAVELENGTH_PANELS, 0.6)
+
+
+@pytest.mark.usefixtures("gauss_kronrod_only")
+class TestHalfWavelengthOracle:
+    @pytest.mark.parametrize("n_block", [8.0, 16.0, 32.0, 64.0, 1024.0])
+    def test_within_accepted_error(self, n_block):
+        # the kernel's (G7, K15) pass on half-wavelength panels over 24
+        # sub-intervals, before the (G15, K31) pair; this one takes about
+        # half its nodes, and a quarter of the quarter-wavelength rule's
+        assert_within_earlier_rule(n_block, HALF_WAVELENGTH_PANELS, 0.6)
 
 
 class TestPanelEdges:
@@ -432,12 +479,12 @@ class TestBatchedQuadrature:
         self.assert_unchanged_with(monkeypatch, name, size)
 
     def test_points_over_budget_in_bounded_memory(self):
-        # two points of about 700,000 nodes each, side by side on two
-        # threads; evaluated whole, one point alone took about 29 MiB.  The
+        # two points of about 930,000 nodes each, side by side on two
+        # threads, each evaluated CHUNK_PANELS panels at a time.  The
         # stationary point xi = sqrt(2) N keeps them from Levin.
         spec = KernelSpec(16.0, -1.0, 1.0)
-        xs, ts = np.full(2, -750.0), np.full(2, 0.48828125)
-        nodes = 15 * panel_counts(xs, ts, spec, 1.0).sum(axis=1)
+        xs, ts = np.full(2, -1500.0), np.full(2, 0.9765625)
+        nodes = 31 * panel_counts(xs, ts, spec, 1.0).sum(axis=1)
         assert np.all(nodes > 10 * kernel.BATCH_NODES)
         tracemalloc.start()
         try:
@@ -446,7 +493,7 @@ class TestBatchedQuadrature:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
-        assert values[0] == values[1] == kernel_eval(-750.0, 0.48828125, spec)
+        assert values[0] == values[1] == kernel_eval(-1500.0, 0.9765625, spec)
         assert np.all(achieved <= spec.tolerance)
 
     def test_one_slope_scan_per_call(self, monkeypatch):
@@ -467,14 +514,14 @@ class TestBatchedQuadrature:
         (1, None, None), (2, None, None), (2, "CHUNK_PANELS", 61), (2, "BATCH_NODES", 3000),
     ])
     def test_nodes_count_every_panel_evaluated(self, monkeypatch, jobs, name, size):
-        # 15 nodes per panel of each refinement a point runs, until its
+        # 31 nodes per panel of each refinement a point runs, until its
         # bound meets the tolerance; none for a point past MAX_NODES
         spec = refinement_spec(16.0, 2)
         xs, ts = np.array(region_points(16.0)).T
         expected = 0
         for x, t in zip(xs, ts):
             for refine in (1.0, 4.0, 16.0):
-                nodes = 15 * int(panel_counts(np.array([x]), np.array([t]), spec, refine).sum())
+                nodes = 31 * int(panel_counts(np.array([x]), np.array([t]), spec, refine).sum())
                 if nodes > kernel.MAX_NODES:
                     break
                 expected += nodes
@@ -568,7 +615,7 @@ class TestProbesEqualScalarLoops:
         spec = KernelSpec(8.0, -1.0, 1.0)
         base = region_decay_check(spec, samples_per_region=20, seed=2)
         stat = base.regions["STATIONARY"]
-        nodes = sorted((reference_panel_edges(x, t, spec, 1.0).size - 1) * 15
+        nodes = sorted((reference_panel_edges(x, t, spec, 1.0).size - 1) * 31
                        for x, t in zip(stat.x, stat.t))
         monkeypatch.setattr(kernel, "MAX_NODES", nodes[-2])
         capped = region_decay_check(spec, samples_per_region=20, seed=2)
@@ -591,7 +638,7 @@ class TestProbesEqualScalarLoops:
         _, levin_bound = _levin_values(stat.x, stat.t, spec, spec.symbol)
         gauss_kronrod = ~(levin_eligible(stat.x, stat.t, spec)
                           & (levin_bound <= spec.accepted_error))
-        nodes = sorted((reference_panel_edges(x, t, spec, 1.0).size - 1) * 15
+        nodes = sorted((reference_panel_edges(x, t, spec, 1.0).size - 1) * 31
                        for x, t in zip(stat.x[gauss_kronrod], stat.t[gauss_kronrod]))
         monkeypatch.setattr(kernel, "MAX_NODES", nodes[-2])
         capped = region_decay_check(spec, samples_per_region=20, seed=2)
@@ -608,10 +655,10 @@ class TestProbesEqualScalarLoops:
             assert_values_match(reg.abs_k, reg.x, reg.t, spec, ref.abs_k)
 
     def test_over_cap_raises_inf_in_ray_and_mixed_norm(self, monkeypatch):
-        # points past 30 panels go over the cap: the last one or two of
+        # points past 6 panels go over the cap: the last one or two of
         # each ray, and the mixed norm's first Gauss-Kronrod point
         spec = KernelSpec(8.0, -1.0, 1.0)
-        monkeypatch.setattr(kernel, "MAX_NODES", 15 * 30)
+        monkeypatch.setattr(kernel, "MAX_NODES", 31 * 6)
         monkeypatch.setattr(kernel, "RAY_OFFSETS", RAY_OFFSETS[:2])
         with pytest.raises(QuadratureAccuracyError) as err:
             stationary_ray_exponent(spec, 5)
@@ -635,12 +682,13 @@ class TestProbesEqualScalarLoops:
 
     def test_first_failure_in_scalar_order_with_levin(self, absolute_tolerance, monkeypatch):
         # orders 4 and 6 meet this tolerance where the phase is nearly
-        # linear, at the outermost x, whose Gauss-Kronrod panels exceed
-        # half MAX_NODES at 16x; later eligible points that Levin misses
-        # fail on Gauss-Kronrod, each with its own bound
+        # linear, at the outermost x, whose Gauss-Kronrod panels exceed a
+        # quarter of MAX_NODES at 16x; later eligible points that Levin
+        # misses fail on Gauss-Kronrod, whose bounds sit near 1e-13 on the
+        # rounding floor there, each with its own bound
         monkeypatch.setattr(kernel, "_LEVIN_ORDERS", (4, 6))
-        monkeypatch.setattr(kernel, "MAX_NODES", kernel.MAX_NODES // 2)
-        spec = KernelSpec(8.0, -1.0, 1.0, tolerance=2e-13)
+        monkeypatch.setattr(kernel, "MAX_NODES", kernel.MAX_NODES // 4)
+        spec = KernelSpec(8.0, -1.0, 1.0, tolerance=1e-13)
         xs, ts = mixed_norm_points(spec, 1.0, 8, 5)
         stats = QuadratureStats()
         _, achieved = _kernel_values(xs, ts, spec, stats)
@@ -716,7 +764,7 @@ class TestLevin:
         assert np.array_equal(values, scalar_values(xs, ts, spec, None)[0])
         assert np.array_equal(achieved, [gauss_kronrod_bound(x, t, spec, 1.0)
                                          for x, t in zip(xs, ts)])
-        nodes = 15 * panel_counts(xs, ts, spec, 1.0).sum()
+        nodes = 31 * panel_counts(xs, ts, spec, 1.0).sum()
         assert caplog.messages == ["kernel values: 3 points; Levin 0 accepted, 3 missed; "
                                    f"Gauss-Kronrod 3 at x1, 0 at x4, 0 at x16, {nodes} nodes"]
 
@@ -727,7 +775,7 @@ class TestLevin:
         with caplog.at_level(logging.DEBUG, logger="ostrovsky"):
             _kernel_values(xs, ts, spec, stats)
         # the last point's panels exceed MAX_NODES: it counts no nodes
-        nodes = 15 * panel_counts(xs[[0, 2, 6]], ts[[0, 2, 6]], spec, 1.0).sum()
+        nodes = 31 * panel_counts(xs[[0, 2, 6]], ts[[0, 2, 6]], spec, 1.0).sum()
         assert caplog.messages == ["kernel values: 8 points; Levin 4 accepted, 0 missed; "
                                    f"Gauss-Kronrod 4 at x1, 0 at x4, 0 at x16, {nodes} nodes"]
         assert (stats.levin, stats.over_cap, stats.nodes) == (4, 1, nodes)
