@@ -341,11 +341,11 @@ class TestAcceptedError:
         assert KernelSpec(1024.0, -1.0, 1.0, tolerance=1e-6).accepted_error == 1e-6
 
     def test_large_block_at_first_refinement(self):
-        # Gauss-Kronrod bounds at N = 1024 sit on a rounding floor that finer
-        # panels do not lower: near 1.9e-9 and 1.4e-9 at two stationary
-        # samples, which Levin now takes, and up to 2.4e-9 on the ray, which
-        # has a stationary point and stays with Gauss-Kronrod; the absolute
-        # 1e-9 alone would fail the ray fit
+        # bounds at N = 1024 sit on a rounding floor that finer panels do
+        # not lower, above the absolute 1e-9 alone: a near-field sample's
+        # Levin bound reads 2.4e-9, and Gauss-Kronrod's reach 2.2e-9 at the
+        # stationary samples; on the ray, which has a stationary point and
+        # stays with Gauss-Kronrod, they stay below 1e-10
         spec = KernelSpec(1024.0, -1.0, 1.0)
         report = region_decay_check(spec, samples_per_region=8, seed=3)
         assert report.skipped_fraction == 0.0
