@@ -109,7 +109,7 @@ def _nonlinearity(section) -> dict:
 
 
 def _initial_field(section, grid: Grid, cfg: SolverConfig) -> Field:
-    kind = section.get_str("initial", "gaussian")
+    kind, info = section.get_str("initial", "gaussian"), None
     with np.errstate(all="ignore"):  # an overflow reaches check_initial_data
         if kind == "gaussian":
             u0 = gaussian_bump(grid, **_given(section, amplitude=section.get_float,
@@ -121,8 +121,6 @@ def _initial_field(section, grid: Grid, cfg: SolverConfig) -> Field:
             u0, info = soliton_initial_data(
                 section.get_float("speed", 0.7), cfg.k, cfg.beta, grid
             )
-            log.info("soliton residual %.3e, projection defect %.3e",
-                     info["residual"], info["projection_defect"])
             keep_background = section.get_int("keep_background", 1)  # used at gamma = 0 only
             if cfg.gamma == 0.0 and keep_background:
                 c = u0.coeffs.copy()
@@ -135,6 +133,9 @@ def _initial_field(section, grid: Grid, cfg: SolverConfig) -> Field:
         else:
             raise ConfigError(f"unknown initial data kind {kind!r}")
     check_initial_data(u0, cfg)
+    if info:  # logged once the data passed, so a refusal prints only its one line
+        log.info("soliton residual %.3e, projection defect %.3e",
+                 info["residual"], info["projection_defect"])
     return u0
 
 
@@ -170,7 +171,9 @@ def cmd_sweep_gamma(section, args):
         t_compare=section.get_float("t_compare"),
         **_given(section, gammas=section.get_floats, snapshot_every=section.get_int),
     )
-    u0 = _initial_field(section, grid, template)  # mean-checked: every sweep gamma > 0
+    u0 = _initial_field(section, grid, template)
+    for gamma in sweep.gammas:  # the t = 0 check each sweep point's evolve applies
+        check_initial_data(u0, template.replace(gamma=gamma))
 
     def run(out):
         report = rotation_limit_sweep(sweep, u0)

@@ -19,14 +19,14 @@ rounding level, so it does not hold the panels below the width the K31
 value needs.  Each of the _COARSE coarse sub-intervals sizes its panels
 from g' at five samples that include its ends: where g' is monotone
 (gamma >= 0, away from phi'' = 0), |g'| is largest at an end.
-Consecutive points form batches of up to BATCH_NODES nodes (a larger
-point is a batch alone) on a thread pool of jobs workers, each
-evaluating its integrand CHUNK_PANELS panels at a time, so a worker
-holds one chunk's integrand plus 16 bytes per panel of its batch.  Only
-the points whose error estimate misses tolerance are re-run at 4x and
-then 16x finer panels.  kernel_eval, the reference that the tests hold
-Levin to within accepted_error, is that pass on one point.  No value
-depends on the chunk, batch or pool size.
+At each refinement the panels of every point still to do form one run,
+cut into chunks of CHUNK_PANELS panels that a thread pool of jobs
+workers evaluates, so a worker holds one chunk's integrand and the
+refinement 16 bytes per panel of all its points.  Only the points whose
+error estimate misses tolerance are re-run at 4x and then 16x finer
+panels.  kernel_eval, the reference that the tests hold Levin to within
+accepted_error, is that pass on one point.  No value depends on the
+chunk or pool size.
 
 Sampling windows follow the kernel's self-similar scales x ~ 1/N,
 t ~ 1/N^3, so empirical constants are comparable across dyadic N.
@@ -83,11 +83,9 @@ _GAUSS_SLICE = slice(1, 30, 2)  # Gauss-15 nodes sit at the odd Kronrod indices
 
 REGION_BOUNDARY_FACTOR = 4000.0
 MAX_NODES = 4_000_000
-BATCH_NODES = 1 << 16  # nodes per batch of points; a larger point is a batch alone
-CHUNK_PANELS = BATCH_NODES // 31  # panels per evaluation of the integrand
+CHUNK_PANELS = (1 << 16) // 31  # panels per evaluation of the integrand, the pool's work unit
 _COARSE = 4  # coarse sub-intervals of [N, 4N], each with its own panel width
 _PANEL_WAVELENGTHS = 2.0  # widest panel in local wavelengths 2*pi/|g'| at the 1.5x slope margin
-_COUNT_POINTS = 1024  # points whose g' one broadcast of _scan_slopes takes
 _REFINES = (1.0, 4.0, 16.0)  # panel refinements tried in turn
 RELATIVE_TOLERANCE = 1e-12  # error bound relative to the |K| <= 6N envelope
 _LEVIN_PIECES = 6  # equal pieces of [N, 4N], each collocated on its own
@@ -166,14 +164,6 @@ class RegionTag(enum.Enum):
     NON_STATIONARY = 2    # |x| > 1/N and |x| >= 4000 a N^2 t
     STATIONARY = 3        # |x| > 1/N and |x| < 4000 a N^2 t
 
-    @classmethod
-    def classify(cls, x: float, t: float, spec: KernelSpec) -> "RegionTag":
-        if t <= 0:
-            raise ConfigError("regions partition t > 0 only")
-        if abs(x) <= 1.0 / spec.block_start:
-            return cls.NEAR_FIELD
-        return cls.NON_STATIONARY if abs(x) >= spec.region_speed * t else cls.STATIONARY
-
 
 def _coarse_samples(spec: KernelSpec):
     """Ends a, b of the coarse sub-intervals of [N, 4N] and phi' at five
@@ -186,24 +176,18 @@ def _coarse_samples(spec: KernelSpec):
 
 
 def _scan_slopes(xs: np.ndarray, ts: np.ndarray, coarse, n_block: float):
-    """g' = x - t*phi' at the coarse samples, _COUNT_POINTS points at a time.
-    Returns each point's widest panel per coarse sub-interval,
-    _PANEL_WAVELENGTHS local wavelengths 2*pi/(1.5*max|g'|), shape (points,
-    _COARSE); and whether it goes to Levin: no stationary point, and
-    collocation systems far from the singular g' = 0."""
-    dphi = coarse[2]
+    """g' = x - t*phi' at the coarse samples, in one broadcast.  Returns
+    each point's widest panel per coarse sub-interval, _PANEL_WAVELENGTHS
+    local wavelengths 2*pi/(1.5*max|g'|), shape (points, _COARSE); and
+    whether it goes to Levin: no stationary point, and collocation systems
+    far from the singular g' = 0."""
+    slope = xs[:, None, None] - ts[:, None, None] * coarse[2]
+    top, bottom = slope.max(axis=2), slope.min(axis=2)
+    worst = np.maximum(top, -bottom) * 1.5 + 1e-30
+    # max(min g', -max g') is min|g'| when g' keeps one sign, else <= 0
+    least = np.maximum(bottom.min(axis=1), -top.max(axis=1))
     piece = 3.0 * n_block / _LEVIN_PIECES
-    widths = np.empty((xs.size, _COARSE))
-    eligible = np.empty(xs.size, dtype=bool)
-    for lo in range(0, xs.size, _COUNT_POINTS):
-        part = slice(lo, lo + _COUNT_POINTS)
-        slope = xs[part, None, None] - ts[part, None, None] * dphi
-        worst = np.max(np.abs(slope), axis=2) * 1.5 + 1e-30
-        widths[part] = _PANEL_WAVELENGTHS * 2.0 * np.pi / worst
-        # max(min g', -max g') is min|g'| when g' keeps one sign, else <= 0
-        least = np.maximum(slope.min(axis=(1, 2)), -slope.max(axis=(1, 2)))
-        eligible[part] = least * piece >= LEVIN_MIN_TURN
-    return widths, eligible
+    return _PANEL_WAVELENGTHS * 2.0 * np.pi / worst, least * piece >= LEVIN_MIN_TURN
 
 
 def _panel_counts(widths: np.ndarray, coarse, refine: float) -> np.ndarray:
@@ -324,15 +308,17 @@ def _weighted_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return total
 
 
-def _batch_integrals(panels: _Panels, symbol: PhaseSymbol):
+def _batch_integrals(panels: _Panels, symbol: PhaseSymbol, jobs: int | None):
     """Real part of the Gauss-Kronrod value of the positive block and its
-    error estimate, the sum of |K31 - G15|, for each point of panels, the
-    integrand evaluated CHUNK_PANELS panels at a time with row k holding
-    node k of every panel.  The nodes lie in [N, 4N], so phi needs no
-    masking of xi = 0."""
+    error estimate, the sum of |K31 - G15|, for each point of panels.  The
+    pool evaluates the integrand CHUNK_PANELS panels at a time, row k
+    holding node k of every panel, into per-panel arrays that one sum per
+    point reduces.  The nodes lie in [N, 4N], so phi needs no masking of
+    xi = 0."""
     k31 = np.empty(panels.size)
     gap = np.empty(panels.size)
-    for lo in range(0, panels.size, CHUNK_PANELS):
+
+    def chunk(lo: int):
         hi = min(lo + CHUNK_PANELS, panels.size)
         point, left, right = panels.edges(lo, hi)
         mid = 0.5 * (left + right)
@@ -346,22 +332,10 @@ def _batch_integrals(panels: _Panels, symbol: PhaseSymbol):
             - _weighted_rows(sin[_GAUSS_SLICE], _GAUSS_WEIGHTS)
         k31[lo:hi] = k31_cos * half
         gap[lo:hi] = np.hypot(gap_cos, gap_sin) * half
+
+    pool_map(chunk, range(0, panels.size, CHUNK_PANELS), jobs)
     starts = np.concatenate(([0], panels.point_stops[:-1]))
     return np.add.reduceat(k31, starts), np.add.reduceat(gap, starts)
-
-
-def _batches(rows: np.ndarray, nodes: np.ndarray) -> list:
-    """rows split into consecutive runs of up to BATCH_NODES nodes, a point
-    with more nodes forming a run alone."""
-    batches, start, total = [], 0, 0
-    for i, size in enumerate(nodes[rows].tolist()):
-        if i > start and total + size > BATCH_NODES:
-            batches.append(rows[start:i])
-            start, total = i, 0
-        total += size
-    if rows.size:
-        batches.append(rows[start:])
-    return batches
 
 
 def _gauss_kronrod(xs, ts, widths, coarse, spec: KernelSpec, jobs: int | None):
@@ -379,25 +353,20 @@ def _gauss_kronrod(xs, ts, widths, coarse, spec: KernelSpec, jobs: int | None):
     todo = np.arange(xs.size)
     reached, evaluated = [0] * len(_REFINES), 0
     for level, refine in enumerate(_REFINES):
-        if not todo.size:
-            break
         reached[level] = todo.size
         m = _panel_counts(widths[todo], coarse, refine)
-        nodes = _KRONROD_NODES.size * m.sum(axis=1)
-        achieved[todo[nodes > MAX_NODES]] = math.inf
-        evaluated += int(nodes[nodes <= MAX_NODES].sum())
-        batches = [(todo[rows], m[rows])
-                   for rows in _batches(np.flatnonzero(nodes <= MAX_NODES), nodes)]
-        batches.sort(key=lambda batch: -int(batch[1].sum()))  # largest first, to balance
-        integrals = pool_map(lambda batch: _batch_integrals(
-            _Panels(xs[batch[0]], ts[batch[0]], batch[1], coarse), symbol), batches, jobs)
-        missed = []
-        for (batch, _), (value, err) in zip(batches, integrals):
-            achieved[batch] = 2.0 * err
-            ok = achieved[batch] <= accepted
-            values[batch[ok]] = 2.0 * value[ok]
-            missed.extend(batch[~ok])
-        todo = np.sort(np.array(missed, dtype=np.intp))
+        under = _KRONROD_NODES.size * m.sum(axis=1) <= MAX_NODES
+        achieved[todo[~under]] = math.inf
+        todo, m = todo[under], m[under]
+        if not todo.size:
+            break
+        panels = _Panels(xs[todo], ts[todo], m, coarse)
+        evaluated += _KRONROD_NODES.size * panels.size
+        value, err = _batch_integrals(panels, symbol, jobs)
+        achieved[todo] = 2.0 * err
+        ok = achieved[todo] <= accepted
+        values[todo[ok]] = 2.0 * value[ok]
+        todo = todo[~ok]
     return values, achieved, reached, evaluated
 
 

@@ -77,9 +77,6 @@ class RateReport:
     def floor_limited(self) -> bool:
         return bool(np.any(self.floor_flags))
 
-    def error_over_gamma(self) -> np.ndarray:
-        return self.errors / np.asarray(self.gammas)
-
 
 @dataclass
 class GronwallReport:

@@ -1,5 +1,6 @@
 """One order-preserving thread pool for the lab's independent work items
-(ensemble draws, kernel quadrature batches).
+(ensemble draws, the kernel's Levin point batches and Gauss-Kronrod panel
+chunks).
 
 The items release the interpreter lock inside numpy, so threads run them
 in parallel.  Each caller's results depend only on the items, never on

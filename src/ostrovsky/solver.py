@@ -316,12 +316,17 @@ def hamiltonian(u: Field, cfg: SolverConfig) -> float:
 
 
 def check_initial_data(u0: Field, cfg: SolverConfig):
-    """The t = 0 check evolve applies to each config: ConfigError for
-    non-finite samples, a CFL bound whose max(1, max|u0|)^k overflows, an
+    """The t = 0 check evolve applies to each config: ConfigError for a
+    phase symbol phi that is not finite on u0's grid, non-finite samples, a
+    CFL bound whose max(1, max|u0|)^k overflows, an
     overflowing Hamiltonian, an L2, H^s or X^s trace norm at cfg.trace_s that
     is not finite, a nonzero mean where gamma > 0 (MeanZeroViolation: phi is
     singular at xi = 0 there) or a dt above timestep_bound(u0)."""
     with np.errstate(all="ignore"):
+        if not np.isfinite(cfg.symbol.table(u0.grid)).all():
+            raise ConfigError(f"phi is not finite on the grid (n = {u0.grid.n_points}, "
+                              f"L = {u0.grid.length:g}) at beta = {cfg.beta:g}, "
+                              f"gamma = {cfg.gamma:g}")
         samples = u0.samples()
         if not np.isfinite(samples).all():
             raise ConfigError("initial data has non-finite samples")

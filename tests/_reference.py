@@ -14,7 +14,8 @@ of its window rows.  And the kernel's Gauss-Kronrod pass one point at a
 time by its earlier (G7, K15) rules, on panels of a quarter of the local
 wavelength over 48 coarse sub-intervals or of half of it over 24, the
 oracles of the batched pass, and Laurie's construction of the Kronrod
-rules, the oracle of their tables.
+rules, the oracle of their tables, and the region of a point (x, t),
+the oracle of the samples region_decay_check draws per region.
 And an ensemble's modulation weights built from the whole (n_t x M)
 tables at once, the oracle of Ensemble.modulation_weights' mode blocks."""
 
@@ -261,6 +262,16 @@ G7_WEIGHTS = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
+
+
+def classify_region(x, t, spec):
+    """The decay proof's region of the point (x, t), t > 0."""
+    assert t > 0, "regions partition t > 0 only"
+    if abs(x) <= 1.0 / spec.block_start:
+        return kernel.RegionTag.NEAR_FIELD
+    if abs(x) >= spec.region_speed * t:
+        return kernel.RegionTag.NON_STATIONARY
+    return kernel.RegionTag.STATIONARY
 
 
 def kronrod_rule(n):

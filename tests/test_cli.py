@@ -95,6 +95,25 @@ def assert_appended_key_unknown(tmp_path, capsys, stem, command, key, value, ext
 
 # one instance of every exception type in ostrovsky.errors, with the exit
 # code main maps it to
+def assert_one_config_error_line(tmp_path, text, message):
+    """`solve` on config text, in a fresh process at the default log level,
+    exits 1 with the one stderr line `config error: ...message...` and no
+    --out; a fresh process also shows any numpy warning on stderr."""
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ostrovsky.__file__)))
+    env.pop("OSTROVSKY_LOG", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ostrovsky.cli", "solve", "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr
+    assert message in lines[0]
+    assert not out.exists()
+
+
 EXIT_CODES = [
     (MeanZeroViolation(0.5), 1),
     (SolitonResidualError(2.58e-3, 1e-8), 1),
@@ -294,23 +313,17 @@ class TestSolveCommand:
 
     def test_hamiltonian_overflow_exits_one_before_out(self, tmp_path):
         # u^6 stays finite at amplitude 1e46 but u^7 in the t = 0 Hamiltonian
-        # does not; a fresh process shows any numpy warning on stderr
+        # does not
         text = SOLVE_CFG.replace("n = 128", "n = 256").replace("L = 20.0", "L = 40.0")
         text = text.replace("dt = 0.01", "dt = 1e-300").replace("t_end = 0.1", "t_end = 1e-299")
         text = text.replace("amplitude = 0.4", "amplitude = 1e46")
-        cfg = write_cfg(tmp_path, text)
-        out = tmp_path / "o"
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ostrovsky.__file__)))
-        env.pop("OSTROVSKY_LOG", None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "ostrovsky.cli", "solve", "--config", cfg, "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 1
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr
-        assert "Hamiltonian overflowed" in lines[0]
-        assert not out.exists()
+        assert_one_config_error_line(tmp_path, text, "Hamiltonian overflowed")
+
+    def test_refused_soliton_prints_one_line(self, tmp_path):
+        # at the default log level the soliton's residual line would come
+        # first, were it logged before the t = 0 check refused the data
+        text = (CONFIGS / "soliton.cfg").read_text().replace("L = 80.0", "L = 1e308")
+        assert_one_config_error_line(tmp_path, text, "its X^s norm is not finite")
 
     def test_cfl_breach_after_t0_exits_two_with_one_line(self, tmp_path, capsys):
         # data that refocuses under dispersion, with dt at its t = 0 bound
@@ -468,6 +481,15 @@ class TestInputErrors:
          "initial data: its X^s norm is not finite (trace_s = 2)"),
         ("sweep-gamma", (CONFIGS / "sweep_gamma.cfg").read_text().replace("s = 2.0", "s = 1e308"),
          "initial data: its H^s norm is not finite (trace_s = 1e+308)"),
+        ("sweep-gamma", (CONFIGS / "sweep_gamma.cfg").read_text().replace(
+            "gammas = 1e-1 3e-2 1e-2 3e-3 1e-3", "gammas = 1e307"),
+         "initial data: Hamiltonian overflowed (max|u| = 0.477844)"),
+        ("sweep-gamma", (CONFIGS / "sweep_gamma.cfg").read_text().replace(
+            "gammas = 1e-1 3e-2 1e-2 3e-3 1e-3", "gammas = 1e308"),
+         "phi is not finite on the grid (n = 1024, L = 80) at beta = -1, gamma = 1e+308"),
+        ("picard-check", (CONFIGS / "picard.cfg").read_text().replace("gamma = 1.0",
+                                                                      "gamma = 1e308"),
+         "phi is not finite on the grid (n = 256, L = 32) at beta = -1, gamma = 1e+308"),
     ], ids=["soliton_on_a_coarse_grid", "picard_delta_below_two_steps", "picard_no_iterations",
             "kernel_gamma_exp", "kernel_block_below_threshold", "kernel_no_samples",
             "estimates_odd_n_t", "solve_no_snapshot_cadence", "sweep_no_snapshot_cadence",
@@ -480,7 +502,8 @@ class TestInputErrors:
             "solve_t_end_1e300", "solve_one_step_past_the_cap", "invariants_horizon_1e300",
             "kernel_gamma_negative", "kernel_beta_1e308", "kernel_beta_minus_1e308",
             "kernel_gamma_exp_1e308", "kernel_blocks_1e308", "kernel_threshold_1e-308",
-            "kernel_phi_prime_zero", "soliton_length_1e308", "sweep_trace_s_1e308"])
+            "kernel_phi_prime_zero", "soliton_length_1e308", "sweep_trace_s_1e308",
+            "sweep_gammas_1e307", "sweep_gammas_1e308", "picard_gamma_1e308"])
     def test_read_phase_rejects(self, tmp_path, capsys, monkeypatch, command, text, message):
         if command == "invariants":
             snap = tmp_path / "snap.dat"

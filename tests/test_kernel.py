@@ -30,7 +30,7 @@ from ostrovsky.spectral import Field, Grid, PhaseSymbol
 
 import golden
 from _reference import (G7_WEIGHTS, HALF_WAVELENGTH_PANELS, K15_NODES, K15_WEIGHTS,
-                        QUARTER_WAVELENGTH_PANELS, k15_kernel, kronrod_rule,
+                        QUARTER_WAVELENGTH_PANELS, classify_region, k15_kernel, kronrod_rule,
                         reference_panel_edges)
 from _util import propagated
 
@@ -148,7 +148,7 @@ class TestRegions:
         for _ in range(200):
             x = rng.uniform(-40.0, 40.0)
             t = 10 ** rng.uniform(-6.0, 0.0)
-            tag = RegionTag.classify(x, t, spec8)
+            tag = classify_region(x, t, spec8)
             if abs(x) <= 1.0 / 8.0:
                 assert tag is RegionTag.NEAR_FIELD
             elif abs(x) >= 4000.0 * 64.0 * t:
@@ -242,7 +242,7 @@ def gauss_kronrod_bound(x, t, spec, refine):
     the panel sums that kernel_eval and the probes share."""
     xs, ts = np.array([x], dtype=float), np.array([t], dtype=float)
     panels = _Panels(xs, ts, panel_counts(xs, ts, spec, refine), _coarse_samples(spec))
-    return 2.0 * _batch_integrals(panels, spec.symbol)[1][0]
+    return 2.0 * _batch_integrals(panels, spec.symbol, jobs=1)[1][0]
 
 
 def assert_values_match(values, xs, ts, spec, ref_values):
@@ -417,7 +417,7 @@ class TestPanelEdges:
         for _ in range(20):
             x = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3.0, 2.0) / n_block
             points.append((x, 10 ** rng.uniform(-4.0, 2.0) / n_block**3))
-        tags = {RegionTag.classify(x, t, spec) for x, t in points}
+        tags = {classify_region(x, t, spec) for x, t in points}
         assert tags == set(RegionTag)
         xs, ts = np.array(points).T
         panels = _Panels(xs, ts, panel_counts(xs, ts, spec, refine), _coarse_samples(spec))
@@ -457,35 +457,25 @@ class TestBatchedQuadrature:
         assert stats.refined_x4 >= 1 and (stats.refined_x16 >= 1) == (level == 2)
         assert stats.max_error == np.max(achieved[np.isfinite(achieved)])
 
-    @staticmethod
-    def assert_unchanged_with(monkeypatch, name, size):
-        """_kernel_values equal bit for bit after setting kernel.<name> = size."""
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("size", [1, 7, 1 << 40])
+    def test_independent_of_chunk_size(self, monkeypatch, size, jobs):
+        # chunks of one panel, of 7 that cut across points, or of every panel
         spec = refinement_spec(16.0, 1)
         xs, ts = np.array(region_points(16.0)[:-1]).T
-        base = _kernel_values(xs, ts, spec, QuadratureStats())
-        monkeypatch.setattr(kernel, name, size)
-        for a, b in zip(base, _kernel_values(xs, ts, spec, QuadratureStats())):
+        base = _kernel_values(xs, ts, spec, QuadratureStats(), jobs=1)
+        monkeypatch.setattr(kernel, "CHUNK_PANELS", size)
+        for a, b in zip(base, _kernel_values(xs, ts, spec, QuadratureStats(), jobs)):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("budget", [1, 3000, 1 << 40])
-    def test_independent_of_batch_budget(self, monkeypatch, budget):
-        self.assert_unchanged_with(monkeypatch, "BATCH_NODES", budget)
-
-    @pytest.mark.parametrize("name,size", [
-        ("CHUNK_PANELS", 1), ("CHUNK_PANELS", 7), ("CHUNK_PANELS", 1 << 40),
-        ("_COUNT_POINTS", 2),
-    ])
-    def test_independent_of_chunk_and_count_block(self, monkeypatch, name, size):
-        self.assert_unchanged_with(monkeypatch, name, size)
-
     def test_points_over_budget_in_bounded_memory(self):
-        # two points of about 930,000 nodes each, side by side on two
-        # threads, each evaluated CHUNK_PANELS panels at a time.  The
-        # stationary point xi = sqrt(2) N keeps them from Levin.
+        # two points of about 930,000 nodes each, their panels shared out
+        # to two threads CHUNK_PANELS at a time.  The stationary point
+        # xi = sqrt(2) N keeps them from Levin.
         spec = KernelSpec(16.0, -1.0, 1.0)
         xs, ts = np.full(2, -1500.0), np.full(2, 0.9765625)
         nodes = 31 * panel_counts(xs, ts, spec, 1.0).sum(axis=1)
-        assert np.all(nodes > 10 * kernel.BATCH_NODES)
+        assert np.all(nodes > 10 * 31 * kernel.CHUNK_PANELS)
         tracemalloc.start()
         try:
             values, achieved = _kernel_values(xs, ts, spec, QuadratureStats(), jobs=2)
@@ -495,6 +485,17 @@ class TestBatchedQuadrature:
         assert peak < 20 * 2**20
         assert values[0] == values[1] == kernel_eval(-1500.0, 0.9765625, spec)
         assert np.all(achieved <= spec.tolerance)
+
+    def test_acceptance_size_mixed_norm_in_bounded_memory(self):
+        # a refinement holds 16 bytes per panel of all its points: 31,674
+        # panels here, under 0.5 MiB, next to one chunk's integrand
+        tracemalloc.start()
+        try:
+            kernel_mixed_norm(KernelSpec(16.0, -1.0, 1.0), 8.0, jobs=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_one_slope_scan_per_call(self, monkeypatch):
         # a point that reaches the 16x panels still has its g' sampled once
@@ -511,7 +512,7 @@ class TestBatchedQuadrature:
 
     @pytest.mark.usefixtures("gauss_kronrod_only")
     @pytest.mark.parametrize("jobs,name,size", [
-        (1, None, None), (2, None, None), (2, "CHUNK_PANELS", 61), (2, "BATCH_NODES", 3000),
+        (1, None, None), (2, None, None), (1, "CHUNK_PANELS", 61), (2, "CHUNK_PANELS", 61),
     ])
     def test_nodes_count_every_panel_evaluated(self, monkeypatch, jobs, name, size):
         # 31 nodes per panel of each refinement a point runs, until its
@@ -557,9 +558,9 @@ def assert_identical(a, b):
 
 class TestWorkerCount:
     def test_reports_independent_of_jobs(self, monkeypatch):
-        # a small batch budget gives each probe many batches to share out,
-        # and a short switch interval interleaves the threads finely
-        monkeypatch.setattr(kernel, "BATCH_NODES", 2000)
+        # a small chunk gives each probe many chunks to share out, and a
+        # short switch interval interleaves the threads finely
+        monkeypatch.setattr(kernel, "CHUNK_PANELS", 61)
         spec = KernelSpec(8.0, -1.0, 1.0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -714,7 +715,7 @@ class TestLevin:
         rng = np.random.default_rng(7)
         xs = rng.choice([-1.0, 1.0], 400) * 10 ** rng.uniform(-3.0, 2.0, 400) / n_block
         ts = 10 ** rng.uniform(-4.0, 2.5, 400) / n_block**3
-        tags = np.array([RegionTag.classify(x, t, spec) for x, t in zip(xs, ts)])
+        tags = np.array([classify_region(x, t, spec) for x, t in zip(xs, ts)])
         eligible = levin_eligible(xs, ts, spec)
         picks = [np.flatnonzero(eligible & (tags == tag))[:4] for tag in RegionTag]
         assert all(pick.size == 4 for pick in picks)
@@ -783,7 +784,7 @@ class TestLevin:
     def test_most_non_stationary_grid_points_go_to_levin(self):
         spec = KernelSpec(16.0, -1.0, 1.0)
         xs, ts = mixed_norm_points(spec, 1.0, 30, 12)
-        tags = np.array([RegionTag.classify(x, t, spec) for x, t in zip(xs, ts)])
+        tags = np.array([classify_region(x, t, spec) for x, t in zip(xs, ts)])
         far = tags == RegionTag.NON_STATIONARY
         eligible = levin_eligible(xs, ts, spec)
         stats = QuadratureStats()

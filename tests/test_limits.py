@@ -64,7 +64,7 @@ class TestRotationLimit:
 
     def test_error_over_gamma_uniformly_bounded(self, sweep_setup):
         _, _, report = sweep_setup
-        ratios = report.error_over_gamma()
+        ratios = report.errors / np.asarray(report.gammas)
         assert np.max(ratios) <= 4.0 * np.min(ratios)
 
     def test_conservation_gate(self, sweep_setup):
