@@ -172,6 +172,8 @@ def cmd_sweep_gamma(section, args):
         **_given(section, gammas=section.get_floats, snapshot_every=section.get_int),
     )
     u0 = _initial_field(section, grid, template)
+    if u0.l2_norm() == 0.0:  # every sweep point would then equal the reference
+        raise ConfigError("sweep-gamma needs nonzero initial data; it is zero on the grid")
     for gamma in sweep.gammas:  # the t = 0 check each sweep point's evolve applies
         check_initial_data(u0, template.replace(gamma=gamma))
 
@@ -414,6 +416,8 @@ def main(argv=None) -> int:
         section.reject_unread()
         if args.seed < 0:  # numpy's SeedSequence takes non-negative integers only
             raise ConfigError(f"seed must be non-negative, got {args.seed}")
+        if getattr(args, "jobs", None) is not None and args.jobs < 1:  # the pooled commands
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         out = ensure_dir(args.out)
         code, counts = run(out)
         RunManifest(command=args.command, argv=argv, config=config.as_dict(), seed=args.seed,

@@ -10,9 +10,11 @@ only the positive block is integrated.  One scan per call samples
 g' = x - t*phi' of the phase g = x*xi - t*phi on a coarse grid of [N, 4N].
 
 A point whose g' keeps one sign, with min|g'| times a Levin piece width
-at least LEVIN_MIN_TURN, goes first to Levin collocation, whose cost
-does not grow with |g'|; it is accepted when its two orders agree within
-spec.accepted_error.  The other points take the one Gauss-Kronrod
+at least LEVIN_MIN_TURN, goes to Levin collocation, whose cost does not
+grow with |g'|, when its first-refinement Gauss-Kronrod panels would take
+more than LEVIN_NODES nodes, the measured cost of a Levin point.  Levin
+solves in real arithmetic and accepts a point when its two orders agree
+within spec.accepted_error.  The other points take the one Gauss-Kronrod
 (G15, K31) pass, on panels no wider than two local wavelengths 2*pi/|g'|
 at a 1.5x margin on |g'|; there the embedded G15 estimate is still at
 rounding level, so it does not hold the panels below the width the K31
@@ -22,11 +24,12 @@ from g' at five samples that include its ends: where g' is monotone
 At each refinement the panels of every point still to do form one run,
 cut into chunks of CHUNK_PANELS panels that a thread pool of jobs
 workers evaluates, so a worker holds one chunk's integrand and the
-refinement 16 bytes per panel of all its points.  Only the points whose
-error estimate misses tolerance are re-run at 4x and then 16x finer
-panels.  kernel_eval, the reference that the tests hold Levin to within
-accepted_error, is that pass on one point.  No value depends on the
-chunk or pool size.
+refinement 16 bytes per panel of all its points; the first refinement's
+pool call also takes the Levin chunks of LEVIN_POINTS points.  Only the
+points whose error estimate misses tolerance are re-run at 4x and then
+16x finer panels; Levin's misses take the whole pass.  kernel_eval, the
+reference that the tests hold Levin to within accepted_error, is that
+pass on one point.  No value depends on the chunk or pool size.
 
 Sampling windows follow the kernel's self-similar scales x ~ 1/N,
 t ~ 1/N^3, so empirical constants are comparable across dyadic N.
@@ -92,6 +95,7 @@ _LEVIN_PIECES = 6  # equal pieces of [N, 4N], each collocated on its own
 _LEVIN_ORDERS = (12, 16)  # Chebyshev-Lobatto orders; their gap bounds the error
 LEVIN_MIN_TURN = 4.0  # least min|g'| * piece width that sends a point to Levin
 LEVIN_POINTS = 32  # points per batched collocation solve
+LEVIN_NODES = 1200  # first-refinement Gauss-Kronrod nodes that cost as much as a Levin point
 
 
 @dataclass(frozen=True)
@@ -200,12 +204,14 @@ def _panel_counts(widths: np.ndarray, coarse, refine: float) -> np.ndarray:
 @functools.cache
 def _collocation(order: int):
     """Chebyshev-Lobatto nodes cos(pi*j/order), j = 0..order (the right end
-    first), and their differentiation matrix on [-1, 1]."""
+    first), their differentiation matrix D on [-1, 1], and the (n, n^2)
+    table of D_ik D_kj, row k holding (i, j) flattened."""
     j = np.arange(order + 1)
     nodes = np.cos(np.pi * j / order)
     c = np.where((j == 0) | (j == order), 2.0, 1.0) * (-1.0) ** j
     diff = np.outer(c, 1.0 / c) / (nodes[:, None] - nodes[None, :] + np.eye(order + 1))
-    return nodes, diff - np.diag(diff.sum(axis=1))
+    diff = diff - np.diag(diff.sum(axis=1))
+    return nodes, diff, (diff.T[:, :, None] * diff[:, None, :]).reshape(order + 1, -1)
 
 
 def _levin_values(xs: np.ndarray, ts: np.ndarray, spec: KernelSpec, symbol: PhaseSymbol):
@@ -214,22 +220,30 @@ def _levin_values(xs: np.ndarray, ts: np.ndarray, spec: KernelSpec, symbol: Phas
     orders as the GK bound is twice K31 - G15.  On each piece, p' + i g' p = 1
     at the nodes makes (p e^{ig})' the integrand, so the piece contributes
     p e^{ig} at its right end minus at its left; p does not oscillate when
-    g' has no zero, so the cost is the same at every frequency."""
+    g' has no zero, so the cost is the same at every frequency.
+
+    With h the half width and S = diag(g'), (D/h + iS)p = 1 is solved as
+    ((D/h) S^-1 (D/h) + S)v = -1, u = -S^-1 (D/h)v at the ends, p = u + iv;
+    each point's matrix is its own product with _collocation's table, so
+    no value depends on how many points a call takes."""
     edges = np.linspace(spec.block_start, 4.0 * spec.block_start, _LEVIN_PIECES + 1)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    ends = [0, -1]  # the nodes 1 and -1 of every order
+    xi_ends = mid[:, None] + half[:, None] * np.array([1.0, -1.0])
+    phase = xs[:, None, None] * xi_ends - ts[:, None, None] * symbol.at_nonzero(xi_ends)
+    wave = np.exp(1j * phase)
     integrals = []
     for order in _LEVIN_ORDERS:
-        nodes, diff = _collocation(order)
+        nodes, diff, products = _collocation(order)
         xi = mid[:, None] + half[:, None] * nodes  # (pieces, order + 1)
         slope = xs[:, None, None] - ts[:, None, None] * symbol.derivative(xi)
-        system = np.empty(slope.shape + (order + 1,), dtype=complex)
-        system[...] = diff / half[:, None, None]
-        system.reshape(slope.shape[:2] + (-1,))[..., ::order + 2] += 1j * slope  # the diagonal
-        p = np.linalg.solve(system, np.ones(slope.shape + (1,), dtype=complex))[..., 0]
-        ends = xi[:, [0, -1]]
-        phase = xs[:, None, None] * ends - ts[:, None, None] * symbol.at_nonzero(ends)
-        wave = np.exp(1j * phase)
-        integrals.append((p[..., 0] * wave[..., 0] - p[..., -1] * wave[..., 1]).sum(axis=1))
+        system = np.matmul(1.0 / (half[:, None] ** 2 * slope), products)  # stacked per point
+        system[..., ::order + 2] += slope  # the diagonal
+        v = np.linalg.solve(system.reshape(slope.shape + (order + 1,)),
+                            np.full(slope.shape + (1,), -1.0))[..., 0]
+        u = -np.matmul(v, diff[ends].T) / (half[:, None] * slope[..., ends])
+        piece = (u + 1j * v[..., ends]) * wave
+        integrals.append((piece[..., 0] - piece[..., 1]).sum(axis=1))
     low, high = integrals
     return 2.0 * high.real, 2.0 * np.abs(high - low)
 
@@ -246,7 +260,7 @@ class _Panels:
         self.width = ((self.b - self.a) / m).ravel()
         self.stops = np.cumsum(self.m)
         self.point_stops = self.stops[_COARSE - 1::_COARSE]
-        self.size = int(self.stops[-1])
+        self.size = int(self.m.sum())
 
     def edges(self, lo: int, hi: int):
         """Point index and left and right edges of panels lo..hi-1, with the
@@ -308,13 +322,13 @@ def _weighted_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return total
 
 
-def _batch_integrals(panels: _Panels, symbol: PhaseSymbol, jobs: int | None):
+def _batch_integrals(panels: _Panels, symbol: PhaseSymbol, jobs: int | None, alongside=()):
     """Real part of the Gauss-Kronrod value of the positive block and its
     error estimate, the sum of |K31 - G15|, for each point of panels.  The
     pool evaluates the integrand CHUNK_PANELS panels at a time, row k
     holding node k of every panel, into per-panel arrays that one sum per
-    point reduces.  The nodes lie in [N, 4N], so phi needs no masking of
-    xi = 0."""
+    point reduces, and then the callables alongside in the same call.  The
+    nodes lie in [N, 4N], so phi needs no masking of xi = 0."""
     k31 = np.empty(panels.size)
     gap = np.empty(panels.size)
 
@@ -333,15 +347,17 @@ def _batch_integrals(panels: _Panels, symbol: PhaseSymbol, jobs: int | None):
         k31[lo:hi] = k31_cos * half
         gap[lo:hi] = np.hypot(gap_cos, gap_sin) * half
 
-    pool_map(chunk, range(0, panels.size, CHUNK_PANELS), jobs)
-    starts = np.concatenate(([0], panels.point_stops[:-1]))
+    chunks = [functools.partial(chunk, lo) for lo in range(0, panels.size, CHUNK_PANELS)]
+    pool_map(lambda item: item(), [*chunks, *alongside], jobs)
+    starts = np.concatenate(([0], panels.point_stops))[:-1]
     return np.add.reduceat(k31, starts), np.add.reduceat(gap, starts)
 
 
-def _gauss_kronrod(xs, ts, widths, coarse, spec: KernelSpec, jobs: int | None):
+def _gauss_kronrod(xs, ts, widths, coarse, spec: KernelSpec, jobs: int | None, alongside=()):
     """K at the points (xs[i], ts[i]) on panels of the _scan_slopes widths,
     each point's achieved bound, the points evaluated at each refinement,
-    and the nodes evaluated over all of them.
+    and the nodes evaluated over all of them; the callables alongside join
+    the first refinement's pool call.
 
     Only the points that miss spec.accepted_error are re-run at the next
     refinement.  A point that misses after the last gets value nan and
@@ -358,46 +374,55 @@ def _gauss_kronrod(xs, ts, widths, coarse, spec: KernelSpec, jobs: int | None):
         under = _KRONROD_NODES.size * m.sum(axis=1) <= MAX_NODES
         achieved[todo[~under]] = math.inf
         todo, m = todo[under], m[under]
-        if not todo.size:
-            break
         panels = _Panels(xs[todo], ts[todo], m, coarse)
         evaluated += _KRONROD_NODES.size * panels.size
-        value, err = _batch_integrals(panels, symbol, jobs)
+        value, err = _batch_integrals(panels, symbol, jobs, alongside)
+        alongside = ()
         achieved[todo] = 2.0 * err
         ok = achieved[todo] <= accepted
         values[todo[ok]] = 2.0 * value[ok]
         todo = todo[~ok]
+        if not todo.size:
+            break
     return values, achieved, reached, evaluated
 
 
 def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int | None = None):
     """K at the points (xs[i], ts[i]) and each point's achieved error bound.
 
-    Levin takes the eligible points it can; the rest take kernel_eval's
-    Gauss-Kronrod pass and equal kernel_eval bit for bit for t >= 0.  No
-    value depends on jobs.  Adds what the quadrature did to stats.
+    The Levin chunks share one pool call with the first-refinement panel
+    chunks of the other points; Levin's misses then take the whole
+    Gauss-Kronrod pass.  Every point that Levin does not accept equals
+    kernel_eval bit for bit for t >= 0.  No value depends on jobs.  Adds
+    what the quadrature did to stats.
     """
     xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
     symbol, accepted = spec.symbol, spec.accepted_error
     coarse = _coarse_samples(spec)
-    widths, levin_eligible = _scan_slopes(xs, ts, coarse, spec.block_start)
+    widths, eligible = _scan_slopes(xs, ts, coarse, spec.block_start)
+    nodes_x1 = _KRONROD_NODES.size * _panel_counts(widths, coarse, 1.0).sum(axis=1)
+    routed = eligible & (nodes_x1 > LEVIN_NODES)
+    levin, rest = np.flatnonzero(routed), np.flatnonzero(~routed)
     values, achieved = np.full(xs.size, np.nan), np.full(xs.size, np.inf)
-    eligible = np.flatnonzero(levin_eligible)
-    chunks = [eligible[lo:lo + LEVIN_POINTS] for lo in range(0, eligible.size, LEVIN_POINTS)]
-    levin = pool_map(lambda rows: _levin_values(xs[rows], ts[rows], spec, symbol), chunks, jobs)
-    for rows, (value, bound) in zip(chunks, levin):
-        achieved[rows] = bound
-        values[rows] = np.where(bound <= accepted, value, np.nan)
-    todo = np.flatnonzero(~(achieved <= accepted))  # the rest take Gauss-Kronrod
-    values[todo], achieved[todo], reached, nodes = _gauss_kronrod(
-        xs[todo], ts[todo], widths[todo], coarse, spec, jobs)
+
+    def solve(rows):
+        values[rows], achieved[rows] = _levin_values(xs[rows], ts[rows], spec, symbol)
+
+    solves = [functools.partial(solve, levin[lo:lo + LEVIN_POINTS])
+              for lo in range(0, levin.size, LEVIN_POINTS)]
+    values[rest], achieved[rest], reached, nodes = _gauss_kronrod(
+        xs[rest], ts[rest], widths[rest], coarse, spec, jobs, solves)
+    missed = levin[~(achieved[levin] <= accepted)]
+    values[missed], achieved[missed], again, more = _gauss_kronrod(
+        xs[missed], ts[missed], widths[missed], coarse, spec, jobs)
+    reached = [a + b for a, b in zip(reached, again)]
+    nodes += more
     finite = achieved[np.isfinite(achieved)]
-    levin_ok = xs.size - todo.size
     log.debug("kernel values: %d points; Levin %d accepted, %d missed; Gauss-Kronrod %d at x1, "
-              "%d at x4, %d at x16, %d nodes", xs.size, levin_ok, eligible.size - levin_ok,
+              "%d at x4, %d at x16, %d nodes", xs.size, levin.size - missed.size, missed.size,
               *reached, nodes)
     stats.points += xs.size
-    stats.levin += levin_ok
+    stats.levin += levin.size - missed.size
     stats.refined_x4 += reached[1]
     stats.refined_x16 += reached[2]
     stats.nodes += nodes

@@ -355,3 +355,26 @@ def k15_kernel(x, t, spec, rule):
         if bound <= spec.accepted_error:
             return 2.0 * float(k15.sum().real), bound
     return math.nan, bound
+
+
+def complex_levin_values(xs, ts, spec):
+    """Levin collocation's (K, achieved bound) at each point by one complex
+    LU solve of (D/h + i diag(g'))p = 1 per piece and order, the system
+    taken whole: the oracle of the kernel's real solve."""
+    edges = np.linspace(spec.block_start, 4.0 * spec.block_start, kernel._LEVIN_PIECES + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    integrals = []
+    for order in kernel._LEVIN_ORDERS:
+        nodes, diff, _ = kernel._collocation(order)
+        xi = mid[:, None] + half[:, None] * nodes  # (pieces, order + 1)
+        slope = xs[:, None, None] - ts[:, None, None] * spec.symbol.derivative(xi)
+        system = np.empty(slope.shape + (order + 1,), dtype=complex)
+        system[...] = diff / half[:, None, None]
+        system.reshape(slope.shape[:2] + (-1,))[..., ::order + 2] += 1j * slope  # the diagonal
+        p = np.linalg.solve(system, np.ones(slope.shape + (1,), dtype=complex))[..., 0]
+        ends = xi[:, [0, -1]]
+        phase = xs[:, None, None] * ends - ts[:, None, None] * spec.symbol.at_nonzero(ends)
+        wave = np.exp(1j * phase)
+        integrals.append((p[..., 0] * wave[..., 0] - p[..., -1] * wave[..., 1]).sum(axis=1))
+    low, high = integrals
+    return 2.0 * high.real, 2.0 * np.abs(high - low)

@@ -490,6 +490,12 @@ class TestInputErrors:
         ("picard-check", (CONFIGS / "picard.cfg").read_text().replace("gamma = 1.0",
                                                                       "gamma = 1e308"),
          "phi is not finite on the grid (n = 256, L = 32) at beta = -1, gamma = 1e+308"),
+        ("sweep-gamma", (CONFIGS / "sweep_gamma.cfg").read_text().replace("amplitude = 0.5",
+                                                                          "amplitude = 0"),
+         "sweep-gamma needs nonzero initial data; it is zero on the grid"),
+        ("sweep-gamma", (CONFIGS / "sweep_gamma.cfg").read_text().replace("width = 2.0",
+                                                                          "width = 1e308"),
+         "sweep-gamma needs nonzero initial data; it is zero on the grid"),
     ], ids=["soliton_on_a_coarse_grid", "picard_delta_below_two_steps", "picard_no_iterations",
             "kernel_gamma_exp", "kernel_block_below_threshold", "kernel_no_samples",
             "estimates_odd_n_t", "solve_no_snapshot_cadence", "sweep_no_snapshot_cadence",
@@ -503,7 +509,8 @@ class TestInputErrors:
             "kernel_gamma_negative", "kernel_beta_1e308", "kernel_beta_minus_1e308",
             "kernel_gamma_exp_1e308", "kernel_blocks_1e308", "kernel_threshold_1e-308",
             "kernel_phi_prime_zero", "soliton_length_1e308", "sweep_trace_s_1e308",
-            "sweep_gammas_1e307", "sweep_gammas_1e308", "picard_gamma_1e308"])
+            "sweep_gammas_1e307", "sweep_gammas_1e308", "picard_gamma_1e308",
+            "sweep_amplitude_0", "sweep_width_1e308"])
     def test_read_phase_rejects(self, tmp_path, capsys, monkeypatch, command, text, message):
         if command == "invariants":
             snap = tmp_path / "snap.dat"
@@ -535,6 +542,23 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error:")
         assert "seed must be non-negative, got -1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command,text", [
+        ("sweep-gamma", (CONFIGS / "sweep_gamma.cfg").read_text()),
+        ("probe-kernel", "[probe-kernel]\nblocks = 8\n"),
+        ("probe-estimates", "[probe-estimates]\n"),
+    ], ids=["sweep", "kernel", "estimates"])
+    def test_jobs_below_one_rejected_in_read_phase(self, tmp_path, capsys, monkeypatch,
+                                                   command, text, jobs):
+        out = tmp_path / "out"
+        extra = ["--which", "2.057"] if command == "probe-estimates" else []
+        monkeypatch.setattr(cli, "ensure_dir", lambda path: pytest.fail("the run phase began"))
+        argv = [command, "--config", write_cfg(tmp_path, text), "--out", str(out), "--jobs", jobs]
+        assert main(argv + extra) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: --jobs must be >= 1, got {jobs}\n"
         assert not out.exists()
 
     def test_out_naming_a_file_exits_one(self, tmp_path, capsys):

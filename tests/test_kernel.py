@@ -30,8 +30,8 @@ from ostrovsky.spectral import Field, Grid, PhaseSymbol
 
 import golden
 from _reference import (G7_WEIGHTS, HALF_WAVELENGTH_PANELS, K15_NODES, K15_WEIGHTS,
-                        QUARTER_WAVELENGTH_PANELS, classify_region, k15_kernel, kronrod_rule,
-                        reference_panel_edges)
+                        QUARTER_WAVELENGTH_PANELS, classify_region, complex_levin_values,
+                        k15_kernel, kronrod_rule, reference_panel_edges)
 from _util import propagated
 
 
@@ -44,6 +44,24 @@ def spec8():
 def gauss_kronrod_only(monkeypatch):
     """No point is eligible for Levin collocation."""
     monkeypatch.setattr(kernel, "LEVIN_MIN_TURN", math.inf)
+
+
+SPEC16 = KernelSpec(16.0, -1.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def benchmark_grid():
+    """The benchmark-size mixed-norm grid at N = 16 and its values and
+    bounds at the shipped chunk sizes, serially."""
+    xs, ts = mixed_norm_points(SPEC16, 1.0, 30, 12)
+    return xs, ts, _kernel_values(xs, ts, SPEC16, QuadratureStats(), jobs=1)
+
+
+@pytest.fixture
+def levin_by_eligibility(monkeypatch):
+    """Every point the g' scan admits goes to Levin, however few nodes its
+    Gauss-Kronrod panels would take."""
+    monkeypatch.setattr(kernel, "LEVIN_NODES", 0)
 
 
 @pytest.fixture
@@ -214,8 +232,9 @@ def region_points(n_block):
     """Two points per decay region on the self-similar scales, then two
     with a stationary point in the block, which only Gauss-Kronrod takes:
     one whose error bound falls with each refinement and one whose panels
-    exceed MAX_NODES.  Levin takes one point of each region tag among
-    the first six, and both stationary ones there."""
+    exceed MAX_NODES.  The g' scan admits one point of each region tag
+    among the first six to Levin, and both stationary ones there; the cost
+    rule sends two of those four to Levin, one stationary."""
     n = n_block
     return [(0.5 / n, 1.0 / n**3), (-0.3 / n, 20.0 / n**3),
             (5.0 / n, 1e-4 / n**3), (-20.0 / n, 0.004 / n**3),
@@ -223,12 +242,20 @@ def region_points(n_block):
             (-400.0 / n, 120.0 / n**3), (-1.6e5 / n, 1.6e5 / (6.0 * n**3))]
 
 
-LEVIN_ROUTED = [1, 3, 4, 5]  # the region_points that Levin takes
+LEVIN_ELIGIBLE = [1, 3, 4, 5]  # the region_points that the g' scan admits to Levin
+LEVIN_ROUTED = [1, 5]  # those whose first-refinement panels cost more than a Levin point
 
 
 def levin_eligible(xs, ts, spec):
-    """The points that the g' scan sends to Levin."""
+    """The points that the g' scan admits to Levin."""
     return _scan_slopes(xs, ts, _coarse_samples(spec), spec.block_start)[1]
+
+
+def levin_routed(xs, ts, spec):
+    """The eligible points whose first-refinement Gauss-Kronrod panels would
+    take more than kernel.LEVIN_NODES nodes: the points that go to Levin."""
+    nodes = 31 * panel_counts(xs, ts, spec, 1.0).sum(axis=1)
+    return levin_eligible(xs, ts, spec) & (nodes > kernel.LEVIN_NODES)
 
 
 def panel_counts(xs, ts, spec, refine):
@@ -246,12 +273,12 @@ def gauss_kronrod_bound(x, t, spec, refine):
 
 
 def assert_values_match(values, xs, ts, spec, ref_values):
-    """Points Levin may take agree with ref_values within accepted_error,
-    the rest bit for bit; at least one point is Levin's."""
-    levin = levin_eligible(xs, ts, spec)
-    assert np.any(levin)
+    """Points that go to Levin agree with ref_values within accepted_error,
+    the rest bit for bit.  Returns how many go to Levin."""
+    levin = levin_routed(xs, ts, spec)
     assert np.array_equal(values[~levin], ref_values[~levin])
     assert np.all(np.abs(values[levin] - ref_values[levin]) <= spec.accepted_error)
+    return np.count_nonzero(levin)
 
 
 def refinement_spec(n_block, level):
@@ -354,7 +381,8 @@ class TestAcceptedError:
         stationary = report.regions["STATIONARY"]
         reference = np.array([abs(kernel_eval(x, t, spec))
                               for x, t in zip(stationary.x, stationary.t)])
-        assert_values_match(stationary.abs_k, stationary.x, stationary.t, spec, reference)
+        assert assert_values_match(stationary.abs_k, stationary.x, stationary.t, spec,
+                                   reference) > 0
         small = region_decay_check(KernelSpec(16.0, -1.0, 1.0), samples_per_region=8, seed=3)
         assert report.ray_exponent == pytest.approx(small.ray_exponent, abs=1e-3)
         for name, reg in report.regions.items():
@@ -436,6 +464,7 @@ class TestPanelEdges:
 
 @pytest.mark.usefixtures("absolute_tolerance")
 class TestBatchedQuadrature:
+    @pytest.mark.usefixtures("levin_by_eligibility")
     @pytest.mark.parametrize("level", [1, 2])
     @pytest.mark.parametrize("n_block", [8.0, 16.0, 32.0])
     def test_equal_to_kernel_eval(self, n_block, level):
@@ -445,15 +474,15 @@ class TestBatchedQuadrature:
         values, achieved = _kernel_values(xs, ts, spec, stats)
         ref_values, ref_achieved = scalar_values(xs, ts, spec, None)
         ok = ref_achieved <= spec.tolerance
-        assert np.all(ok[LEVIN_ROUTED])
-        assert_values_match(values[ok], xs[ok], ts[ok], spec, ref_values[ok])
+        assert np.all(ok[LEVIN_ELIGIBLE])
+        assert assert_values_match(values[ok], xs[ok], ts[ok], spec, ref_values[ok]) > 0
         assert np.all(achieved[ok] <= spec.tolerance)
         assert np.array_equal(achieved[~ok], ref_achieved[~ok])
         assert np.all(np.isnan(values[~ok]))
         assert ok[6] and np.isposinf(achieved[-1])
         assert stats.points == xs.size and stats.over_cap == 1
         # some Levin points miss these tight tolerances and fall back
-        assert 1 <= stats.levin <= len(LEVIN_ROUTED)
+        assert 1 <= stats.levin <= len(LEVIN_ELIGIBLE)
         assert stats.refined_x4 >= 1 and (stats.refined_x16 >= 1) == (level == 2)
         assert stats.max_error == np.max(achieved[np.isfinite(achieved)])
 
@@ -487,8 +516,9 @@ class TestBatchedQuadrature:
         assert np.all(achieved <= spec.tolerance)
 
     def test_acceptance_size_mixed_norm_in_bounded_memory(self):
-        # a refinement holds 16 bytes per panel of all its points: 31,674
-        # panels here, under 0.5 MiB, next to one chunk's integrand
+        # a refinement holds 16 bytes per panel of all its points: 59,248
+        # panels here, under 1 MiB, next to one chunk's integrand and, in
+        # the same pool call, one Levin chunk's systems
         tracemalloc.start()
         try:
             kernel_mixed_norm(KernelSpec(16.0, -1.0, 1.0), 8.0, jobs=1)
@@ -600,14 +630,15 @@ class TestProbesEqualScalarLoops:
         scalar = region_decay_check(spec, samples_per_region=6, seed=4)
         # every ray point has a stationary point in the block: Gauss-Kronrod's
         assert batched.ray_exponent == scalar.ray_exponent
+        levin = 0
         for name, reg in batched.regions.items():
             ref = scalar.regions[name]
             for field in ("x", "t", "bound"):
                 assert np.array_equal(getattr(reg, field), getattr(ref, field))
-            assert_values_match(reg.abs_k, reg.x, reg.t, spec, ref.abs_k)
+            levin += assert_values_match(reg.abs_k, reg.x, reg.t, spec, ref.abs_k)
             assert np.all(np.abs(reg.ratios - ref.ratios) <= spec.accepted_error / reg.bound)
         assert batched.quadrature.points == 3 * 6 + len(RAY_OFFSETS) * 33
-        assert batched.quadrature.levin > 0
+        assert batched.quadrature.levin == levin > 0
 
     @pytest.mark.usefixtures("gauss_kronrod_only")
     def test_region_check_skips_point_over_cap(self, monkeypatch):
@@ -628,17 +659,19 @@ class TestProbesEqualScalarLoops:
             assert np.array_equal(getattr(capped.regions["STATIONARY"], field),
                                   getattr(scalar.regions["STATIONARY"], field))
 
+    @pytest.mark.usefixtures("levin_by_eligibility")
     def test_region_check_skips_point_over_cap_with_levin(self, monkeypatch):
         # orders 4 and 6 miss most eligible points, so Levin takes a few
-        # samples and the largest stationary one goes over the cap on
-        # Gauss-Kronrod
+        # cheap samples and the largest stationary one goes over the cap on
+        # Gauss-Kronrod, as does no point in the all-Gauss-Kronrod reference
         monkeypatch.setattr(kernel, "_LEVIN_ORDERS", (4, 6))
         spec = KernelSpec(8.0, -1.0, 1.0)
         base = region_decay_check(spec, samples_per_region=20, seed=2)
         stat = base.regions["STATIONARY"]
-        _, levin_bound = _levin_values(stat.x, stat.t, spec, spec.symbol)
-        gauss_kronrod = ~(levin_eligible(stat.x, stat.t, spec)
-                          & (levin_bound <= spec.accepted_error))
+        routed = levin_routed(stat.x, stat.t, spec)
+        _, levin_bound = _levin_values(stat.x[routed], stat.t[routed], spec, spec.symbol)
+        gauss_kronrod = ~routed
+        gauss_kronrod[routed] = ~(levin_bound <= spec.accepted_error)
         nodes = sorted((reference_panel_edges(x, t, spec, 1.0).size - 1) * 31
                        for x, t in zip(stat.x[gauss_kronrod], stat.t[gauss_kronrod]))
         monkeypatch.setattr(kernel, "MAX_NODES", nodes[-2])
@@ -648,12 +681,14 @@ class TestProbesEqualScalarLoops:
         assert capped.quadrature.levin == base.quadrature.levin > 0
         monkeypatch.setattr(kernel, "_kernel_values", scalar_values)
         scalar = region_decay_check(spec, samples_per_region=20, seed=2)
+        levin = 0
         for name, reg in capped.regions.items():
             ref = scalar.regions[name]
             assert reg.skipped == ref.skipped
             for field in ("x", "t"):
                 assert np.array_equal(getattr(reg, field), getattr(ref, field))
-            assert_values_match(reg.abs_k, reg.x, reg.t, spec, ref.abs_k)
+            levin += assert_values_match(reg.abs_k, reg.x, reg.t, spec, ref.abs_k)
+        assert levin > 0
 
     def test_over_cap_raises_inf_in_ray_and_mixed_norm(self, monkeypatch):
         # points past 6 panels go over the cap: the last one or two of
@@ -707,10 +742,12 @@ class TestProbesEqualScalarLoops:
 
 
 class TestLevin:
+    @pytest.mark.usefixtures("levin_by_eligibility")
     @pytest.mark.parametrize("n_block", [16.0, 32.0, 64.0])
     def test_agrees_with_kernel_eval(self, n_block):
         # four eligible points of each region tag, drawn over the decay
-        # windows, and every 40th eligible point of the benchmark-size grid
+        # windows, and every 40th eligible point of the benchmark-size grid;
+        # the cheap ones, which the cost rule keeps on Gauss-Kronrod, too
         spec = KernelSpec(n_block, -1.0, 1.0)
         rng = np.random.default_rng(7)
         xs = rng.choice([-1.0, 1.0], 400) * 10 ** rng.uniform(-3.0, 2.0, 400) / n_block
@@ -756,8 +793,11 @@ class TestLevin:
         # not nearly linear, as it is at region_points' (-20/N, 0.004/N^3)
         monkeypatch.setattr(kernel, "_LEVIN_ORDERS", (4, 6))
         spec = KernelSpec(16.0, -1.0, 1.0)
+        # the middle point is eligible but cheap: it goes to Gauss-Kronrod
+        # first, and the two missed Levin points join it at x1
         xs, ts = np.array(region_points(16.0))[[1, 4, 5]].T
         assert np.all(levin_eligible(xs, ts, spec))
+        assert levin_routed(xs, ts, spec).tolist() == [True, False, True]
         stats = QuadratureStats()
         with caplog.at_level(logging.DEBUG, logger="ostrovsky"):
             values, achieved = _kernel_values(xs, ts, spec, stats)
@@ -766,7 +806,7 @@ class TestLevin:
         assert np.array_equal(achieved, [gauss_kronrod_bound(x, t, spec, 1.0)
                                          for x, t in zip(xs, ts)])
         nodes = 31 * panel_counts(xs, ts, spec, 1.0).sum()
-        assert caplog.messages == ["kernel values: 3 points; Levin 0 accepted, 3 missed; "
+        assert caplog.messages == ["kernel values: 3 points; Levin 0 accepted, 2 missed; "
                                    f"Gauss-Kronrod 3 at x1, 0 at x4, 0 at x16, {nodes} nodes"]
 
     def test_debug_line_per_call(self, caplog):
@@ -776,30 +816,69 @@ class TestLevin:
         with caplog.at_level(logging.DEBUG, logger="ostrovsky"):
             _kernel_values(xs, ts, spec, stats)
         # the last point's panels exceed MAX_NODES: it counts no nodes
-        nodes = 31 * panel_counts(xs[[0, 2, 6]], ts[[0, 2, 6]], spec, 1.0).sum()
-        assert caplog.messages == ["kernel values: 8 points; Levin 4 accepted, 0 missed; "
-                                   f"Gauss-Kronrod 4 at x1, 0 at x4, 0 at x16, {nodes} nodes"]
-        assert (stats.levin, stats.over_cap, stats.nodes) == (4, 1, nodes)
+        rest = [0, 2, 3, 4, 6]
+        nodes = 31 * panel_counts(xs[rest], ts[rest], spec, 1.0).sum()
+        assert caplog.messages == ["kernel values: 8 points; Levin 2 accepted, 0 missed; "
+                                   f"Gauss-Kronrod 6 at x1, 0 at x4, 0 at x16, {nodes} nodes"]
+        assert (stats.levin, stats.over_cap, stats.nodes) == (2, 1, nodes)
 
     def test_most_non_stationary_grid_points_go_to_levin(self):
         spec = KernelSpec(16.0, -1.0, 1.0)
         xs, ts = mixed_norm_points(spec, 1.0, 30, 12)
         tags = np.array([classify_region(x, t, spec) for x, t in zip(xs, ts)])
         far = tags == RegionTag.NON_STATIONARY
-        eligible = levin_eligible(xs, ts, spec)
+        eligible, routed = levin_eligible(xs, ts, spec), levin_routed(xs, ts, spec)
         stats = QuadratureStats()
         _kernel_values(xs, ts, spec, stats)
-        assert stats.levin == np.count_nonzero(eligible)  # every eligible point met the bound
+        assert stats.levin == np.count_nonzero(routed)  # every routed point met the bound
         assert np.count_nonzero(far) == 192 and np.count_nonzero(eligible & far) >= 190
+        # the cost rule keeps the far points nearest the near field on Gauss-Kronrod
+        assert np.count_nonzero(routed & far) >= 150
 
-    @pytest.mark.parametrize("size", [1, 7, 1 << 40])
-    def test_independent_of_solve_chunk(self, monkeypatch, size):
-        spec = KernelSpec(16.0, -1.0, 1.0)
-        xs, ts = mixed_norm_points(spec, 1.0, 30, 12)
-        base = _kernel_values(xs, ts, spec, QuadratureStats())
-        monkeypatch.setattr(kernel, "LEVIN_POINTS", size)
-        for a, b in zip(base, _kernel_values(xs, ts, spec, QuadratureStats())):
+    @pytest.mark.parametrize("jobs", [1, 2, 8])
+    @pytest.mark.parametrize("panels", [1, 61])
+    @pytest.mark.parametrize("points", [1, 7, 32])
+    def test_independent_of_chunks_and_jobs(self, monkeypatch, benchmark_grid, points, panels,
+                                            jobs):
+        # Levin chunks of 1, 7 or 32 points beside Gauss-Kronrod chunks of
+        # 1 or 61 panels, in one pool call of 1, 2 or 8 workers
+        xs, ts, base = benchmark_grid
+        monkeypatch.setattr(kernel, "LEVIN_POINTS", points)
+        monkeypatch.setattr(kernel, "CHUNK_PANELS", panels)
+        stats = QuadratureStats()
+        for a, b in zip(base, _kernel_values(xs, ts, SPEC16, stats, jobs)):
             assert np.array_equal(a, b)
+        assert stats.levin == 198 and stats.points == xs.size
+
+    @pytest.mark.parametrize("orders", [(12, 16), (16, 12)])
+    @pytest.mark.parametrize("n_x,n_t", [(30, 12), (120, 48)])
+    @pytest.mark.parametrize("n_block", [16.0, 64.0])
+    def test_real_solve_equals_complex_lu(self, monkeypatch, n_block, n_x, n_t, orders):
+        # every eligible point of the benchmark-size and acceptance-size
+        # mixed-norm grids; orders (16, 12) return order 12's value
+        monkeypatch.setattr(kernel, "_LEVIN_ORDERS", orders)
+        spec = KernelSpec(n_block, -1.0, 1.0)
+        xs, ts = mixed_norm_points(spec, 1.0, n_x, n_t)
+        eligible = levin_eligible(xs, ts, spec)
+        xs, ts = xs[eligible], ts[eligible]
+        values, bounds = _levin_values(xs, ts, spec, spec.symbol)
+        ref_values, ref_bounds = complex_levin_values(xs, ts, spec)
+        assert np.all(np.abs(values - ref_values) <= 1e-12 * 6.0 * n_block)
+        assert np.all(np.abs(bounds - ref_bounds) <= 1e-12 * 6.0 * n_block)
+        assert np.all(bounds <= spec.accepted_error) and np.all(ref_bounds <= spec.accepted_error)
+
+    def test_cost_rule(self):
+        # at t = 0, g' = x on the whole block: 9 panels per coarse
+        # sub-interval at x = 6 and 10 at x = 6.6, both far past the Levin turn
+        xs, ts = np.array([6.0, 6.6]), np.zeros(2)
+        nodes = 31 * panel_counts(xs, ts, SPEC16, 1.0).sum(axis=1)
+        assert np.all(levin_eligible(xs, ts, SPEC16))
+        assert nodes[0] <= kernel.LEVIN_NODES < nodes[1] == nodes[0] + 31 * kernel._COARSE
+        stats = QuadratureStats()
+        values, _ = _kernel_values(xs, ts, SPEC16, stats)
+        assert (stats.levin, stats.refined_x4, stats.nodes) == (1, 0, nodes[0])
+        assert values[0] == kernel_eval(6.0, 0.0, SPEC16)
+        assert abs(values[1] - kernel_eval(6.6, 0.0, SPEC16)) <= SPEC16.accepted_error
 
     def test_node_cap_binds_gauss_kronrod_only(self, monkeypatch):
         spec = KernelSpec(16.0, -1.0, 1.0)
