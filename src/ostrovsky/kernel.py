@@ -24,12 +24,13 @@ from g' at five samples that include its ends: where g' is monotone
 At each refinement the panels of every point still to do form one run,
 cut into chunks of CHUNK_PANELS panels that a thread pool of jobs
 workers evaluates, so a worker holds one chunk's integrand and the
-refinement 16 bytes per panel of all its points; the first refinement's
-pool call also takes the Levin chunks of LEVIN_POINTS points.  Only the
-points whose error estimate misses tolerance are re-run at 4x and then
-16x finer panels; Levin's misses take the whole pass.  kernel_eval, the
-reference that the tests hold Levin to within accepted_error, is that
-pass on one point.  No value depends on the chunk or pool size.
+refinement 16 bytes per panel of all its points.  The pool first solves
+Levin in chunks of LEVIN_POINTS points; Levin's misses join the other
+points in the Gauss-Kronrod pass.  Only the points whose error estimate
+misses tolerance are re-run at 4x and then 16x finer panels.
+kernel_eval, the reference that the tests hold Levin to within
+accepted_error, is that pass on one point.  No value depends on the
+chunk or pool size.
 
 Sampling windows follow the kernel's self-similar scales x ~ 1/N,
 t ~ 1/N^3, so empirical constants are comparable across dyadic N.
@@ -260,7 +261,7 @@ class _Panels:
         self.width = ((self.b - self.a) / m).ravel()
         self.stops = np.cumsum(self.m)
         self.point_stops = self.stops[_COARSE - 1::_COARSE]
-        self.size = int(self.m.sum())
+        self.size = int(self.stops[-1])
 
     def edges(self, lo: int, hi: int):
         """Point index and left and right edges of panels lo..hi-1, with the
@@ -322,13 +323,13 @@ def _weighted_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return total
 
 
-def _batch_integrals(panels: _Panels, symbol: PhaseSymbol, jobs: int | None, alongside=()):
+def _batch_integrals(panels: _Panels, symbol: PhaseSymbol, jobs: int | None):
     """Real part of the Gauss-Kronrod value of the positive block and its
     error estimate, the sum of |K31 - G15|, for each point of panels.  The
     pool evaluates the integrand CHUNK_PANELS panels at a time, row k
     holding node k of every panel, into per-panel arrays that one sum per
-    point reduces, and then the callables alongside in the same call.  The
-    nodes lie in [N, 4N], so phi needs no masking of xi = 0."""
+    point reduces.  The nodes lie in [N, 4N], so phi needs no masking of
+    xi = 0."""
     k31 = np.empty(panels.size)
     gap = np.empty(panels.size)
 
@@ -347,17 +348,15 @@ def _batch_integrals(panels: _Panels, symbol: PhaseSymbol, jobs: int | None, alo
         k31[lo:hi] = k31_cos * half
         gap[lo:hi] = np.hypot(gap_cos, gap_sin) * half
 
-    chunks = [functools.partial(chunk, lo) for lo in range(0, panels.size, CHUNK_PANELS)]
-    pool_map(lambda item: item(), [*chunks, *alongside], jobs)
-    starts = np.concatenate(([0], panels.point_stops))[:-1]
+    pool_map(chunk, range(0, panels.size, CHUNK_PANELS), jobs)
+    starts = np.concatenate(([0], panels.point_stops[:-1]))
     return np.add.reduceat(k31, starts), np.add.reduceat(gap, starts)
 
 
-def _gauss_kronrod(xs, ts, widths, coarse, spec: KernelSpec, jobs: int | None, alongside=()):
+def _gauss_kronrod(xs, ts, widths, coarse, spec: KernelSpec, jobs: int | None):
     """K at the points (xs[i], ts[i]) on panels of the _scan_slopes widths,
     each point's achieved bound, the points evaluated at each refinement,
-    and the nodes evaluated over all of them; the callables alongside join
-    the first refinement's pool call.
+    and the nodes evaluated over all of them.
 
     Only the points that miss spec.accepted_error are re-run at the next
     refinement.  A point that misses after the last gets value nan and
@@ -374,55 +373,48 @@ def _gauss_kronrod(xs, ts, widths, coarse, spec: KernelSpec, jobs: int | None, a
         under = _KRONROD_NODES.size * m.sum(axis=1) <= MAX_NODES
         achieved[todo[~under]] = math.inf
         todo, m = todo[under], m[under]
+        if not todo.size:
+            break
         panels = _Panels(xs[todo], ts[todo], m, coarse)
         evaluated += _KRONROD_NODES.size * panels.size
-        value, err = _batch_integrals(panels, symbol, jobs, alongside)
-        alongside = ()
+        value, err = _batch_integrals(panels, symbol, jobs)
         achieved[todo] = 2.0 * err
         ok = achieved[todo] <= accepted
         values[todo[ok]] = 2.0 * value[ok]
         todo = todo[~ok]
-        if not todo.size:
-            break
     return values, achieved, reached, evaluated
 
 
 def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int | None = None):
     """K at the points (xs[i], ts[i]) and each point's achieved error bound.
 
-    The Levin chunks share one pool call with the first-refinement panel
-    chunks of the other points; Levin's misses then take the whole
-    Gauss-Kronrod pass.  Every point that Levin does not accept equals
-    kernel_eval bit for bit for t >= 0.  No value depends on jobs.  Adds
-    what the quadrature did to stats.
+    Levin takes the points routed to it by cost; the rest and Levin's
+    misses take kernel_eval's Gauss-Kronrod pass and equal kernel_eval bit
+    for bit for t >= 0.  No value depends on jobs.  Adds what the
+    quadrature did to stats.
     """
     xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
     symbol, accepted = spec.symbol, spec.accepted_error
     coarse = _coarse_samples(spec)
     widths, eligible = _scan_slopes(xs, ts, coarse, spec.block_start)
     nodes_x1 = _KRONROD_NODES.size * _panel_counts(widths, coarse, 1.0).sum(axis=1)
-    routed = eligible & (nodes_x1 > LEVIN_NODES)
-    levin, rest = np.flatnonzero(routed), np.flatnonzero(~routed)
+    levin = np.flatnonzero(eligible & (nodes_x1 > LEVIN_NODES))
     values, achieved = np.full(xs.size, np.nan), np.full(xs.size, np.inf)
-
-    def solve(rows):
-        values[rows], achieved[rows] = _levin_values(xs[rows], ts[rows], spec, symbol)
-
-    solves = [functools.partial(solve, levin[lo:lo + LEVIN_POINTS])
-              for lo in range(0, levin.size, LEVIN_POINTS)]
-    values[rest], achieved[rest], reached, nodes = _gauss_kronrod(
-        xs[rest], ts[rest], widths[rest], coarse, spec, jobs, solves)
-    missed = levin[~(achieved[levin] <= accepted)]
-    values[missed], achieved[missed], again, more = _gauss_kronrod(
-        xs[missed], ts[missed], widths[missed], coarse, spec, jobs)
-    reached = [a + b for a, b in zip(reached, again)]
-    nodes += more
+    chunks = [levin[lo:lo + LEVIN_POINTS] for lo in range(0, levin.size, LEVIN_POINTS)]
+    solved = pool_map(lambda rows: _levin_values(xs[rows], ts[rows], spec, symbol), chunks, jobs)
+    for rows, (value, bound) in zip(chunks, solved):
+        achieved[rows] = bound
+        values[rows] = np.where(bound <= accepted, value, np.nan)
+    todo = np.flatnonzero(~(achieved <= accepted))  # the rest and Levin's misses
+    values[todo], achieved[todo], reached, nodes = _gauss_kronrod(
+        xs[todo], ts[todo], widths[todo], coarse, spec, jobs)
     finite = achieved[np.isfinite(achieved)]
+    levin_ok = xs.size - todo.size
     log.debug("kernel values: %d points; Levin %d accepted, %d missed; Gauss-Kronrod %d at x1, "
-              "%d at x4, %d at x16, %d nodes", xs.size, levin.size - missed.size, missed.size,
+              "%d at x4, %d at x16, %d nodes", xs.size, levin_ok, levin.size - levin_ok,
               *reached, nodes)
     stats.points += xs.size
-    stats.levin += levin.size - missed.size
+    stats.levin += levin_ok
     stats.refined_x4 += reached[1]
     stats.refined_x16 += reached[2]
     stats.nodes += nodes
