@@ -108,21 +108,25 @@ def _nonlinearity(section) -> dict:
     return {"include_nonlinearity": section.get_int("nonlinearity") != 0}
 
 
-def _initial_field(section, grid: Grid, cfg: SolverConfig) -> Field:
+def _initial_field(section, grid: Grid, cfg: SolverConfig) -> tuple[Field, dict | None]:
+    """The initial data the section names, checked at t = 0, and the
+    soliton's report (None for other data), for _log_soliton."""
     kind, info = section.get_str("initial", "gaussian"), None
     with np.errstate(all="ignore"):  # an overflow reaches check_initial_data
         if kind == "gaussian":
             u0 = gaussian_bump(grid, **_given(section, amplitude=section.get_float,
                                               width=section.get_float))
-            target = section.get_float("h1_norm", 0.0)
-            if target > 0:
+            if "h1_norm" in section.keys():
+                target = section.get_float("h1_norm")
+                if not target > 0:
+                    raise ConfigError(f"h1_norm must be positive, got {target}")
                 u0 = scaled_to_h1(u0, target)
         elif kind == "soliton":
             u0, info = soliton_initial_data(
                 section.get_float("speed", 0.7), cfg.k, cfg.beta, grid
             )
-            keep_background = section.get_int("keep_background", 1)  # used at gamma = 0 only
-            if cfg.gamma == 0.0 and keep_background:
+            # read where it acts, so that it is an unknown key at gamma > 0
+            if cfg.gamma == 0.0 and section.get_int("keep_background", 1):
                 c = u0.coeffs.copy()
                 c[0] = info["projection_defect"]
                 u0 = Field(grid, c)
@@ -133,20 +137,26 @@ def _initial_field(section, grid: Grid, cfg: SolverConfig) -> Field:
         else:
             raise ConfigError(f"unknown initial data kind {kind!r}")
     check_initial_data(u0, cfg)
-    if info:  # logged once the data passed, so a refusal prints only its one line
+    return u0, info
+
+
+def _log_soliton(info):
+    """The soliton's report, logged as the run phase starts, so that a run
+    refused in the read phase prints only its one line."""
+    if info:
         log.info("soliton residual %.3e, projection defect %.3e",
                  info["residual"], info["projection_defect"])
-    return u0
 
 
 def cmd_solve(section, args):
     grid = _grid_from(section)
     cfg = _solver_config(section, grid, **_nonlinearity(section))
-    u0 = _initial_field(section, grid, cfg)
+    u0, info = _initial_field(section, grid, cfg)
     snapshot_every = section.get_int("snapshot_every", 10)
     require_snapshot_every(snapshot_every)
 
     def run(out):
+        _log_soliton(info)
         traj = evolve(u0, cfg, snapshot_every)
         for i, (t, field) in enumerate(zip(traj.times, traj.fields)):
             write_snapshot(os.path.join(out, f"snapshot_{i:06d}.dat"),
@@ -171,13 +181,14 @@ def cmd_sweep_gamma(section, args):
         t_compare=section.get_float("t_compare"),
         **_given(section, gammas=section.get_floats, snapshot_every=section.get_int),
     )
-    u0 = _initial_field(section, grid, template)
+    u0, info = _initial_field(section, grid, template)
     if u0.l2_norm() == 0.0:  # every sweep point would then equal the reference
         raise ConfigError("sweep-gamma needs nonzero initial data; it is zero on the grid")
     for gamma in sweep.gammas:  # the t = 0 check each sweep point's evolve applies
         check_initial_data(u0, template.replace(gamma=gamma))
 
     def run(out):
+        _log_soliton(info)
         report = rotation_limit_sweep(sweep, u0)
         write_csv(os.path.join(out, "rate.csv"), {
             "gamma": np.asarray(report.gammas),
@@ -211,6 +222,8 @@ def cmd_probe_kernel(section, args):
     gamma_exp = section.get_float("gamma_exp", 8.0)
     specs = [KernelSpec(n_block, beta, gamma, **spec_options)
              for n_block in section.get_floats("blocks", (16.0, 32.0, 64.0))]
+    if not specs:  # the run would write empty artifacts
+        raise ConfigError("blocks must name at least one block")
     for spec in specs:
         require_mixed_exponent(gamma_exp, spec)
         require_sample_windows(spec)
@@ -288,12 +301,13 @@ def cmd_probe_estimates(section, args):
 def cmd_picard_check(section, args):
     grid = _grid_from(section)
     cfg = _solver_config(section, grid)
-    u0 = _initial_field(section, grid, cfg)
+    u0, info = _initial_field(section, grid, cfg)
     delta = section.get_float("delta")
     n_iters = section.get_int("iterations", 12)
     n_lat = picard_lattice(cfg, delta, n_iters)
 
     def run(out):
+        _log_soliton(info)
         stf, diffs = picard_iterate(u0, cfg, delta, n_iters)
         final = Field.from_samples(grid, stf.values[-1])
         traj = evolve(u0, cfg.replace(t_end=delta), snapshot_every=n_lat)

@@ -10,7 +10,6 @@ would otherwise be silently ignored).
 
 from __future__ import annotations
 
-import json
 import math
 import platform
 import time
@@ -19,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .io import write_json
 
 
 class Config:
@@ -146,7 +146,4 @@ class RunManifest:
     started_unix: float = field(default_factory=time.time)
 
     def write(self, path):
-        record = dict(asdict(self), numpy=np.__version__, platform=platform.platform())
-        with open(path, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, dict(asdict(self), numpy=np.__version__, platform=platform.platform()))

@@ -73,6 +73,7 @@ ORBIT_BLOCK = 64  # window samples an orbit tag synthesizes at a time; no value 
 MODE_BLOCK = 32  # support modes modulation_weights builds at a time; 8 to 64 gave the same bits
 BILINEAR_S = 0.5  # 2.027's interaction weight |phi'(xi1) - phi'(xi2)|^s
 MULTILINEAR_K = 5  # 3.03's form is (k+2)-linear
+MULTILINEAR_CELLS = 64  # cells per side of 3.03's base mode lattice
 PERIOD_BLOCKS = 4  # column blocks 3.03's period transforms run in; no value depends on it
 
 
@@ -515,9 +516,9 @@ def _alias_free_period(k: int, cells: int) -> int:
     return period
 
 
-def multilinear_ratio(ens: Ensemble, n_cells: int = 64, jobs: int = 1) -> RatioReport:
+def multilinear_ratio(ens: Ensemble, jobs: int = 1) -> RatioReport:
     """Tag 3.03, the (k+2)-linear convolution inequality on a space-time
-    mode lattice, k = MULTILINEAR_K.
+    mode lattice of MULTILINEAR_CELLS^2 cells, k = MULTILINEAR_K.
 
     All spectra are drawn nonnegative, so the integral is monotone and
     the Monte-Carlo ratio is a one-sided-safe test.  The (k+1)-fold
@@ -536,8 +537,8 @@ def multilinear_ratio(ens: Ensemble, n_cells: int = 64, jobs: int = 1) -> RatioR
     dxi = 2.0 * math.pi / ens.grid.length
     dtau = 2.0 * math.pi / ens.t_window
     lattices = {
-        None: (n_cells, dxi, dtau, 0),
-        "lattice_x2": (2 * n_cells, dxi / 2.0, dtau / 2.0, 1),
+        None: (MULTILINEAR_CELLS, dxi, dtau, 0),
+        "lattice_x2": (2 * MULTILINEAR_CELLS, dxi / 2.0, dtau / 2.0, 1),
     }
 
     def pair_for(name):

@@ -98,8 +98,9 @@ def write_json(path, payload: dict):
 SVG_WIDTH, SVG_HEIGHT = 640, 480
 
 
-def svg_loglog(points, path=None, fit=None, title="", xlabel="", ylabel=""):
-    """Minimal log-log scatter plus optional fitted power law, as SVG text.
+def svg_loglog(points, path, fit=None, title="", xlabel="", ylabel=""):
+    """Minimal log-log scatter plus optional fitted power law, written to
+    path as SVG.
 
     points: iterable of (x, y) with x, y > 0; fit: (slope, intercept) in
     log-space, drawn as a line across the x-range.
@@ -166,11 +167,8 @@ def svg_loglog(points, path=None, fit=None, title="", xlabel="", ylabel=""):
     for px, py in zip(lx, ly):
         parts.append(f'<circle cx="{sx(px):.1f}" cy="{sy(py):.1f}" r="4" fill="black"/>')
     parts.append("</svg>")
-    text = "\n".join(parts)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts))
 
 
 def ensure_dir(path):

@@ -27,7 +27,7 @@ workers evaluates, so a worker holds one chunk's integrand and the
 refinement 16 bytes per panel of all its points.  The pool first solves
 Levin in chunks of LEVIN_POINTS points; Levin's misses join the other
 points in the Gauss-Kronrod pass.  Only the points whose error estimate
-misses tolerance are re-run at 4x and then 16x finer panels.
+misses accepted_error are re-run at 4x and then 16x finer panels.
 kernel_eval, the reference that the tests hold Levin to within
 accepted_error, is that pass on one point.  No value depends on the
 chunk or pool size.
@@ -91,6 +91,7 @@ CHUNK_PANELS = (1 << 16) // 31  # panels per evaluation of the integrand, the po
 _COARSE = 4  # coarse sub-intervals of [N, 4N], each with its own panel width
 _PANEL_WAVELENGTHS = 2.0  # widest panel in local wavelengths 2*pi/|g'| at the 1.5x slope margin
 _REFINES = (1.0, 4.0, 16.0)  # panel refinements tried in turn
+ABSOLUTE_TOLERANCE = 1e-9  # error bound a point may always have
 RELATIVE_TOLERANCE = 1e-12  # error bound relative to the |K| <= 6N envelope
 _LEVIN_PIECES = 6  # equal pieces of [N, 4N], each collocated on its own
 _LEVIN_ORDERS = (12, 16)  # Chebyshev-Lobatto orders; their gap bounds the error
@@ -116,7 +117,6 @@ class KernelSpec:
     block_start: float
     beta: float
     gamma: float
-    tolerance: float = 1e-9
     threshold: float = 1.0
 
     def __post_init__(self):
@@ -149,9 +149,9 @@ class KernelSpec:
     def accepted_error(self) -> float:
         """Largest achieved error bound a point may have, QUADPACK's
         max(epsabs, epsrel*|I|) with the |K| <= 6N envelope for |I|: the
-        bound's rounding floor grows with N.  At the default tolerance it
-        is 1e-9 up to N = 166."""
-        return max(self.tolerance, RELATIVE_TOLERANCE * 6.0 * self.block_start)
+        bound's rounding floor grows with N.  It is ABSOLUTE_TOLERANCE,
+        1e-9, up to N = 166."""
+        return max(ABSOLUTE_TOLERANCE, RELATIVE_TOLERANCE * 6.0 * self.block_start)
 
     @property
     def region_speed(self) -> float:
@@ -467,6 +467,7 @@ def _region_bound(tag: RegionTag, x, t, spec: KernelSpec):
 
 SAMPLE_X_SPAN = 100.0
 SAMPLE_T_SPAN = 200.0
+MIXED_T_SPAN = 1.0  # kernel_mixed_norm's box is t in (0, MIXED_T_SPAN/N^3]
 
 
 def require_samples(samples_per_region: int):
@@ -497,19 +498,19 @@ def require_sample_windows(spec: KernelSpec):
                           f"sample times at N = {n_block:g}")
 
 
-def _mixed_norm_box(spec: KernelSpec, c_t: float):
-    """kernel_mixed_norm's box ends T = c_t/N^3 and X."""
-    t_max = c_t / spec.block_start**3
+def _mixed_norm_box(spec: KernelSpec):
+    """kernel_mixed_norm's box ends T = MIXED_T_SPAN/N^3 and X."""
+    t_max = MIXED_T_SPAN / spec.block_start**3
     return t_max, max(2.0 * spec.region_speed * t_max, 200.0 / spec.block_start)
 
 
-def require_mixed_exponent(gamma_exp: float, spec: KernelSpec, c_t: float = 1.0):
+def require_mixed_exponent(gamma_exp: float, spec: KernelSpec):
     """ConfigError unless kernel_mixed_norm's exponent is at least 7 and
     the norm's p-th power on spec's box, p = gamma_exp/2, stays finite: its
     |K| <= 6N envelope (6N)^p times 4X, and (6N)^p itself."""
     if gamma_exp < 7:
         raise ConfigError(f"gamma_exp must be >= 7, got {gamma_exp}")
-    n_block, (_, x_max) = spec.block_start, _mixed_norm_box(spec, c_t)
+    n_block, (_, x_max) = spec.block_start, _mixed_norm_box(spec)
     log_envelope = gamma_exp / 2.0 * math.log(6.0 * n_block) + math.log(max(4.0 * x_max, 1.0))
     if not log_envelope < math.log(sys.float_info.max):
         raise ConfigError(f"gamma_exp = {gamma_exp:g} overflows the mixed norm's envelope "
@@ -580,12 +581,13 @@ def region_decay_check(spec: KernelSpec, samples_per_region: int = 60,
 
 
 RAY_OFFSETS = (3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0)
+RAY_POINTS = 33  # log-spaced t samples per ray
 
 
-def stationary_ray_exponent(spec: KernelSpec, points_per_ray: int = 33,
-                            stats: QuadratureStats | None = None,
+def stationary_ray_exponent(spec: KernelSpec, stats: QuadratureStats | None = None,
                             jobs: int | None = None) -> float:
-    """Pooled time-decay exponent of |K| over rays x = -c/N, c in RAY_OFFSETS.
+    """Pooled time-decay exponent of |K| over rays x = -c/N, c in RAY_OFFSETS,
+    each sampled at RAY_POINTS times.
 
     Each ray is sampled over the window where the stationary frequency
     x/t = phi'(xi_s) traverses the block [N, 4N]; there the kernel decays
@@ -600,13 +602,13 @@ def stationary_ray_exponent(spec: KernelSpec, points_per_ray: int = 33,
     slope_hi = abs(spec.symbol.derivative(4.0 * n_block))
     rays_x = [-cx / n_block for cx in RAY_OFFSETS]
     rays_t = [np.exp(np.linspace(math.log(abs(x) / slope_hi), math.log(abs(x) / slope_lo),
-                                 points_per_ray)) for x in rays_x]
-    values, achieved = _kernel_values(np.repeat(rays_x, points_per_ray),
+                                 RAY_POINTS)) for x in rays_x]
+    values, achieved = _kernel_values(np.repeat(rays_x, RAY_POINTS),
                                       np.concatenate(rays_t), spec, stats or QuadratureStats(),
                                       jobs)
     _require_converged(achieved, spec)
     logs_t, logs_k = [], []
-    for ts, ks in zip(rays_t, np.abs(values).reshape(len(rays_x), points_per_ray)):
+    for ts, ks in zip(rays_t, np.abs(values).reshape(len(rays_x), RAY_POINTS)):
         lt, lk = np.log(ts), np.log(np.maximum(ks, 1e-300))
         logs_t.append(lt - lt.mean())
         logs_k.append(lk - lk.mean())
@@ -638,20 +640,19 @@ def _mixed_norm_terms(sup_k, xs, n_block: float, gamma_exp: float, x_max: float)
     return value_p, 2.0 * (c2 / n_block) ** p * x_max ** (1.0 - gamma_exp) / (gamma_exp - 1.0)
 
 
-def kernel_mixed_norm(spec: KernelSpec, gamma_exp: float, c_t: float = 1.0,
-                      n_x: int = 120, n_t: int = 48,
+def kernel_mixed_norm(spec: KernelSpec, gamma_exp: float, n_x: int = 120, n_t: int = 48,
                       jobs: int | None = None) -> MixedNormReport:
     """|| sup_t |K| ||_{L_x^{g/2}} on the box [-X, X] x (0, T].
 
-    T = c_t / N^3 (the kernel's self-similar time scale) and X is at
+    T = MIXED_T_SPAN / N^3 (the kernel's self-similar time scale) and X is at
     least twice the region boundary 4000*a*N^2*T, so every |x| > X sits
     in the non-stationary region for all t <= T; the omitted tail is
     then bounded by the x^{-2} envelope and must stay below 1%.  jobs is
     as in region_decay_check.
     """
-    require_mixed_exponent(gamma_exp, spec, c_t)
+    require_mixed_exponent(gamma_exp, spec)
     n_block = spec.block_start
-    t_max, x_max = _mixed_norm_box(spec, c_t)
+    t_max, x_max = _mixed_norm_box(spec)
 
     ts = np.exp(np.linspace(math.log(t_max * 1e-3), math.log(t_max), n_t))
     half = np.exp(np.linspace(math.log(1e-3 / n_block), math.log(x_max), n_x))

@@ -110,10 +110,6 @@ class Field:
         return cls(grid, coeffs)
 
     @classmethod
-    def zero(cls, grid: Grid) -> "Field":
-        return cls(grid, np.zeros(grid.n_points, dtype=complex))
-
-    @classmethod
     def from_half_spectrum(cls, grid: Grid, half: np.ndarray) -> "Field":
         """The field whose modes 0..n/2 are half: the Hermitian extension
         as its spectrum, its samples synthesized once and cached."""

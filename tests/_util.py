@@ -3,6 +3,11 @@ import numpy as np
 from ostrovsky.spectral import Field
 
 
+def zero_field(grid):
+    """The field that is 0 at every sample."""
+    return Field(grid, np.zeros(grid.n_points, dtype=complex))
+
+
 def random_mean_zero(grid, rng, band_fraction=0.25):
     """Random real field supported well inside the resolved band."""
     n = grid.n_points

@@ -229,7 +229,8 @@ def datum_l2(stem: str) -> float:
     command, config, _ = SHIPPED[stem]
     section = load_config(ROOT / config).section(command)
     grid = cli._grid_from(section)
-    return cli._initial_field(section, grid, cli._solver_config(section, grid)).l2_norm()
+    u0, _ = cli._initial_field(section, grid, cli._solver_config(section, grid))
+    return u0.l2_norm()
 
 
 def trace_tolerances(out) -> dict:

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from ostrovsky.solver import SolverConfig, gaussian_bump
 from ostrovsky.spectral import Field, Grid
 
 import golden
-from _util import propagated
+from _util import propagated, zero_field
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "scripts" / "configs"
@@ -80,17 +81,23 @@ def file_initial(text, snap):
     return text.replace("amplitude = 0.4\n", "").replace("width = 2.0\n", "")
 
 
+def assert_key_unknown(tmp_path, capsys, command, text, key, extra=()):
+    """command on config text exits 1 with one line naming file, line and
+    key, before --out exists."""
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *extra]) == 1
+    line = 1 + [raw.split("=", 1)[0].strip() for raw in text.splitlines()].index(key)
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}:{line}: unknown key `{key}` in [{command}]\n")
+    assert not out.exists()
+
+
 def assert_appended_key_unknown(tmp_path, capsys, stem, command, key, value, extra=()):
     """The shipped config stem with `key = value` appended exits 1 with one
     line naming file, line and key, before --out exists."""
     text = (CONFIGS / f"{stem}.cfg").read_text().rstrip("\n") + f"\n{key} = {value}\n"
-    cfg = write_cfg(tmp_path, text)
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out), *extra]) == 1
-    line = len(text.splitlines())
-    assert capsys.readouterr().err == (
-        f"config error: {cfg}:{line}: unknown key `{key}` in [{command}]\n")
-    assert not out.exists()
+    assert_key_unknown(tmp_path, capsys, command, text, key, extra)
 
 
 # one instance of every exception type in ostrovsky.errors, with the exit
@@ -214,23 +221,32 @@ class TestUnknownKeys:
             f"config error: {cfg}:4: unknown key `dt` in [invariants]\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,stage,text", [
-        ("solve", "evolve",
-         (CONFIGS / "soliton.cfg").read_text().replace("gamma = 0.0", "gamma = 0.5")),
-        ("sweep-gamma", "rotation_limit_sweep", (CONFIGS / "sweep_gamma.cfg").read_text()),
-    ], ids=["keep_background_at_positive_gamma", "sweep_gamma"])
-    def test_keys_used_in_some_cases_only_are_accepted(self, tmp_path, monkeypatch,
-                                                       command, stage, text):
+    @pytest.mark.parametrize("command,text", [
+        ("solve", (CONFIGS / "soliton.cfg").read_text().replace("gamma = 0.0", "gamma = 0.5")),
+        ("sweep-gamma", (CONFIGS / "sweep_gamma.cfg").read_text()
+         .replace("dt = 0.005", "dt = 0.000625")
+         .replace("snapshot_every = 10", "snapshot_every = 80")
+         .replace("initial = gaussian\namplitude = 0.5\nwidth = 2.0",
+                  "initial = soliton\nkeep_background = 1")),
+    ], ids=["soliton_at_positive_gamma", "sweep_soliton"])
+    def test_keep_background_is_unknown_where_it_has_no_effect(self, tmp_path, capsys,
+                                                               command, text):
+        # it acts on a soliton at gamma = 0 only; a sweep's template has gamma = 1
+        assert_key_unknown(tmp_path, capsys, command, text, "keep_background")
+
+    def test_sweep_gamma_key_is_accepted(self, tmp_path, monkeypatch):
+        # without effect, since each sweep point sets its own gamma; kept
+        # for callers that pass it
         class Reached(Exception):
             pass
 
         def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(cli, stage, reached)
-        cfg = write_cfg(tmp_path, text)
+        monkeypatch.setattr(cli, "rotation_limit_sweep", reached)
+        cfg = write_cfg(tmp_path, (CONFIGS / "sweep_gamma.cfg").read_text())
         with pytest.raises(Reached):
-            main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+            main(["sweep-gamma", "--config", cfg, "--out", str(tmp_path / "out")])
 
 
 class TestSnapshotFormat:
@@ -259,7 +275,7 @@ class TestSnapshotFormat:
 
     def test_non_finite_sample_rejected(self, tmp_path):
         path = tmp_path / "snap.dat"
-        write_snapshot(path, Field.zero(Grid(8, 1.0)), -1.0, 1.0, 5, 0.0)
+        write_snapshot(path, zero_field(Grid(8, 1.0)), -1.0, 1.0, 5, 0.0)
         lines = path.read_text().splitlines()
         lines[3] = "nan"
         path.write_text("\n".join(lines) + "\n")
@@ -269,7 +285,7 @@ class TestSnapshotFormat:
     def test_header_is_json_line(self, tmp_path):
         grid = Grid(64, 11.0)
         path = tmp_path / "snap.dat"
-        write_snapshot(path, Field.zero(grid), -1.0, 0.0, 5, 0.0)
+        write_snapshot(path, zero_field(grid), -1.0, 0.0, 5, 0.0)
         first = path.read_text().splitlines()[0]
         assert json.loads(first)["n"] == 64
 
@@ -324,6 +340,12 @@ class TestSolveCommand:
         # first, were it logged before the t = 0 check refused the data
         text = (CONFIGS / "soliton.cfg").read_text().replace("L = 80.0", "L = 1e308")
         assert_one_config_error_line(tmp_path, text, "its X^s norm is not finite")
+
+    def test_soliton_with_an_unknown_key_prints_one_line(self, tmp_path):
+        # the data pass the t = 0 check, so the residual line would come
+        # first, were it logged before the read phase ended
+        text = (CONFIGS / "soliton.cfg").read_text().replace("gamma = 0.0", "gamma = 0.5")
+        assert_one_config_error_line(tmp_path, text, "unknown key `keep_background` in [solve]")
 
     def test_cfl_breach_after_t0_exits_two_with_one_line(self, tmp_path, capsys):
         # data that refocuses under dispersion, with dt at its t = 0 bound
@@ -496,6 +518,16 @@ class TestInputErrors:
         ("sweep-gamma", (CONFIGS / "sweep_gamma.cfg").read_text().replace("width = 2.0",
                                                                           "width = 1e308"),
          "sweep-gamma needs nonzero initial data; it is zero on the grid"),
+        ("picard-check", (CONFIGS / "picard.cfg").read_text().replace("h1_norm = 0.1",
+                                                                      "h1_norm = 0"),
+         "h1_norm must be positive, got 0.0"),
+        ("picard-check", (CONFIGS / "picard.cfg").read_text().replace("h1_norm = 0.1",
+                                                                      "h1_norm = -1"),
+         "h1_norm must be positive, got -1.0"),
+        ("solve", (CONFIGS / "soliton.cfg").read_text().replace("gamma = 0.0", "gamma = 0.5"),
+         ":14: unknown key `keep_background` in [solve]"),
+        ("probe-kernel", (CONFIGS / "probe_kernel.cfg").read_text().replace("16 32 64", ""),
+         "blocks must name at least one block"),
     ], ids=["soliton_on_a_coarse_grid", "picard_delta_below_two_steps", "picard_no_iterations",
             "kernel_gamma_exp", "kernel_block_below_threshold", "kernel_no_samples",
             "estimates_odd_n_t", "solve_no_snapshot_cadence", "sweep_no_snapshot_cadence",
@@ -510,7 +542,9 @@ class TestInputErrors:
             "kernel_gamma_exp_1e308", "kernel_blocks_1e308", "kernel_threshold_1e-308",
             "kernel_phi_prime_zero", "soliton_length_1e308", "sweep_trace_s_1e308",
             "sweep_gammas_1e307", "sweep_gammas_1e308", "picard_gamma_1e308",
-            "sweep_amplitude_0", "sweep_width_1e308"])
+            "sweep_amplitude_0", "sweep_width_1e308", "picard_h1_norm_0",
+            "picard_h1_norm_minus_1", "soliton_keep_background_at_gamma_0_5",
+            "kernel_no_blocks"])
     def test_read_phase_rejects(self, tmp_path, capsys, monkeypatch, command, text, message):
         if command == "invariants":
             snap = tmp_path / "snap.dat"
@@ -576,6 +610,67 @@ class TestInputErrors:
         assert len(err.splitlines()) == 1 and err.startswith("config error:")
         assert "Is a directory" in err
         assert not out.exists()
+
+
+BOUNDARY_VALUES = ("", "0", "-1", "nan", "inf", "-inf", "1e308", "abc", "0.5", "7")
+
+
+def boundary_mutations(text):
+    """(label, text) for each key of config text deleted, then set to each
+    of BOUNDARY_VALUES in turn."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if "=" not in line or line.lstrip().startswith("#"):
+            continue
+        key = line.split("=", 1)[0].strip()
+        yield f"{key} deleted", "\n".join(lines[:i] + lines[i + 1:]) + "\n"
+        for value in BOUNDARY_VALUES:
+            edited = lines[:i] + [f"{key} = {value}"] + lines[i + 1:]
+            yield f"{key} = {value}", "\n".join(edited) + "\n"
+
+
+class TestBoundarySweep:
+    """Each shipped config with each key deleted or set to a boundary value
+    either exits 1 with one `config error:` line before --out exists, or
+    passes the read phase without a warning and reaches the run phase,
+    stubbed at cli.ensure_dir."""
+
+    @pytest.mark.parametrize("stem,command", [
+        ("solve", "solve"), ("soliton", "solve"), ("sweep_gamma", "sweep-gamma"),
+        ("picard", "picard-check"), ("probe_estimates", "probe-estimates"),
+        ("probe_kernel", "probe-kernel"),
+    ], ids=lambda value: value)
+    def test_each_mutation_refused_or_runs(self, tmp_path, capsys, caplog, monkeypatch,
+                                           stem, command):
+        class Reached(Exception):
+            pass
+
+        def run_phase(path):
+            raise Reached
+
+        monkeypatch.setattr(cli, "ensure_dir", run_phase)
+        out = tmp_path / "out"
+        extra = ["--which", "2.057"] if command == "probe-estimates" else []
+        mutations = list(boundary_mutations((CONFIGS / f"{stem}.cfg").read_text()))
+        assert len(mutations) == 11 * len(parse_config_text(
+            (CONFIGS / f"{stem}.cfg").read_text()).section(command).keys())
+        for label, text in mutations:
+            cfg = write_cfg(tmp_path, text)
+            caplog.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    code = main([command, "--config", cfg, "--out", str(out)] + extra)
+                except Reached:
+                    code = None
+            err = capsys.readouterr().err
+            if code is None:
+                assert err == "", label
+                assert not [r for r in caplog.records if r.levelno >= logging.WARNING], label
+            else:
+                assert code == 1, label
+                assert len(err.splitlines()) == 1 and err.startswith("config error:"), label
+            assert not out.exists(), label
 
 
 class TestPicardCommand:

@@ -195,8 +195,9 @@ class TestMultilinear:
         lhs = _one_cell_lhs(ens, k, n_cells, xi_idx, tau_idx)
         assert lhs == pytest.approx(direct, rel=1e-12)
 
-    def test_refinement_stable(self):
-        rep = multilinear_ratio(default_ensemble("3.03", 13, 5), n_cells=32)
+    def test_refinement_stable(self, monkeypatch):
+        monkeypatch.setattr(estimates, "MULTILINEAR_CELLS", 32)
+        rep = multilinear_ratio(default_ensemble("3.03", 13, 5))
         assert rep.stability_factor < 4.0
 
 
@@ -611,11 +612,12 @@ def _reference_multilinear_pair(ens, k, cells, dxi, dtau, rng_salt, i, s, b):
 
 
 class TestMultilinearRealTransforms:
-    def test_equal_to_complex_fft_loop(self):
+    def test_equal_to_complex_fft_loop(self, monkeypatch):
         ens = default_ensemble("3.03", 13, 2)
         k, cells = 5, 16
         s, b = 0.5 - 2.0 / k + 2.0 * ens.epsilon, ens.b
-        rep = multilinear_ratio(ens, n_cells=cells)
+        monkeypatch.setattr(estimates, "MULTILINEAR_CELLS", cells)
+        rep = multilinear_ratio(ens)
         dxi, dtau = 2 * math.pi / ens.grid.length, 2 * math.pi / ens.t_window
         for i in range(ens.n_draws):
             left, right = _reference_multilinear_pair(ens, k, cells, dxi, dtau, 0, i, s, b)

@@ -66,7 +66,7 @@ def levin_by_eligibility(monkeypatch):
 
 @pytest.fixture
 def absolute_tolerance(monkeypatch):
-    """Accept on spec.tolerance alone, so that a tolerance under the
+    """Accept on kernel.ABSOLUTE_TOLERANCE alone, so that a tolerance under the
     relative floor RELATIVE_TOLERANCE * 6N forces refinements and misses."""
     monkeypatch.setattr(kernel, "RELATIVE_TOLERANCE", 0.0)
 
@@ -206,10 +206,11 @@ class TestMixedNorm:
         assert rep.tail_fraction < 0.01
 
     @pytest.mark.slow
-    def test_box_doubling_changes_little(self):
+    def test_box_doubling_changes_little(self, monkeypatch):
         spec = KernelSpec(8.0, -1.0, 1.0)
-        base = kernel_mixed_norm(spec, 8.0, c_t=1.0, n_x=60, n_t=24)
-        doubled = kernel_mixed_norm(spec, 8.0, c_t=2.0, n_x=90, n_t=36)
+        base = kernel_mixed_norm(spec, 8.0, n_x=60, n_t=24)
+        monkeypatch.setattr(kernel, "MIXED_T_SPAN", 2.0)
+        doubled = kernel_mixed_norm(spec, 8.0, n_x=90, n_t=36)
         assert abs(doubled.value - base.value) < 0.02 * base.value
 
     def test_exponent_regime_validated(self):
@@ -222,9 +223,10 @@ class TestMixedNorm:
 
 
 class TestRayExponent:
-    def test_self_similar_in_block(self):
-        a = stationary_ray_exponent(KernelSpec(16.0, -1.0, 1.0), points_per_ray=17)
-        b = stationary_ray_exponent(KernelSpec(32.0, -1.0, 1.0), points_per_ray=17)
+    def test_self_similar_in_block(self, monkeypatch):
+        monkeypatch.setattr(kernel, "RAY_POINTS", 17)
+        a = stationary_ray_exponent(KernelSpec(16.0, -1.0, 1.0))
+        b = stationary_ray_exponent(KernelSpec(32.0, -1.0, 1.0))
         assert a == pytest.approx(b, abs=0.02)
 
 
@@ -281,14 +283,16 @@ def assert_values_match(values, xs, ts, spec, ref_values):
     return np.count_nonzero(levin)
 
 
-def refinement_spec(n_block, level):
-    """Spec whose tolerance the point (-400/N, 120/N^3) meets first at
-    refine 4 (level 1) or 16 (level 2)."""
+def refinement_spec(monkeypatch, n_block, level):
+    """Spec at N = n_block, with kernel.ABSOLUTE_TOLERANCE set so that the
+    point (-400/N, 120/N^3) meets it first at refine 4 (level 1) or 16
+    (level 2)."""
     spec = KernelSpec(n_block, -1.0, 1.0)
     x, t = region_points(n_block)[6]
     bounds = [gauss_kronrod_bound(x, t, spec, r) for r in (1.0, 4.0, 16.0)]
     assert bounds[0] > bounds[1] > bounds[2]
-    return KernelSpec(n_block, -1.0, 1.0, tolerance=0.5 * (bounds[level - 1] + bounds[level]))
+    monkeypatch.setattr(kernel, "ABSOLUTE_TOLERANCE", 0.5 * (bounds[level - 1] + bounds[level]))
+    return spec
 
 
 def scalar_values(xs, ts, spec, stats, jobs=None):
@@ -360,12 +364,13 @@ def reference_mixed_norm_value(spec, gamma_exp, xs, sup_k):
 
 
 class TestAcceptedError:
-    def test_default_tolerance_up_to_n166(self):
+    def test_default_tolerance_up_to_n166(self, monkeypatch):
         for n_block in (8.0, 16.0, 32.0, 64.0, 166.0):
             assert KernelSpec(n_block, -1.0, 1.0).accepted_error == 1e-9
         assert KernelSpec(167.0, -1.0, 1.0).accepted_error > 1e-9
         assert KernelSpec(1024.0, -1.0, 1.0).accepted_error == 1e-12 * 6.0 * 1024.0
-        assert KernelSpec(1024.0, -1.0, 1.0, tolerance=1e-6).accepted_error == 1e-6
+        monkeypatch.setattr(kernel, "ABSOLUTE_TOLERANCE", 1e-6)
+        assert KernelSpec(1024.0, -1.0, 1.0).accepted_error == 1e-6
 
     def test_large_block_at_first_refinement(self):
         # bounds at N = 1024 sit on a rounding floor that finer panels do
@@ -467,16 +472,16 @@ class TestBatchedQuadrature:
     @pytest.mark.usefixtures("levin_by_eligibility")
     @pytest.mark.parametrize("level", [1, 2])
     @pytest.mark.parametrize("n_block", [8.0, 16.0, 32.0])
-    def test_equal_to_kernel_eval(self, n_block, level):
-        spec = refinement_spec(n_block, level)
+    def test_equal_to_kernel_eval(self, monkeypatch, n_block, level):
+        spec = refinement_spec(monkeypatch, n_block, level)
         xs, ts = np.array(region_points(n_block)).T
         stats = QuadratureStats()
         values, achieved = _kernel_values(xs, ts, spec, stats)
         ref_values, ref_achieved = scalar_values(xs, ts, spec, None)
-        ok = ref_achieved <= spec.tolerance
+        ok = ref_achieved <= kernel.ABSOLUTE_TOLERANCE
         assert np.all(ok[LEVIN_ELIGIBLE])
         assert assert_values_match(values[ok], xs[ok], ts[ok], spec, ref_values[ok]) > 0
-        assert np.all(achieved[ok] <= spec.tolerance)
+        assert np.all(achieved[ok] <= kernel.ABSOLUTE_TOLERANCE)
         assert np.array_equal(achieved[~ok], ref_achieved[~ok])
         assert np.all(np.isnan(values[~ok]))
         assert ok[6] and np.isposinf(achieved[-1])
@@ -490,7 +495,7 @@ class TestBatchedQuadrature:
     @pytest.mark.parametrize("size", [1, 7, 1 << 40])
     def test_independent_of_chunk_size(self, monkeypatch, size, jobs):
         # chunks of one panel, of 7 that cut across points, or of every panel
-        spec = refinement_spec(16.0, 1)
+        spec = refinement_spec(monkeypatch, 16.0, 1)
         xs, ts = np.array(region_points(16.0)[:-1]).T
         base = _kernel_values(xs, ts, spec, QuadratureStats(), jobs=1)
         monkeypatch.setattr(kernel, "CHUNK_PANELS", size)
@@ -513,7 +518,7 @@ class TestBatchedQuadrature:
             tracemalloc.stop()
         assert peak < 20 * 2**20
         assert values[0] == values[1] == kernel_eval(-1500.0, 0.9765625, spec)
-        assert np.all(achieved <= spec.tolerance)
+        assert np.all(achieved <= kernel.ABSOLUTE_TOLERANCE)
 
     def test_acceptance_size_mixed_norm_in_bounded_memory(self):
         # a refinement holds 16 bytes per panel of all its points: 59,248
@@ -529,7 +534,7 @@ class TestBatchedQuadrature:
 
     def test_one_slope_scan_per_call(self, monkeypatch):
         # a point that reaches the 16x panels still has its g' sampled once
-        spec = refinement_spec(16.0, 2)
+        spec = refinement_spec(monkeypatch, 16.0, 2)
         xs, ts = np.array(region_points(16.0)).T
         scans = []
         scan = kernel._scan_slopes
@@ -547,7 +552,7 @@ class TestBatchedQuadrature:
     def test_nodes_count_every_panel_evaluated(self, monkeypatch, jobs, name, size):
         # 31 nodes per panel of each refinement a point runs, until its
         # bound meets the tolerance; none for a point past MAX_NODES
-        spec = refinement_spec(16.0, 2)
+        spec = refinement_spec(monkeypatch, 16.0, 2)
         xs, ts = np.array(region_points(16.0)).T
         expected = 0
         for x, t in zip(xs, ts):
@@ -565,8 +570,9 @@ class TestBatchedQuadrature:
         assert stats.refined_x16 >= 1 and stats.over_cap == 1
         assert stats.nodes == expected
 
-    def test_tolerance_miss_keeps_bound(self):
-        spec = KernelSpec(8.0, -1.0, 1.0, tolerance=1e-16)
+    def test_tolerance_miss_keeps_bound(self, monkeypatch):
+        monkeypatch.setattr(kernel, "ABSOLUTE_TOLERANCE", 1e-16)
+        spec = KernelSpec(8.0, -1.0, 1.0)
         xs, ts = np.array(region_points(8.0)[:2]).T
         values, achieved = _kernel_values(xs, ts, spec, QuadratureStats())
         assert np.all(np.isnan(values))
@@ -609,7 +615,8 @@ class TestProbesEqualScalarLoops:
     def test_ray_exponent(self, monkeypatch):
         spec = KernelSpec(8.0, -1.0, 1.0)
         monkeypatch.setattr(kernel, "RAY_OFFSETS", RAY_OFFSETS[:4])
-        assert stationary_ray_exponent(spec, 9) == reference_ray_exponent(spec, RAY_OFFSETS[:4], 9)
+        monkeypatch.setattr(kernel, "RAY_POINTS", 9)
+        assert stationary_ray_exponent(spec) == reference_ray_exponent(spec, RAY_OFFSETS[:4], 9)
 
     def test_mixed_norm(self):
         # each sup_t |K| may move by accepted_error where Levin takes points
@@ -697,23 +704,26 @@ class TestProbesEqualScalarLoops:
         spec = KernelSpec(8.0, -1.0, 1.0)
         monkeypatch.setattr(kernel, "MAX_NODES", 31 * 6)
         monkeypatch.setattr(kernel, "RAY_OFFSETS", RAY_OFFSETS[:2])
+        monkeypatch.setattr(kernel, "RAY_POINTS", 5)
         with pytest.raises(QuadratureAccuracyError) as err:
-            stationary_ray_exponent(spec, 5)
+            stationary_ray_exponent(spec)
         assert err.value.achieved == math.inf
         with pytest.raises(QuadratureAccuracyError) as err:
             kernel_mixed_norm(spec, 8.0, n_x=4, n_t=3)
         assert err.value.achieved == math.inf
 
     @pytest.mark.usefixtures("gauss_kronrod_only")
-    def test_first_failure_in_scalar_order(self, absolute_tolerance):
+    def test_first_failure_in_scalar_order(self, absolute_tolerance, monkeypatch):
         # the outermost x points miss this tolerance at every refinement,
         # each with its own finite bound; the rest converge.  Levin would
         # meet it at those points, so Gauss-Kronrod takes every point here
-        spec = KernelSpec(8.0, -1.0, 1.0, tolerance=2e-13)
+        monkeypatch.setattr(kernel, "ABSOLUTE_TOLERANCE", 2e-13)
+        monkeypatch.setattr(kernel, "MIXED_T_SPAN", 0.02)
+        spec = KernelSpec(8.0, -1.0, 1.0)
         with pytest.raises(QuadratureAccuracyError) as scalar:
             reference_mixed_norm_sup(spec, 0.02, 8, 5)
         with pytest.raises(QuadratureAccuracyError) as batched:
-            kernel_mixed_norm(spec, 8.0, c_t=0.02, n_x=8, n_t=5)
+            kernel_mixed_norm(spec, 8.0, n_x=8, n_t=5)
         assert math.isfinite(scalar.value.achieved)
         assert batched.value.achieved == scalar.value.achieved
 
@@ -725,7 +735,8 @@ class TestProbesEqualScalarLoops:
         # rounding floor there, each with its own bound
         monkeypatch.setattr(kernel, "_LEVIN_ORDERS", (4, 6))
         monkeypatch.setattr(kernel, "MAX_NODES", kernel.MAX_NODES // 4)
-        spec = KernelSpec(8.0, -1.0, 1.0, tolerance=1e-13)
+        monkeypatch.setattr(kernel, "ABSOLUTE_TOLERANCE", 1e-13)
+        spec = KernelSpec(8.0, -1.0, 1.0)
         xs, ts = mixed_norm_points(spec, 1.0, 8, 5)
         stats = QuadratureStats()
         _, achieved = _kernel_values(xs, ts, spec, stats)
@@ -738,7 +749,7 @@ class TestProbesEqualScalarLoops:
         with pytest.raises(QuadratureAccuracyError) as first:
             kernel_eval(float(xs[failed[0]]), float(ts[failed[0]]), spec)
         with pytest.raises(QuadratureAccuracyError) as batched:
-            kernel_mixed_norm(spec, 8.0, c_t=1.0, n_x=8, n_t=5)
+            kernel_mixed_norm(spec, 8.0, n_x=8, n_t=5)
         assert batched.value.achieved == first.value.achieved == achieved[failed[0]]
 
 

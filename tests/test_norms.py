@@ -20,7 +20,7 @@ from ostrovsky.norms import (
 )
 from ostrovsky.spectral import Field, Grid, PhaseSymbol
 
-from _util import random_mean_zero
+from _util import random_mean_zero, zero_field
 
 
 def propagator_window(grid, coeffs, symbol, t_window, n_t):
@@ -43,7 +43,7 @@ class TestHs:
 
     def test_zero_field(self):
         g = Grid(64, 2 * np.pi)
-        assert h_s_norm(Field.zero(g), 3.7) == 0.0
+        assert h_s_norm(zero_field(g), 3.7) == 0.0
 
     @given(s1=st.floats(-2, 4), s2=st.floats(-2, 4))
     def test_monotone_in_s(self, s1, s2):

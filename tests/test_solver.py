@@ -58,7 +58,7 @@ from _reference import (
     reference_upsample,
     whole_lattice_picard,
 )
-from _util import assert_same_trajectory, propagated, random_mean_zero
+from _util import assert_same_trajectory, propagated, random_mean_zero, zero_field
 
 # the bound on the L2 distance between the half-spectrum solver and its
 # full-spectrum reference, relative to ||u0||: rounding only (the golden
@@ -123,7 +123,7 @@ class TestNonlinearTerm:
 
     def test_zero_input(self):
         g = Grid(64, 2 * np.pi)
-        out = nonlinear_term(Field.zero(g), 5)
+        out = nonlinear_term(zero_field(g), 5)
         assert np.all(out.coeffs == 0)
 
     def test_oversampling_oracle(self, rng):
@@ -280,7 +280,7 @@ class TestStep:
 class TestEvolve:
     def test_zero_data_stays_zero(self):
         g = Grid(64, 10.0)
-        traj = evolve(Field.zero(g), small_config(g), snapshot_every=5)
+        traj = evolve(zero_field(g), small_config(g), snapshot_every=5)
         assert all(np.all(f.coeffs == 0) for f in traj.fields)
 
     def test_first_snapshot_bitwise(self, rng):
@@ -570,7 +570,7 @@ class TestPicard:
     def test_zero_data_fixed_at_first_iteration(self):
         g = Grid(64, 10.0)
         cfg = small_config(g, dt=0.005, t_end=0.05)
-        stf, diffs = picard_iterate(Field.zero(g), cfg, delta=0.05, n_iters=5)
+        stf, diffs = picard_iterate(zero_field(g), cfg, delta=0.05, n_iters=5)
         assert len(diffs) == 1 and diffs[0] == 0.0
         assert np.all(stf.values == 0.0)
 
@@ -595,14 +595,14 @@ class TestPicard:
         g = Grid(64, 10.0)
         cfg = small_config(g, dt=0.007, t_end=0.21)
         with pytest.raises(ConfigError, match="does not evenly divide"):
-            picard_iterate(Field.zero(g), cfg, delta=0.05, n_iters=3)
+            picard_iterate(zero_field(g), cfg, delta=0.05, n_iters=3)
 
     @pytest.mark.parametrize("delta", [0.005, 0.003])
     def test_lattice_needs_two_steps(self, delta):
         g = Grid(64, 10.0)
         cfg = small_config(g, dt=0.005)
         with pytest.raises(ConfigError, match="fewer than two steps of dt = 0.005"):
-            picard_iterate(Field.zero(g), cfg, delta=delta, n_iters=3)
+            picard_iterate(zero_field(g), cfg, delta=delta, n_iters=3)
 
 
 def picard_case(name):
@@ -610,7 +610,7 @@ def picard_case(name):
     if name in ("picard_cfg", "zero"):  # scripts/configs/picard.cfg: 501 lattice rows
         g = Grid(256, 32.0)
         u0 = scaled_to_h1(gaussian_bump(g, amplitude=0.3, width=2.0), 0.1)
-        u0 = Field.zero(g) if name == "zero" else u0
+        u0 = zero_field(g) if name == "zero" else u0
         return u0, small_config(g, dt=1e-4, t_end=0.05), 0.05, 12
     g = Grid(64, 10.0)
     if name == "ragged":  # 72 rows: not a multiple of 7 or 64
