@@ -21,16 +21,15 @@ rounding level, so it does not hold the panels below the width the K31
 value needs.  Each of the _COARSE coarse sub-intervals sizes its panels
 from g' at five samples that include its ends: where g' is monotone
 (gamma >= 0, away from phi'' = 0), |g'| is largest at an end.
-At each refinement the panels of every point still to do form one run,
-cut into chunks of CHUNK_PANELS panels that a thread pool of jobs
-workers evaluates, so a worker holds one chunk's integrand and the
-refinement 16 bytes per panel of all its points.  The pool first solves
-Levin in chunks of LEVIN_POINTS points; Levin's misses join the other
-points in the Gauss-Kronrod pass.  Only the points whose error estimate
-misses accepted_error are re-run at 4x and then 16x finer panels.
-kernel_eval, the reference that the tests hold Levin to within
-accepted_error, is that pass on one point.  No value depends on the
-chunk or pool size.
+Both passes share one work unit, CHUNK_PANELS Gauss-Kronrod panels: a
+pool of jobs threads solves Levin in chunks of max(1, CHUNK_PANELS * 31
+// LEVIN_NODES) points, which cost as many nodes, then at each refinement
+cuts the panels of every point still to do into chunks of CHUNK_PANELS;
+a worker holds one chunk's integrand, a refinement 16 bytes per panel.
+Levin's misses join the Gauss-Kronrod pass, which re-runs the points
+that miss accepted_error at 4x and then 16x finer panels.  kernel_eval,
+the tests' reference for Levin, is that pass on one point.  No value
+depends on the chunk or pool size.
 
 Sampling windows follow the kernel's self-similar scales x ~ 1/N,
 t ~ 1/N^3, so empirical constants are comparable across dyadic N.
@@ -87,7 +86,7 @@ _GAUSS_SLICE = slice(1, 30, 2)  # Gauss-15 nodes sit at the odd Kronrod indices
 
 REGION_BOUNDARY_FACTOR = 4000.0
 MAX_NODES = 4_000_000
-CHUNK_PANELS = (1 << 16) // 31  # panels per evaluation of the integrand, the pool's work unit
+CHUNK_PANELS = (1 << 16) // 31  # both pool calls' work unit; a Levin chunk costs its nodes
 _COARSE = 4  # coarse sub-intervals of [N, 4N], each with its own panel width
 _PANEL_WAVELENGTHS = 2.0  # widest panel in local wavelengths 2*pi/|g'| at the 1.5x slope margin
 _REFINES = (1.0, 4.0, 16.0)  # panel refinements tried in turn
@@ -96,7 +95,6 @@ RELATIVE_TOLERANCE = 1e-12  # error bound relative to the |K| <= 6N envelope
 _LEVIN_PIECES = 6  # equal pieces of [N, 4N], each collocated on its own
 _LEVIN_ORDERS = (12, 16)  # Chebyshev-Lobatto orders; their gap bounds the error
 LEVIN_MIN_TURN = 4.0  # least min|g'| * piece width that sends a point to Levin
-LEVIN_POINTS = 32  # points per batched collocation solve
 LEVIN_NODES = 1200  # first-refinement Gauss-Kronrod nodes that cost as much as a Levin point
 
 
@@ -400,7 +398,8 @@ def _kernel_values(xs, ts, spec: KernelSpec, stats: QuadratureStats, jobs: int |
     nodes_x1 = _KRONROD_NODES.size * _panel_counts(widths, coarse, 1.0).sum(axis=1)
     levin = np.flatnonzero(eligible & (nodes_x1 > LEVIN_NODES))
     values, achieved = np.full(xs.size, np.nan), np.full(xs.size, np.inf)
-    chunks = [levin[lo:lo + LEVIN_POINTS] for lo in range(0, levin.size, LEVIN_POINTS)]
+    size = max(1, CHUNK_PANELS * _KRONROD_NODES.size // LEVIN_NODES)
+    chunks = [levin[lo:lo + size] for lo in range(0, levin.size, size)]
     solved = pool_map(lambda rows: _levin_values(xs[rows], ts[rows], spec, symbol), chunks, jobs)
     for rows, (value, bound) in zip(chunks, solved):
         achieved[rows] = bound

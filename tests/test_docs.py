@@ -1,16 +1,19 @@
 """The README against the code it describes: the Layout block names
 exactly the package's modules, the refinement table lists each record's
 refinements in estimates.TAGS, the estimate-tag table lists the tags of
-estimates.TAGS in order, and the exit codes are those cli.main returns
-for each error type of ostrovsky.errors."""
+estimates.TAGS in order, the exit codes are those cli.main returns for
+each error type of ostrovsky.errors, the kernel's work-unit figures are
+those of its constants, and each test the README names exists and holds
+the bound the README gives with it."""
 
+import ast
 import builtins
 import pathlib
 import re
 
 import pytest
 
-from ostrovsky import cli, errors
+from ostrovsky import cli, errors, kernel
 from ostrovsky.estimates import TAGS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -90,3 +93,51 @@ def test_each_error_type_exits_with_the_listed_code(tmp_path, monkeypatch, capsy
     argv = ["probe-estimates", "--which", "2.03", "--out", str(tmp_path / "out")]
     assert cli.main(argv) == by_type[base]
     assert capsys.readouterr().err.endswith(": stub failure\n")
+
+
+def test_kernel_work_unit_figures_equal_the_constants():
+    text = " ".join(README.split())
+    (panels,) = re.findall(r"`kernel\.CHUNK_PANELS` = 2\^16 // 31 = (\d+) Gauss-Kronrod", text)
+    (points,) = re.findall(r"max\(1, `CHUNK_PANELS` \* 31 // `LEVIN_NODES`\) = (\d+) points",
+                           text)
+    assert int(panels) == kernel.CHUNK_PANELS == 2**16 // 31
+    assert int(points) == max(1, kernel.CHUNK_PANELS * kernel._KRONROD_NODES.size
+                              // kernel.LEVIN_NODES)
+
+
+def suite_sources():
+    """{(class name or None, test name): source} over tests/test_*.py."""
+    sources = {}
+    for path in (ROOT / "tests").glob("test_*.py"):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            methods = node.body if isinstance(node, ast.ClassDef) else [node]
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            for method in methods:
+                if isinstance(method, ast.FunctionDef) and method.name.startswith("test_"):
+                    source = lines[method.lineno - 1:method.end_lineno]
+                    sources[owner, method.name] = "\n".join(source)
+    return sources
+
+
+def named_test(name, sources):
+    """Source of the test the README names as `Class::test` or `test`."""
+    owner, _, test = name.rpartition("::")
+    found = [source for (cls, fn), source in sources.items()
+             if fn == test and (not owner or cls == owner)]
+    assert len(found) == 1, f"README names {name}, which is not one test"
+    return found[0]
+
+
+def test_named_tests_exist_and_hold_their_bounds():
+    text = " ".join(README.split())
+    sources = suite_sources()
+    names = re.findall(r"`((?:Test\w+::)?test_\w+)`", text)
+    assert len(names) >= 6
+    for name in names:
+        named_test(name, sources)
+    bounds = re.findall(r"within (\d+e-\d+) relative \(`((?:Test\w+::)?test_\w+)`\)", text)
+    assert len(bounds) == 2
+    for figure, name in bounds:
+        assert re.search(rf"\br(?:el|tol)={figure}\b", named_test(name, sources)), (figure, name)

@@ -49,19 +49,11 @@ def gauss_kronrod_only(monkeypatch):
 SPEC16 = KernelSpec(16.0, -1.0, 1.0)
 
 
-@pytest.fixture(scope="module")
-def benchmark_grid():
-    """The benchmark-size mixed-norm grid at N = 16 and its values and
-    bounds at the shipped chunk sizes, serially."""
-    xs, ts = mixed_norm_points(SPEC16, 1.0, 30, 12)
-    return xs, ts, _kernel_values(xs, ts, SPEC16, QuadratureStats(), jobs=1)
-
-
 @pytest.fixture
 def levin_by_eligibility(monkeypatch):
     """Every point the g' scan admits goes to Levin, however few nodes its
-    Gauss-Kronrod panels would take."""
-    monkeypatch.setattr(kernel, "LEVIN_NODES", 0)
+    Gauss-Kronrod panels would take: at least 31 on each coarse sub-interval."""
+    monkeypatch.setattr(kernel, "LEVIN_NODES", 1)
 
 
 @pytest.fixture
@@ -283,12 +275,12 @@ def assert_values_match(values, xs, ts, spec, ref_values):
     return np.count_nonzero(levin)
 
 
-def refinement_spec(monkeypatch, n_block, level):
-    """Spec at N = n_block, with kernel.ABSOLUTE_TOLERANCE set so that the
-    point (-400/N, 120/N^3) meets it first at refine 4 (level 1) or 16
-    (level 2)."""
+def refinement_spec(monkeypatch, n_block, level, point=None):
+    """Spec at N = n_block, with kernel.ABSOLUTE_TOLERANCE set so that
+    point, by default region_points' (-400/N, 120/N^3), meets it first at
+    refine 4 (level 1) or 16 (level 2)."""
     spec = KernelSpec(n_block, -1.0, 1.0)
-    x, t = region_points(n_block)[6]
+    x, t = point or region_points(n_block)[6]
     bounds = [gauss_kronrod_bound(x, t, spec, r) for r in (1.0, 4.0, 16.0)]
     assert bounds[0] > bounds[1] > bounds[2]
     monkeypatch.setattr(kernel, "ABSOLUTE_TOLERANCE", 0.5 * (bounds[level - 1] + bounds[level]))
@@ -491,16 +483,32 @@ class TestBatchedQuadrature:
         assert stats.refined_x4 >= 1 and (stats.refined_x16 >= 1) == (level == 2)
         assert stats.max_error == np.max(achieved[np.isfinite(achieved)])
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("size", [1, 7, 1 << 40])
-    def test_independent_of_chunk_size(self, monkeypatch, size, jobs):
-        # chunks of one panel, of 7 that cut across points, or of every panel
-        spec = refinement_spec(monkeypatch, 16.0, 1)
-        xs, ts = np.array(region_points(16.0)[:-1]).T
+    @pytest.mark.parametrize("size,jobs", [(size, jobs) for size in (1, 7, kernel.CHUNK_PANELS)
+                                           for jobs in (1, 2, 8)] + [(1 << 40, 1)])
+    def test_independent_of_chunk_size_and_jobs(self, monkeypatch, size, jobs):
+        # Levin chunks of one point (sizes 1 and 7), of 54 with a partial
+        # last one, or of all; Gauss-Kronrod chunks of one panel, of 7 that
+        # cut across points, of the shipped size, or of every panel; 1, 2 or
+        # 8 workers where a pool call has more than one chunk
+        levin_chunk = kernel.CHUNK_PANELS * 31 // kernel.LEVIN_NODES  # 54 points
+        grid_x, grid_t = mixed_norm_points(SPEC16, 1.0, 30, 12)
+        routed = np.flatnonzero(levin_routed(grid_x, grid_t, SPEC16))[::3]
+        # four cheap points that converge at x1, the over-cap point, and a
+        # point on region_points' ray that converges at x16
+        refined = (-30.0 / 16.0, 9.0 / 16.0**3)
+        region = [region_points(16.0)[i] for i in (0, 2, 3, 4, 7)] + [refined]
+        xs, ts = np.concatenate([np.array(region).T, [grid_x[routed], grid_t[routed]]], axis=1)
+        spec = refinement_spec(monkeypatch, 16.0, 2, refined)
+        assert routed.size > levin_chunk and routed.size % levin_chunk
+        x1_panels = panel_counts(xs[:4], ts[:4], spec, 1.0).sum(axis=1)
+        assert np.any(np.cumsum(x1_panels) % 7)
         base = _kernel_values(xs, ts, spec, QuadratureStats(), jobs=1)
         monkeypatch.setattr(kernel, "CHUNK_PANELS", size)
-        for a, b in zip(base, _kernel_values(xs, ts, spec, QuadratureStats(), jobs)):
-            assert np.array_equal(a, b)
+        stats = QuadratureStats()
+        for a, b in zip(base, _kernel_values(xs, ts, spec, stats, jobs)):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert (stats.levin, stats.refined_x4, stats.refined_x16) == (routed.size, 1, 1)
+        assert stats.points == xs.size and stats.over_cap == 1 and np.isfinite(base[0][5])
 
     def test_points_over_budget_in_bounded_memory(self):
         # two points of about 930,000 nodes each, their panels shared out
@@ -847,27 +855,14 @@ class TestLevin:
         # the cost rule keeps the far points nearest the near field on Gauss-Kronrod
         assert np.count_nonzero(routed & far) >= 150
 
-    @pytest.mark.parametrize("jobs", [1, 2, 8])
-    @pytest.mark.parametrize("panels", [1, 61])
-    @pytest.mark.parametrize("points", [1, 7, 32, 1 << 40])
-    def test_independent_of_chunks_and_jobs(self, monkeypatch, benchmark_grid, points, panels,
-                                            jobs):
-        # Levin chunks of 1, 7 or 32 points, or one chunk of all 198, with
-        # Gauss-Kronrod chunks of 1 or 61 panels, on 1, 2 or 8 workers
-        xs, ts, base = benchmark_grid
-        monkeypatch.setattr(kernel, "LEVIN_POINTS", points)
-        monkeypatch.setattr(kernel, "CHUNK_PANELS", panels)
-        stats = QuadratureStats()
-        for a, b in zip(base, _kernel_values(xs, ts, SPEC16, stats, jobs)):
-            assert np.array_equal(a, b)
-        assert stats.levin == 198 and stats.points == xs.size
-
-    @pytest.mark.parametrize("orders", [(12, 16), (16, 12)])
-    @pytest.mark.parametrize("n_x,n_t", [(30, 12), (120, 48)])
-    @pytest.mark.parametrize("n_block", [16.0, 64.0])
+    @pytest.mark.parametrize("n_block,n_x,n_t,orders", [
+        (16.0, 30, 12, (12, 16)), (16.0, 120, 48, (16, 12)),
+        (64.0, 30, 12, (16, 12)), (64.0, 120, 48, (12, 16)),
+    ])
     def test_real_solve_equals_complex_lu(self, monkeypatch, n_block, n_x, n_t, orders):
         # every eligible point of the benchmark-size and acceptance-size
-        # mixed-norm grids; orders (16, 12) return order 12's value
+        # mixed-norm grids; orders (16, 12) return order 12's value.  The
+        # cases hold each pair of block, grid and orders once
         monkeypatch.setattr(kernel, "_LEVIN_ORDERS", orders)
         spec = KernelSpec(n_block, -1.0, 1.0)
         xs, ts = mixed_norm_points(spec, 1.0, n_x, n_t)
