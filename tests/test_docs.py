@@ -8,6 +8,7 @@ the bound the README gives with it."""
 
 import ast
 import builtins
+import functools
 import pathlib
 import re
 
@@ -105,6 +106,7 @@ def test_kernel_work_unit_figures_equal_the_constants():
                               // kernel.LEVIN_NODES)
 
 
+@functools.cache
 def suite_sources():
     """{(class name or None, test name): source} over tests/test_*.py."""
     sources = {}
@@ -130,13 +132,21 @@ def named_test(name, sources):
     return found[0]
 
 
-def test_named_tests_exist_and_hold_their_bounds():
-    text = " ".join(README.split())
-    sources = suite_sources()
-    names = re.findall(r"`((?:Test\w+::)?test_\w+)`", text)
-    for name in names:
-        named_test(name, sources)
-    bounds = re.findall(r"within (\d+e-\d+) relative \(`((?:Test\w+::)?test_\w+)`\)", text)
-    assert len(bounds) == 2 and {name for _, name in bounds} <= set(names)
-    for figure, name in bounds:
-        assert re.search(rf"\br(?:el|tol)={figure}\b", named_test(name, sources)), (figure, name)
+NAMED_TESTS = re.findall(r"`((?:Test\w+::)?test_\w+)`", " ".join(README.split()))
+NAMED_BOUNDS = re.findall(r"within (\d+e-\d+) relative \(`((?:Test\w+::)?test_\w+)`\)",
+                          " ".join(README.split()))
+
+
+def test_readme_names_tests_and_two_bounds():
+    assert NAMED_TESTS and len(NAMED_BOUNDS) == 2
+    assert {name for _, name in NAMED_BOUNDS} <= set(NAMED_TESTS)
+
+
+@pytest.mark.parametrize("name", NAMED_TESTS)
+def test_named_test_exists(name):
+    named_test(name, suite_sources())
+
+
+@pytest.mark.parametrize("figure,name", NAMED_BOUNDS)
+def test_named_test_holds_its_bound(figure, name):
+    assert re.search(rf"\br(?:el|tol)={figure}\b", named_test(name, suite_sources())), name

@@ -49,6 +49,16 @@ def gauss_kronrod_only(monkeypatch):
 SPEC16 = KernelSpec(16.0, -1.0, 1.0)
 
 
+def levin_chunk_panels(points):
+    """The least CHUNK_PANELS whose Levin chunks hold the given points."""
+    return -(-points * kernel.LEVIN_NODES // 31)
+
+
+# Gauss-Kronrod chunk sizes below, at and above the shipped one, two of
+# them those of Levin chunks of 7 and 32 points
+CHUNK_SIZES = (1, 7, 61, levin_chunk_panels(7), levin_chunk_panels(32), kernel.CHUNK_PANELS)
+
+
 @pytest.fixture
 def levin_by_eligibility(monkeypatch):
     """Every point the g' scan admits goes to Levin, however few nodes its
@@ -483,13 +493,15 @@ class TestBatchedQuadrature:
         assert stats.refined_x4 >= 1 and (stats.refined_x16 >= 1) == (level == 2)
         assert stats.max_error == np.max(achieved[np.isfinite(achieved)])
 
-    @pytest.mark.parametrize("size,jobs", [(size, jobs) for size in (1, 7, kernel.CHUNK_PANELS)
-                                           for jobs in (1, 2, 8)] + [(1 << 40, 1)])
+    @pytest.mark.parametrize("size,jobs", [(size, jobs) for size in CHUNK_SIZES
+                                           for jobs in (1, 2, 8, None)] + [(1 << 40, 1)])
     def test_independent_of_chunk_size_and_jobs(self, monkeypatch, size, jobs):
-        # Levin chunks of one point (sizes 1 and 7), of 54 with a partial
+        # Levin chunks of one point (sizes 1, 7 and 61), of 7 or 32 (the
+        # Levin chunk before CHUNK_PANELS sized it) or of 54 with a partial
         # last one, or of all; Gauss-Kronrod chunks of one panel, of 7 that
-        # cut across points, of the shipped size, or of every panel; 1, 2 or
-        # 8 workers where a pool call has more than one chunk
+        # cut across points, of 61, 271, 1239, the shipped size, or of every
+        # panel; 1, 2, 8 or every core's worker where a pool call has more
+        # than one chunk
         levin_chunk = kernel.CHUNK_PANELS * 31 // kernel.LEVIN_NODES  # 54 points
         grid_x, grid_t = mixed_norm_points(SPEC16, 1.0, 30, 12)
         routed = np.flatnonzero(levin_routed(grid_x, grid_t, SPEC16))[::3]
